@@ -17,7 +17,7 @@
 //!   histogram's buckets are powers of two of microseconds);
 //! * `service/mixed_traffic/{secs_per_request,p50,p99}` — the same
 //!   accounting against a **fresh** server (clean caches, clean histogram)
-//!   under four threads of the cache policy lab's seeded zipf workload
+//!   under four threads of the cache lab's seeded zipf workload
 //!   generator (`projtile_lab::Workload`), so the snapshot also tracks
 //!   cold-to-warm service behaviour under reproducible generated load.
 

@@ -200,7 +200,6 @@ impl<K: Eq + Hash + Clone, V> BoundedLru<K, V> {
     /// re-sort by effective access time — rare, amortized over the peeks
     /// that made it necessary) before eviction resumes, so the victim is
     /// always the true least recently used entry, peeks included.
-    // lint: allow(L008) expect pins map/order-list coherence maintained by every mutation
     fn evict_to_fit(&mut self) {
         while self.total_cost > self.capacity {
             let Some(victim) = self.list.tail() else {

@@ -144,6 +144,18 @@ pub(crate) struct StoredSurface {
     pub summary: SurfaceSummary,
 }
 
+impl StoredSurface {
+    /// The summary for a request in the caller's axis order: the stored one
+    /// when the request is already sorted (`order` is `None`), otherwise the
+    /// exact remap [`crate::parametric::exponent_surface`] itself applies.
+    pub fn summary_in(&self, axes: &[usize], order: Option<&[usize]>) -> SurfaceSummary {
+        match order {
+            None => self.summary.clone(),
+            Some(order) => super::summarize_surface(&self.surface.with_axis_order(order), axes),
+        }
+    }
+}
+
 /// One declaration order of an interned nest. Holds only identity (the
 /// permutations and the oriented nest) plus the warm HBL solver; all
 /// memoized artifacts live in the engine-level bounded caches.

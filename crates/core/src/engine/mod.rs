@@ -87,8 +87,9 @@ use std::collections::HashMap;
 use std::fmt;
 
 use projtile_arith::{log, Rational};
-use projtile_cachesim::BoundedLru;
-pub use projtile_cachesim::BoundedLruStats;
+// The memo cache type is re-exported so trace replays run the same cache
+// code as the live front.
+pub use projtile_cachesim::{BoundedLru, BoundedLruStats};
 use projtile_loopnest::{canonicalize, CanonicalNest, LoopNest, NestSignature};
 use projtile_lp::parametric::ValueFunction;
 use projtile_lp::ContextPool;
@@ -472,7 +473,7 @@ impl Engine {
             self.stats.misses += 1;
         }
         self.count_kind(query_kind_index(&query), hit);
-        self.surface(e, o, cache_size, axes, lo_bounds, hi_bounds)
+        self.surface_in_axis_order(e, o, cache_size, axes, lo_bounds, hi_bounds)
     }
 
     // -----------------------------------------------------------------------
@@ -744,13 +745,9 @@ impl Engine {
             } => {
                 let (key, order) = self.surface_key(e, o, *cache_size, axes, lo_bounds, hi_bounds);
                 let stored = self.surfaces.peek(&key)?;
-                Some(AnalysisResult::Surface(match order {
-                    None => stored.summary.clone(),
-                    Some(order) => {
-                        let remapped = stored.surface.with_axis_order(&order);
-                        summarize_surface(&remapped, axes)
-                    }
-                }))
+                Some(AnalysisResult::Surface(
+                    stored.summary_in(axes, order.as_deref()),
+                ))
             }
             Query::Slice {
                 cache_size,
@@ -1029,12 +1026,14 @@ impl Engine {
         Ok(())
     }
 
-    /// Returns the memoized surface **and** summary in the caller's axis
-    /// order, computing (in sorted-axes order) on miss. A permuted-axes
-    /// repeat of a cached surface is a hit: the stored sorted-order surface
-    /// is remapped exactly as [`crate::parametric::exponent_surface`] itself
-    /// remaps, so the answer stays bitwise-identical to the free function.
-    fn surface(
+    /// Returns the memoized surface in the caller's axis order, computing
+    /// (in sorted-axes order) on miss. A permuted-axes repeat of a cached
+    /// surface is a hit: the stored sorted-order surface is remapped exactly
+    /// as [`crate::parametric::exponent_surface`] itself remaps, so the
+    /// answer stays bitwise-identical to the free function. (Not named
+    /// `surface`: the call graph dispatches untyped `.surface()` calls by
+    /// name, and `ExponentSurface::surface` is a field accessor.)
+    fn surface_in_axis_order(
         &mut self,
         e: usize,
         o: usize,
@@ -1073,13 +1072,7 @@ impl Engine {
             .surfaces
             .peek(&key)
             .ok_or(EngineError::Internal("surface memo missing after ensure"))?;
-        Ok(match order {
-            None => stored.summary.clone(),
-            Some(order) => {
-                let remapped = stored.surface.with_axis_order(&order);
-                summarize_surface(&remapped, axes)
-            }
-        })
+        Ok(stored.summary_in(axes, order.as_deref()))
     }
 
     fn slice(
@@ -1306,6 +1299,35 @@ pub(crate) struct Detached {
     tightness_parts: Option<(LowerBound, EnumeratedBound, TilingSummary, bool)>,
 }
 
+impl Detached {
+    /// Answers a canonical twin of the computed query — the same surface
+    /// requested with permuted axes — from the computed sorted-order
+    /// surface, by the same exact remap [`compute_detached`] applies. Reads
+    /// no cache and solves nothing.
+    pub(crate) fn twin_answer(&self, twin: &Query) -> Result<AnalysisResult, EngineError> {
+        match (twin, &self.surface) {
+            (
+                Query::Surface {
+                    axes,
+                    lo_bounds,
+                    hi_bounds,
+                    ..
+                },
+                Some(stored),
+            ) => {
+                let (_, _, _, order) =
+                    crate::parametric::sort_surface_request(axes, lo_bounds, hi_bounds);
+                Ok(AnalysisResult::Surface(
+                    stored.summary_in(axes, order.as_deref()),
+                ))
+            }
+            _ => Err(EngineError::Internal(
+                "only a computed surface answers a canonical twin",
+            )),
+        }
+    }
+}
+
 /// Cost estimates of the cache entries installing `detached` would write,
 /// in install order — five for a tightness result (tiling, bound,
 /// enumerated, certificate, then the report last), one otherwise. Recorded
@@ -1408,20 +1430,13 @@ pub(crate) fn compute_detached(
                 &s_lo,
                 &s_hi,
             )?;
-            let sorted_summary = summarize_surface(&s, &s_axes);
-            let caller_summary = match &order {
-                None => sorted_summary.clone(),
-                Some(order) => {
-                    let remapped = s.with_axis_order(order);
-                    summarize_surface(&remapped, axes)
-                }
+            let stored = StoredSurface {
+                summary: summarize_surface(&s, &s_axes),
+                surface: s,
             };
             return Ok(Detached {
-                result: AnalysisResult::Surface(caller_summary),
-                surface: Some(StoredSurface {
-                    surface: s,
-                    summary: sorted_summary,
-                }),
+                result: AnalysisResult::Surface(stored.summary_in(axes, order.as_deref())),
+                surface: Some(stored),
                 tightness_parts: None,
             });
         }

@@ -93,7 +93,7 @@ pub const QUERY_KIND_COUNT: usize = 6;
 
 /// Stable wire names of the [`Query`] kinds, indexed by
 /// [`query_kind_index`]. The service `/metrics` endpoint and the trace
-/// documents of the cache policy lab both key per-kind counters by these
+/// documents of the cache lab both key per-kind counters by these
 /// positions, so the order is part of the wire contract.
 pub const QUERY_KIND_NAMES: [&str; QUERY_KIND_COUNT] = [
     "lower_bound",

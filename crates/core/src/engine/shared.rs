@@ -201,7 +201,7 @@ impl SharedEngine {
     }
 
     // -----------------------------------------------------------------------
-    // Trace recording (the cache policy lab's input)
+    // Trace recording (the cache lab's input)
     // -----------------------------------------------------------------------
 
     /// Attaches a bounded lock-free trace recorder retaining up to
@@ -424,19 +424,20 @@ impl SharedEngine {
                 }
             }
         }
-        // Distinct uncached queries, deduplicated by cache-canonical form
-        // (permuted-axes twins compute once); duplicate occurrences count
-        // as hits, exactly like [`Engine::analyze_batch`]'s accounting.
+        // Distinct uncached queries, deduplicated by cache-canonical form:
+        // permuted-axes twins compute once. A twin occurrence counts as a
+        // hit; a repeated literal of a pending query counts as neither hit
+        // nor miss — exactly [`Engine::analyze_batch`]'s accounting.
         let mut pending: Vec<Query> = Vec::new();
-        let mut pending_forms: HashMap<Query, ()> = HashMap::new();
+        let mut pending_forms: HashMap<Query, usize> = HashMap::new();
         for (q, v) in queries.iter().zip(&validity) {
-            if v.is_none()
-                && !cached.contains_key(q)
-                && pending_forms
-                    .insert(super::canonical_query_form(q), ())
-                    .is_none()
-            {
-                pending.push(q.clone());
+            if v.is_none() && !cached.contains_key(q) {
+                pending_forms
+                    .entry(super::canonical_query_form(q))
+                    .or_insert_with(|| {
+                        pending.push(q.clone());
+                        pending.len() - 1
+                    });
             }
         }
         let mut hit_count = 0u64;
@@ -471,6 +472,27 @@ impl SharedEngine {
             )
         };
 
+        // Canonical twins are answered from the surface their own batch just
+        // computed, still outside the lock: a twin reads no cache entry, so
+        // it cannot resurrect (or recompute) a surface the install pass
+        // below evicts.
+        let mut twins: HashMap<&Query, Result<AnalysisResult, EngineError>> = HashMap::new();
+        for (q, v) in queries.iter().zip(&validity) {
+            if v.is_some() || cached.contains_key(q) || pending.contains(q) {
+                continue;
+            }
+            let Some((_, rep)) = pending_forms
+                .get(&super::canonical_query_form(q))
+                .and_then(|&at| computed.get(at))
+            else {
+                continue;
+            };
+            twins.entry(q).or_insert_with(|| match rep {
+                Ok(detached) => detached.twin_answer(q),
+                Err(err) => Err(err.clone()),
+            });
+        }
+
         let mut errors: HashMap<Query, EngineError> = HashMap::new();
         let mut installed: HashMap<Query, AnalysisResult> = HashMap::new();
         let mut install_costs: HashMap<Query, Vec<u64>> = HashMap::new();
@@ -496,6 +518,7 @@ impl SharedEngine {
                 }
             }
         }
+        drop(engine);
         let results: Vec<Result<AnalysisResult, EngineError>> = queries
             .iter()
             .zip(&validity)
@@ -506,21 +529,15 @@ impl SharedEngine {
                 if let Some(err) = errors.get(q) {
                     return Err(err.clone());
                 }
-                if let Some(result) = cached.get(q) {
+                if let Some(result) = cached.get(q).or_else(|| installed.get(q)) {
                     return Ok(result.clone());
                 }
-                if let Some(result) = installed.get(q) {
-                    return Ok(result.clone());
-                }
-                // A canonical twin of this query was computed and installed
-                // under the shared key; answer by the exact remap. The warm
-                // context pool mutex inside is a leaf lock: checkout pops a
-                // free context and releases before any shard lock is touched.
-                // lint: allow(L009) ContextPool's mutex is a leaf lock, released before any shard access
-                engine.answer(e, o, q)
+                twins
+                    .get(q)
+                    .cloned()
+                    .unwrap_or(Err(EngineError::Internal("batch query left unanswered")))
             })
             .collect();
-        drop(engine);
         if let Some(orient) = orient_hash {
             // One contiguous event group per batch, in input order; the
             // outcome classification mirrors the accounting above exactly
@@ -546,7 +563,8 @@ impl SharedEngine {
                         (outcome::DUPLICATE, Vec::new())
                     }
                 } else {
-                    // A canonical twin: counted as a hit, answered by remap.
+                    // A canonical twin: counted as a hit, answered from its
+                    // batch's computation.
                     (outcome::HIT, Vec::new())
                 };
                 events.push(TraceEvent {

@@ -1,4 +1,4 @@
-//! Query-trace recording for the cache policy lab.
+//! Query-trace recording for the cache lab.
 //!
 //! A [`TraceRecorder`] is a lock-free bounded event log inside
 //! [`super::SharedEngine`]: every query the front answers appends one
@@ -6,11 +6,10 @@
 //! (hashed, not the payloads), the per-entry cost estimates a miss
 //! installed, and how the live front resolved it. The log is drained as a
 //! [`TraceDocument`] — a compact flat-vector serialization through the
-//! workspace serde layer — which `projtile_lab` replays through candidate
-//! cache policies. Replaying a document through the lab's exact-LRU
-//! simulator at the recorded budgets reproduces the live front's hit/miss
-//! counts event-for-event (the keystone differential of the lab's tests
-//! and the ci.sh smoke stage).
+//! workspace serde layer — which `projtile_lab` replays through the live
+//! cache type at any budgets. Replaying a document at the recorded budgets
+//! reproduces the live front's hit/miss counts event-for-event (the
+//! keystone differential of the lab's tests and the ci.sh smoke stage).
 //!
 //! # Recording overhead
 //!
@@ -181,7 +180,7 @@ impl TraceRecorder {
 }
 
 /// A drained trace: everything the lab needs to replay the recorded
-/// traffic through a simulated cache hierarchy at the live geometry.
+/// traffic through per-shard caches at the live geometry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceDocument {
     /// Format version ([`TRACE_VERSION`]).

@@ -350,11 +350,18 @@ fn permuted_surface_twins_in_one_batch_compute_once() {
         lo_bounds: vec![2, 1],
         hi_bounds: vec![m / 2, m],
     };
-    let queries = vec![sorted_query.clone(), permuted_query.clone()];
+    // The repeated literal of the computing query counts as neither hit nor
+    // miss.
+    let queries = vec![
+        sorted_query.clone(),
+        permuted_query.clone(),
+        sorted_query.clone(),
+    ];
 
     let mut engine = Engine::new();
     let batch = engine.analyze_batch(&nest, &queries);
     let stats = engine.stats();
+    assert_eq!(stats.queries, 3, "every occurrence is a query: {stats:?}");
     assert_eq!(stats.misses, 1, "canonical twins compute once: {stats:?}");
     assert_eq!(stats.hits, 1, "the twin occurrence is a hit: {stats:?}");
     for (q, r) in queries.iter().zip(&batch) {
@@ -364,6 +371,10 @@ fn permuted_surface_twins_in_one_batch_compute_once() {
     let shared = SharedEngine::with_config(EngineConfig::default(), 2);
     let shared_batch = shared.analyze_batch(&nest, &queries);
     let stats = shared.stats();
+    assert_eq!(
+        stats.queries, 3,
+        "every shared occurrence is a query: {stats:?}"
+    );
     assert_eq!(stats.misses, 1, "shared twins compute once: {stats:?}");
     assert_eq!(stats.hits, 1, "shared twin occurrence is a hit: {stats:?}");
     for ((q, r), seq) in queries.iter().zip(&shared_batch).zip(&batch) {
@@ -371,6 +382,57 @@ fn permuted_surface_twins_in_one_batch_compute_once() {
         assert_matches_oracle(&nest, q, r);
         assert_eq!(Ok(r), seq.as_ref(), "shared == sequential bitwise");
     }
+}
+
+#[test]
+fn batch_twins_answer_from_their_own_computation() {
+    // A canonical twin is answered from the surface its batch computed. The
+    // budget here holds one surface, so installing T evicts S before the
+    // twin of S is answered: the twin must neither recompute S under the
+    // write lock nor re-insert it over T.
+    let nest = builders::matmul(64, 64, 64);
+    let m = 1u64 << 9;
+    let s = Query::Surface {
+        cache_size: m,
+        axes: vec![0, 2],
+        lo_bounds: vec![1, 1],
+        hi_bounds: vec![4, 3],
+    };
+    let twin = Query::Surface {
+        cache_size: m,
+        axes: vec![2, 0],
+        lo_bounds: vec![1, 1],
+        hi_bounds: vec![3, 4],
+    };
+    let t = Query::Surface {
+        cache_size: m,
+        axes: vec![0, 1],
+        lo_bounds: vec![1, 1],
+        hi_bounds: vec![4, 4],
+    };
+    let front = SharedEngine::with_config(
+        EngineConfig {
+            surfaces_capacity: 1000,
+            ..EngineConfig::default()
+        },
+        1,
+    );
+    let queries = [s, twin, t.clone()];
+    let answers = front.analyze_batch(&nest, &queries);
+    for (q, r) in queries.iter().zip(&answers) {
+        assert_matches_oracle(&nest, q, r.as_ref().expect("valid query"));
+    }
+    let stats = front.stats();
+    assert_eq!((stats.misses, stats.hits), (2, 1), "{stats:?}");
+    let surfaces = front.cache_metrics().surfaces;
+    assert_eq!(
+        surfaces.evictions, 1,
+        "only S made room for T: {surfaces:?}"
+    );
+
+    let again = front.analyze(&nest, &t).expect("valid query");
+    assert_eq!(front.stats().hits, 2, "T is still resident");
+    assert_matches_oracle(&nest, &t, &again);
 }
 
 #[test]

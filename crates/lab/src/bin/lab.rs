@@ -1,4 +1,4 @@
-//! `projtile-lab` — the trace-driven cache policy lab CLI.
+//! `projtile-lab` — the trace-driven cache lab CLI.
 //!
 //! ```text
 //! projtile-lab drive ADDR [--seed N] [--pattern zipf|hotspot|mixed]
@@ -11,9 +11,9 @@
 //!
 //! `drive` pushes a deterministic generated workload at a live server
 //! through the retrying client; `drain` fetches the server's recorded trace
-//! (`GET /trace`) to a file; `replay` runs the policy/budget study over a
-//! drained trace, and with `--check-live` first insists the exact-LRU
-//! replay reproduces the live hit/miss accounting event for event (exit 1
+//! (`GET /trace`) to a file; `replay` runs the budget sweep over a drained
+//! trace, and with `--check-live` first insists the replay at the recorded
+//! budgets reproduces the live hit/miss accounting event for event (exit 1
 //! on divergence). `generate` is the self-contained demo: it records,
 //! drains, differentials and reports entirely in process against small
 //! budgets, no server needed.
@@ -159,8 +159,8 @@ fn generate(args: &[String]) -> Result<ExitCode, String> {
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
-    // Small budgets on purpose: the demo is only interesting when the
-    // policies actually have to evict.
+    // Small budgets on purpose: the sweep is only interesting when the
+    // caches actually have to evict.
     let budgets = EngineConfig {
         results_capacity: 4096,
         betas_capacity: 1024,

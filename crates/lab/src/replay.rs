@@ -1,42 +1,51 @@
-//! Deterministic trace replay: push a recorded
-//! [`TraceDocument`] through simulated
-//! per-shard cache families under a candidate [`PolicyKind`].
+//! Deterministic trace replay: push a recorded [`TraceDocument`] through
+//! the engine's real memo cache, one [`BoundedLru`] per cache family per
+//! shard, at any per-shard budgets.
 //!
 //! The replay reproduces the live `SharedEngine` resolution pipeline from
-//! events alone — no nests, no solver:
+//! events alone — no nests, no solver, no payloads (entries are `()` at
+//! their recorded costs):
 //!
 //! * events are regrouped by their `batch` id (one group per live
 //!   `analyze`/`analyze_batch` call, contiguous in append order);
-//! * each group runs the live phases in order: a **probe pass** (peeks in
-//!   input order, skipping literals already found cached, with the tightness
-//!   recompose path touching component artifacts as it short-circuits), a
-//!   **classification** (first uncached occurrence per cache-canonical
-//!   family is the computing miss; repeated literals of it are duplicates;
-//!   distinct literals of it are canonical twins answered as hits), an
-//!   **orientation intern**, an **install pass** in pending order charging
-//!   the recorded per-entry costs, and the **twin answer pass** touching the
-//!   shared entry per twin occurrence;
-//! * the simulated shard is the recorded routing key modulo the shard
-//!   count, so cross-shard isolation is reproduced too.
+//! * each group runs the live phases in order: a **probe pass** (`peek`s in
+//!   input order, skipping literals already found cached, with the
+//!   tightness recompose path peeking component artifacts as it
+//!   short-circuits), a **classification** (first uncached occurrence per
+//!   cache-canonical family is the computing miss; repeated literals of it
+//!   are duplicates; distinct literals of it are canonical twins, hits
+//!   answered from the batch's own computation without touching a cache),
+//!   an **orientation intern**, and an **install pass** in pending order
+//!   making the live `contains` / `insert` / `get` calls at the recorded
+//!   per-entry costs;
+//! * the replayed shard is the recorded routing key modulo the shard count,
+//!   so cross-shard isolation is reproduced too.
 //!
-//! With the exact-LRU policy at the recorded budgets, a cold-start trace
-//! recorded under serialized traffic replays to the **same class for every
-//! event** and the same hit/miss totals as the live front — the keystone
-//! differential ([`check_live`]). Candidate policies reuse the same driver
-//! and report what the hit rate would have been; entry costs for misses the
-//! live front didn't take are recovered from a cost book learned from the
-//! trace's own miss events (from a cold start, every installable entry's
-//! first live resolution is a recorded miss).
+//! Because replay and live front run the same cache code in the same call
+//! order, a cold-start trace recorded under serialized traffic replays at
+//! the recorded budgets to the **same class for every event** and the same
+//! hit/miss totals — the keystone differential ([`check_live`]). At other
+//! budgets the replay predicts what a live front with those budgets would
+//! have done; entry costs for misses the recording never took are recovered
+//! from a cost book learned from the trace's own miss events (from a cold
+//! start, every installable entry's first live resolution is a recorded
+//! miss).
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
-use projtile_core::engine::{outcome, TraceDocument, TraceEvent};
+use projtile_core::engine::{outcome, BoundedLru, BoundedLruStats, TraceDocument, TraceEvent};
 
-use crate::policy::{PolicyCache, PolicyKind, SimCacheStats, SimKey};
+/// A replayed cache key: the event's cache-canonical family hash plus a
+/// small component tag (a tightness report and its four component artifacts
+/// share a family but occupy distinct entries).
+type SimKey = u128;
 
-/// Component tags distinguishing co-familial entries in the simulated
-/// results family (mirrors the live `ResultKind`).
+/// One replayed cache family: the live cache type, holding no payloads.
+type Family = BoundedLru<SimKey, ()>;
+
+/// Component tags distinguishing co-familial entries in the replayed
+/// results family (the live `ResultKind`s).
 mod tag {
     pub const BOUND: u8 = 1;
     pub const ENUMERATED: u8 = 2;
@@ -94,8 +103,8 @@ impl Budgets {
 /// canonical twins count as hits, exactly like the live counters).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventClass {
-    /// Answered from a simulated resident entry (or as a canonical twin of
-    /// a query computed in the same batch).
+    /// Answered from a resident entry (or as a canonical twin of a query
+    /// computed in the same batch).
     Hit,
     /// Would compute: first uncached occurrence of its family in the batch.
     Miss,
@@ -122,30 +131,28 @@ fn recorded_class(oc: u8) -> EventClass {
     }
 }
 
-/// One replay/recording divergence (only the exact-LRU replay of a
-/// cold-start serialized trace is expected to have none).
+/// One replay/recording divergence (a replay of a cold-start serialized
+/// trace at its recorded budgets is expected to have none).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Mismatch {
     /// The diverging event's global ordinal.
     pub ordinal: u64,
-    /// What the simulation resolved.
+    /// What the replay resolved.
     pub predicted: EventClass,
     /// What the live front recorded.
     pub recorded: EventClass,
 }
 
-/// The outcome of replaying one document under one policy.
+/// The outcome of replaying one document at one set of budgets.
 #[derive(Debug, Clone)]
 pub struct ReplayReport {
-    /// Display name of the replayed policy.
-    pub policy: String,
-    /// The per-shard budgets the simulation ran at.
+    /// The per-shard budgets the replay ran at.
     pub budgets: Budgets,
     /// Events replayed.
     pub events: usize,
-    /// Events the simulation answered from cache (twins included).
+    /// Events the replay answered from cache (twins included).
     pub sim_hits: u64,
-    /// Events the simulation computed.
+    /// Events the replay computed.
     pub sim_misses: u64,
     /// Intra-batch duplicate literals (neither hit nor miss).
     pub sim_duplicates: u64,
@@ -153,19 +160,19 @@ pub struct ReplayReport {
     pub live_hits: u64,
     /// The live front's miss counter over the recorded window.
     pub live_misses: u64,
-    /// Cost units served from simulated cache (entry cost per hit).
+    /// Cost units served from cache (entry cost per hit).
     pub byte_hits: u64,
     /// Cost units requested overall (entry cost per hit or miss).
     pub byte_total: u64,
-    /// Simulated misses that could not charge an install because the live
+    /// Replayed misses that could not charge an install because the live
     /// trace never priced the entry (only failed computations qualify).
     pub unpriced_installs: u64,
     /// Results-family occupancy/evictions summed across shards.
-    pub results: SimCacheStats,
+    pub results: BoundedLruStats,
     /// Slice-family occupancy/evictions summed across shards.
-    pub slices: SimCacheStats,
+    pub slices: BoundedLruStats,
     /// Surface-family occupancy/evictions summed across shards.
-    pub surfaces: SimCacheStats,
+    pub surfaces: BoundedLruStats,
     /// Event-level divergences from the recording (first 8).
     pub mismatches: Vec<Mismatch>,
     /// Total number of diverging events.
@@ -176,12 +183,12 @@ pub struct ReplayReport {
 }
 
 impl ReplayReport {
-    /// Simulated hit rate in percent (0 when no hits or misses).
+    /// Replayed hit rate in percent (0 when no hits or misses).
     pub fn hit_rate(&self) -> f64 {
         rate(self.sim_hits, self.sim_hits + self.sim_misses)
     }
 
-    /// Simulated byte-hit rate in percent (cost-weighted hit rate).
+    /// Replayed byte-hit rate in percent (cost-weighted hit rate).
     pub fn byte_hit_rate(&self) -> f64 {
         rate(self.byte_hits, self.byte_total)
     }
@@ -204,13 +211,13 @@ fn rate(part: u64, whole: u64) -> f64 {
 #[derive(Debug)]
 pub enum ReplayError {
     /// The recorder was attached to a warm front (`warm_entries > 0`): a
-    /// cold-start simulation cannot reproduce its hits.
+    /// cold-start replay cannot reproduce its hits.
     WarmTrace(u64),
     /// The recorder overflowed (`dropped > 0`): the event stream is
     /// truncated, so totals cannot be reconciled.
     DroppedEvents(u64),
-    /// The exact-LRU replay diverged from the recording (carries the full
-    /// report; its `mismatches` lists the first diverging events).
+    /// The replay diverged from the recording (carries the full report; its
+    /// `mismatches` lists the first diverging events).
     Diverged(Box<ReplayReport>),
 }
 
@@ -227,8 +234,8 @@ impl fmt::Display for ReplayError {
             }
             ReplayError::Diverged(report) => write!(
                 f,
-                "exact-LRU replay diverged from the recording on {} of {} events \
-                 (sim {}/{} vs live {}/{} hits/misses); first: {:?}",
+                "replay diverged from the recording on {} of {} events \
+                 (replay {}/{} vs live {}/{} hits/misses); first: {:?}",
                 report.mismatch_count,
                 report.events,
                 report.sim_hits,
@@ -243,19 +250,30 @@ impl fmt::Display for ReplayError {
 
 impl std::error::Error for ReplayError {}
 
+/// One replayed shard: its interned orientations and one live-type cache
+/// per family.
 struct Shard {
     interned: HashSet<u64>,
-    results: Box<dyn PolicyCache>,
-    slices: Box<dyn PolicyCache>,
-    surfaces: Box<dyn PolicyCache>,
+    results: Family,
+    slices: Family,
+    surfaces: Family,
 }
 
 impl Shard {
-    fn family(&mut self, kind: u8) -> &mut dyn PolicyCache {
+    fn new(budgets: Budgets) -> Shard {
+        Shard {
+            interned: HashSet::new(),
+            results: BoundedLru::new(budgets.results),
+            slices: BoundedLru::new(budgets.slices),
+            surfaces: BoundedLru::new(budgets.surfaces),
+        }
+    }
+
+    fn family(&mut self, kind: u8) -> &mut Family {
         match kind {
-            4 => self.surfaces.as_mut(),
-            5 => self.slices.as_mut(),
-            _ => self.results.as_mut(),
+            4 => &mut self.surfaces,
+            5 => &mut self.slices,
+            _ => &mut self.results,
         }
     }
 }
@@ -272,72 +290,61 @@ fn primary_key(ev: &TraceEvent) -> SimKey {
     }
 }
 
-/// The live peek path for one event: touch on success; the tightness
-/// recompose path touches each component it finds, short-circuiting at the
-/// first absence (an overall miss can still refresh some components).
+/// The live read path for one event (`Engine::peek_cached`): peek the
+/// primary entry; on a tightness report miss, peek the components in order,
+/// short-circuiting at the first absence (an overall miss can still stamp
+/// some components).
 fn probe(shard: &mut Shard, ev: &TraceEvent) -> bool {
-    match ev.kind {
-        3 => {
-            if shard.results.touch(key(ev.fam, tag::REPORT)) {
-                return true;
-            }
-            for t in TIGHTNESS_COMPONENTS {
-                if !shard.results.touch(key(ev.fam, t)) {
-                    return false;
-                }
-            }
-            true
-        }
-        k => shard.family(k).touch(primary_key(ev)),
+    let family = shard.family(ev.kind);
+    if family.peek(&primary_key(ev)).is_some() {
+        return true;
     }
+    ev.kind == 3
+        && TIGHTNESS_COMPONENTS
+            .into_iter()
+            .all(|t| family.peek(&key(ev.fam, t)).is_some())
 }
 
-/// The live install path for one computing miss, charging the recorded
-/// per-entry costs: typed results overwrite; tightness installs its
-/// components where absent, the report last, then re-touches the components
-/// (the derived-last recency policy); surfaces and slices install only
-/// where absent.
+/// The live install path for one computing miss (`Engine::install`), at the
+/// recorded per-entry costs: typed results overwrite; tightness inserts its
+/// components where absent, the report last, then `get`s the components
+/// (the derived-last recency policy); surfaces and slices insert only where
+/// absent.
 fn install(shard: &mut Shard, ev: &TraceEvent, costs: &[u64]) {
     let at = |i: usize| costs.get(i).copied().unwrap_or(0);
+    let family = shard.family(ev.kind);
     match ev.kind {
         3 => {
             for (i, t) in TIGHTNESS_COMPONENTS.into_iter().enumerate() {
-                shard.results.insert_if_absent(key(ev.fam, t), at(i));
+                if !family.contains(&key(ev.fam, t)) {
+                    family.insert(key(ev.fam, t), (), at(i));
+                }
             }
-            shard.results.insert(key(ev.fam, tag::REPORT), at(4));
+            family.insert(primary_key(ev), (), at(4));
             for t in TIGHTNESS_COMPONENTS {
-                shard.results.touch(key(ev.fam, t));
+                family.get(&key(ev.fam, t));
             }
         }
         4 | 5 => {
-            shard
-                .family(ev.kind)
-                .insert_if_absent(primary_key(ev), at(0));
+            if !family.contains(&primary_key(ev)) {
+                family.insert(primary_key(ev), (), at(0));
+            }
         }
-        k => {
-            shard.family(k).insert(primary_key(ev), at(0));
-        }
+        _ => family.insert(primary_key(ev), (), at(0)),
     }
 }
 
-/// Replays `doc` under `policy` at the given per-shard budgets. Processes
-/// events in append order, so the replay is exact for serialized recordings
-/// (concurrent recordings replay in commit order, which may legitimately
-/// diverge from per-shard lock order).
-pub fn replay_document(doc: &TraceDocument, policy: PolicyKind, budgets: Budgets) -> ReplayReport {
+/// Replays `doc` at the given per-shard budgets. Processes events in append
+/// order, so the replay is exact for serialized recordings (concurrent
+/// recordings replay in commit order, which may legitimately diverge from
+/// per-shard lock order).
+pub fn replay_document(doc: &TraceDocument, budgets: Budgets) -> ReplayReport {
     let num_shards = (doc.num_shards as u64).max(1);
-    let mut shards: Vec<Shard> = (0..num_shards)
-        .map(|_| Shard {
-            interned: HashSet::new(),
-            results: policy.build(budgets.results),
-            slices: policy.build(budgets.slices),
-            surfaces: policy.build(budgets.surfaces),
-        })
-        .collect();
+    let mut shards: Vec<Shard> = (0..num_shards).map(|_| Shard::new(budgets)).collect();
 
     // Cost book: every installable entry's first live resolution from a
     // cold start is a recorded miss, so recorded costs price the entries
-    // for counterfactual policies too.
+    // for replays at other budgets too.
     let mut book: HashMap<(u8, u64), Vec<u64>> = HashMap::new();
     for ev in &doc.events {
         if ev.outcome == outcome::MISS && !ev.costs.is_empty() {
@@ -360,7 +367,6 @@ pub fn replay_document(doc: &TraceDocument, policy: PolicyKind, budgets: Budgets
     };
 
     let mut report = ReplayReport {
-        policy: policy.name(),
         budgets,
         events: doc.events.len(),
         sim_hits: 0,
@@ -371,29 +377,20 @@ pub fn replay_document(doc: &TraceDocument, policy: PolicyKind, budgets: Budgets
         byte_hits: 0,
         byte_total: 0,
         unpriced_installs: 0,
-        results: SimCacheStats::default(),
-        slices: SimCacheStats::default(),
-        surfaces: SimCacheStats::default(),
+        results: BoundedLruStats::default(),
+        slices: BoundedLruStats::default(),
+        surfaces: BoundedLruStats::default(),
         mismatches: Vec::new(),
         mismatch_count: 0,
         matches_live: false,
     };
 
-    let mut at = 0usize;
-    while at < doc.events.len() {
-        let batch_id = doc.events[at].batch;
-        let mut end = at + 1;
-        while end < doc.events.len() && doc.events[end].batch == batch_id {
-            end += 1;
-        }
-        let batch = &doc.events[at..end];
-        at = end;
-
+    for batch in doc.events.chunk_by(|a, b| a.batch == b.batch) {
         let shard = &mut shards[(batch[0].sig % num_shards) as usize];
 
         // Probe pass: peeks in input order; literals already found cached
         // this batch are not re-peeked, while occurrences of missing
-        // queries re-probe every time (partial tightness touches included).
+        // queries re-probe every time (partial tightness peeks included).
         let mut hit_lhash: HashSet<u64> = HashSet::new();
         let mut found = Vec::with_capacity(batch.len());
         for ev in batch {
@@ -410,28 +407,26 @@ pub fn replay_document(doc: &TraceDocument, policy: PolicyKind, budgets: Budgets
 
         // Classification: first uncached occurrence per cache-canonical
         // family computes; its literal repeats are duplicates; its distinct
-        // literals (permuted-axes surface twins) are hits answered by remap.
+        // literals (permuted-axes surface twins) are hits answered from the
+        // batch's own computation.
         let mut first: HashMap<(u8, u64), u64> = HashMap::new();
-        let mut classes = Vec::with_capacity(batch.len());
-        let mut twins: Vec<usize> = Vec::new();
-        for (i, ev) in batch.iter().enumerate() {
-            let class = if found[i] {
-                EventClass::Hit
-            } else {
+        let classes: Vec<EventClass> = batch
+            .iter()
+            .zip(&found)
+            .map(|(ev, &found)| {
+                if found {
+                    return EventClass::Hit;
+                }
                 match first.get(&(ev.kind, ev.fam)) {
                     None => {
                         first.insert((ev.kind, ev.fam), ev.lhash);
                         EventClass::Miss
                     }
                     Some(&rep) if rep == ev.lhash => EventClass::Duplicate,
-                    Some(_) => {
-                        twins.push(i);
-                        EventClass::Hit
-                    }
+                    Some(_) => EventClass::Hit,
                 }
-            };
-            classes.push(class);
-        }
+            })
+            .collect();
 
         // Orientation intern: every live call that reached its write-lock
         // pass interned (idempotently); only a single-query computation
@@ -444,30 +439,21 @@ pub fn replay_document(doc: &TraceDocument, policy: PolicyKind, budgets: Budgets
         }
 
         // Install pass in pending order. Recorded misses charge their own
-        // costs; policy-divergent misses (the live front hit) charge the
-        // book; failed computations install nothing, exactly like live.
-        for (i, ev) in batch.iter().enumerate() {
-            if classes[i] != EventClass::Miss {
+        // costs; misses the recording did not take (it hit at its budgets)
+        // charge the book; failed computations install nothing, exactly
+        // like live.
+        for (ev, class) in batch.iter().zip(&classes) {
+            if *class != EventClass::Miss {
                 continue;
             }
             match ev.outcome {
                 outcome::MISS => install(shard, ev, &ev.costs),
                 outcome::FAILED | outcome::FAILED_NO_INTERN => {}
                 _ => match book.get(&(ev.kind, ev.fam)) {
-                    Some(costs) => {
-                        let costs = costs.clone();
-                        install(shard, ev, &costs);
-                    }
+                    Some(costs) => install(shard, ev, costs),
                     None => report.unpriced_installs += 1,
                 },
             }
-        }
-
-        // Twin answer pass: each twin occurrence re-reads the shared entry
-        // under the write lock (a recency touch), in input order.
-        for &i in &twins {
-            let ev = &batch[i];
-            shard.family(ev.kind).touch(primary_key(ev));
         }
 
         // Accounting and recording comparison.
@@ -516,11 +502,10 @@ pub fn replay_document(doc: &TraceDocument, policy: PolicyKind, budgets: Budgets
     report
 }
 
-/// The keystone differential: replays `doc` through the exact-LRU simulator
-/// at the recorded budgets and insists the simulation reproduces the live
-/// front's resolution **event for event** (and its hit/miss totals).
-/// Refuses traces a cold simulation cannot possibly reproduce — warm-start
-/// recordings and overflowed recorders.
+/// The keystone differential: replays `doc` at the recorded budgets and
+/// insists the replay reproduces the live front's resolution **event for
+/// event** (and its hit/miss totals). Refuses traces a cold replay cannot
+/// possibly reproduce — warm-start recordings and overflowed recorders.
 pub fn check_live(doc: &TraceDocument) -> Result<ReplayReport, ReplayError> {
     if doc.warm_entries > 0 {
         return Err(ReplayError::WarmTrace(doc.warm_entries));
@@ -528,7 +513,7 @@ pub fn check_live(doc: &TraceDocument) -> Result<ReplayReport, ReplayError> {
     if doc.dropped > 0 {
         return Err(ReplayError::DroppedEvents(doc.dropped));
     }
-    let report = replay_document(doc, PolicyKind::Lru, Budgets::from_document(doc));
+    let report = replay_document(doc, Budgets::from_document(doc));
     if report.matches_live {
         Ok(report)
     } else {

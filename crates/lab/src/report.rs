@@ -1,16 +1,15 @@
-//! Policy comparison and budget-sweep reporting over a recorded trace.
+//! Budget-sweep reporting over a recorded trace.
 //!
-//! [`LabReport::build`] runs the full study — every candidate policy at the
-//! recorded budgets, plus an exact-LRU sweep across budget scales — and
-//! derives a concrete recommendation. [`render_report`] lays the study out
-//! as plain text tables for the `projtile-lab` CLI.
+//! [`LabReport::build`] replays the trace at the recorded per-shard budgets
+//! scaled by each of [`SWEEP_SCALES`] and derives a concrete budget
+//! recommendation. [`render_report`] lays the study out as a plain text
+//! table for the `projtile-lab` CLI.
 
 use projtile_core::engine::TraceDocument;
 
-use crate::policy::PolicyKind;
 use crate::replay::{replay_document, Budgets, ReplayReport};
 
-/// Budget scales (numerator, denominator) the LRU sweep evaluates.
+/// Budget scales (numerator, denominator) the sweep evaluates.
 pub const SWEEP_SCALES: [(u64, u64); 5] = [(1, 4), (1, 2), (1, 1), (2, 1), (4, 1)];
 
 fn scale_label(num: u64, den: u64) -> String {
@@ -21,92 +20,63 @@ fn scale_label(num: u64, den: u64) -> String {
     }
 }
 
-/// Replays `doc` through every candidate policy
-/// ([`PolicyKind::CANDIDATES`]) at the same per-shard budgets.
-pub fn compare_policies(doc: &TraceDocument, budgets: Budgets) -> Vec<ReplayReport> {
-    PolicyKind::CANDIDATES
-        .iter()
-        .map(|&policy| replay_document(doc, policy, budgets))
-        .collect()
-}
-
-/// Replays `doc` through the exact-LRU simulator at `base` scaled by each
-/// entry of [`SWEEP_SCALES`], labelling each report with its scale.
+/// Replays `doc` at `base` scaled by each entry of [`SWEEP_SCALES`],
+/// labelling each report with its scale.
 pub fn budget_sweep(doc: &TraceDocument, base: Budgets) -> Vec<(String, ReplayReport)> {
     SWEEP_SCALES
         .iter()
         .map(|&(num, den)| {
-            let report = replay_document(doc, PolicyKind::Lru, base.scaled(num, den));
+            let report = replay_document(doc, base.scaled(num, den));
             (scale_label(num, den), report)
         })
         .collect()
 }
 
-/// The full policy/budget study over one recorded trace.
+/// The budget study over one recorded trace.
 #[derive(Debug, Clone)]
 pub struct LabReport {
     /// Events in the studied trace.
     pub events: usize,
-    /// The recorded per-shard budgets the comparison ran at.
+    /// The recorded per-shard budgets the sweep scales.
     pub budgets: Budgets,
-    /// Candidate policies at the recorded budgets.
-    pub policies: Vec<ReplayReport>,
-    /// Exact-LRU replays at scaled budgets, labelled by scale.
+    /// Replays at scaled budgets, labelled by scale.
     pub sweep: Vec<(String, ReplayReport)>,
-    /// A concrete policy/budget recommendation derived from the tables.
+    /// A concrete budget recommendation derived from the sweep.
     pub recommendation: String,
 }
 
 impl LabReport {
-    /// Runs the full study over `doc` at its recorded budgets.
+    /// Runs the budget sweep over `doc` around its recorded budgets.
     pub fn build(doc: &TraceDocument) -> LabReport {
         let budgets = Budgets::from_document(doc);
-        let policies = compare_policies(doc, budgets);
         let sweep = budget_sweep(doc, budgets);
-        let recommendation = recommend(&policies, &sweep);
+        let recommendation = recommend(&sweep);
         LabReport {
             events: doc.events.len(),
             budgets,
-            policies,
             sweep,
             recommendation,
         }
     }
 }
 
-/// The recommendation heuristic: the policy with the best byte-hit rate
-/// (hit rate as tiebreak), and the smallest LRU budget scale whose hit rate
+/// The recommendation heuristic: the smallest budget scale whose hit rate
 /// is within half a point of the sweep's best.
-fn recommend(policies: &[ReplayReport], sweep: &[(String, ReplayReport)]) -> String {
-    // First-listed candidate wins ties, so LRU (the incumbent) is only
-    // displaced by a strictly better policy.
-    let best_policy = policies
-        .iter()
-        .fold(None::<&ReplayReport>, |best, r| match best {
-            Some(b) if (b.byte_hit_rate(), b.hit_rate()) >= (r.byte_hit_rate(), r.hit_rate()) => {
-                Some(b)
-            }
-            _ => Some(r),
-        });
+fn recommend(sweep: &[(String, ReplayReport)]) -> String {
     let best_rate = sweep
         .iter()
         .map(|(_, r)| r.hit_rate())
         .fold(0.0f64, f64::max);
-    let frugal = sweep.iter().find(|(_, r)| r.hit_rate() + 0.5 >= best_rate);
-    match (best_policy, frugal) {
-        (Some(p), Some((label, r))) => format!(
-            "recommend policy {} ({:.1}% hits, {:.1}% byte hits) with {} budgets \
-             (results {}, slices {}, surfaces {} per shard at {:.1}% hits)",
-            p.policy,
-            p.hit_rate(),
-            p.byte_hit_rate(),
+    match sweep.iter().find(|(_, r)| r.hit_rate() + 0.5 >= best_rate) {
+        Some((label, r)) => format!(
+            "recommend {} budgets (results {}, slices {}, surfaces {} per shard at {:.1}% hits)",
             label,
             r.budgets.results,
             r.budgets.slices,
             r.budgets.surfaces,
             r.hit_rate()
         ),
-        _ => "trace too small to recommend anything".to_string(),
+        None => "trace too small to recommend anything".to_string(),
     }
 }
 
@@ -144,7 +114,7 @@ fn table(header: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-fn policy_row(label: &str, r: &ReplayReport) -> Vec<String> {
+fn sweep_row(label: &str, r: &ReplayReport) -> Vec<String> {
     vec![
         label.to_string(),
         r.sim_hits.to_string(),
@@ -155,28 +125,18 @@ fn policy_row(label: &str, r: &ReplayReport) -> Vec<String> {
     ]
 }
 
-/// Renders the study as plain text: a policy comparison table, an LRU
-/// budget-sweep table, and the recommendation.
+/// Renders the study as plain text: the budget-sweep table and the
+/// recommendation.
 pub fn render_report(report: &LabReport) -> String {
     let mut out = format!(
         "trace: {} events; recorded per-shard budgets: results {}, slices {}, surfaces {}\n\n",
         report.events, report.budgets.results, report.budgets.slices, report.budgets.surfaces
     );
-    out.push_str("policy comparison (recorded budgets)\n");
-    let rows: Vec<Vec<String>> = report
-        .policies
-        .iter()
-        .map(|r| policy_row(&r.policy, r))
-        .collect();
-    out.push_str(&table(
-        &["policy", "hits", "misses", "hit%", "byte%", "evictions"],
-        &rows,
-    ));
-    out.push_str("\nexact-LRU budget sweep\n");
+    out.push_str("budget sweep\n");
     let rows: Vec<Vec<String>> = report
         .sweep
         .iter()
-        .map(|(label, r)| policy_row(label, r))
+        .map(|(label, r)| sweep_row(label, r))
         .collect();
     out.push_str(&table(
         &["budget", "hits", "misses", "hit%", "byte%", "evictions"],

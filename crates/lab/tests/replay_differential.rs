@@ -1,17 +1,18 @@
 //! The lab's keystone differential: replaying a recorded trace through the
-//! exact-LRU simulator at the live budgets must reproduce the live
+//! live cache type at the live budgets must reproduce the live
 //! `SharedEngine` hit/miss accounting **event for event** — under eviction
 //! pressure, across every generated traffic pattern, and through the
 //! awkward cases (duplicate literals, permuted-axes surface twins, invalid
-//! queries, failed computations). Also pins the refusal paths: traces a
-//! cold simulation cannot possibly reproduce (warm fronts, overflowed
+//! queries, failed computations). Replays at other budgets must reproduce
+//! live fronts configured with those budgets. Also pins the refusal paths:
+//! traces a cold replay cannot possibly reproduce (warm fronts, overflowed
 //! recorders) must be rejected, not silently mis-replayed.
 
 use projtile_core::engine::{
     outcome, EngineConfig, Query, SharedEngine, TraceDocument, TraceEvent, TRACE_VERSION,
 };
 use projtile_lab::replay::{check_live, replay_document, Budgets, ReplayError};
-use projtile_lab::{GeneratorConfig, LabReport, Pattern, PolicyKind, Workload};
+use projtile_lab::{GeneratorConfig, LabReport, Pattern, Workload, SWEEP_SCALES};
 use projtile_loopnest::builders;
 
 /// Budgets tiny enough that nearly every insertion evicts something, so the
@@ -47,8 +48,8 @@ fn assert_replays_exactly(workload: &Workload, what: &str) {
         Err(e) => panic!("{what}: {e}"),
     };
     assert!(report.matches_live);
-    assert_eq!(report.sim_hits, stats.hits, "{what}: simulated hits");
-    assert_eq!(report.sim_misses, stats.misses, "{what}: simulated misses");
+    assert_eq!(report.sim_hits, stats.hits, "{what}: replayed hits");
+    assert_eq!(report.sim_misses, stats.misses, "{what}: replayed misses");
     assert_eq!(report.mismatch_count, 0, "{what}: no event diverged");
 
     let parsed = TraceDocument::from_json(&doc.to_json()).expect("trace JSON round-trips");
@@ -72,6 +73,18 @@ fn generated_workloads_replay_exactly() {
                 &format!("pattern {} seed {seed}", pattern.name()),
             );
         }
+    }
+    // Longer mixed runs whose batches answer a surface twin after the
+    // install pass evicted the surface both occurrences share.
+    for seed in [1, 3, 15, 22] {
+        let config = GeneratorConfig {
+            seed,
+            pattern: Pattern::Mixed,
+            batches: 60,
+            batch_size: 6,
+        };
+        let workload = Workload::generate(&config);
+        assert_replays_exactly(&workload, &format!("long mixed seed {seed}"));
     }
 }
 
@@ -182,7 +195,7 @@ fn failed_computations_replay_as_non_installing_misses() {
 #[test]
 fn eviction_pressure_stays_exact() {
     // Two seeds of sustained mixed traffic against the tiny budgets: the
-    // differential only stays exact if the simulated eviction order matches
+    // differential only stays exact if the replayed eviction order matches
     // the live `BoundedLru` decision for every install.
     for seed in [9, 77] {
         let workload = Workload::generate(&GeneratorConfig {
@@ -241,9 +254,10 @@ fn overflowed_recorders_are_refused() {
     }
 }
 
-/// Counterfactual replays must stay internally consistent even when they
-/// legitimately diverge from the recording: every event is classified, and
-/// shrinking the budget can only lose hits.
+/// A replay at scaled budgets must reproduce a live front configured with
+/// those budgets: the same hits and misses, every event classified, every
+/// install priced from the recording's cost book. A larger budget never
+/// loses hits.
 #[test]
 fn counterfactual_policies_are_consistent() {
     let workload = Workload::generate(&GeneratorConfig {
@@ -256,40 +270,63 @@ fn counterfactual_policies_are_consistent() {
     workload.drive_shared(&front);
     let doc = front.trace_document();
     let budgets = Budgets::from_document(&doc);
+    let shards = doc.num_shards as u64;
+    let full = check_live(&doc).unwrap_or_else(|e| panic!("recorded budgets: {e}"));
+    assert!(full.matches_live, "recorded budget reproduces live");
 
-    for policy in PolicyKind::CANDIDATES {
-        let report = replay_document(&doc, policy, budgets);
+    let mut sweep_hits = Vec::new();
+    for (num, den) in SWEEP_SCALES {
+        let scaled = budgets.scaled(num, den);
+        let report = replay_document(&doc, scaled);
+        let what = format!("scale {num}/{den}");
         assert_eq!(
             report.sim_hits + report.sim_misses + report.sim_duplicates,
             doc.events.len() as u64,
-            "{}: every event classified",
-            report.policy
+            "{what}: every event classified"
         );
+        assert_eq!(report.unpriced_installs, 0, "{what}: cost book is complete");
+
+        // The front divides its budgets across shards, so whole-front
+        // budgets of `shards` times the scaled per-shard ones reproduce them.
+        let live = SharedEngine::with_config(
+            EngineConfig {
+                results_capacity: scaled.results * shards,
+                slices_capacity: scaled.slices * shards,
+                surfaces_capacity: scaled.surfaces * shards,
+                ..tiny_config()
+            },
+            shards as usize,
+        );
+        workload.drive_shared(&live);
+        let stats = live.stats();
         assert_eq!(
-            report.unpriced_installs, 0,
-            "{}: cost book is complete",
-            report.policy
+            (report.sim_hits, report.sim_misses),
+            (stats.hits, stats.misses),
+            "{what}: replay reproduces a live front at these budgets"
         );
+        sweep_hits.push(((num, den), report.sim_hits));
     }
-
-    let quarter = replay_document(&doc, PolicyKind::Lru, budgets.scaled(1, 4));
-    let full = replay_document(&doc, PolicyKind::Lru, budgets);
-    let quadruple = replay_document(&doc, PolicyKind::Lru, budgets.scaled(4, 1));
+    let hits_at = |scale: (u64, u64)| {
+        sweep_hits
+            .iter()
+            .find(|(s, _)| *s == scale)
+            .map(|&(_, hits)| hits)
+            .expect("scale is in SWEEP_SCALES")
+    };
     assert!(
-        quarter.sim_hits <= full.sim_hits,
-        "smaller budget, fewer hits"
+        hits_at((1, 4)) <= hits_at((1, 1)),
+        "smaller budget, fewer hits: {sweep_hits:?}"
     );
     assert!(
-        full.sim_hits <= quadruple.sim_hits,
-        "larger budget, more hits"
+        hits_at((1, 1)) <= hits_at((4, 1)),
+        "larger budget, more hits: {sweep_hits:?}"
     );
-    assert!(full.matches_live, "recorded budget reproduces live");
+    assert_eq!(hits_at((1, 1)), full.sim_hits, "1/1 is the recorded budget");
 
-    // The study over this trace names a policy and a budget.
+    // The study over this trace names a budget.
     let study = LabReport::build(&doc);
-    assert_eq!(study.policies.len(), PolicyKind::CANDIDATES.len());
+    assert_eq!(study.sweep.len(), SWEEP_SCALES.len());
     let rendered = projtile_lab::render_report(&study);
-    assert!(rendered.contains("policy comparison"));
     assert!(rendered.contains("budget sweep"));
     assert!(rendered.contains("recommend"));
 }

@@ -2,8 +2,8 @@
 //!
 //! Built on the token-level parser (no `syn`, no type inference), the graph
 //! deliberately **over-approximates** dispatch so that reachability-based
-//! rules (L008 transitive no-panic, L009 lock reachability) err toward
-//! reporting:
+//! rules (L003 lock discipline, L008 transitive no-panic, L009 lock
+//! reachability) err toward reporting:
 //!
 //! * free-function calls resolve through the file's module path and its
 //!   flattened `use` declarations (groups, renames, and globs included);
@@ -450,6 +450,23 @@ impl CallGraph {
         chain
     }
 
+    /// Shortest chain from `from` to the nearest node with `flagged[v]`
+    /// set, over the edges accepted by `edge_ok` (just `from` if none is
+    /// reachable).
+    pub fn chain_to_flagged(
+        &self,
+        from: usize,
+        flagged: &[bool],
+        edge_ok: &dyn Fn(usize, &CallSite) -> bool,
+    ) -> Vec<(usize, u32)> {
+        let parents = self.bfs_parents(&[from], edge_ok);
+        (0..self.nodes.len())
+            .filter(|&v| parents[v].is_some() && flagged[v])
+            .map(|v| self.chain_to(&parents, v))
+            .min_by_key(Vec::len)
+            .unwrap_or_else(|| vec![(from, 0)])
+    }
+
     /// Renders a chain as `a -> b -> c` using qualified names.
     pub fn chain_display(&self, chain: &[(usize, u32)]) -> String {
         chain
@@ -457,6 +474,20 @@ impl CallGraph {
             .map(|&(v, _)| self.nodes[v].qual.as_str())
             .collect::<Vec<_>>()
             .join(" -> ")
+    }
+
+    /// A chain as finding `chain` entries: `qualified::name @ path:line`.
+    pub fn chain_field(&self, ws: &Workspace, chain: &[(usize, u32)]) -> Vec<String> {
+        chain
+            .iter()
+            .map(|&(v, _)| {
+                let node = &self.nodes[v];
+                format!(
+                    "{} @ {}:{}",
+                    node.qual, ws.sources[node.src].path, node.line
+                )
+            })
+            .collect()
     }
 }
 

@@ -24,9 +24,9 @@
 //!   over-approximation for untyped method dispatch, and SCC-condensed
 //!   reachability so recursion in the kernels cannot hang a rule.
 //! * [`rules`] — the catalog: token-level rules (L001 oracle-coverage,
-//!   L002 no-panic surface, L003 lock discipline, L004 crate hygiene,
-//!   L006 env-var registry, L007 smoke-grep rot) and graph-backed rules
-//!   (L008 transitive no-panic, L009 lock reachability, L010 allow-debt)
+//!   L002 no-panic surface, L004 crate hygiene, L006 env-var registry,
+//!   L007 smoke-grep rot) and graph-backed rules (L003 lock discipline,
+//!   L008 transitive no-panic, L009 lock reachability, L010 allow-debt)
 //!   over a declarative [`rules::Config`].
 //! * [`findings`] — stable finding identities, call chains, the checked-in
 //!   baseline format, and machine-readable JSON output.

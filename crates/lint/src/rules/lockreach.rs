@@ -13,9 +13,7 @@
 //!   of the syscall; [`SharedEngine`]'s publish path computes the JSON text
 //!   under the lock's *scope rules* and performs I/O outside.
 //!
-//! Guard liveness follows L003 (let-bound to block end, temporaries to the
-//! statement, `drop(g)` ends early) and additionally treats a call to a
-//! helper returning a guard type as an acquisition at the call site.
+//! Guard liveness is the walk shared with L003 (see [`super::guards`]).
 //! `// lint: allow(L009) <reason>` cuts the graph where it stands (sink
 //! token, call edge, or acquisition line); on a `fn`'s own line it cuts the
 //! node, excusing every chain through that function at once.
@@ -29,51 +27,12 @@ use crate::graph::{CallGraph, CallSite, GuardKind};
 use crate::lexer::Tok;
 use crate::workspace::{Source, Workspace};
 
+use super::guards::{self, acquisition};
 use super::{Config, RuleCtx};
 
 /// Path-call roots that are always blocking I/O (`fs::write(…)`,
 /// `File::create(…)`, `TcpStream::connect(…)`).
 const IO_PATH_ROOTS: [&str; 5] = ["fs", "File", "OpenOptions", "TcpStream", "TcpListener"];
-
-/// If token `i` is a lock acquisition, returns the guard kind: a literal
-/// `.read()` / `.write()` / `.lock()` with no arguments, or a call to a
-/// workspace helper whose return type names a guard.
-fn acquisition(
-    src: &Source,
-    i: usize,
-    guard_helpers: &HashMap<&str, GuardKind>,
-) -> Option<GuardKind> {
-    let tokens = &src.parsed.tokens;
-    let Tok::Ident(name) = &tokens[i].tok else {
-        return None;
-    };
-    let called = matches!(tokens.get(i + 1).map(|t| &t.tok), Some(Tok::Punct('(')));
-    if !called {
-        return None;
-    }
-    let dotted = matches!(
-        tokens.get(i.wrapping_sub(1)).map(|t| &t.tok),
-        Some(Tok::Punct('.'))
-    );
-    let empty_args = matches!(tokens.get(i + 2).map(|t| &t.tok), Some(Tok::Punct(')')));
-    if dotted && empty_args {
-        match name.as_str() {
-            "read" => return Some(GuardKind::Read),
-            "write" | "lock" => return Some(GuardKind::Write),
-            _ => {}
-        }
-    }
-    if let Some(&kind) = guard_helpers.get(name.as_str()) {
-        let is_def = matches!(
-            tokens.get(i.wrapping_sub(1)).map(|t| &t.tok),
-            Some(Tok::Ident(kw)) if kw == "fn"
-        );
-        if !is_def {
-            return Some(kind);
-        }
-    }
-    None
-}
 
 /// Whether token `i` is a blocking-I/O call: a configured method name after
 /// `.`, or a path call rooted at `fs::` / `File::` / …
@@ -140,23 +99,11 @@ fn direct_sinks(
     (acquires, does_io)
 }
 
-/// A live guard during the intra-body walk.
-struct LiveGuard {
-    name: Option<String>,
-    depth: usize,
-    statement_only: bool,
-    kind: GuardKind,
-}
-
 /// Runs L009.
 pub fn run(ws: &Workspace, cfg: &Config, ctx: &RuleCtx) -> Vec<Finding> {
     let g = &ctx.graph;
     let n = g.nodes.len();
-    let guard_helpers: HashMap<&str, GuardKind> = g
-        .nodes
-        .iter()
-        .filter_map(|nd| nd.guard_ret.map(|k| (nd.name.as_str(), k)))
-        .collect();
+    let guard_helpers = guards::guard_helpers(g);
 
     // Direct and transitive sink summaries, allow-cut and raw.
     let mut acq = vec![false; n];
@@ -197,8 +144,6 @@ pub fn run(ws: &Workspace, cfg: &Config, ctx: &RuleCtx) -> Vec<Finding> {
     for id in g.nodes_under(ws, &cfg.lock_scope).collect::<Vec<_>>() {
         let src = &ws.sources[g.nodes[id].src];
         let p = &src.parsed;
-        let tokens = &p.tokens;
-        let (bs, be) = g.nodes[id].body;
         let fn_name = &g.nodes[id].name;
         // An allow on this fn's own line excuses every finding in its body.
         let fn_allow = p.allow_line("L009", g.nodes[id].line);
@@ -207,214 +152,113 @@ pub fn run(ws: &Workspace, cfg: &Config, ctx: &RuleCtx) -> Vec<Finding> {
         for e in &g.edges[id] {
             edges_at.entry(e.token).or_default().push(*e);
         }
-        // Nested child fn bodies get their own walk; skip their tokens.
-        let children: Vec<(usize, usize)> = g.nodes_of_src[&g.nodes[id].src]
-            .iter()
-            .map(|&c| g.nodes[c].body)
-            .filter(|&(cs, ce)| bs < cs && ce < be)
-            .collect();
+        // Suppression: a call-line allow, then the fn-line allow.
+        let suppressed = |line: u32| -> bool {
+            match p.allow_line("L009", line).or(fn_allow) {
+                Some(dl) => {
+                    ctx.mark_allow_used(&src.path, dl);
+                    true
+                }
+                None => false,
+            }
+        };
 
-        let mut depth = 0usize;
-        let mut brackets = 0usize;
-        let mut guards: Vec<LiveGuard> = Vec::new();
-        let mut pending_let: Option<String> = None;
-        let mut i = bs + 1;
-        while i < be {
-            if let Some(&(_, ce)) = children.iter().find(|&&(cs, _)| cs == i) {
-                i = ce + 1;
-                continue;
+        guards::walk(ws, g, id, &guard_helpers, |i, acquired, live| {
+            if live.is_empty() {
+                return;
             }
-            let t = &tokens[i];
-            match &t.tok {
-                Tok::Punct('{') => depth += 1,
-                Tok::Punct('}') => {
-                    depth = depth.saturating_sub(1);
-                    guards.retain(|gd| gd.depth <= depth);
+            let line = p.tokens[i].line;
+            if let Some(kind) = acquired {
+                let upgrade =
+                    kind == GuardKind::Write && live.iter().any(|gd| gd.kind == GuardKind::Read);
+                let (what, text) = if upgrade {
+                    (
+                        "read-write-upgrade",
+                        "a `.write()` acquisition while a read guard is live \
+                         self-deadlocks on the same shard",
+                    )
+                } else {
+                    (
+                        "nested-lock",
+                        "a second lock acquisition while a guard is live risks \
+                         deadlock; drop the first guard (or scope it) first",
+                    )
+                };
+                if !suppressed(line) {
+                    findings.push(Finding::new(
+                        "L009",
+                        &src.path,
+                        line,
+                        format!("{fn_name}::{what}"),
+                        format!("in `{fn_name}`: {text}"),
+                    ));
                 }
-                Tok::Punct('[') => brackets += 1,
-                Tok::Punct(']') => brackets = brackets.saturating_sub(1),
-                Tok::Punct(';') if brackets == 0 => {
-                    pending_let = None;
-                    guards.retain(|gd| !(gd.statement_only && gd.depth == depth));
-                }
-                Tok::Ident(name) if name == "let" => {
-                    let mut j = i + 1;
-                    if matches!(tokens.get(j).map(|t| &t.tok), Some(Tok::Ident(m)) if m == "mut") {
-                        j += 1;
-                    }
-                    if let Some(Tok::Ident(b)) = tokens.get(j).map(|t| &t.tok) {
-                        pending_let = Some(b.clone());
-                    }
-                }
-                Tok::Ident(name) if name == "drop" => {
-                    if let (Some(Tok::Punct('(')), Some(Tok::Ident(arg))) = (
-                        tokens.get(i + 1).map(|t| &t.tok),
-                        tokens.get(i + 2).map(|t| &t.tok),
-                    ) {
-                        guards.retain(|gd| gd.name.as_deref() != Some(arg.as_str()));
-                    }
-                }
-                Tok::Ident(_) => {
-                    if let Some(kind) = acquisition(src, i, &guard_helpers) {
-                        if !guards.is_empty() {
-                            let upgrade = kind == GuardKind::Write
-                                && guards.iter().any(|gd| gd.kind == GuardKind::Read);
-                            let (what, text) = if upgrade {
-                                (
-                                    "read-write-upgrade",
-                                    "a `.write()` acquisition while a read guard is live \
-                                     self-deadlocks on the same shard",
-                                )
-                            } else {
-                                (
-                                    "nested-lock",
-                                    "a second lock acquisition while a guard is live risks \
-                                     deadlock; drop the first guard (or scope it) first",
-                                )
-                            };
-                            if let Some(dl) = p.allow_line("L009", t.line) {
-                                ctx.mark_allow_used(&src.path, dl);
-                            } else if let Some(dl) = fn_allow {
-                                ctx.mark_allow_used(&src.path, dl);
-                            } else {
-                                findings.push(Finding::new(
-                                    "L009",
-                                    &src.path,
-                                    t.line,
-                                    format!("{fn_name}::{what}"),
-                                    format!("in `{fn_name}`: {text}"),
-                                ));
-                            }
-                        }
-                        // A guard immediately consumed by further chaining
-                        // (`shard.read().config()`) is a temporary even in a
-                        // `let`: the binding holds the chained result, not
-                        // the guard, so it dies at the statement's end.
-                        let chained = {
-                            let mut k = i + 1;
-                            let mut d = 0usize;
-                            let mut close = None;
-                            while k < be {
-                                match tokens[k].tok {
-                                    Tok::Punct('(') => d += 1,
-                                    Tok::Punct(')') => {
-                                        d -= 1;
-                                        if d == 0 {
-                                            close = Some(k);
-                                            break;
-                                        }
-                                    }
-                                    _ => {}
-                                }
-                                k += 1;
-                            }
-                            matches!(
-                                close.and_then(|c| tokens.get(c + 1)).map(|t| &t.tok),
-                                Some(Tok::Punct('.'))
-                            )
-                        };
-                        guards.push(LiveGuard {
-                            name: if chained { None } else { pending_let.clone() },
-                            depth,
-                            statement_only: chained || pending_let.is_none(),
-                            kind,
-                        });
-                    } else if blocking_io(src, i, cfg) {
-                        if !guards.is_empty() {
-                            if let Some(dl) = p.allow_line("L009", t.line) {
-                                ctx.mark_allow_used(&src.path, dl);
-                            } else if let Some(dl) = fn_allow {
-                                ctx.mark_allow_used(&src.path, dl);
-                            } else {
-                                findings.push(Finding::new(
-                                    "L009",
-                                    &src.path,
-                                    t.line,
-                                    format!("{fn_name}::blocking-io"),
-                                    format!(
-                                        "blocking I/O in `{fn_name}` while a lock guard is \
-                                         live stalls every reader of the shard; hoist the \
-                                         I/O out of the lock scope"
-                                    ),
-                                ));
-                            }
-                        }
-                    } else if !guards.is_empty() {
-                        for e in edges_at.get(&i).into_iter().flatten() {
-                            under_guard_callees.push(e.callee);
-                            // A fn-line allow on the callee cuts the node.
-                            let callee_src = &ws.sources[g.nodes[e.callee].src];
-                            if let Some(dl) =
-                                callee_src.parsed.allow_line("L009", g.nodes[e.callee].line)
-                            {
-                                if reach_acq_raw[e.callee] || reach_io_raw[e.callee] {
-                                    ctx.mark_allow_used(&callee_src.path, dl);
-                                }
-                                continue;
-                            }
-                            let hits_lock = reach_acq[e.callee];
-                            let hits_io = reach_io[e.callee];
-                            if !hits_lock && !hits_io {
-                                continue;
-                            }
-                            if let Some(dl) = p.allow_line("L009", t.line) {
-                                ctx.mark_allow_used(&src.path, dl);
-                                continue;
-                            }
-                            if let Some(dl) = fn_allow {
-                                ctx.mark_allow_used(&src.path, dl);
-                                continue;
-                            }
-                            let (what, direct) = if hits_lock {
-                                ("lock", &acq)
-                            } else {
-                                ("io", &io)
-                            };
-                            let chain = sink_chain(g, e.callee, direct, &edge_ok);
-                            let chain_text = g.chain_display(&chain);
-                            let chain_field: Vec<String> = chain
-                                .iter()
-                                .map(|&(v, _)| {
-                                    format!(
-                                        "{} @ {}:{}",
-                                        g.nodes[v].qual,
-                                        ws.sources[g.nodes[v].src].path,
-                                        g.nodes[v].line
-                                    )
-                                })
-                                .collect();
-                            findings.push(
-                                Finding::new(
-                                    "L009",
-                                    &src.path,
-                                    t.line,
-                                    format!(
-                                        "{fn_name}::{}->reaches-{what}",
-                                        g.nodes[e.callee].name
-                                    ),
-                                    format!(
-                                        "`{}` is called in `{fn_name}` while a lock guard \
-                                         is live and reaches {} via `{chain_text}`; hoist \
-                                         the call out of the lock scope or cut the chain \
-                                         with `// lint: allow(L009) <reason>`",
-                                        g.nodes[e.callee].name,
-                                        if what == "lock" {
-                                            "another lock acquisition"
-                                        } else {
-                                            "blocking I/O"
-                                        }
-                                    ),
-                                )
-                                .with_chain(chain_field),
-                            );
-                            break; // one finding per call site
-                        }
-                    }
-                }
-                _ => {}
+                return;
             }
-            i += 1;
-        }
+            if blocking_io(src, i, cfg) {
+                if !suppressed(line) {
+                    findings.push(Finding::new(
+                        "L009",
+                        &src.path,
+                        line,
+                        format!("{fn_name}::blocking-io"),
+                        format!(
+                            "blocking I/O in `{fn_name}` while a lock guard is \
+                             live stalls every reader of the shard; hoist the \
+                             I/O out of the lock scope"
+                        ),
+                    ));
+                }
+                return;
+            }
+            for e in edges_at.get(&i).into_iter().flatten() {
+                under_guard_callees.push(e.callee);
+                // A fn-line allow on the callee cuts the node.
+                let callee_src = &ws.sources[g.nodes[e.callee].src];
+                if let Some(dl) = callee_src.parsed.allow_line("L009", g.nodes[e.callee].line) {
+                    if reach_acq_raw[e.callee] || reach_io_raw[e.callee] {
+                        ctx.mark_allow_used(&callee_src.path, dl);
+                    }
+                    continue;
+                }
+                let hits_lock = reach_acq[e.callee];
+                if !hits_lock && !reach_io[e.callee] {
+                    continue;
+                }
+                if suppressed(line) {
+                    continue;
+                }
+                let (what, direct) = if hits_lock {
+                    ("lock", &acq)
+                } else {
+                    ("io", &io)
+                };
+                let chain = g.chain_to_flagged(e.callee, direct, &edge_ok);
+                findings.push(
+                    Finding::new(
+                        "L009",
+                        &src.path,
+                        line,
+                        format!("{fn_name}::{}->reaches-{what}", g.nodes[e.callee].name),
+                        format!(
+                            "`{}` is called in `{fn_name}` while a lock guard \
+                             is live and reaches {} via `{}`; hoist \
+                             the call out of the lock scope or cut the chain \
+                             with `// lint: allow(L009) <reason>`",
+                            g.nodes[e.callee].name,
+                            if hits_lock {
+                                "another lock acquisition"
+                            } else {
+                                "blocking I/O"
+                            },
+                            g.chain_display(&chain)
+                        ),
+                    )
+                    .with_chain(g.chain_field(ws, &chain)),
+                );
+                break; // one finding per call site
+            }
+        });
     }
 
     // Allow-consumption for cuts deeper in under-guard subgraphs: any
@@ -450,28 +294,6 @@ pub fn run(ws: &Workspace, cfg: &Config, ctx: &RuleCtx) -> Vec<Finding> {
     }
 
     findings
-}
-
-/// Shortest chain from `from` to the nearest node that *directly* contains
-/// a sink (`direct[v]`), over the allow-filtered edge set.
-fn sink_chain(
-    g: &CallGraph,
-    from: usize,
-    direct: &[bool],
-    edge_ok: &dyn Fn(usize, &CallSite) -> bool,
-) -> Vec<(usize, u32)> {
-    let parents = g.bfs_parents(&[from], edge_ok);
-    let mut best: Option<Vec<(usize, u32)>> = None;
-    for v in 0..g.nodes.len() {
-        if parents[v].is_none() || !direct[v] {
-            continue;
-        }
-        let chain = g.chain_to(&parents, v);
-        if best.as_ref().is_none_or(|b| chain.len() < b.len()) {
-            best = Some(chain);
-        }
-    }
-    best.unwrap_or_else(|| vec![(from, 0)])
 }
 
 #[cfg(test)]

@@ -1,155 +1,88 @@
-//! **L003 lock discipline** — never compute under a shard write lock.
+//! **L003 lock discipline** — never compute under a write lock.
 //!
 //! [`SharedEngine`]'s scaling contract is that misses compute *outside* the
 //! shard locks (solves can take milliseconds; a write guard held across one
 //! serializes every reader on that shard). The convention survives only as
-//! long as nobody calls an expensive function while a `.write()` guard is
-//! live. This rule tracks, per function body in the configured directories:
+//! long as nothing called while an exclusive guard (`.write()`, `.lock()`,
+//! or a helper returning one) is live can reach an expensive function.
+//! Guard liveness is the walk shared with L009 (see [`super::guards`]).
 //!
-//! * `let g = …​.write();` — guard `g` is live to the end of its block;
-//! * a bare `….write()` temporary — live to the end of its statement;
-//! * a call to a helper whose return type names a write guard
-//!   (`fn wshard(&self, i) -> RwLockWriteGuard<…>`) — an acquisition at the
-//!   call site, exactly like a literal `.write()`;
-//! * `drop(g)` — ends `g`'s liveness early.
+//! A finding is a call, under a live exclusive guard, to any function from
+//! which the call graph reaches a configured expensive function (the
+//! LP/enumeration entry points and `compute_detached`) at any depth — zero
+//! included, so a direct call is a one-link chain. Every finding carries
+//! its chain. Escape hatch: `// lint: allow(L003) <reason>` on the call
+//! line.
 //!
-//! Any call to a configured expensive function (the LP/enumeration entry
-//! points and `compute_detached`) while a guard is live is a finding.
-//! Escape hatch: `// lint: allow(L003) <reason>`.
+//! [`SharedEngine`]: ../../projtile_core/engine/struct.SharedEngine.html
 
-use std::collections::HashSet;
+use std::collections::HashMap;
 
 use crate::findings::Finding;
-use crate::graph::GuardKind;
+use crate::graph::{CallSite, GuardKind};
 use crate::lexer::Tok;
 use crate::workspace::Workspace;
 
-use super::{Config, RuleCtx};
-
-#[derive(Debug)]
-struct Guard {
-    /// Binding name (`None` for a statement-temporary guard).
-    name: Option<String>,
-    /// Brace depth at which the guard was created.
-    depth: usize,
-    /// Temporary guards die at the next `;` at their depth.
-    statement_only: bool,
-}
+use super::{guards, Config, RuleCtx};
 
 /// Runs L003.
 pub fn run(ws: &Workspace, cfg: &Config, ctx: &RuleCtx) -> Vec<Finding> {
-    // Workspace fns whose return type names a *write* guard: calling one is
-    // a lock acquisition at the call site (the helper-wrapped `.write()`).
-    let guard_helpers: HashSet<&str> = ctx
-        .graph
+    let g = &ctx.graph;
+    let guard_helpers = guards::guard_helpers(g);
+    let direct: Vec<bool> = g
         .nodes
         .iter()
-        .filter(|n| n.guard_ret == Some(GuardKind::Write))
-        .map(|n| n.name.as_str())
+        .map(|nd| cfg.expensive_fns.contains(&nd.name))
         .collect();
-    let mut findings = Vec::new();
-    for src in ws.sources_under(&cfg.lock_scope) {
-        if src.is_test_file() {
-            continue;
-        }
-        let p = &src.parsed;
-        let tokens = &p.tokens;
-        let mut depth = 0usize;
-        let mut brackets = 0usize;
-        let mut guards: Vec<Guard> = Vec::new();
-        // The binding name of the statement's `let`, if any.
-        let mut pending_let: Option<String> = None;
+    let every_edge = |_: usize, _: &CallSite| true;
+    let reaches = g.reach_flags(&direct, &every_edge);
 
-        for (i, t) in tokens.iter().enumerate() {
-            match &t.tok {
-                Tok::Punct('{') => depth += 1,
-                Tok::Punct('}') => {
-                    depth = depth.saturating_sub(1);
-                    guards.retain(|g| g.depth <= depth);
-                }
-                Tok::Punct('[') => brackets += 1,
-                Tok::Punct(']') => brackets = brackets.saturating_sub(1),
-                Tok::Punct(';') if brackets == 0 => {
-                    pending_let = None;
-                    guards.retain(|g| !(g.statement_only && g.depth == depth));
-                }
-                Tok::Ident(name) if name == "let" => {
-                    let mut j = i + 1;
-                    if matches!(tokens.get(j).map(|t| &t.tok), Some(Tok::Ident(m)) if m == "mut") {
-                        j += 1;
-                    }
-                    if let Some(Tok::Ident(n)) = tokens.get(j).map(|t| &t.tok) {
-                        pending_let = Some(n.clone());
-                    }
-                }
-                Tok::Ident(name) if name == "drop" => {
-                    // drop(g) ends g's liveness.
-                    if let (Some(Tok::Punct('(')), Some(Tok::Ident(arg))) = (
-                        tokens.get(i + 1).map(|t| &t.tok),
-                        tokens.get(i + 2).map(|t| &t.tok),
-                    ) {
-                        guards.retain(|g| g.name.as_deref() != Some(arg.as_str()));
-                    }
-                }
-                Tok::Ident(name) if name == "write" || guard_helpers.contains(name.as_str()) => {
-                    // `.write()` with no arguments, or a call to a helper
-                    // that returns a write guard: a lock acquisition.
-                    let called = matches!(tokens.get(i + 1).map(|t| &t.tok), Some(Tok::Punct('(')));
-                    let is_acquire = if name == "write" {
-                        called
-                            && matches!(
-                                tokens.get(i.wrapping_sub(1)).map(|t| &t.tok),
-                                Some(Tok::Punct('.'))
-                            )
-                            && matches!(tokens.get(i + 2).map(|t| &t.tok), Some(Tok::Punct(')')))
-                    } else {
-                        // Helper call (dotted or free) — but not the
-                        // helper's own `fn` definition.
-                        called
-                            && !matches!(
-                                tokens.get(i.wrapping_sub(1)).map(|t| &t.tok),
-                                Some(Tok::Ident(kw)) if kw == "fn"
-                            )
-                    };
-                    if is_acquire && !p.in_test_code(i) {
-                        guards.push(Guard {
-                            name: pending_let.clone(),
-                            depth,
-                            statement_only: pending_let.is_none(),
-                        });
-                    }
-                }
-                Tok::Ident(name)
-                    if cfg.expensive_fns.iter().any(|f| f == name)
-                        && !guards.is_empty()
-                        && matches!(tokens.get(i + 1).map(|t| &t.tok), Some(Tok::Punct('('))) =>
-                {
-                    if p.in_test_code(i) {
-                        continue;
-                    }
-                    if let Some(dl) = p.allow_line("L003", t.line) {
-                        ctx.mark_allow_used(&src.path, dl);
-                        continue;
-                    }
-                    let scope = p
-                        .enclosing_fn(i)
-                        .map(|f| f.name.clone())
-                        .unwrap_or_else(|| "<file>".to_string());
-                    findings.push(Finding::new(
-                        "L003",
-                        &src.path,
-                        t.line,
-                        format!("{scope}::{name}"),
-                        format!(
-                            "`{name}` is called in `{scope}` while a `.write()` lock guard \
-                             is live; compute before taking the write lock (see \
-                             SharedEngine's compute-outside-locks contract)"
-                        ),
-                    ));
-                }
-                _ => {}
-            }
+    let mut findings = Vec::new();
+    for id in g.nodes_under(ws, &cfg.lock_scope) {
+        let src = &ws.sources[g.nodes[id].src];
+        let p = &src.parsed;
+        let scope = &g.nodes[id].name;
+        let mut edges_at: HashMap<usize, Vec<CallSite>> = HashMap::new();
+        for e in &g.edges[id] {
+            edges_at.entry(e.token).or_default().push(*e);
         }
+        guards::walk(ws, g, id, &guard_helpers, |i, acquired, live| {
+            if acquired.is_some() || !live.iter().any(|gd| gd.kind == GuardKind::Write) {
+                return;
+            }
+            let Tok::Ident(name) = &p.tokens[i].tok else {
+                return;
+            };
+            let Some(e) = edges_at
+                .get(&i)
+                .into_iter()
+                .flatten()
+                .find(|e| reaches[e.callee])
+            else {
+                return;
+            };
+            // A direct call to an expensive fn is a one-link chain.
+            let chain = g.chain_to_flagged(e.callee, &direct, &every_edge);
+            let sink = chain.last().map_or(name, |&(v, _)| &g.nodes[v].name);
+            let line = p.tokens[i].line;
+            let finding = Finding::new(
+                "L003",
+                &src.path,
+                line,
+                format!("{scope}::{name}->reaches-{sink}"),
+                format!(
+                    "`{name}` is called in `{scope}` while an exclusive lock guard is \
+                     live and reaches `{sink}` via `{}`; compute before taking the \
+                     lock (see SharedEngine's compute-outside-locks contract)",
+                    g.chain_display(&chain)
+                ),
+            )
+            .with_chain(g.chain_field(ws, &chain));
+            match p.allow_line("L003", line) {
+                Some(dl) => ctx.mark_allow_used(&src.path, dl),
+                None => findings.push(finding),
+            }
+        });
     }
     findings
 }

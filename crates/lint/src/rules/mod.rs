@@ -15,6 +15,7 @@ use crate::workspace::Workspace;
 
 mod allowdebt;
 mod envreg;
+mod guards;
 mod hygiene;
 mod lockreach;
 mod locks;
@@ -39,8 +40,8 @@ pub struct Config {
     pub panic_scope: Vec<String>,
     /// L003/L009: directories in which lock discipline is enforced.
     pub lock_scope: Vec<String>,
-    /// L003: functions too expensive to call while a `.write()` guard is
-    /// live (matched by final path segment).
+    /// L003: functions too expensive to reach, at any call depth, while a
+    /// `.write()` guard is live (matched by bare function name).
     pub expensive_fns: Vec<String>,
     /// L001: directory prefixes under which `src/` definitions are scanned
     /// for `_cold` oracle pairs and `tests/` files count as joint coverage.

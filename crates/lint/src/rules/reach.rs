@@ -210,15 +210,7 @@ pub fn run(ws: &Workspace, cfg: &Config, ctx: &RuleCtx) -> Vec<Finding> {
         }
         let chain = g.chain_to(&parents, id);
         let chain_text = g.chain_display(&chain);
-        let chain_field: Vec<String> = chain
-            .iter()
-            .map(|&(v, _)| {
-                format!(
-                    "{} @ {}:{}",
-                    g.nodes[v].qual, ws.sources[g.nodes[v].src].path, g.nodes[v].line
-                )
-            })
-            .collect();
+        let chain_field = g.chain_field(ws, &chain);
         let path = ws.sources[g.nodes[id].src].path.clone();
         for s in &sinks[id] {
             if !seen.insert((id, s.line, s.display.clone())) {

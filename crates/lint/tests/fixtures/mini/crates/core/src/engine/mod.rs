@@ -1,6 +1,6 @@
-//! Fixture engine module: seeded L002 and L003 violations, plus the
-//! negatives (allowed panic, test-code unwrap, guard dropped before the
-//! expensive call) that must stay clean.
+//! Fixture engine module: seeded L002 and L003 violations (direct, two-link
+//! chain, under a poison-recovered mutex guard), plus the negatives (allowed
+//! panic, test-code unwrap, guard dropped before the expensive call).
 
 /// Seeds L002: a bare unwrap on the no-panic surface.
 pub fn handle(input: Option<u32>) -> u32 {
@@ -128,4 +128,27 @@ pub fn tidy() -> u32 {
 pub fn mislabeled() -> u32 {
     // lint: allow(L999) fixture: unknown rule id
     9
+}
+
+fn refresh(x: u32) -> u32 {
+    recompute(x)
+}
+
+fn recompute(x: u32) -> u32 {
+    solve_thing(x)
+}
+
+/// Seeds L003 through a two-link chain: `refresh` reaches `solve_thing` via
+/// `recompute` while the write guard is live.
+pub fn refresh_under_lock(lock: &std::sync::RwLock<u32>) -> u32 {
+    let mut g = lock.write();
+    *g = refresh(*g);
+    *g
+}
+
+/// Seeds L003: poison recovery hands the mutex guard itself to `g`, so the
+/// expensive call runs while it is live.
+pub fn compute_under_mutex(m: &std::sync::Mutex<u32>) -> u32 {
+    let g = m.lock().unwrap_or_else(|e| e.into_inner());
+    solve_thing(*g)
 }

@@ -94,6 +94,19 @@ fn fixture_negatives_stay_clean() {
         .expect("transitive panic is found");
     assert_eq!(transitive.chain.len(), 3);
     assert!(transitive.chain[0].contains("surface_entry"));
+    // The transitive L003 finding carries the chain from the call under the
+    // guard to the expensive function.
+    let chained = findings
+        .iter()
+        .find(|f| f.detail == "refresh_under_lock::refresh->reaches-solve_thing")
+        .expect("expensive call two links away is found");
+    assert_eq!(chained.chain.len(), 3);
+    assert!(chained.chain[1].contains("recompute"));
+    // Poison recovery (`.unwrap_or_else(..)`) passes the mutex guard through
+    // to its `let`, so the guard is live at the expensive call.
+    assert!(findings
+        .iter()
+        .any(|f| f.detail == "compute_under_mutex::solve_thing->reaches-solve_thing"));
     // L009 negatives: guard dropped before the helper, and a chained
     // temporary guard that dies at its statement.
     assert!(!findings

@@ -10,7 +10,7 @@
 //!
 //! Faults are injected via the `PROJTILE_FAULTS` environment variable
 //! (see `projtile_service::FaultPlan`). Query-trace recording for the
-//! cache policy lab is enabled with `--trace-capacity N` or the
+//! cache lab is enabled with `--trace-capacity N` or the
 //! `PROJTILE_TRACE_CAPACITY` environment variable (the flag wins when
 //! both are set); the trace is drained via `GET /trace`. The bound
 //! address is printed on stdout as `listening on ADDR` once the listener

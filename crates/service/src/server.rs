@@ -56,7 +56,7 @@ pub struct ServerConfig {
     /// Value of the `Retry-After` header on `503` responses, in seconds.
     pub retry_after_secs: u64,
     /// Capacity (in events) of the engine's query-trace recorder, drained
-    /// via `GET /trace` for the cache policy lab; 0 disables recording.
+    /// via `GET /trace` for the cache lab; 0 disables recording.
     pub trace_capacity: usize,
 }
 

@@ -97,10 +97,11 @@ if [ "$service_smoke" = 1 ]; then
     # Stage 1: clean server. Boot with a snapshot store AND a trace recorder
     # (PROJTILE_TRACE_CAPACITY), check health, run the bitwise oracle check
     # (`verify` compares every served answer against a cold local Engine),
-    # then the cache-policy-lab drill: drive seeded generated load over HTTP,
+    # then the cache-lab drill: drive seeded generated load over HTTP,
     # drain the recorded trace via GET /trace, and replay it through the
-    # exact-LRU simulator, which must reproduce the live hit/miss accounting
-    # event for event (`--check-live` exits nonzero otherwise). Finally
+    # live cache type at the recorded budgets, which must reproduce the live
+    # hit/miss accounting event for event (`--check-live` exits nonzero
+    # otherwise). Finally
     # drain — which must publish a final snapshot generation.
     PROJTILE_TRACE_CAPACITY=65536 \
         cargo run --release -q -p projtile-service --bin projtile-serve -- \

@@ -19,10 +19,9 @@
 //! * [`service`] — the hardened TCP front end (deadlines, backpressure,
 //!   panic isolation, crash-safe snapshot lifecycle, fault injection) and
 //!   its retrying client;
-//! * [`lab`] — the trace-driven cache policy lab: record live query traces,
-//!   replay them through candidate memo policies (exact-LRU differential,
-//!   TTL, cost-aware admission, 2Q), and generate deterministic service
-//!   load.
+//! * [`lab`] — the trace-driven cache lab: record live query traces,
+//!   replay them through the live memo cache at a sweep of budgets (exact
+//!   at the recorded ones), and generate deterministic service load.
 //!
 //! # Quick start
 //!
