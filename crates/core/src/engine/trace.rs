@@ -31,7 +31,7 @@ use serde::{json, Value};
 use super::EngineConfig;
 
 /// Version stamp of the serialized trace document format.
-pub const TRACE_VERSION: u32 = 1;
+pub const TRACE_VERSION: u32 = 2;
 
 /// Integer header fields per serialized event (`costs` values follow).
 const EVENT_HEADER: usize = 10;
@@ -53,12 +53,9 @@ pub mod outcome {
     /// the front counts it neither as a hit nor as a miss.
     pub const DUPLICATE: u8 = 2;
     /// A miss whose computation failed: counted as a miss, but nothing was
-    /// installed (the batch still interned the nest's orientation).
+    /// installed (the batch still interned the nest's orientation, like
+    /// every batch with something to compute).
     pub const FAILED: u8 = 3;
-    /// A miss whose computation failed in a single `analyze` call: counted
-    /// as a miss, nothing installed, and the orientation was *not*
-    /// interned (the error returned before the write lock).
-    pub const FAILED_NO_INTERN: u8 = 4;
 }
 
 /// One recorded query against the shared front. Identity is hashed — the
@@ -245,10 +242,6 @@ impl TraceDocument {
                         Value::Int(self.shard_config.results_capacity as i128),
                     ),
                     (
-                        "betas_capacity".to_string(),
-                        Value::Int(self.shard_config.betas_capacity as i128),
-                    ),
-                    (
                         "slices_capacity".to_string(),
                         Value::Int(self.shard_config.slices_capacity as i128),
                     ),
@@ -294,7 +287,6 @@ impl TraceDocument {
             .map_err(|e| TraceError::Malformed(e.to_string()))?;
         let shard_config = EngineConfig {
             results_capacity: read_u64(config, "results_capacity")?,
-            betas_capacity: read_u64(config, "betas_capacity")?,
             slices_capacity: read_u64(config, "slices_capacity")?,
             surfaces_capacity: read_u64(config, "surfaces_capacity")?,
         };
@@ -334,7 +326,7 @@ impl TraceDocument {
                     "event kind {kind} out of range at offset {at}"
                 )));
             }
-            if oc > outcome::FAILED_NO_INTERN as u64 {
+            if oc > outcome::FAILED as u64 {
                 return Err(TraceError::Malformed(format!(
                     "event outcome {oc} out of range at offset {at}"
                 )));
@@ -499,7 +491,6 @@ mod tests {
             num_shards: 4,
             shard_config: EngineConfig {
                 results_capacity: 175,
-                betas_capacity: 50,
                 slices_capacity: 225,
                 surfaces_capacity: 500,
             },

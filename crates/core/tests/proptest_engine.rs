@@ -205,6 +205,9 @@ proptest! {
         for (q, b) in queries.iter().zip(&batch) {
             let s = sequential_engine.analyze(&nest, q);
             prop_assert_eq!(b, &s);
+            // Both sides run the same pipeline, so the cold free functions
+            // are the independent reference.
+            assert_matches_oracle(&nest, q, b.as_ref().expect("valid query"));
         }
     }
 
@@ -372,6 +375,29 @@ fn surfaces_are_memoized_and_retrievable() {
         }
         other => panic!("unexpected {other:?}"),
     }
+
+    // A permuted-axes first request computes the sorted surface once and
+    // returns the free function's surface for the caller's order; the
+    // sorted request then hits it.
+    let mut engine = Engine::new();
+    let permuted = engine
+        .exponent_surface(&nest, m, &[2, 0], &[1, 1], &[m, m])
+        .unwrap();
+    let oracle = parametric::exponent_surface(&nest, m, &[2, 0], &[1, 1], &[m, m]).unwrap();
+    assert_eq!(permuted, oracle);
+    assert_eq!(
+        engine
+            .exponent_surface(&nest, m, &[0, 2], &[1, 1], &[m, m])
+            .unwrap(),
+        surface
+    );
+    let stats = engine.stats();
+    assert_eq!((stats.hits, stats.misses), (1, 1), "{stats:?}");
+    // Mismatched bound lists are rejected, not indexed.
+    assert!(matches!(
+        engine.exponent_surface(&nest, m, &[2, 0], &[1], &[m, m]),
+        Err(EngineError::InvalidQuery(_))
+    ));
 }
 
 #[test]

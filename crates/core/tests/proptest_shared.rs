@@ -17,7 +17,6 @@ use proptest::prelude::*;
 fn tiny_config() -> EngineConfig {
     EngineConfig {
         results_capacity: 700,
-        betas_capacity: 200,
         slices_capacity: 900,
         surfaces_capacity: 2000,
     }
@@ -161,7 +160,7 @@ proptest! {
             metrics.results.evictions > 0,
             "tiny caps must actually evict: {metrics:?}"
         );
-        for cache in [metrics.betas, metrics.results, metrics.slices, metrics.surfaces] {
+        for cache in [metrics.results, metrics.slices, metrics.surfaces] {
             prop_assert!(
                 cache.cost <= cache.capacity || cache.entries == 1,
                 "cap violated: {cache:?}"
@@ -190,8 +189,9 @@ proptest! {
         let queries = all_queries(&nest, m);
         let queries_perm = all_queries(&permuted, m);
 
-        // Sequential ground truth from a private engine (itself pinned to
-        // the cold oracles by the engine test suite and the test above).
+        // Sequential ground truth from a private engine. It runs the same
+        // pipeline as the front, so every expected answer is also checked
+        // against the cold free functions.
         let mut sequential = Engine::new();
         let expected: Vec<_> = queries
             .iter()
@@ -201,6 +201,12 @@ proptest! {
             .iter()
             .map(|q| sequential.analyze(&permuted, q).expect("valid query"))
             .collect();
+        for (q, e) in queries.iter().zip(&expected) {
+            assert_matches_oracle(&nest, q, e);
+        }
+        for (q, e) in queries_perm.iter().zip(&expected_perm) {
+            assert_matches_oracle(&permuted, q, e);
+        }
 
         // Hammer one shared front from several real threads, under forced
         // eviction pressure (tiny caps) and across permuted variants.
@@ -388,8 +394,8 @@ fn permuted_surface_twins_in_one_batch_compute_once() {
 fn batch_twins_answer_from_their_own_computation() {
     // A canonical twin is answered from the surface its batch computed. The
     // budget here holds one surface, so installing T evicts S before the
-    // twin of S is answered: the twin must neither recompute S under the
-    // write lock nor re-insert it over T.
+    // twin of S is answered: the twin must neither recompute S nor re-insert
+    // it over T. Both fronts run the same pipeline and must agree.
     let nest = builders::matmul(64, 64, 64);
     let m = 1u64 << 9;
     let s = Query::Surface {
@@ -410,68 +416,189 @@ fn batch_twins_answer_from_their_own_computation() {
         lo_bounds: vec![1, 1],
         hi_bounds: vec![4, 4],
     };
-    let front = SharedEngine::with_config(
-        EngineConfig {
-            surfaces_capacity: 1000,
-            ..EngineConfig::default()
-        },
-        1,
-    );
+    let config = EngineConfig {
+        surfaces_capacity: 1000,
+        ..EngineConfig::default()
+    };
     let queries = [s, twin, t.clone()];
-    let answers = front.analyze_batch(&nest, &queries);
+
+    let mut engine = Engine::with_config(config);
+    let answers = engine.analyze_batch(&nest, &queries);
     for (q, r) in queries.iter().zip(&answers) {
         assert_matches_oracle(&nest, q, r.as_ref().expect("valid query"));
     }
-    let stats = front.stats();
+    let stats = engine.stats();
     assert_eq!((stats.misses, stats.hits), (2, 1), "{stats:?}");
-    let surfaces = front.cache_metrics().surfaces;
+    let surfaces = engine.cache_metrics().surfaces;
     assert_eq!(
         surfaces.evictions, 1,
         "only S made room for T: {surfaces:?}"
     );
-
-    let again = front.analyze(&nest, &t).expect("valid query");
-    assert_eq!(front.stats().hits, 2, "T is still resident");
+    let again = engine.analyze(&nest, &t).expect("valid query");
+    assert_eq!(engine.stats().hits, 2, "T is still resident");
     assert_matches_oracle(&nest, &t, &again);
+
+    let front = SharedEngine::with_config(config, 1);
+    let shared_answers = front.analyze_batch(&nest, &queries);
+    assert_eq!(shared_answers, answers, "shared == private bitwise");
+    assert_eq!(
+        front.cache_metrics().surfaces.evictions,
+        surfaces.evictions,
+        "both fronts evict alike"
+    );
+    assert_eq!(front.analyze(&nest, &t).expect("valid query"), again);
+    assert_eq!(front.stats(), engine.stats(), "both fronts count alike");
+}
+
+/// The nest, cache size and tightness report of the evicted-tightness tests,
+/// with a results budget sized to exactly the five-entry tightness set of
+/// that nest.
+fn tightness_eviction_setup() -> (LoopNest, u64, AnalysisResult, EngineConfig) {
+    let (seed, m) = (0u64, 1u64 << 8);
+    let nest = builders::random_projective(seed, 5, 4, (1, 512));
+    let oracle = AnalysisResult::Tightness(tightness::check_tightness(&nest, m));
+    let mut sizing = Engine::new();
+    sizing
+        .analyze(&nest, &Query::Tightness { cache_size: m })
+        .unwrap();
+    let config = EngineConfig {
+        results_capacity: sizing.cache_metrics().results.cost,
+        ..EngineConfig::default()
+    };
+    (nest, m, oracle, config)
+}
+
+/// The two fronts, as the evicted-tightness tests drive them.
+trait Front {
+    fn ask(&mut self, nest: &LoopNest, query: &Query) -> AnalysisResult;
+    fn results_evictions(&self) -> u64;
+    fn snapshot_value(&mut self) -> serde::Value;
+}
+
+impl Front for Engine {
+    fn ask(&mut self, nest: &LoopNest, query: &Query) -> AnalysisResult {
+        self.analyze(nest, query).expect("valid query")
+    }
+    fn results_evictions(&self) -> u64 {
+        self.cache_metrics().results.evictions
+    }
+    fn snapshot_value(&mut self) -> serde::Value {
+        self.snapshot()
+    }
+}
+
+impl Front for SharedEngine {
+    fn ask(&mut self, nest: &LoopNest, query: &Query) -> AnalysisResult {
+        self.analyze(nest, query).expect("valid query")
+    }
+    fn results_evictions(&self) -> u64 {
+        self.cache_metrics().results.evictions
+    }
+    fn snapshot_value(&mut self) -> serde::Value {
+        self.snapshot()
+    }
+}
+
+/// The kinds of a front's resident results, least recently used first (the
+/// order snapshots persist them in).
+fn resident_result_kinds(front: &mut impl Front) -> Vec<String> {
+    use serde::Value;
+    let snapshot = front.snapshot_value();
+    let Ok(Value::Array(results)) = snapshot.field("results") else {
+        panic!("snapshot without a results list");
+    };
+    results
+        .iter()
+        .map(|r| match r.field("kind") {
+            Ok(Value::String(kind)) => kind.clone(),
+            other => panic!("result without a kind: {other:?}"),
+        })
+        .collect()
+}
+
+/// Drives one front to the state where the tightness report is evicted but
+/// its components (bound, enumeration, tiling, certificate) survive as
+/// separate results-cache entries — by install's derived-last re-touch
+/// alone, with no other reads in between.
+fn evict_tightness_report(
+    front: &mut impl Front,
+    nest: &LoopNest,
+    m: u64,
+    oracle: &AnalysisResult,
+) {
+    assert_eq!(
+        &front.ask(nest, &Query::Tightness { cache_size: m }),
+        oracle
+    );
+    assert_eq!(
+        front.results_evictions(),
+        0,
+        "the budget holds the whole tightness set"
+    );
+    assert_eq!(
+        resident_result_kinds(front),
+        ["tightness", "tiling", "bound", "enumerated", "certificate"],
+        "install re-touches the components after the report"
+    );
+    // Filler traffic evicts the least recently used entry, the report, and
+    // nothing else.
+    front.ask(&filler_nest(), &Query::OptimalTiling { cache_size: m });
+    assert_eq!(front.results_evictions(), 1);
+    assert_eq!(
+        resident_result_kinds(front),
+        ["tiling", "bound", "enumerated", "certificate", "tiling"],
+        "only the report was evicted"
+    );
+}
+
+#[test]
+fn evicted_tightness_recomposes_from_surviving_components() {
+    // When the tightness report itself is evicted, re-answering composes
+    // from the surviving components. Recomposition is pure arithmetic on
+    // resident entries, so it counts as a hit, not a recompute, and the
+    // composed report is bitwise the free function's.
+    let (nest, m, oracle, config) = tightness_eviction_setup();
+    let mut engine = Engine::with_config(config);
+    evict_tightness_report(&mut engine, &nest, m, &oracle);
+
+    let before = engine.stats();
+    let again = engine.analyze(&nest, &Query::Tightness { cache_size: m });
+    let after = engine.stats();
+    assert_eq!(
+        (after.hits, after.misses),
+        (before.hits + 1, before.misses),
+        "the evicted report recomposes as a hit"
+    );
+    assert_eq!(again.unwrap(), oracle);
 }
 
 #[test]
 fn shared_tightness_recomposes_under_the_read_lock() {
-    // After the report is evicted but its components survive, the shared
-    // front answers tightness as a read-path *hit* (recomposition is pure
-    // arithmetic), still bitwise the free function's report.
-    let (seed, m) = (0u64, 1u64 << 8);
-    let nest = builders::random_projective(seed, 5, 4, (1, 512));
+    // The shared front answers the same recomposition as a read-path hit,
+    // and counts and evicts exactly as a private `Engine` driven through the
+    // same traffic.
+    let (nest, m, oracle, config) = tightness_eviction_setup();
     let q = Query::Tightness { cache_size: m };
-    let mut sizing = Engine::new();
-    sizing.analyze(&nest, &q).unwrap();
-    let budget = sizing.cache_metrics().results.cost;
+    let mut shared = SharedEngine::with_config(config, 1);
+    evict_tightness_report(&mut shared, &nest, m, &oracle);
 
-    let shared = SharedEngine::with_config(
-        EngineConfig {
-            results_capacity: budget,
-            ..EngineConfig::default()
-        },
-        1,
-    );
-    let first = shared.analyze(&nest, &q).unwrap();
-    // Filler traffic evicts the (derived-last) report and nothing else.
-    let filler = filler_nest();
-    shared
-        .analyze(&filler, &Query::OptimalTiling { cache_size: m })
-        .unwrap();
-    assert!(shared.cache_metrics().results.evictions > 0);
     let hits_before = shared.stats().hits;
     let again = shared.analyze(&nest, &q).unwrap();
-    assert_eq!(first, again);
     assert_eq!(
         shared.stats().hits,
         hits_before + 1,
         "recomposition is served under the read lock"
     );
+    assert_eq!(again, oracle);
+
+    let mut engine = Engine::with_config(config);
+    evict_tightness_report(&mut engine, &nest, m, &oracle);
+    assert_eq!(engine.analyze(&nest, &q).unwrap(), oracle);
+    assert_eq!(shared.stats(), engine.stats(), "both fronts count alike");
     assert_eq!(
-        again,
-        AnalysisResult::Tightness(tightness::check_tightness(&nest, m))
+        shared.cache_metrics().results,
+        engine.cache_metrics().results,
+        "both fronts evict alike"
     );
 }
 
@@ -497,58 +624,6 @@ fn shared_engine_read_path_hits_do_not_lose_recency() {
     let stats = shared.stats();
     assert_eq!(stats.hits, 8, "repeats are read-path hits: {stats:?}");
     assert_eq!(stats.misses, 1, "stats: {stats:?}");
-}
-
-#[test]
-fn evicted_tightness_recomposes_from_surviving_components() {
-    // The results cache keeps the tightness report's components (bound,
-    // enumeration, tiling, certificate) as separate entries; when the
-    // report itself is evicted, re-answering composes from the survivors —
-    // and the composed report is bitwise the free function's.
-    let (seed, m) = (0u64, 1u64 << 8);
-    let nest = builders::random_projective(seed, 5, 4, (1, 512));
-    let q = Query::Tightness { cache_size: m };
-
-    // Budget sized to exactly the five-entry tightness set of this nest.
-    let mut sizing = Engine::new();
-    sizing.analyze(&nest, &q).unwrap();
-    let budget = sizing.cache_metrics().results.cost;
-
-    let mut engine = Engine::with_config(EngineConfig {
-        results_capacity: budget,
-        ..EngineConfig::default()
-    });
-    let first = engine.analyze(&nest, &q).unwrap();
-    assert_eq!(engine.cache_metrics().results.evictions, 0);
-    // Re-read the components so the report (and its certificate) sink to
-    // the least recently used end...
-    for probe in [
-        Query::OptimalTiling { cache_size: m },
-        Query::LowerBound { cache_size: m },
-        Query::EnumeratedBound { cache_size: m },
-    ] {
-        engine.analyze(&nest, &probe).unwrap();
-    }
-    // ...then overflow the budget with unrelated traffic: the report is
-    // evicted, the components survive.
-    let filler = filler_nest();
-    engine
-        .analyze(&filler, &Query::OptimalTiling { cache_size: m })
-        .unwrap();
-    assert!(engine.cache_metrics().results.evictions > 0);
-
-    let misses_before = engine.stats().misses;
-    let again = engine.analyze(&nest, &q).unwrap();
-    assert_eq!(first, again);
-    assert_eq!(
-        engine.stats().misses,
-        misses_before + 1,
-        "the evicted report must recompose (a miss), not answer stale"
-    );
-    assert_eq!(
-        again,
-        AnalysisResult::Tightness(tightness::check_tightness(&nest, m))
-    );
 }
 
 #[test]
@@ -602,12 +677,7 @@ fn restore_respects_smaller_budgets() {
     let mut small =
         Engine::restore_json_with_config(&text, tiny_config()).expect("snapshot restores");
     let metrics = small.cache_metrics();
-    for cache in [
-        metrics.betas,
-        metrics.results,
-        metrics.slices,
-        metrics.surfaces,
-    ] {
+    for cache in [metrics.results, metrics.slices, metrics.surfaces] {
         assert!(
             cache.cost <= cache.capacity || cache.entries == 1,
             "cap violated after restore: {cache:?}"
@@ -617,4 +687,40 @@ fn restore_respects_smaller_budgets() {
         let result = small.analyze(&nest, &query).expect("valid query");
         assert_matches_oracle(&nest, &query, &result);
     }
+}
+
+#[test]
+fn snapshots_with_legacy_betas_restore_warm() {
+    // Earlier builds cached β vectors and persisted them under `betas`.
+    // Restore ignores whatever that list holds, so such a document still
+    // restores warm into both fronts.
+    let nest = builders::random_projective(5, 4, 3, (1, 128));
+    let m = 1u64 << 6;
+    let queries = all_queries(&nest, m);
+    let mut engine = Engine::new();
+    let expected: Vec<_> = queries
+        .iter()
+        .map(|q| engine.analyze(&nest, q).expect("valid query"))
+        .collect();
+    let fresh = engine.snapshot_json();
+    let canonical = projtile_loopnest::canonicalize(&nest);
+    let beta_entry = format!(
+        r#""betas":[{{"entry":0,"m":{m},"value":{}}}]"#,
+        serde::json::to_string(&bounds::betas(canonical.nest(), m))
+    );
+    assert!(
+        fresh.contains(r#""betas":[]"#),
+        "the writer emits an empty list"
+    );
+    let legacy = fresh.replacen(r#""betas":[]"#, &beta_entry, 1);
+    assert_ne!(legacy, fresh);
+
+    let mut restored = Engine::restore_json(&legacy).expect("legacy format restores");
+    let shared = SharedEngine::restore_json(&legacy).expect("legacy format restores");
+    for (q, e) in queries.iter().zip(&expected) {
+        assert_eq!(&restored.analyze(&nest, q).expect("valid query"), e);
+        assert_eq!(&shared.analyze(&nest, q).expect("valid query"), e);
+    }
+    assert_eq!(restored.stats().misses, 0, "{:?}", restored.stats());
+    assert_eq!(shared.stats().misses, 0, "{:?}", shared.stats());
 }

@@ -12,9 +12,8 @@ use serde::Value;
 
 const M: u64 = 1 << 8;
 
-/// A warmed engine whose snapshot contains every artifact class: a β
-/// vector, all five result kinds, a span slice, a probe slice, and a
-/// surface.
+/// A warmed engine whose snapshot contains every artifact class: all five
+/// result kinds, a span slice, a probe slice, and a surface.
 fn warmed_engine() -> Engine {
     let nest = builders::matmul(64, 64, 64);
     let mut engine = Engine::new();
@@ -127,7 +126,7 @@ fn genuine_snapshot_restores() {
 #[test]
 fn rejects_undersized_cache_size() {
     assert_rejected(
-        |s| *obj_mut(&mut arr_mut(obj_mut(s, "betas"))[0], "m") = Value::Int(1),
+        |s| *obj_mut(&mut arr_mut(obj_mut(s, "results"))[0], "m") = Value::Int(1),
         "must be at least 2 words",
     );
 }

@@ -32,7 +32,6 @@ fn genuine_document() -> TraceDocument {
         num_shards: 4,
         shard_config: EngineConfig {
             results_capacity: 175,
-            betas_capacity: 50,
             slices_capacity: 225,
             surfaces_capacity: 500,
         },
@@ -47,7 +46,7 @@ fn genuine_document() -> TraceDocument {
             ev(2, 4, outcome::HIT, vec![]),
             ev(3, 4, outcome::DUPLICATE, vec![]),
             ev(4, 1, outcome::FAILED, vec![]),
-            ev(5, 5, outcome::FAILED_NO_INTERN, vec![]),
+            ev(5, 5, outcome::FAILED, vec![]),
         ],
     }
 }
@@ -184,9 +183,10 @@ fn rejects_out_of_range_kind_and_outcome() {
         |v| arr_mut(obj_mut(v, "events"))[4] = Value::Int(6),
         "kind 6 out of range",
     );
+    // 4 was the retired single-query failure outcome.
     assert_rejected(
-        |v| arr_mut(obj_mut(v, "events"))[8] = Value::Int(5),
-        "outcome 5 out of range",
+        |v| arr_mut(obj_mut(v, "events"))[8] = Value::Int(4),
+        "outcome 4 out of range",
     );
 }
 
@@ -230,7 +230,7 @@ fn event_strategy() -> impl Strategy<Value = TraceEvent> {
         any::<u64>(),
         (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
         0u8..6,
-        0u8..5,
+        0u8..4,
         proptest::collection::vec(any::<u64>(), 0..=8),
     )
         .prop_map(
@@ -260,16 +260,15 @@ proptest! {
         events in proptest::collection::vec(event_strategy(), 0..40),
         num_shards in 1u32..64,
         counters in proptest::collection::vec(any::<u64>(), 5),
-        caps in proptest::collection::vec(any::<u64>(), 4),
+        caps in proptest::collection::vec(any::<u64>(), 3),
     ) {
         let doc = TraceDocument {
             version: TRACE_VERSION,
             num_shards,
             shard_config: EngineConfig {
                 results_capacity: caps[0],
-                betas_capacity: caps[1],
-                slices_capacity: caps[2],
-                surfaces_capacity: caps[3],
+                slices_capacity: caps[1],
+                surfaces_capacity: caps[2],
             },
             queries: counters[0],
             hits: counters[1],

@@ -163,7 +163,6 @@ fn generate(args: &[String]) -> Result<ExitCode, String> {
     // caches actually have to evict.
     let budgets = EngineConfig {
         results_capacity: 4096,
-        betas_capacity: 1024,
         slices_capacity: 8192,
         surfaces_capacity: 16384,
     };

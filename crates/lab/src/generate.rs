@@ -180,7 +180,7 @@ impl Workload {
                 }
             };
             let nest = corpus[nest_idx].clone();
-            // Size-1 batches (1 in 4) go through the single-query path.
+            // Size-1 batches (1 in 4) model single-query `analyze` calls.
             let size = if rng.below(4) == 0 {
                 1
             } else {
@@ -218,21 +218,13 @@ impl Workload {
         Workload { batches }
     }
 
-    /// Drives an in-process front, batch by batch (size-1 batches through
-    /// [`SharedEngine::analyze`], the rest through
-    /// [`SharedEngine::analyze_batch`]).
+    /// Drives an in-process front, batch by batch, through
+    /// [`SharedEngine::analyze_batch`].
     pub fn drive_shared(&self, shared: &SharedEngine) -> DriveStats {
         let mut stats = DriveStats::default();
         for (nest, queries) in &self.batches {
             stats.batches += 1;
             stats.queries += queries.len() as u64;
-            if let [query] = queries.as_slice() {
-                match shared.analyze(nest, query) {
-                    Ok(_) => stats.answered += 1,
-                    Err(_) => stats.errors += 1,
-                }
-                continue;
-            }
             for outcome in shared.analyze_batch(nest, queries) {
                 match outcome {
                     Ok(_) => stats.answered += 1,

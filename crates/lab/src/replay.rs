@@ -8,16 +8,15 @@
 //!
 //! * events are regrouped by their `batch` id (one group per live
 //!   `analyze`/`analyze_batch` call, contiguous in append order);
-//! * each group runs the live phases in order: a **probe pass** (`peek`s in
-//!   input order, skipping literals already found cached, with the
-//!   tightness recompose path peeking component artifacts as it
-//!   short-circuits), a **classification** (first uncached occurrence per
-//!   cache-canonical family is the computing miss; repeated literals of it
-//!   are duplicates; distinct literals of it are canonical twins, hits
-//!   answered from the batch's own computation without touching a cache),
-//!   an **orientation intern**, and an **install pass** in pending order
-//!   making the live `contains` / `insert` / `get` calls at the recorded
-//!   per-entry costs;
+//! * each group runs the live pipeline's phases in order: a **probe pass**
+//!   (one `peek` per distinct literal in input order, with the tightness
+//!   recompose path peeking component artifacts as it short-circuits), a
+//!   **classification** (first uncached occurrence per cache-canonical
+//!   family is the computing miss; repeated literals of it are duplicates;
+//!   distinct literals of it are canonical twins, hits answered from the
+//!   batch's own computation without touching a cache), an **orientation
+//!   intern**, and an **install pass** in pending order making the live
+//!   `contains` / `insert` / `get` calls at the recorded per-entry costs;
 //! * the replayed shard is the recorded routing key modulo the shard count,
 //!   so cross-shard isolation is reproduced too.
 //!
@@ -62,9 +61,7 @@ fn key(fam: u64, t: u8) -> SimKey {
     ((fam as u128) << 8) | t as u128
 }
 
-/// Per-shard cost budgets for the three cache families `SharedEngine`
-/// traffic exercises (the betas cache is only populated by single-session
-/// engines and never appears in a front's trace).
+/// Per-shard cost budgets for the engine's three cache families.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Budgets {
     /// Typed-results family budget (bounds, enumerations, tilings,
@@ -250,10 +247,11 @@ impl fmt::Display for ReplayError {
 
 impl std::error::Error for ReplayError {}
 
-/// One replayed shard: its interned orientations and one live-type cache
-/// per family.
+/// One replayed shard: its interned nests and orientations, and one
+/// live-type cache per family.
 struct Shard {
-    interned: HashSet<u64>,
+    signatures: HashSet<u64>,
+    orientations: HashSet<u64>,
     results: Family,
     slices: Family,
     surfaces: Family,
@@ -262,10 +260,20 @@ struct Shard {
 impl Shard {
     fn new(budgets: Budgets) -> Shard {
         Shard {
-            interned: HashSet::new(),
+            signatures: HashSet::new(),
+            orientations: HashSet::new(),
             results: BoundedLru::new(budgets.results),
             slices: BoundedLru::new(budgets.slices),
             surfaces: BoundedLru::new(budgets.surfaces),
+        }
+    }
+
+    /// Whether the live read path could find `ev`'s cache entry at all:
+    /// slices are keyed by nest, everything else by orientation.
+    fn knows(&self, ev: &TraceEvent) -> bool {
+        match ev.kind {
+            5 => self.signatures.contains(&ev.sig),
+            _ => self.orientations.contains(&ev.orient),
         }
     }
 
@@ -388,22 +396,17 @@ pub fn replay_document(doc: &TraceDocument, budgets: Budgets) -> ReplayReport {
     for batch in doc.events.chunk_by(|a, b| a.batch == b.batch) {
         let shard = &mut shards[(batch[0].sig % num_shards) as usize];
 
-        // Probe pass: peeks in input order; literals already found cached
-        // this batch are not re-peeked, while occurrences of missing
-        // queries re-probe every time (partial tightness peeks included).
-        let mut hit_lhash: HashSet<u64> = HashSet::new();
-        let mut found = Vec::with_capacity(batch.len());
-        for ev in batch {
-            if hit_lhash.contains(&ev.lhash) {
-                found.push(true);
-                continue;
-            }
-            let f = shard.interned.contains(&ev.orient) && probe(shard, ev);
-            if f {
-                hit_lhash.insert(ev.lhash);
-            }
-            found.push(f);
-        }
+        // Probe pass: each distinct literal is peeked once, in input order
+        // (partial tightness peeks included); its repeats share the result.
+        let mut probed: HashMap<u64, bool> = HashMap::new();
+        let found: Vec<bool> = batch
+            .iter()
+            .map(|ev| {
+                *probed
+                    .entry(ev.lhash)
+                    .or_insert_with(|| shard.knows(ev) && probe(shard, ev))
+            })
+            .collect();
 
         // Classification: first uncached occurrence per cache-canonical
         // family computes; its literal repeats are duplicates; its distinct
@@ -428,14 +431,11 @@ pub fn replay_document(doc: &TraceDocument, budgets: Budgets) -> ReplayReport {
             })
             .collect();
 
-        // Orientation intern: every live call that reached its write-lock
-        // pass interned (idempotently); only a single-query computation
-        // failure returns before interning.
-        if batch
-            .iter()
-            .any(|ev| ev.outcome != outcome::FAILED_NO_INTERN)
-        {
-            shard.interned.insert(batch[0].orient);
+        // Intern: exactly the live batches with something to compute intern
+        // their nest and orientation (a batch of hits takes no write lock).
+        if classes.contains(&EventClass::Miss) {
+            shard.signatures.insert(batch[0].sig);
+            shard.orientations.insert(batch[0].orient);
         }
 
         // Install pass in pending order. Recorded misses charge their own
@@ -448,7 +448,7 @@ pub fn replay_document(doc: &TraceDocument, budgets: Budgets) -> ReplayReport {
             }
             match ev.outcome {
                 outcome::MISS => install(shard, ev, &ev.costs),
-                outcome::FAILED | outcome::FAILED_NO_INTERN => {}
+                outcome::FAILED => {}
                 _ => match book.get(&(ev.kind, ev.fam)) {
                     Some(costs) => install(shard, ev, costs),
                     None => report.unpriced_installs += 1,

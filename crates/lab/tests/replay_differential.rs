@@ -14,13 +14,13 @@ use projtile_core::engine::{
 use projtile_lab::replay::{check_live, replay_document, Budgets, ReplayError};
 use projtile_lab::{GeneratorConfig, LabReport, Pattern, Workload, SWEEP_SCALES};
 use projtile_loopnest::builders;
+use projtile_loopnest::canon::permute_nest;
 
 /// Budgets tiny enough that nearly every insertion evicts something, so the
 /// differential exercises the eviction order, not just residency.
 fn tiny_config() -> EngineConfig {
     EngineConfig {
         results_capacity: 700,
-        betas_capacity: 200,
         slices_capacity: 900,
         surfaces_capacity: 2000,
     }
@@ -146,10 +146,38 @@ fn handcrafted_awkward_batches_replay_exactly() {
     );
 }
 
+/// Slices are keyed by nest, not by declaration order: a permuted
+/// re-declaration hits a slice the original computed before its own
+/// orientation was ever interned, and such a batch of hits interns nothing.
+#[test]
+fn slice_hits_on_a_new_declaration_order_replay_exactly() {
+    let m = 1 << 9;
+    let nest = builders::matmul(64, 64, 16);
+    let permuted = permute_nest(&nest, &[2, 0, 1], &[1, 2, 0]);
+    let slice = |nest: &projtile_loopnest::LoopNest| Query::Slice {
+        cache_size: m,
+        axis: nest.index_position("k").expect("matmul has a k loop"),
+        lo_bound: 1,
+        hi_bound: 64,
+    };
+    let front = traced_front(1 << 16);
+    front.analyze_batch(&nest, &[slice(&nest)]);
+    front.analyze_batch(&permuted, &[slice(&permuted)]);
+    assert_eq!(front.stats().hits, 1, "the permuted slice hits");
+    front.analyze_batch(
+        &permuted,
+        &[Query::LowerBound { cache_size: m }, slice(&permuted)],
+    );
+    let stats = front.stats();
+    assert_eq!((stats.hits, stats.misses), (2, 2), "{stats:?}");
+    let report = check_live(&front.trace_document()).unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!((report.sim_hits, report.sim_misses), (2, 2));
+}
+
 /// Failed computations can't be provoked through the public API (validation
 /// catches everything expressible), so their replay semantics are pinned
-/// against a synthetic document: a failure is a miss that installs nothing,
-/// and a single-query failure doesn't even intern the orientation.
+/// against a synthetic document: a failure is a miss that installs nothing
+/// (its batch still interns the orientation).
 #[test]
 fn failed_computations_replay_as_non_installing_misses() {
     let fam = 0xFEED_u64;
@@ -175,9 +203,9 @@ fn failed_computations_replay_as_non_installing_misses() {
         dropped: 0,
         warm_entries: 0,
         events: vec![
-            // A single-query failure: miss, no install, no intern — so the
-            // next batch still starts from a never-seen orientation.
-            ev(0, 0, 0, outcome::FAILED_NO_INTERN, vec![]),
+            // A single-query failure: miss, interned, nothing installed —
+            // so the next batch still misses.
+            ev(0, 0, 0, outcome::FAILED, vec![]),
             // The real computation: a miss that installs.
             ev(1, 1, 0, outcome::MISS, vec![200]),
             // Now resident: a hit.
@@ -293,7 +321,6 @@ fn counterfactual_policies_are_consistent() {
                 results_capacity: scaled.results * shards,
                 slices_capacity: scaled.slices * shards,
                 surfaces_capacity: scaled.surfaces * shards,
-                ..tiny_config()
             },
             shards as usize,
         );

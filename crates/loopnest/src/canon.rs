@@ -160,7 +160,6 @@ pub fn canonicalize(nest: &LoopNest) -> CanonicalNest {
 ///
 /// # Panics
 /// Panics if either argument is not a permutation of the right length.
-// lint: allow(L008) asserts pin the perm-is-a-permutation precondition checked by canonicalize
 pub fn permute_nest(nest: &LoopNest, loop_perm: &[usize], array_perm: &[usize]) -> LoopNest {
     let d = nest.num_loops();
     let n = nest.num_arrays();

@@ -479,7 +479,9 @@ fn engine_value(shared: &Shared) -> Value {
         })
         .collect();
     Value::Object(vec![
-        ("betas".to_string(), cache(caches.betas)),
+        // Sessions no longer cache β vectors; the all-zero object keeps the
+        // layout for readers that sum evictions over every cache.
+        ("betas".to_string(), cache(BoundedLruStats::default())),
         ("results".to_string(), cache(caches.results)),
         ("slices".to_string(), cache(caches.slices)),
         ("surfaces".to_string(), cache(caches.surfaces)),

@@ -9,7 +9,8 @@
 # bench smoke run (`report --bench` on a tiny budget) that executes every
 # snapshot workload — including the warm-started batched LP sweeps and their
 # cold differential twins — so solver regressions that only manifest under
-# the batched path fail CI even when unit tests pass.
+# the batched path fail CI even when unit tests pass. The service benchmark
+# (svcbench, outside the workspace) is built and smoke-run on every workload.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -174,6 +175,21 @@ if [ "$service_smoke" = 1 ]; then
     wait "$serve_pid"
     rm -rf "$snap_dir" "$serve_log"
 fi
+
+# svcbench is a package of its own outside the workspace, so an API change
+# in core, service or lab can break it while everything above still passes.
+# Build it and smoke-run every workload: svcbench exits nonzero on any
+# oracle mismatch or /metrics reconciliation failure.
+echo "==> svcbench build + smoke (every workload, 2 s each)"
+cargo build --release --offline --manifest-path svcbench/Cargo.toml
+for workload in lab_mixed cold_solves large_answers; do
+    svcbench_out="$(mktemp)"
+    cargo run --release -q --offline --manifest-path svcbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 2 --trace 0 >"$svcbench_out" \
+        || { echo "svcbench $workload failed:" >&2; cat "$svcbench_out" >&2; exit 1; }
+    tail -n 1 "$svcbench_out"
+    rm -f "$svcbench_out"
+done
 
 echo "==> cargo clippy --all-targets (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
