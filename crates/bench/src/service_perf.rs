@@ -7,6 +7,13 @@
 //! * `service/roundtrip/tightness_hit` — one warm request round-trip
 //!   (connect, POST `/analyze`, cache-hit compute, response) through the
 //!   standard timing loop;
+//! * `service/stage/<stage>` — where that loop's round trips went, as the
+//!   mean time per request in each layer: `client_encode`, then the
+//!   server's [`STAGES`] from its stage histograms' exact sums (accept to
+//!   the last byte written), `transport` (the client's connect-to-last-byte
+//!   exchange minus the server's share: handshake, wake-ups, bytes on the
+//!   wire) and `client_decode`, from the client's [`ClientTimings`]. The
+//!   rows add up to the mean round trip;
 //! * `service/mixed_4threads/secs_per_request` — four concurrent client
 //!   threads issue a mixed query stream (tightness, tiling, lower-bound,
 //!   slice over three kernels) for the whole budget; the value is wall
@@ -27,7 +34,8 @@ use std::time::{Duration, Instant};
 use projtile_core::engine::Query;
 use projtile_lab::{GeneratorConfig, Pattern, Workload};
 use projtile_loopnest::{builders, LoopNest};
-use projtile_service::{Client, FaultPlan, Server, ServerConfig};
+use projtile_service::metrics::{Metrics, STAGES};
+use projtile_service::{Client, ClientTimings, FaultPlan, Server, ServerConfig};
 
 use crate::perf::{time_workload, Measurement};
 
@@ -86,6 +94,7 @@ pub fn service_measurements(budget: Duration) -> Vec<Measurement> {
     // Single-connection round-trip on the standard timing loop.
     let (nest, queries) = (&corpus[0].0, &corpus[0].1[..1]);
     let client = Client::new(addr.clone());
+    let before = (stage_totals(handle.metrics()), client.timings());
     let (secs, iters) = time_workload(
         &|| {
             std::hint::black_box(client.analyze(nest, queries).expect("served"));
@@ -103,6 +112,8 @@ pub fn service_measurements(budget: Duration) -> Vec<Measurement> {
         secs_per_iter: secs,
         iters,
     });
+
+    out.extend(stage_measurements(handle.metrics(), &client, before));
 
     // Mixed traffic: 4 client threads for the whole budget.
     let stop = AtomicBool::new(false);
@@ -156,6 +167,75 @@ pub fn service_measurements(budget: Duration) -> Vec<Measurement> {
     handle.join();
     out.extend(generated_traffic_measurements(budget));
     out
+}
+
+/// Answered-request count, per-stage latency sums and the whole-request
+/// latency sum of a server at one instant.
+struct StageTotals {
+    requests: u64,
+    stage_sums: Vec<Duration>,
+    latency_sum: Duration,
+}
+
+fn stage_totals(metrics: &Metrics) -> StageTotals {
+    StageTotals {
+        requests: metrics.request_latency.count(),
+        stage_sums: metrics.stages.iter().map(|h| h.sum()).collect(),
+        latency_sum: metrics.request_latency.sum(),
+    }
+}
+
+/// The `service/stage/*` rows: the mean time per request in each layer of
+/// the round trips `client` made since `before`, all of them `/analyze`
+/// calls answered by this server alone.
+fn stage_measurements(
+    metrics: &Metrics,
+    client: &Client,
+    (server_before, client_before): (StageTotals, ClientTimings),
+) -> Vec<Measurement> {
+    // A request's stages land just after its last byte is written: wait
+    // for the last one before reading the sums.
+    let calls = client.timings().analyses - client_before.analyses;
+    let settle = Instant::now();
+    while metrics.request_latency.count() < server_before.requests + calls
+        && settle.elapsed() < Duration::from_secs(1)
+    {
+        std::thread::yield_now();
+    }
+    let server = stage_totals(metrics);
+    let client_after = client.timings();
+    let requests = server.requests - server_before.requests;
+    let exchange = client_after.exchange - client_before.exchange;
+    let served = server.latency_sum - server_before.latency_sum;
+
+    let mut layers = vec![(
+        "client_encode".to_string(),
+        client_after.encode - client_before.encode,
+    )];
+    for (stage, (sum_before, sum_after)) in STAGES
+        .iter()
+        .zip(server_before.stage_sums.iter().zip(&server.stage_sums))
+    {
+        layers.push((stage.to_string(), *sum_after - *sum_before));
+    }
+    layers.push(("transport".to_string(), exchange.saturating_sub(served)));
+    layers.push((
+        "client_decode".to_string(),
+        client_after.decode - client_before.decode,
+    ));
+    layers
+        .into_iter()
+        .map(|(layer, total)| {
+            let mean = total.as_secs_f64() / requests.max(1) as f64;
+            let name = format!("service/stage/{layer}");
+            eprintln!("  {:<42} {:>12.3} µs/iter", name, mean * 1e6);
+            Measurement {
+                name,
+                secs_per_iter: mean,
+                iters: requests,
+            }
+        })
+        .collect()
 }
 
 /// Generated mixed traffic against a fresh server: four client threads

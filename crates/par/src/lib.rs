@@ -215,7 +215,6 @@ where
 /// [`PARALLEL_THRESHOLD`] and `PROJTILE_THREADS` (a stress test asking for 4
 /// workers means 4 threads). A panic in any worker is re-raised on the
 /// calling thread with its original payload (lowest worker index wins).
-// lint: allow(L008) expect: scoped worker threads are always joined and cannot outlive the scope
 pub fn fan_out<R, F>(workers: usize, f: F) -> Vec<R>
 where
     R: Send,

@@ -14,7 +14,7 @@
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use projtile_core::engine::{AnalysisResult, Query};
 use projtile_loopnest::LoopNest;
@@ -76,6 +76,23 @@ impl std::fmt::Display for ClientError {
 
 impl std::error::Error for ClientError {}
 
+/// Where a client's [`Client::analyze`] calls spent their time, summed over
+/// every call so far. Next to the server's stage histograms this splits a
+/// round trip end to end: `exchange` contains the server's accept-to-write
+/// `request_latency`, and the difference is transport (connect and
+/// handshake, wake-ups, bytes on the wire).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ClientTimings {
+    /// `analyze` calls that reached the server and got a `200`.
+    pub analyses: u64,
+    /// Serializing the request body.
+    pub encode: Duration,
+    /// Connect to the last response byte read, retries included.
+    pub exchange: Duration,
+    /// Parsing and deserializing the response body.
+    pub decode: Duration,
+}
+
 /// A client bound to one server address. Cheap to construct; every request
 /// opens a fresh connection (the server speaks `Connection: close`).
 #[derive(Debug)]
@@ -83,6 +100,9 @@ pub struct Client {
     addr: String,
     retry: RetryConfig,
     jitter: AtomicU64,
+    /// Running [`ClientTimings`] sums: calls, then encode, exchange and
+    /// decode nanoseconds.
+    timings: [AtomicU64; 4],
 }
 
 impl Client {
@@ -98,6 +118,19 @@ impl Client {
             addr: addr.into(),
             retry,
             jitter,
+            timings: Default::default(),
+        }
+    }
+
+    /// The running sums of this client's `analyze` phases.
+    pub fn timings(&self) -> ClientTimings {
+        let [analyses, encode, exchange, decode] =
+            self.timings.each_ref().map(|t| t.load(Ordering::Relaxed));
+        ClientTimings {
+            analyses,
+            encode: Duration::from_nanos(encode),
+            exchange: Duration::from_nanos(exchange),
+            decode: Duration::from_nanos(decode),
         }
     }
 
@@ -108,6 +141,7 @@ impl Client {
         nest: &LoopNest,
         queries: &[Query],
     ) -> Result<Vec<Result<AnalysisResult, String>>, ClientError> {
+        let started = Instant::now();
         let body = json::to_string(&Value::Object(vec![
             ("nest".to_string(), nest.serialize()),
             (
@@ -115,35 +149,20 @@ impl Client {
                 Value::Array(queries.iter().map(Serialize::serialize).collect()),
             ),
         ]));
+        let encoded = Instant::now();
         let response = self.request("POST", "/analyze", &body)?;
-        let text = std::str::from_utf8(&response.body)
-            .map_err(|_| ClientError::Protocol("response body is not UTF-8".to_string()))?;
-        let doc =
-            json::parse(text).map_err(|e| ClientError::Protocol(format!("response body: {e}")))?;
-        let entries = match doc.field("results") {
-            Ok(Value::Array(entries)) => entries,
-            _ => {
-                return Err(ClientError::Protocol(
-                    "response lacks a `results` array".to_string(),
-                ))
-            }
-        };
-        entries
-            .iter()
-            .map(|entry| {
-                if let Ok(ok) = entry.field("ok") {
-                    return AnalysisResult::deserialize(ok)
-                        .map(Ok)
-                        .map_err(|e| ClientError::Protocol(format!("result entry: {e}")));
-                }
-                match entry.field("err") {
-                    Ok(Value::String(msg)) => Ok(Err(msg.clone())),
-                    _ => Err(ClientError::Protocol(
-                        "result entry has neither `ok` nor `err`".to_string(),
-                    )),
-                }
-            })
-            .collect()
+        let exchanged = Instant::now();
+        let decoded = decode_results(&response);
+        let phases = [
+            1,
+            (encoded - started).as_nanos() as u64,
+            (exchanged - encoded).as_nanos() as u64,
+            exchanged.elapsed().as_nanos() as u64,
+        ];
+        for (sum, add) in self.timings.iter().zip(phases) {
+            sum.fetch_add(add, Ordering::Relaxed);
+        }
+        decoded
     }
 
     /// Fetches the `/metrics` document.
@@ -205,14 +224,15 @@ impl Client {
     /// description.
     fn attempt(&self, method: &str, path: &str, body: &str) -> Result<Response, String> {
         let mut stream = TcpStream::connect(&self.addr).map_err(|e| format!("connect: {e}"))?;
-        let head = format!(
+        // Head and body in one write: one syscall, and no Nagle wait.
+        let mut message = format!(
             "{method} {path} HTTP/1.1\r\nhost: {}\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
             self.addr,
             body.len()
         );
+        message.push_str(body);
         stream
-            .write_all(head.as_bytes())
-            .and_then(|()| stream.write_all(body.as_bytes()))
+            .write_all(message.as_bytes())
             .and_then(|()| stream.flush())
             .map_err(|e| format!("send: {e}"))?;
         match read_response(&mut stream, self.retry.response_deadline) {
@@ -250,6 +270,38 @@ impl Client {
         let half = capped.as_millis().max(2) as u64 / 2;
         capped + Duration::from_millis(x.checked_rem(half.max(1)).unwrap_or(0))
     }
+}
+
+/// The per-query outcomes of an `/analyze` response.
+fn decode_results(response: &Response) -> Result<Vec<Result<AnalysisResult, String>>, ClientError> {
+    let text = std::str::from_utf8(&response.body)
+        .map_err(|_| ClientError::Protocol("response body is not UTF-8".to_string()))?;
+    let doc =
+        json::parse(text).map_err(|e| ClientError::Protocol(format!("response body: {e}")))?;
+    let entries = match doc.field("results") {
+        Ok(Value::Array(entries)) => entries,
+        _ => {
+            return Err(ClientError::Protocol(
+                "response lacks a `results` array".to_string(),
+            ))
+        }
+    };
+    entries
+        .iter()
+        .map(|entry| {
+            if let Ok(ok) = entry.field("ok") {
+                return AnalysisResult::deserialize(ok)
+                    .map(Ok)
+                    .map_err(|e| ClientError::Protocol(format!("result entry: {e}")));
+            }
+            match entry.field("err") {
+                Ok(Value::String(msg)) => Ok(Err(msg.clone())),
+                _ => Err(ClientError::Protocol(
+                    "result entry has neither `ok` nor `err`".to_string(),
+                )),
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]

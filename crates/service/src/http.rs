@@ -150,7 +150,8 @@ fn find_blank_line(buf: &[u8]) -> Option<usize> {
 }
 
 /// Writes a complete HTTP/1.1 response with a JSON body and closes framing
-/// (`Connection: close`). `extra_headers` are emitted verbatim.
+/// (`Connection: close`). `extra_headers` are emitted verbatim. Head and
+/// body go out in one write, so no part of the response waits on Nagle.
 pub fn write_response(
     stream: &mut TcpStream,
     status: u16,
@@ -158,19 +159,19 @@ pub fn write_response(
     extra_headers: &[(&str, &str)],
     body: &str,
 ) -> std::io::Result<()> {
-    let mut head = format!(
+    let mut message = format!(
         "HTTP/1.1 {status} {reason}\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: close\r\n",
         body.len()
     );
     for (name, value) in extra_headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
+        message.push_str(name);
+        message.push_str(": ");
+        message.push_str(value);
+        message.push_str("\r\n");
     }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    message.push_str("\r\n");
+    message.push_str(body);
+    stream.write_all(message.as_bytes())?;
     stream.flush()
 }
 

@@ -8,16 +8,23 @@
 //!
 //! * **Read deadlines** — a client must deliver its whole request within
 //!   [`ServerConfig::read_deadline`]; byte-dribbling clients are
-//!   disconnected with `408` instead of pinning a worker.
-//! * **Backpressure** — admission goes through a bounded queue
-//!   ([`queue::BoundedQueue`]); when it is full the accept loop sheds with
-//!   `503 + Retry-After` instead of queueing unboundedly, and requests that
-//!   sat queued past [`ServerConfig::queue_deadline`] are shed on dequeue
-//!   rather than computed late.
-//! * **Panic isolation** — worker compute runs under
+//!   disconnected with `408`.
+//! * **I/O apart from compute** — `accept` blocks, and each connection is
+//!   read, routed and answered on a connection thread of its own (reused
+//!   from a cache of idle ones), so silent or slow clients hold threads,
+//!   never compute. `POST /analyze` parses, computes and serializes under
+//!   one of [`ServerConfig::workers`] compute permits
+//!   ([`admission::Permits`]). No thread polls: idle threads, the
+//!   snapshot loop and drain all wait on condvars.
+//! * **Backpressure** — shedding happens at accept and is keyed on open
+//!   connections: past `workers + queue_capacity` of them, a new one is
+//!   answered `503 + Retry-After` instead of queued. An `/analyze` not
+//!   admitted to compute within [`ServerConfig::queue_deadline`] of its
+//!   accept is shed the same way rather than computed late.
+//! * **Panic isolation** — compute runs under
 //!   [`std::panic::catch_unwind`]; a panicking request answers `500` and
 //!   the engine stays consistent (computation happens outside the shard
-//!   locks, so an unwound worker cannot poison shared state).
+//!   locks, so an unwound request cannot poison shared state).
 //! * **Exactness** — every served answer goes through
 //!   [`SharedEngine::analyze_batch`] (which dedups canonically-equal
 //!   queries within a request), so responses are bitwise-identical to the
@@ -27,10 +34,13 @@
 //!   through [`projtile_core::engine::SnapshotStore`] (atomic
 //!   `snap.tmp` → fsync → rename, bounded retention), and startup restore
 //!   walks back to the newest *valid* generation.
-//! * **Observability** — `GET /metrics` surfaces cache metrics, queue
-//!   depth, shed/panic/timeout counters, and per-query-kind latency
-//!   histograms with p50/p99.
-//!
+//! * **Observability** — `GET /metrics` surfaces cache metrics, the
+//!   permit-wait depth, shed/panic/timeout counters, and latency
+//!   histograms with p50/p99 and exact sums: per query kind, per request
+//!   stage (pickup, read, admit, parse, engine, serialize, write) and per
+//!   request from accept to the last byte written. The stage sums add up
+//!   to the request sum ([`metrics`]).
+
 //! # Wire protocol
 //!
 //! One request per connection (`Connection: close`); bodies are JSON.
@@ -55,14 +65,14 @@
 // code (the `#[cfg(test)]` modules below) may unwrap freely.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+pub mod admission;
 pub mod client;
 pub mod fault;
 pub mod http;
 pub mod metrics;
-pub mod queue;
 pub mod server;
 
-pub use client::{Client, ClientError, RetryConfig};
+pub use client::{Client, ClientError, ClientTimings, RetryConfig};
 pub use fault::FaultPlan;
 pub use metrics::Metrics;
 pub use server::{Server, ServerConfig, ServerHandle};

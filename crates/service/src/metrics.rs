@@ -1,10 +1,22 @@
-//! Service observability: lock-free counters, a queue-depth gauge, and
-//! per-query-kind latency histograms, rendered as the `/metrics` JSON body.
+//! Service observability: lock-free counters, a queue-depth gauge,
+//! per-stage and per-query-kind latency histograms, rendered as the
+//! `/metrics` JSON body.
 //!
 //! Histograms use power-of-two microsecond buckets (`bucket k` holds
 //! samples in `[2^k, 2^{k+1})` µs), which spans 1 µs to ~35 minutes in 31
 //! buckets; p50/p99 are reported as the upper edge of the quantile's
-//! bucket. A request computing several query kinds through one
+//! bucket. Every histogram also keeps the exact running sum of its samples
+//! (`sum_micros`), so means and cross-histogram reconciliations do not
+//! depend on bucket edges.
+//!
+//! A request's life is cut into the [`STAGES`], each timed from the
+//! previous stage's end: a request that skips a stage (only `/analyze`
+//! waits for admission, parses a body and runs the engine) folds that
+//! time into its next recorded stage. So for every answered request the
+//! stage durations add up exactly to its `request_latency`, which runs
+//! from accept to the last response byte written.
+//!
+//! A request computing several query kinds through one
 //! [`SharedEngine::analyze_batch`](projtile_core::engine::SharedEngine)
 //! call records its compute latency under *each* kind present, so a kind's
 //! histogram reads "latency of requests involving this kind".
@@ -17,6 +29,26 @@ use serde::Value;
 /// Number of histogram buckets (powers of two of microseconds).
 pub const HISTOGRAM_BUCKETS: usize = 31;
 
+/// The stages of one request, in order; each is timed from the end of
+/// the previous one (the first from accept):
+///
+/// * `pickup` — handoff to a connection thread (an idle one, or a spawn);
+/// * `read` — the request head and body off the socket;
+/// * `admit` — the wait for a compute permit (`/analyze` only);
+/// * `parse` — the JSON body into a nest and queries (`/analyze` only);
+/// * `engine` — `SharedEngine::analyze_batch` (`/analyze` only);
+/// * `serialize` — the response body;
+/// * `write` — the response onto the socket.
+pub const STAGES: [&str; 7] = [
+    "pickup",
+    "read",
+    "admit",
+    "parse",
+    "engine",
+    "serialize",
+    "write",
+];
+
 /// The query kinds tracked by per-kind histograms, in render order.
 pub const QUERY_KINDS: [&str; 6] = [
     "lower_bound",
@@ -27,10 +59,12 @@ pub const QUERY_KINDS: [&str; 6] = [
     "slice",
 ];
 
-/// A fixed-bucket latency histogram safe for concurrent recording.
+/// A fixed-bucket latency histogram with an exact running sum, safe for
+/// concurrent recording.
 #[derive(Debug, Default)]
 pub struct Histogram {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
+    sum_nanos: AtomicU64,
 }
 
 impl Histogram {
@@ -41,11 +75,18 @@ impl Histogram {
         if let Some(b) = self.buckets.get(bucket) {
             b.fetch_add(1, Ordering::Relaxed);
         }
+        self.sum_nanos
+            .fetch_add(latency.as_nanos() as u64, Ordering::Relaxed);
     }
 
     /// Total recorded samples.
     pub fn count(&self) -> u64 {
         self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
+    }
+
+    /// Exact sum of every recorded sample.
+    pub fn sum(&self) -> Duration {
+        Duration::from_nanos(self.sum_nanos.load(Ordering::Relaxed))
     }
 
     /// The upper bucket edge (µs) at quantile `q` in `[0, 1]`, or `None`
@@ -81,21 +122,25 @@ impl Histogram {
             .map_or(Value::Null, |v| Value::Int(v as i128));
         fields.push(("p50_micros", p50));
         fields.push(("p99_micros", p99));
+        fields.push(("sum_micros", Value::Int(self.sum().as_micros() as i128)));
         obj(fields)
     }
 }
 
 /// All service counters and histograms. Shared by reference between the
-/// accept loop, workers, snapshot loop, and the `/metrics` route.
+/// accept loop, connection threads, snapshot loop, and the `/metrics` route.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    /// Connections admitted to the queue.
+    /// Connections accepted (shed ones included).
     pub accepted: AtomicU64,
-    /// Requests answered (any status).
+    /// Requests answered (any status but a shed `503`), counted just before
+    /// the response is written.
     pub completed: AtomicU64,
-    /// Connections shed because the admission queue was full.
+    /// Connections shed at accept because `workers + queue_capacity`
+    /// connections were already open.
     pub shed_queue_full: AtomicU64,
-    /// Requests shed because they waited past the queue deadline.
+    /// `/analyze` requests shed because no compute permit came free within
+    /// the queue deadline of their accept.
     pub shed_expired: AtomicU64,
     /// Worker panics caught and answered with `500`.
     pub panics: AtomicU64,
@@ -107,11 +152,14 @@ pub struct Metrics {
     pub snapshots_published: AtomicU64,
     /// Snapshot publications that failed (I/O or injected tear).
     pub snapshot_failures: AtomicU64,
-    /// Current admission-queue depth.
+    /// Gauge: `/analyze` requests currently waiting for a compute permit.
     pub queue_depth: AtomicU64,
     /// Per-query-kind compute latency, indexed like [`QUERY_KINDS`].
     pub per_kind: [Histogram; QUERY_KINDS.len()],
-    /// Whole-request latency (read to response), all routes.
+    /// Per-stage latency of answered requests, indexed like [`STAGES`].
+    pub stages: [Histogram; STAGES.len()],
+    /// Whole-request latency of answered requests, from accept to the last
+    /// response byte written; the [`Metrics::stages`] sums add up to its sum.
     pub request_latency: Histogram,
 }
 
@@ -135,6 +183,11 @@ impl Metrics {
             .zip(&self.per_kind)
             .map(|(name, h)| (name.to_string(), h.render()))
             .collect();
+        let stages = STAGES
+            .iter()
+            .zip(&self.stages)
+            .map(|(name, h)| (name.to_string(), h.render()))
+            .collect();
         obj(vec![
             ("accepted", load(&self.accepted)),
             ("completed", load(&self.completed)),
@@ -147,6 +200,7 @@ impl Metrics {
             ("snapshot_failures", load(&self.snapshot_failures)),
             ("queue_depth", load(&self.queue_depth)),
             ("request_latency", self.request_latency.render()),
+            ("stages", Value::Object(stages)),
             ("per_query_kind", Value::Object(kinds)),
             ("engine", engine),
         ])
@@ -180,6 +234,7 @@ mod tests {
         );
         let p99 = h.quantile_micros(0.99).unwrap();
         assert!(p99 >= 10_000, "p99 at or past the largest sample: {p99}");
+        assert_eq!(h.sum(), Duration::from_micros(11_110), "exact running sum");
     }
 
     #[test]
@@ -196,6 +251,10 @@ mod tests {
             "per_query_kind",
             "tightness",
             "p99_micros",
+            "sum_micros",
+            "stages",
+            "pickup",
+            "write",
         ] {
             assert!(doc.contains(field), "metrics JSON lacks {field}: {doc}");
         }

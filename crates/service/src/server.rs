@@ -1,21 +1,38 @@
-//! The server proper: accept loop, bounded admission, worker pool, panic
-//! isolation, snapshot lifecycle, and graceful drain.
+//! The server proper: blocking accept, per-connection I/O threads, compute
+//! admission, panic isolation, snapshot lifecycle, and graceful drain.
 //!
-//! Threading layout: [`Server::start`] spawns one supervisor thread which
-//! runs [`projtile_par::fan_out`] over `workers + 2` roles — role 0 is the
-//! accept loop, role 1 the snapshot loop, and the rest are request workers
-//! pulling from the shared [`BoundedQueue`]. A drain (triggered by
-//! [`ServerHandle::begin_drain`] or `POST /admin/drain`) stops the accept
-//! loop, closes the queue (workers finish what is queued, then exit),
-//! publishes a final snapshot once the last in-flight request completes,
-//! and lets `fan_out` join everything.
+//! Threading layout: [`Server::start`] spawns one supervisor thread that
+//! runs the accept loop and, inside a [`std::thread::scope`], the snapshot
+//! loop and every connection thread, so joining the supervisor joins them
+//! all.
+//!
+//! * The accept loop blocks in `accept`. It hands each connection to an
+//!   idle connection thread, or spawns one when none is idle. A connection
+//!   that would leave more than `workers + queue_capacity` open is shed
+//!   with `503` on the spot.
+//! * A connection thread reads, routes and answers its connection, then
+//!   waits for the next handoff; one idle for longer than the read
+//!   deadline exits. Reads never hold compute, so silent clients cost
+//!   threads, not workers.
+//! * `POST /analyze` parses, computes and serializes under one of
+//!   `workers` compute permits. A request not admitted within the queue
+//!   deadline of its accept answers `503` instead of computing late.
+//! * The snapshot loop sleeps on a condvar until its next publication or a
+//!   drain.
+//!
+//! A drain ([`ServerHandle::begin_drain`] or `POST /admin/drain`) flags the
+//! shared state, wakes the idle threads and the snapshot loop through their
+//! condvars and the blocking accept through a connection to itself, lets
+//! every open connection finish, and publishes a final snapshot once the
+//! last one has closed.
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::collections::VecDeque;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::{JoinHandle, Scope};
 use std::time::{Duration, Instant};
 
 use projtile_core::engine::{
@@ -24,26 +41,31 @@ use projtile_core::engine::{
 use projtile_loopnest::LoopNest;
 use serde::{json, Deserialize, Serialize, Value};
 
+use crate::admission::Permits;
 use crate::fault::FaultPlan;
 use crate::http::{read_request, write_response, ReadError, Request};
-use crate::metrics::{Metrics, QUERY_KINDS};
-use crate::queue::BoundedQueue;
+use crate::metrics::{Metrics, QUERY_KINDS, STAGES};
 
 /// Server tuning knobs. [`Default`] is suitable for tests and local runs:
-/// an ephemeral loopback port, one worker per available thread, and no
-/// snapshot persistence.
+/// an ephemeral loopback port, one compute permit per available thread,
+/// and no snapshot persistence.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address (`127.0.0.1:0` picks an ephemeral port).
     pub addr: String,
-    /// Request workers (0 means [`projtile_par::num_threads`]).
+    /// Compute permits: how many `/analyze` requests parse, compute and
+    /// serialize at once (0 means [`projtile_par::num_threads`]). Reading
+    /// and writing sockets never holds a permit.
     pub workers: usize,
-    /// Admission-queue capacity; connections beyond it are shed with `503`.
+    /// Open connections allowed beyond `workers`; a connection accepted
+    /// while `workers + queue_capacity` are open is shed with `503`.
     pub queue_capacity: usize,
     /// Wall-clock deadline for reading one full request (dribble-proof).
+    /// A connection thread idle for this long exits.
     pub read_deadline: Duration,
-    /// Maximum time a connection may sit queued before it is shed on
-    /// dequeue instead of computed late.
+    /// Longest an `/analyze` request may take from accept to compute
+    /// admission; past it the request is shed with `503` instead of
+    /// computed late.
     pub queue_deadline: Duration,
     /// Interval between background snapshot publications (`None` disables
     /// the periodic loop; a final drain snapshot still happens when
@@ -77,22 +99,209 @@ impl Default for ServerConfig {
     }
 }
 
-/// One admitted connection, stamped so stale queue entries can be shed.
-struct Job {
-    stream: TcpStream,
-    enqueued: Instant,
+/// The stages of a request, in [`STAGES`] order.
+#[derive(Debug, Clone, Copy)]
+enum Stage {
+    Pickup,
+    Read,
+    Admit,
+    Parse,
+    Engine,
+    Serialize,
+    Write,
 }
 
-/// State shared by the accept loop, workers, snapshot loop, and handle.
+/// Monotonic stage stamps of one request: each stage holds the time from
+/// the previous stamp (the first, from accept) to its own.
+struct Timeline {
+    accepted: Instant,
+    last: Instant,
+    stages: [Option<Duration>; STAGES.len()],
+}
+
+impl Timeline {
+    fn new(accepted: Instant) -> Timeline {
+        Timeline {
+            accepted,
+            last: accepted,
+            stages: [None; STAGES.len()],
+        }
+    }
+
+    /// Ends `stage` now and returns its duration.
+    fn mark(&mut self, stage: Stage) -> Duration {
+        let now = Instant::now();
+        let took = now - self.last;
+        if let Some(slot) = self.stages.get_mut(stage as usize) {
+            *slot = Some(took);
+        }
+        self.last = now;
+        took
+    }
+
+    /// Records every stamped stage, then the whole request from accept to
+    /// the last stamp; the stage durations add up to the latter exactly.
+    fn record(&self, metrics: &Metrics) {
+        for (histogram, took) in metrics.stages.iter().zip(&self.stages) {
+            if let Some(took) = took {
+                histogram.record(*took);
+            }
+        }
+        metrics.request_latency.record(self.last - self.accepted);
+    }
+}
+
+/// One accepted connection, stamped at accept.
+struct Conn {
+    stream: TcpStream,
+    timeline: Timeline,
+}
+
+/// A response waiting to be written.
+struct Reply {
+    status: u16,
+    reason: &'static str,
+    body: String,
+    /// A `503` shed: carries `Retry-After`, and is neither `completed` nor
+    /// timed.
+    shed: bool,
+}
+
+impl Reply {
+    fn ok(body: String) -> Reply {
+        Reply {
+            status: 200,
+            reason: "OK",
+            body,
+            shed: false,
+        }
+    }
+
+    fn error(status: u16, reason: &'static str, detail: &str) -> Reply {
+        let body = json::to_string(&Value::Object(vec![(
+            "error".to_string(),
+            Value::String(detail.to_string()),
+        )]));
+        Reply {
+            status,
+            reason,
+            body,
+            shed: false,
+        }
+    }
+
+    fn overloaded() -> Reply {
+        Reply {
+            status: 503,
+            reason: "Service Unavailable",
+            body: r#"{"error":"server overloaded, retry later"}"#.to_string(),
+            shed: true,
+        }
+    }
+}
+
+/// Connection bookkeeping, guarded by [`Shared::state`].
+#[derive(Default)]
+struct State {
+    draining: bool,
+    /// Accepted connections not yet closed, handed off ones included.
+    open: usize,
+    /// The wake-up condvars of the connection threads waiting for a
+    /// handoff, most recently idle last: the accept loop wakes that one,
+    /// whose caches are warmest, and the thread idle longest times out.
+    idle: Vec<Arc<Condvar>>,
+    /// Accepted connections not yet picked up by a connection thread.
+    handoff: VecDeque<Conn>,
+}
+
+/// State shared by the accept loop, connection threads, snapshot loop, and
+/// handle.
 struct Shared {
     engine: SharedEngine,
-    queue: BoundedQueue<Job>,
     metrics: Metrics,
     fault: FaultPlan,
     store: Option<SnapshotStore>,
-    draining: AtomicBool,
-    in_flight: AtomicU64,
     config: ServerConfig,
+    /// `workers + queue_capacity`: the most connections open at once.
+    max_open: usize,
+    /// Where the drain's wake-up connection goes: the listener's address,
+    /// with an unspecified IP replaced by loopback.
+    wake: SocketAddr,
+    permits: Permits,
+    state: Mutex<State>,
+    /// Signalled on drain and when the last open connection of a drain
+    /// closes.
+    changed: Condvar,
+}
+
+impl Shared {
+    fn lock_state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Flags the drain and wakes everything that waits for it. Idempotent.
+    fn begin_drain(&self) {
+        let mut state = self.lock_state();
+        let first = !state.draining;
+        state.draining = true;
+        for idle in state.idle.drain(..) {
+            idle.notify_one();
+        }
+        drop(state);
+        if first {
+            self.changed.notify_all();
+            // The accept loop is blocked in `accept`; a connection wakes it.
+            let _ = TcpStream::connect_timeout(&self.wake, Duration::from_secs(1));
+        }
+    }
+
+    /// Waits, as an idle connection thread woken through `wake`, for the
+    /// next handed-off connection. `None` once the server drains or the
+    /// thread has been idle for the read deadline with nothing queued.
+    fn next_connection(&self, wake: &Arc<Condvar>) -> Option<Conn> {
+        let idle_until = Instant::now().checked_add(self.config.read_deadline);
+        let mut state = self.lock_state();
+        let mut listed = false;
+        let conn = loop {
+            if let Some(conn) = state.handoff.pop_front() {
+                break Some(conn);
+            }
+            let now = Instant::now();
+            if state.draining || idle_until.is_some_and(|t| now >= t) {
+                break None;
+            }
+            if !listed {
+                state.idle.push(Arc::clone(wake));
+            }
+            state = match idle_until {
+                Some(t) => {
+                    wake.wait_timeout(state, t - now)
+                        .unwrap_or_else(|e| e.into_inner())
+                        .0
+                }
+                None => wake.wait(state).unwrap_or_else(|e| e.into_inner()),
+            };
+            // The accept loop and the drain take a thread off the list as
+            // they wake it.
+            listed = state.idle.iter().any(|w| Arc::ptr_eq(w, wake));
+        };
+        if listed {
+            state.idle.retain(|w| !Arc::ptr_eq(w, wake));
+        }
+        conn
+    }
+
+    /// Books a closed connection, waking the snapshot loop when it was the
+    /// last one of a drain.
+    fn close_connection(&self) {
+        let mut state = self.lock_state();
+        state.open = state.open.saturating_sub(1);
+        let drained = state.draining && state.open == 0;
+        drop(state);
+        if drained {
+            self.changed.notify_all();
+        }
+    }
 }
 
 /// Namespace for [`Server::start`].
@@ -100,7 +309,7 @@ pub struct Server;
 
 impl Server {
     /// Binds, restores the newest valid snapshot generation (when
-    /// persistence is configured), and starts the accept/worker/snapshot
+    /// persistence is configured), and starts the accept and snapshot
     /// threads. Returns once the listener is live.
     pub fn start(config: ServerConfig, fault: FaultPlan) -> std::io::Result<ServerHandle> {
         let store = match &config.snapshot_dir {
@@ -121,7 +330,6 @@ impl Server {
         }
 
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
         let workers = if config.workers == 0 {
@@ -131,24 +339,21 @@ impl Server {
         };
         let shared = Arc::new(Shared {
             engine,
-            queue: BoundedQueue::new(config.queue_capacity),
             metrics: Metrics::default(),
             fault,
             store,
-            draining: AtomicBool::new(false),
-            in_flight: AtomicU64::new(0),
+            max_open: workers.saturating_add(config.queue_capacity),
+            wake: wake_address(addr),
+            permits: Permits::new(workers),
             config,
+            state: Mutex::new(State::default()),
+            changed: Condvar::new(),
         });
 
-        let shared_for_threads = Arc::clone(&shared);
-        let join = std::thread::spawn(move || {
-            let shared = shared_for_threads;
-            projtile_par::fan_out(workers + 2, |role| match role {
-                0 => accept_loop(&shared, &listener),
-                1 => snapshot_loop(&shared),
-                _ => worker_loop(&shared),
-            });
-        });
+        let supervisor = Arc::clone(&shared);
+        let join = std::thread::Builder::new()
+            .name("projtile-accept".to_string())
+            .spawn(move || supervise(&supervisor, listener))?;
 
         Ok(ServerHandle {
             addr,
@@ -173,7 +378,7 @@ impl ServerHandle {
         self.addr
     }
 
-    /// The service metrics, shared live with the worker threads.
+    /// The service metrics, shared live with the connection threads.
     pub fn metrics(&self) -> &Metrics {
         &self.shared.metrics
     }
@@ -183,15 +388,16 @@ impl ServerHandle {
         &self.shared.engine
     }
 
-    /// Starts a graceful drain: stop accepting, finish queued and in-flight
-    /// requests, publish a final snapshot, exit all threads. Idempotent;
+    /// Starts a graceful drain: stop accepting, finish every open
+    /// connection, publish a final snapshot, exit all threads. Idempotent;
     /// returns immediately (use [`ServerHandle::join`] to wait).
     pub fn begin_drain(&self) {
-        self.shared.draining.store(true, Ordering::SeqCst);
+        self.shared.begin_drain();
     }
 
     /// Drains (if not already draining) and blocks until every server
     /// thread has exited.
+    // lint: allow(L009) the call graph dispatches every `.join()`/`.wait()` here by name (`Path::join`, `Condvar::wait`); a handle is joined by its owner, never under a lock guard
     pub fn join(mut self) {
         self.begin_drain();
         if let Some(join) = self.join.take() {
@@ -208,67 +414,146 @@ impl ServerHandle {
     }
 }
 
-/// Role 0: accept connections and admit them to the bounded queue,
-/// shedding with `503 + Retry-After` when it is full. Exits on drain and
-/// closes the queue behind itself (no further pushes can happen).
-fn accept_loop(shared: &Shared, listener: &TcpListener) {
-    while !shared.draining.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                // Accepted sockets must not inherit the listener's
-                // non-blocking mode (platform-dependent); reads are paced
-                // by per-recv timeouts instead.
-                let _ = stream.set_nonblocking(false);
-                shared.metrics.accepted.fetch_add(1, Ordering::Relaxed);
-                let job = Job {
-                    stream,
-                    enqueued: Instant::now(),
-                };
-                if let Err(mut job) = shared.queue.try_push(job) {
-                    shared
-                        .metrics
-                        .shed_queue_full
-                        .fetch_add(1, Ordering::Relaxed);
-                    respond_overloaded(&mut job.stream, shared);
-                }
-                shared
-                    .metrics
-                    .queue_depth
-                    .store(shared.queue.len() as u64, Ordering::Relaxed);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
-    }
-    shared.queue.close();
+/// The listener's address with an unspecified IP (`0.0.0.0`, `[::]`)
+/// replaced by the loopback address of its family.
+fn wake_address(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
 }
 
-/// Role 1: periodic snapshot publication, plus the final drain snapshot
-/// once the queue has emptied and the last in-flight request finished.
-fn snapshot_loop(shared: &Shared) {
-    let mut last = Instant::now();
+/// The supervisor thread: the accept loop, with the snapshot loop and the
+/// connection threads scoped under it. Returns once all have exited.
+fn supervise(shared: &Shared, listener: TcpListener) {
+    std::thread::scope(|scope| {
+        let snapshots = std::thread::Builder::new()
+            .name("projtile-snapshot".to_string())
+            .spawn_scoped(scope, || snapshot_loop(shared));
+        accept_loop(shared, listener, scope);
+        // Serves what a failed spawn left queued; returns at once otherwise.
+        connection_thread(shared);
+        if snapshots.is_err() {
+            // Without its own thread the loop still publishes the final
+            // drain snapshot.
+            snapshot_loop(shared);
+        }
+    });
+}
+
+/// Accepts until the drain, handing each connection to a connection thread
+/// and shedding with `503 + Retry-After` at the open-connection limit.
+/// Closes the listener on return.
+fn accept_loop<'scope>(
+    shared: &'scope Shared,
+    listener: TcpListener,
+    scope: &'scope Scope<'scope, '_>,
+) {
     loop {
-        if shared.draining.load(Ordering::SeqCst)
-            && shared.queue.is_closed()
-            && shared.queue.is_empty()
-            && shared.in_flight.load(Ordering::SeqCst) == 0
-        {
-            // Final snapshot: always a real publication (the tear fault
-            // models a crash mid-write, not a failed graceful drain).
-            if let Some(store) = &shared.store {
-                publish(shared, store, false);
+        let stream = match listener.accept() {
+            Ok((stream, _)) => stream,
+            Err(e) => {
+                let state = shared.lock_state();
+                if state.draining {
+                    return;
+                }
+                if !matches!(
+                    e.kind(),
+                    std::io::ErrorKind::Interrupted
+                        | std::io::ErrorKind::ConnectionAborted
+                        | std::io::ErrorKind::ConnectionReset
+                ) {
+                    // Typically descriptor exhaustion: back off, but wake
+                    // for a drain at once.
+                    drop(
+                        shared
+                            .changed
+                            .wait_timeout(state, Duration::from_millis(10))
+                            .unwrap_or_else(|e| e.into_inner()),
+                    );
+                }
+                continue;
             }
+        };
+        let conn = Conn {
+            stream,
+            timeline: Timeline::new(Instant::now()),
+        };
+        let mut state = shared.lock_state();
+        if state.draining {
             return;
         }
-        if let (Some(store), Some(interval)) = (&shared.store, shared.config.snapshot_interval) {
-            if last.elapsed() >= interval {
-                last = Instant::now();
+        shared.metrics.accepted.fetch_add(1, Ordering::Relaxed);
+        if state.open >= shared.max_open {
+            drop(state);
+            shared
+                .metrics
+                .shed_queue_full
+                .fetch_add(1, Ordering::Relaxed);
+            let mut stream = conn.stream;
+            let _ = write_reply(shared, &mut stream, &Reply::overloaded());
+            continue;
+        }
+        state.open += 1;
+        state.handoff.push_back(conn);
+        let idle = state.idle.pop();
+        drop(state);
+        if let Some(idle) = idle {
+            idle.notify_one();
+        } else {
+            // A failed spawn leaves the connection queued for the next
+            // thread to free up (or for the supervisor, after the drain).
+            let _ = std::thread::Builder::new().spawn_scoped(scope, || connection_thread(shared));
+        }
+    }
+}
+
+/// A connection thread: serves handed-off connections until it has been
+/// idle for the read deadline or the server drains.
+fn connection_thread(shared: &Shared) {
+    let wake = Arc::new(Condvar::new());
+    while let Some(conn) = shared.next_connection(&wake) {
+        serve(shared, conn);
+    }
+}
+
+/// Snapshot publication: periodic when configured, and a final one once a
+/// drain has closed the last open connection.
+fn snapshot_loop(shared: &Shared) {
+    let periodic = shared.store.as_ref().zip(shared.config.snapshot_interval);
+    let mut next = periodic.and_then(|(_, every)| Instant::now().checked_add(every));
+    let mut state = shared.lock_state();
+    while !(state.draining && state.open == 0) {
+        let now = Instant::now();
+        match (periodic, next) {
+            (Some((store, every)), Some(at)) if now >= at => {
+                drop(state);
                 publish(shared, store, shared.fault.tear_this_snapshot());
+                next = Instant::now().checked_add(every);
+                state = shared.lock_state();
+            }
+            (_, Some(at)) => {
+                state = shared
+                    .changed
+                    .wait_timeout(state, at - now)
+                    .unwrap_or_else(|e| e.into_inner())
+                    .0;
+            }
+            (_, None) => {
+                state = shared
+                    .changed
+                    .wait(state)
+                    .unwrap_or_else(|e| e.into_inner());
             }
         }
-        std::thread::sleep(Duration::from_millis(10));
+    }
+    drop(state);
+    // Final snapshot: always a real publication (the tear fault models a
+    // crash mid-write, not a failed graceful drain).
+    if let Some(store) = &shared.store {
+        publish(shared, store, false);
     }
 }
 
@@ -290,100 +575,100 @@ fn publish(shared: &Shared, store: &SnapshotStore, torn: bool) {
     counter.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Roles 2 and up: pull admitted connections and serve them. Exits when
-/// the queue is closed and drained.
-fn worker_loop(shared: &Shared) {
-    loop {
-        match shared.queue.pop(Duration::from_millis(100)) {
-            Some(job) => {
-                shared.in_flight.fetch_add(1, Ordering::SeqCst);
-                shared
-                    .metrics
-                    .queue_depth
-                    .store(shared.queue.len() as u64, Ordering::Relaxed);
-                handle(shared, job);
-                shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-            }
-            None => {
-                if shared.queue.is_closed() {
-                    return;
-                }
-            }
+/// Serves one connection end to end, then closes it. Every answered
+/// request but a shed counts as `completed` just before its response is
+/// written (so a client that has read the response sees it counted) and
+/// has its stages recorded once the write is done.
+fn serve(shared: &Shared, conn: Conn) {
+    let Conn {
+        mut stream,
+        mut timeline,
+    } = conn;
+    timeline.mark(Stage::Pickup);
+    if let Some(reply) = respond(shared, &mut stream, &mut timeline) {
+        if !reply.shed {
+            shared.metrics.completed.fetch_add(1, Ordering::Relaxed);
+        }
+        let _ = write_reply(shared, &mut stream, &reply);
+        timeline.mark(Stage::Write);
+        if !reply.shed {
+            timeline.record(&shared.metrics);
         }
     }
+    drop(stream);
+    shared.close_connection();
 }
 
-/// Serves one admitted connection end to end, mapping every failure mode
-/// to its status code (see the crate docs for the taxonomy).
-fn handle(shared: &Shared, mut job: Job) {
-    let started = Instant::now();
-    if job.enqueued.elapsed() > shared.config.queue_deadline {
-        shared.metrics.shed_expired.fetch_add(1, Ordering::Relaxed);
-        respond_overloaded(&mut job.stream, shared);
-        return;
-    }
-    let request = match read_request(&mut job.stream, shared.config.read_deadline) {
-        Ok(request) => request,
+/// Reads and routes one request, mapping every failure mode to its status
+/// code (see the crate docs for the taxonomy). `None` when the connection
+/// failed before any response was possible.
+fn respond(shared: &Shared, stream: &mut TcpStream, timeline: &mut Timeline) -> Option<Reply> {
+    let read = read_request(stream, shared.config.read_deadline);
+    timeline.mark(Stage::Read);
+    let reply = match read {
+        Ok(request) => route(shared, &request, timeline),
         Err(ReadError::Deadline) => {
             shared.metrics.read_timeouts.fetch_add(1, Ordering::Relaxed);
-            respond_error(
-                &mut job.stream,
-                408,
-                "Request Timeout",
-                "read deadline exceeded",
-            );
-            return;
+            Reply::error(408, "Request Timeout", "read deadline exceeded")
         }
         Err(ReadError::TooLarge) => {
-            respond_error(
-                &mut job.stream,
-                413,
-                "Payload Too Large",
-                "request exceeds size cap",
-            );
-            return;
+            Reply::error(413, "Payload Too Large", "request exceeds size cap")
         }
         Err(ReadError::Malformed(msg)) => {
             shared.metrics.parse_errors.fetch_add(1, Ordering::Relaxed);
-            respond_error(&mut job.stream, 400, "Bad Request", &msg);
-            return;
+            Reply::error(400, "Bad Request", &msg)
         }
-        Err(ReadError::Io(_)) => return,
+        Err(ReadError::Io(_)) => return None,
     };
-    route(shared, &mut job.stream, &request);
-    shared.metrics.completed.fetch_add(1, Ordering::Relaxed);
-    shared.metrics.request_latency.record(started.elapsed());
+    timeline.mark(Stage::Serialize);
+    Some(reply)
 }
 
-fn route(shared: &Shared, stream: &mut TcpStream, request: &Request) {
+fn write_reply(shared: &Shared, stream: &mut TcpStream, reply: &Reply) -> std::io::Result<()> {
+    let retry_after = shared.config.retry_after_secs.to_string();
+    let headers: &[(&str, &str)] = if reply.shed {
+        &[("retry-after", retry_after.as_str())]
+    } else {
+        &[]
+    };
+    write_response(stream, reply.status, reply.reason, headers, &reply.body)
+}
+
+fn route(shared: &Shared, request: &Request, timeline: &mut Timeline) -> Reply {
     match (request.method.as_str(), request.path.as_str()) {
-        ("POST", "/analyze") => analyze(shared, stream, &request.body),
-        ("GET", "/healthz") => {
-            let _ = write_response(stream, 200, "OK", &[], r#"{"status":"ok"}"#);
-        }
-        ("GET", "/metrics") => {
-            let body = json::to_string(&shared.metrics.render(engine_value(shared)));
-            let _ = write_response(stream, 200, "OK", &[], &body);
-        }
-        ("GET", "/trace") => {
-            // Drains the recorded query trace (without resetting it); an
-            // empty document with zero events when recording is disabled.
-            let body = shared.engine.trace_document().to_json();
-            let _ = write_response(stream, 200, "OK", &[], &body);
-        }
+        ("POST", "/analyze") => analyze(shared, &request.body, timeline),
+        ("GET", "/healthz") => Reply::ok(r#"{"status":"ok"}"#.to_string()),
+        // Rendered before this request counts itself as completed.
+        ("GET", "/metrics") => Reply::ok(json::to_string(
+            &shared.metrics.render(engine_value(shared)),
+        )),
+        // Drains the recorded query trace (without resetting it); an empty
+        // document with zero events when recording is disabled.
+        ("GET", "/trace") => Reply::ok(shared.engine.trace_document().to_json()),
         ("POST", "/admin/drain") => {
-            let _ = write_response(stream, 200, "OK", &[], r#"{"draining":true}"#);
-            shared.draining.store(true, Ordering::SeqCst);
+            shared.begin_drain();
+            Reply::ok(r#"{"draining":true}"#.to_string())
         }
         (_, "/analyze" | "/healthz" | "/metrics" | "/trace" | "/admin/drain") => {
-            respond_error(stream, 405, "Method Not Allowed", "wrong method for route");
+            Reply::error(405, "Method Not Allowed", "wrong method for route")
         }
-        _ => respond_error(stream, 404, "Not Found", "unknown route"),
+        _ => Reply::error(404, "Not Found", "unknown route"),
     }
 }
 
-/// `POST /analyze`: parse, validate, compute under `catch_unwind`, answer.
-fn analyze(shared: &Shared, stream: &mut TcpStream, body: &[u8]) {
+/// `POST /analyze`: admit, parse, validate, compute under `catch_unwind`,
+/// serialize. The compute permit is held from admission to the return.
+fn analyze(shared: &Shared, body: &[u8], timeline: &mut Timeline) -> Reply {
+    let deadline = timeline.accepted.checked_add(shared.config.queue_deadline);
+    let Some(_permit) = shared
+        .permits
+        .acquire(deadline, &shared.metrics.queue_depth)
+    else {
+        shared.metrics.shed_expired.fetch_add(1, Ordering::Relaxed);
+        return Reply::overloaded();
+    };
+    timeline.mark(Stage::Admit);
+
     let parsed = std::str::from_utf8(body)
         .map_err(|_| serde::Error::custom("body is not UTF-8"))
         .and_then(json::parse)
@@ -396,12 +681,11 @@ fn analyze(shared: &Shared, stream: &mut TcpStream, body: &[u8]) {
         Ok(pair) => pair,
         Err(e) => {
             shared.metrics.parse_errors.fetch_add(1, Ordering::Relaxed);
-            respond_error(stream, 400, "Bad Request", &e.to_string());
-            return;
+            return Reply::error(400, "Bad Request", &e.to_string());
         }
     };
+    timeline.mark(Stage::Parse);
 
-    let compute_start = Instant::now();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         shared.fault.before_compute();
         shared.engine.analyze_batch(&nest, &queries)
@@ -410,18 +694,17 @@ fn analyze(shared: &Shared, stream: &mut TcpStream, body: &[u8]) {
         Ok(results) => results,
         Err(_) => {
             shared.metrics.panics.fetch_add(1, Ordering::Relaxed);
-            respond_error(
-                stream,
+            return Reply::error(
                 500,
                 "Internal Server Error",
                 "worker panicked during analysis; engine state is unaffected",
             );
-            return;
         }
     };
+    let computed = timeline.mark(Stage::Engine);
     shared
         .metrics
-        .record_kinds(&kind_indices(&queries), compute_start.elapsed());
+        .record_kinds(&kind_indices(&queries), computed);
 
     let entries: Vec<Value> = results
         .iter()
@@ -433,11 +716,10 @@ fn analyze(shared: &Shared, stream: &mut TcpStream, body: &[u8]) {
             Value::Object(vec![(tag.to_string(), payload)])
         })
         .collect();
-    let body = json::to_string(&Value::Object(vec![(
+    Reply::ok(json::to_string(&Value::Object(vec![(
         "results".to_string(),
         Value::Array(entries),
-    )]));
-    let _ = write_response(stream, 200, "OK", &[], &body);
+    )])))
 }
 
 /// Maps each query to its [`QUERY_KINDS`] histogram index, deduplicated.
@@ -493,21 +775,38 @@ fn engine_value(shared: &Shared) -> Value {
     ])
 }
 
-fn respond_overloaded(stream: &mut TcpStream, shared: &Shared) {
-    let retry_after = shared.config.retry_after_secs.to_string();
-    let _ = write_response(
-        stream,
-        503,
-        "Service Unavailable",
-        &[("retry-after", retry_after.as_str())],
-        r#"{"error":"server overloaded, retry later"}"#,
-    );
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-fn respond_error(stream: &mut TcpStream, status: u16, reason: &str, detail: &str) {
-    let body = json::to_string(&Value::Object(vec![(
-        "error".to_string(),
-        Value::String(detail.to_string()),
-    )]));
-    let _ = write_response(stream, status, reason, &[], &body);
+    #[test]
+    fn stage_order_matches_the_metrics_names() {
+        let order = [
+            (Stage::Pickup, "pickup"),
+            (Stage::Read, "read"),
+            (Stage::Admit, "admit"),
+            (Stage::Parse, "parse"),
+            (Stage::Engine, "engine"),
+            (Stage::Serialize, "serialize"),
+            (Stage::Write, "write"),
+        ];
+        assert_eq!(order.len(), STAGES.len());
+        for (stage, name) in order {
+            assert_eq!(STAGES[stage as usize], name);
+        }
+    }
+
+    #[test]
+    fn wake_address_replaces_unspecified_ips_with_loopback() {
+        let cases = [
+            ("0.0.0.0:7070", "127.0.0.1:7070"),
+            ("[::]:7070", "[::1]:7070"),
+            ("10.1.2.3:7070", "10.1.2.3:7070"),
+            ("127.0.0.1:7070", "127.0.0.1:7070"),
+        ];
+        for (bound, wake) in cases {
+            let bound: SocketAddr = bound.parse().unwrap();
+            assert_eq!(wake_address(bound), wake.parse().unwrap());
+        }
+    }
 }

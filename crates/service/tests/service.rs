@@ -1,12 +1,14 @@
 //! End-to-end tests for the hardened service: exactness against cold
 //! oracles, the full error taxonomy, shedding under overload, panic
-//! isolation, the crash-safe snapshot lifecycle (with injected faults),
-//! and graceful drain. Every server binds `127.0.0.1:0` in-process.
+//! isolation, silent clients, the crash-safe snapshot lifecycle (with
+//! injected faults), graceful drain, and the `/metrics` reconciliations.
+//! Every server binds port 0 in-process.
 
 use std::io::Write;
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::{Duration, Instant};
 
 use projtile_core::engine::{Engine, Query, SharedEngine, SnapshotStore};
 use projtile_loopnest::builders;
@@ -500,5 +502,200 @@ fn trace_endpoint_serves_a_replayable_document() {
     }
     assert_eq!(hits as u64, doc.hits);
     assert_eq!(misses as u64, doc.misses);
+    handle.join();
+}
+
+/// Reads and writes happen on connection threads, not on the compute
+/// workers: silent clients holding several connections per worker must not
+/// delay anyone else's request.
+#[test]
+fn silent_connections_do_not_delay_other_requests() {
+    let workers = 2;
+    let handle = start(|c| c.workers = workers, FaultPlan::default());
+    let client = Client::new(handle.addr().to_string());
+    let nest = builders::matmul(32, 32, 32);
+    let queries = [Query::Tightness { cache_size: 256 }];
+    client.analyze(&nest, &queries).expect("warm-up");
+
+    // Connected, and never a byte sent: each holds its read for the whole
+    // read deadline. The server accepts them before the requests below,
+    // in connect order.
+    let silent: Vec<TcpStream> = (0..4 * workers)
+        .map(|_| TcpStream::connect(handle.addr()).expect("connect"))
+        .collect();
+
+    let started = Instant::now();
+    client.healthz().expect("healthz");
+    let healthz = started.elapsed();
+    let started = Instant::now();
+    let served = client.analyze(&nest, &queries).expect("warm analyze");
+    let analyze = started.elapsed();
+    assert!(served[0].is_ok());
+    assert!(
+        healthz < Duration::from_millis(50),
+        "/healthz took {healthz:?} beside {} silent connections",
+        silent.len()
+    );
+    assert!(
+        analyze < Duration::from_millis(50),
+        "warm /analyze took {analyze:?} beside {} silent connections",
+        silent.len()
+    );
+    drop(silent);
+    handle.join();
+}
+
+/// `completed` ticks before a response's last byte is written, so a
+/// `/metrics` sent right after a reply was read always counts that reply,
+/// even while a CPU hog competes with the server's threads.
+#[test]
+fn completed_counts_every_reply_the_client_has_read() {
+    let handle = start(|_| {}, FaultPlan::default());
+    let client = Client::new(handle.addr().to_string());
+    let nest = builders::matmul(16, 16, 16);
+    let queries = [Query::LowerBound { cache_size: 64 }];
+    client.analyze(&nest, &queries).expect("warm-up");
+
+    // The rounds run on their own thread so that a failure there cannot
+    // leave the spinner running (and the scope waiting on it) forever.
+    let stop = AtomicBool::new(false);
+    let rounds = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let mut x = 0u64;
+            while !stop.load(Ordering::Relaxed) {
+                x = std::hint::black_box(x.wrapping_mul(6364136223846793005).wrapping_add(1));
+            }
+        });
+        let rounds = scope.spawn(|| {
+            // The first GET renders before it counts itself.
+            let base = metric(&client.metrics().expect("metrics"), "completed");
+            let mut lagging = Vec::new();
+            for round in 0..2000i128 {
+                client.analyze(&nest, &queries).expect("analyze");
+                let completed = metric(&client.metrics().expect("metrics"), "completed");
+                if completed != base + 2 * round + 2 {
+                    lagging.push((round, completed - base - 2 * round - 2));
+                }
+            }
+            lagging
+        });
+        let rounds = rounds.join();
+        stop.store(true, Ordering::Relaxed);
+        rounds
+    });
+    let lagging = rounds.unwrap_or_else(|e| std::panic::resume_unwind(e));
+    assert!(
+        lagging.is_empty(),
+        "(round, completed - expected) for replies the client had read: {lagging:?}"
+    );
+    handle.join();
+}
+
+/// A drain wakes the blocking accept (through loopback when bound to the
+/// unspecified address), the idle connection threads and the snapshot loop
+/// at once, whether it comes over HTTP or from the handle.
+#[test]
+fn drain_wakes_every_thread_when_bound_to_the_unspecified_address() {
+    for via_http in [true, false] {
+        let tmp = TempDir::new(if via_http { "wake-http" } else { "wake-join" });
+        let handle = start(
+            |c| {
+                c.addr = "0.0.0.0:0".to_string();
+                c.snapshot_dir = Some(tmp.0.clone());
+                // Far beyond the 1 s budget below: only a wake-up can end
+                // these waits in time.
+                c.snapshot_interval = Some(Duration::from_secs(3600));
+                c.read_deadline = Duration::from_secs(30);
+            },
+            FaultPlan::default(),
+        );
+        let local = SocketAddr::from(([127, 0, 0, 1], handle.addr().port()));
+        let client = Client::new(local.to_string());
+        // Leaves idle connection threads behind.
+        client.healthz().expect("healthz");
+        client.healthz().expect("healthz");
+
+        let started = Instant::now();
+        if via_http {
+            client.drain().expect("drain acknowledged");
+            handle.wait();
+        } else {
+            handle.join();
+        }
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_secs(1),
+            "drain (via_http = {via_http}) took {took:?}"
+        );
+        assert!(TcpStream::connect(local).is_err(), "port is closed");
+        let store = SnapshotStore::open(&tmp.0, 3).expect("open");
+        assert_eq!(
+            store.generations().expect("list").len(),
+            1,
+            "exactly the final drain snapshot"
+        );
+    }
+}
+
+/// Every answered request records each stage it went through and its whole
+/// latency from accept; the stage sums add up to the latency sum.
+#[test]
+fn stage_histograms_add_up_to_request_latency() {
+    use projtile_service::metrics::STAGES;
+
+    let handle = start(|_| {}, FaultPlan::default());
+    let client = Client::new(handle.addr().to_string());
+    let nest = builders::matmul(32, 32, 32);
+    let mut answered = 0u64;
+    for m in [64u64, 128, 64, 128] {
+        let served = client
+            .analyze(&nest, &[Query::Tightness { cache_size: m }])
+            .expect("analyze");
+        assert!(served[0].is_ok());
+        answered += 1;
+    }
+    client.healthz().expect("healthz");
+    assert_eq!(raw(&handle, &post("/nope", "{}")).status, 404);
+    assert_eq!(raw(&handle, &post("/analyze", "{not json")).status, 400);
+    answered += 3;
+
+    // A request's stages are recorded just after its last byte is written,
+    // so wait for the last one to land.
+    let metrics = handle.metrics();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while metrics.request_latency.count() < answered && Instant::now() < deadline {
+        std::thread::yield_now();
+    }
+    let doc = client.metrics().expect("metrics");
+    let latency = doc.field("request_latency").expect("request_latency");
+    assert_eq!(metric(latency, "count") as u64, answered);
+    let stages = doc.field("stages").expect("stages");
+    let mut stage_sum = 0i128;
+    for name in STAGES {
+        let stage = stages.field(name).expect("every stage exported");
+        let count = metric(stage, "count") as u64;
+        let expected = match name {
+            // Only the four analyze requests that reached their body.
+            "parse" | "engine" => 4,
+            // Every `/analyze`, the malformed one included.
+            "admit" => 5,
+            _ => answered,
+        };
+        assert_eq!(count, expected, "stage {name} count");
+        stage_sum += metric(stage, "sum_micros");
+    }
+    let total = metric(latency, "sum_micros");
+    let tolerance = (STAGES.len() as u64 * answered) as i128;
+    assert!(
+        (total - stage_sum).abs() <= tolerance,
+        "stages sum to {stage_sum} µs, requests to {total} µs"
+    );
+    // The exact sums agree to the nanosecond, once the GET above has been
+    // recorded too.
+    while metrics.request_latency.count() < answered + 1 && Instant::now() < deadline {
+        std::thread::yield_now();
+    }
+    let exact: Duration = metrics.stages.iter().map(|h| h.sum()).sum();
+    assert_eq!(exact, metrics.request_latency.sum());
     handle.join();
 }

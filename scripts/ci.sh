@@ -83,6 +83,17 @@ if [ "$bench_smoke" = 1 ]; then
     grep -q "engine/evicted_rewarm" "$smoke_out"
     grep -q "engine/snapshot_restore" "$smoke_out"
     grep -q "service/roundtrip" "$smoke_out"
+    # The round trip split by layer: client, the server's stages, transport.
+    grep -q "service/stage/client_encode" "$smoke_out"
+    grep -q "service/stage/pickup" "$smoke_out"
+    grep -q "service/stage/read" "$smoke_out"
+    grep -q "service/stage/admit" "$smoke_out"
+    grep -q "service/stage/parse" "$smoke_out"
+    grep -q "service/stage/engine" "$smoke_out"
+    grep -q "service/stage/serialize" "$smoke_out"
+    grep -q "service/stage/write" "$smoke_out"
+    grep -q "service/stage/transport" "$smoke_out"
+    grep -q "service/stage/client_decode" "$smoke_out"
     grep -q "service/mixed_4threads/secs_per_request" "$smoke_out"
     grep -q "service/mixed_4threads/p99" "$smoke_out"
     grep -q "service/mixed_traffic/secs_per_request" "$smoke_out"

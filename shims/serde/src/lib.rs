@@ -609,18 +609,19 @@ pub mod json {
                     *pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = std::str::from_utf8(bytes.get(*pos..).unwrap_or_default())
+                    // Copy the whole run up to the next `"` or `\` at once.
+                    // Both delimiters are ASCII, so the run ends on a char
+                    // boundary of the (valid UTF-8) input and validating it
+                    // costs only its own length.
+                    let rest = bytes.get(*pos..).unwrap_or_default();
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(rest.get(..len).unwrap_or_default())
                         .map_err(|_| Error::custom(format!("invalid UTF-8 at byte {}", *pos)))?;
-                    let Some(c) = rest.chars().next() else {
-                        return Err(Error::custom(format!(
-                            "unterminated string at byte {}",
-                            *pos
-                        )));
-                    };
-                    out.push(c);
-                    *pos += c.len_utf8();
+                    out.push_str(run);
+                    *pos += len;
                 }
             }
         }
@@ -785,6 +786,58 @@ mod tests {
         }
         let text = json::to_string(&v);
         assert_eq!(json::parse(&text).unwrap(), v);
+    }
+
+    #[test]
+    fn strings_with_multi_byte_runs_parse() {
+        for text in ["é", "aé😀b", "日本語", "😀😀", "x\u{7ff}\u{800}\u{ffff}y"] {
+            let printed = json::to_string(&text.to_string());
+            assert_eq!(json::from_str::<String>(&printed).unwrap(), text);
+        }
+        // Escapes directly before, between and after multi-byte characters.
+        assert_eq!(
+            json::from_str::<String>(r#""é\"日\\😀\n""#).unwrap(),
+            "é\"日\\😀\n"
+        );
+        assert_eq!(json::from_str::<String>(r#""éé😀😀""#).unwrap(), "éé😀😀");
+        assert_eq!(
+            json::parse(r#"{"clé": ["ü", "\tß"]}"#).unwrap(),
+            Value::Object(vec![(
+                "clé".to_string(),
+                Value::Array(vec![Value::String("ü".into()), Value::String("\tß".into())])
+            )])
+        );
+    }
+
+    #[test]
+    fn unterminated_string_after_multi_byte_text_errors() {
+        let err = json::parse("\"日本😀").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "serde: unterminated string starting at byte 0"
+        );
+        let err = json::parse("[1, \"é\\\"ü").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "serde: unterminated string starting at byte 4"
+        );
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // Regression: each character used to re-validate the rest of the
+        // document, which made one 256 KiB string take seconds.
+        let text = format!("{}{}", "aé😀".repeat(22_000), "b\\\"".repeat(22_000));
+        let printed = json::to_string(&text);
+        assert!(printed.len() >= 256 * 1024, "{} bytes", printed.len());
+        let started = std::time::Instant::now();
+        let back: String = json::from_str(&printed).unwrap();
+        let took = started.elapsed();
+        assert_eq!(back, text);
+        assert!(
+            took < std::time::Duration::from_secs(1),
+            "a 256 KiB string took {took:?}"
+        );
     }
 
     #[test]
