@@ -7,86 +7,106 @@
 //! cargo run --release -p projtile-bench --bin report            # all experiments
 //! cargo run --release -p projtile-bench --bin report -- e2 e8   # a subset
 //!
-//! # Perf snapshot mode: wall-time the lower_bound / matmul bench inputs and
-//! # write a BENCH_*.json document (see projtile_arith docs for the protocol).
+//! # Perf snapshot mode: time every workload of `projtile_bench::perf` and the
+//! # in-process service group, and write a BENCH_*.json document (protocol:
+//! # docs/benchmarking.md).
 //! cargo run --release -p projtile-bench --bin report -- --bench \
-//!     --label after --out BENCH_1.json [--baseline prev_current.json]
+//!     --label after --out BENCH_9.json [--baseline BENCH_8.json] \
+//!     [--budget-ms 500]
 //! ```
+//!
+//! A bad argument, an unreadable or malformed baseline and an unwritable
+//! `--out` each print one message and exit 2, before any snapshot is
+//! written.
 
 use std::time::Duration;
 
-use projtile_bench::{all_experiments, perf, service_perf};
+use projtile_bench::perf::{self, Measurement};
+use projtile_bench::{all_experiments, service_perf};
 
-fn run_bench_mode(args: &[String]) {
-    let mut label = "snapshot".to_string();
-    let mut out: Option<String> = None;
-    let mut baseline_path: Option<String> = None;
-    let mut budget_ms: u64 = 500;
+const USAGE: &str = "usage: report [e1 .. e9]
+       report --bench [--label L] [--out FILE] [--baseline FILE] [--budget-ms N]";
+
+/// A parsed `report --bench` command line.
+#[derive(Debug, PartialEq)]
+struct BenchArgs {
+    label: String,
+    out: Option<String>,
+    baseline: Option<String>,
+    budget_ms: u64,
+}
+
+fn parse_bench_args(args: &[String]) -> Result<BenchArgs, String> {
+    let mut parsed = BenchArgs {
+        label: "snapshot".to_string(),
+        out: None,
+        baseline: None,
+        budget_ms: 500,
+    };
     let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
+    while let Some(flag) = it.next() {
+        let mut value = || {
+            it.next()
+                .cloned()
+                .ok_or_else(|| format!("{flag} needs a value"))
+        };
+        match flag.as_str() {
             "--bench" => {}
-            "--label" => label = it.next().expect("--label needs a value").clone(),
-            "--out" => out = Some(it.next().expect("--out needs a value").clone()),
-            "--baseline" => {
-                baseline_path = Some(it.next().expect("--baseline needs a value").clone())
-            }
+            "--label" => parsed.label = value()?,
+            "--out" => parsed.out = Some(value()?),
+            "--baseline" => parsed.baseline = Some(value()?),
             "--budget-ms" => {
-                budget_ms = it
-                    .next()
-                    .expect("--budget-ms needs a value")
+                let text = value()?;
+                parsed.budget_ms = text
                     .parse()
-                    .expect("--budget-ms must be an integer")
+                    .map_err(|_| format!("--budget-ms expects whole milliseconds, got {text:?}"))?;
             }
-            other => {
-                eprintln!("unknown --bench option: {other}");
-                std::process::exit(1);
-            }
+            other => return Err(format!("unknown --bench option {other:?}")),
         }
     }
+    Ok(parsed)
+}
 
-    // The baseline file may be a full snapshot document or a bare
-    // measurements object; embed the `current` object when present.
-    let baseline = baseline_path.map(|p| {
-        let text =
-            std::fs::read_to_string(&p).unwrap_or_else(|e| panic!("cannot read baseline {p}: {e}"));
-        match text.find("\"current\":") {
-            Some(pos) => {
-                let obj = &text[pos + "\"current\":".len()..];
-                let end = obj.rfind('}').expect("baseline JSON has no closing brace");
-                obj[..end].trim().to_string()
-            }
-            None => text.trim().to_string(),
-        }
-    });
+fn load_baseline(path: &str) -> Result<Vec<Measurement>, String> {
+    let text =
+        std::fs::read_to_string(path).map_err(|e| format!("cannot read baseline {path}: {e}"))?;
+    perf::parse_baseline(&text).map_err(|e| format!("baseline {path} is not a snapshot: {e}"))
+}
 
+/// Runs `report --bench`; an error is the one message to print before
+/// exiting 2.
+fn run_bench_mode(args: &[String]) -> Result<(), String> {
+    let args = parse_bench_args(args).map_err(|e| format!("{e}\n{USAGE}"))?;
+    let baseline = args.baseline.as_deref().map(load_baseline).transpose()?;
+
+    let workloads = perf::default_workloads();
+    let budget = Duration::from_millis(args.budget_ms);
     eprintln!(
-        "timing {} workloads ({budget_ms} ms budget each)...",
-        perf::default_workloads().len()
+        "timing {} workloads ({} ms budget each)...",
+        workloads.len(),
+        args.budget_ms
     );
-    let mut measurements = perf::measure_all(
-        &perf::default_workloads(),
-        Duration::from_millis(budget_ms),
-        5,
-    );
+    let mut measurements = perf::measure_all(&workloads, budget, 5);
     eprintln!("timing the service group (in-process server over loopback)...");
-    measurements.extend(service_perf::service_measurements(Duration::from_millis(
-        budget_ms,
-    )));
-    let doc = perf::snapshot_json(&label, &measurements, baseline.as_deref());
-    match out {
+    measurements.extend(service_perf::service_measurements(budget));
+    let doc = perf::snapshot_json(&args.label, &measurements, baseline.as_deref());
+    match args.out {
         Some(path) => {
-            std::fs::write(&path, &doc).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+            std::fs::write(&path, &doc).map_err(|e| format!("cannot write {path}: {e}"))?;
             eprintln!("wrote {path}");
         }
         None => println!("{doc}"),
     }
+    Ok(())
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--bench") {
-        run_bench_mode(&args);
+        if let Err(message) = run_bench_mode(&args) {
+            eprintln!("report: {message}");
+            std::process::exit(2);
+        }
         return;
     }
 
@@ -112,5 +132,62 @@ fn main() {
     println!();
     for table in selected {
         println!("{}", table.render());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<BenchArgs, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_bench_args(&args)
+    }
+
+    #[test]
+    fn bench_arguments_parse_or_name_the_bad_one() {
+        let line = "--bench --label l --out o --baseline b --budget-ms 25";
+        let expected = BenchArgs {
+            label: "l".to_string(),
+            out: Some("o".to_string()),
+            baseline: Some("b".to_string()),
+            budget_ms: 25,
+        };
+        assert_eq!(parse(line), Ok(expected));
+        let defaults = parse("--bench").expect("no flags parse");
+        assert_eq!(defaults.budget_ms, 500);
+        for flag in ["--label", "--out", "--baseline", "--budget-ms"] {
+            let missing = parse(&format!("--bench {flag}"));
+            assert_eq!(missing, Err(format!("{flag} needs a value")));
+        }
+        for bad in ["abc", "-1", "2.5"] {
+            let err = parse(&format!("--bench --budget-ms {bad}")).unwrap_err();
+            assert!(err.starts_with("--budget-ms expects"), "{err}");
+        }
+        let unknown = parse("--bench --nope").unwrap_err();
+        assert_eq!(unknown, "unknown --bench option \"--nope\"");
+    }
+
+    #[test]
+    fn committed_snapshots_load_and_truncated_or_missing_ones_fail() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let load = |path: &std::path::Path| load_baseline(path.to_str().expect("utf-8 path"));
+        for entry in std::fs::read_dir(&root).expect("repository root lists") {
+            let path = entry.expect("directory entry").path();
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            if name.starts_with("BENCH_") && name.ends_with(".json") {
+                assert!(!load(&path).expect(name).is_empty(), "{name} has rows");
+            }
+        }
+
+        let text = std::fs::read_to_string(root.join("BENCH_8.json")).expect("BENCH_8 reads");
+        let truncated = text.trim_end().strip_suffix('}').expect("ends in `}`");
+        let path = std::env::temp_dir().join(format!("report-truncated-{}", std::process::id()));
+        std::fs::write(&path, truncated).expect("temp file writes");
+        let err = load(&path).unwrap_err();
+        std::fs::remove_file(&path).expect("temp file removes");
+        assert!(err.contains("is not a snapshot"), "{err}");
+        let err = load(&path).unwrap_err();
+        assert!(err.starts_with("cannot read baseline"), "{err}");
     }
 }

@@ -1,11 +1,12 @@
-//! Experiment definitions shared by the Criterion benchmarks and the `report`
-//! binary.
+//! Experiment tables and perf snapshots for the `report` binary.
 //!
 //! The paper's evaluation is its Examples section (§6) plus the analytic
 //! claims of §3–§5 and §7; DESIGN.md maps those onto experiments E1–E9. Each
 //! function here regenerates the rows of one experiment as plain data, so the
-//! `report` binary can print them (and EXPERIMENTS.md can record them), and
-//! the benchmarks can time the underlying computations on the same inputs.
+//! `report` binary can print them (and EXPERIMENTS.md can record them). The
+//! [`perf`] and [`service_perf`] modules are the one timing harness: they
+//! time the underlying computations and the network service for the
+//! `BENCH_*.json` snapshots of `report --bench`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

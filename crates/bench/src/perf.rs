@@ -1,11 +1,13 @@
 //! Wall-clock perf snapshots for the `report --bench` mode.
 //!
-//! This module mirrors the simplex-heavy inputs of the `lower_bound` and
-//! `matmul` Criterion benches and times them with a plain
-//! warm-up + batched-samples loop, emitting a machine-readable JSON snapshot
-//! (`BENCH_*.json`) so successive PRs have a perf trajectory to compare
-//! against. See the module docs of `projtile_arith` for the full benchmark
-//! protocol.
+//! This module and [`crate::service_perf`] are the repository's one timing
+//! harness. [`default_workloads`] names every closure workload: the
+//! Theorem-2 bound LP and the `2^d` subset enumeration, the §7 parametric
+//! sweeps and surfaces, the engine's session paths and the full matmul
+//! pipeline. [`measure_all`] times each one with a plain warm-up +
+//! batched-samples loop, and [`snapshot_json`] renders the machine-readable
+//! `BENCH_*.json` snapshot successive PRs compare against. The protocol is
+//! in `docs/benchmarking.md`.
 
 use std::cell::RefCell;
 use std::time::{Duration, Instant};
@@ -15,31 +17,16 @@ use projtile_core::{
     bounds, check_tightness, communication_lower_bound, hbl, optimal_tiling, parametric,
 };
 use projtile_loopnest::{builders, LoopNest};
+use serde::{json, Deserialize, Value};
 
 /// Cache size for the bound-LP / subset-enumeration workloads (E6).
-pub const BOUND_M: u64 = 1 << 6;
+const BOUND_M: u64 = 1 << 6;
 
 /// Cache size for the tightness workloads (E7).
-pub const TIGHTNESS_M: u64 = 1 << 8;
-
-/// Loop-bound edge length of the large matmul workload (E1).
-pub const MATMUL_L: u64 = 1 << 9;
+const TIGHTNESS_M: u64 = 1 << 8;
 
 /// `log2(M)` sweep of the matmul workloads (E1).
-pub const MATMUL_LOG_MS: [u32; 3] = [8, 12, 16];
-
-/// The depth-swept random nests of the `lower_bound` bench, as `(d, nest)`.
-///
-/// These constructors are the **single source of truth** for the bench
-/// inputs: `benches/lower_bound.rs` / `benches/matmul.rs` and the
-/// `BENCH_*.json` snapshot both call them, so the Criterion view and the
-/// perf trajectory can never time different workloads under the same name.
-pub fn bound_vs_enumeration_nests() -> Vec<(usize, LoopNest)> {
-    [3usize, 5, 7, 9, 11]
-        .into_iter()
-        .map(|d| (d, builders::random_projective(42, d, 4, (1, 256))))
-        .collect()
-}
+const MATMUL_LOG_MS: [u32; 3] = [8, 12, 16];
 
 /// The parametric β-sweeps of the §7 analysis, as
 /// `(name, nest, axis, m, hi_bound)`: the exponent-vs-β value function of
@@ -52,7 +39,7 @@ pub fn bound_vs_enumeration_nests() -> Vec<(usize, LoopNest)> {
 /// the swept axes are ones whose value function actually has a breakpoint
 /// (most axes of the random nests are flat — a sweep with nothing to find
 /// ends after a handful of probes and times only fixed overhead).
-pub fn parametric_sweep_cases() -> Vec<(String, LoopNest, usize, u64, u64)> {
+fn parametric_sweep_cases() -> Vec<(String, LoopNest, usize, u64, u64)> {
     let mut cases = vec![(
         "matmul".to_string(),
         builders::matmul(1 << 9, 1 << 9, 1 << 9),
@@ -80,7 +67,7 @@ pub fn parametric_sweep_cases() -> Vec<(String, LoopNest, usize, u64, u64)> {
 /// hop re-enters the warm dual simplex, and the matching `_cold` workloads
 /// rebuild the tableau from scratch at every probe, so a snapshot shows the
 /// warm-start speedup of the multi-axis analysis directly.
-pub fn surface_cases() -> Vec<(String, LoopNest, Vec<usize>, u64, u64)> {
+fn surface_cases() -> Vec<(String, LoopNest, Vec<usize>, u64, u64)> {
     vec![
         (
             "matmul3".to_string(),
@@ -99,17 +86,14 @@ pub fn surface_cases() -> Vec<(String, LoopNest, Vec<usize>, u64, u64)> {
     ]
 }
 
-/// The seed-swept random nests of the tightness bench, as `(seed, nest)`.
-pub fn tightness_nests() -> Vec<(u64, LoopNest)> {
-    [0u64, 1, 2]
-        .into_iter()
-        .map(|seed| (seed, builders::random_projective(seed, 5, 4, (1, 512))))
-        .collect()
+/// The random nest of the tightness workloads with seed `seed`.
+fn tightness_input(seed: u64) -> LoopNest {
+    builders::random_projective(seed, 5, 4, (1, 512))
 }
 
-/// The large matmul nest of the `matmul` bench.
-pub fn matmul_nest() -> LoopNest {
-    builders::matmul(MATMUL_L, MATMUL_L, MATMUL_L)
+/// The large matmul nest of the `matmul/*` workloads (E1).
+fn matmul_nest() -> LoopNest {
+    builders::matmul(1 << 9, 1 << 9, 1 << 9)
 }
 
 /// One named, timed workload.
@@ -131,14 +115,16 @@ pub struct Measurement {
     pub iters: u64,
 }
 
-/// The workload set snapshotted into `BENCH_*.json`: the bound LP and subset
-/// enumeration of the `lower_bound` bench plus the full matmul pipeline of
-/// the `matmul` bench. All of these bottom out in the exact simplex solver.
+/// The closure workload set snapshotted into `BENCH_*.json`: the bound LP
+/// and subset enumeration, the §7 sweeps and surfaces, the engine session
+/// paths and the full matmul pipeline. All of these bottom out in the exact
+/// simplex solver.
 pub fn default_workloads() -> Vec<Workload> {
     let mut workloads: Vec<Workload> = Vec::new();
 
-    // lower_bound bench inputs (E6/E7).
-    for (d, nest) in bound_vs_enumeration_nests() {
+    // Theorem-2 bound LP and subset enumeration (E6/E7).
+    for d in [3usize, 5, 7, 9, 11] {
+        let nest = builders::random_projective(42, d, 4, (1, 256));
         let n = nest.clone();
         workloads.push(Workload {
             name: format!("lower_bound/bound_lp/d{d}"),
@@ -214,7 +200,8 @@ pub fn default_workloads() -> Vec<Workload> {
             }),
         });
     }
-    for (seed, nest) in tightness_nests() {
+    for seed in [0u64, 1, 2] {
+        let nest = tightness_input(seed);
         workloads.push(Workload {
             name: format!("lower_bound/check_tightness/seed{seed}"),
             run: Box::new(move || {
@@ -229,7 +216,7 @@ pub fn default_workloads() -> Vec<Workload> {
     // use the same input as `lower_bound/check_tightness/seed0`, so one
     // snapshot shows the free-function cost, the engine's cold overhead, and
     // the amortized repeated-query cost side by side.
-    let (_, tightness_nest) = tightness_nests().remove(0);
+    let tightness_nest = tightness_input(0);
     let tightness_query = Query::Tightness {
         cache_size: TIGHTNESS_M,
     };
@@ -374,7 +361,7 @@ pub fn default_workloads() -> Vec<Workload> {
         }),
     });
 
-    // matmul bench inputs (E1).
+    // The full matmul pipeline (E1).
     let nest = matmul_nest();
     let n = nest.clone();
     workloads.push(Workload {
@@ -449,46 +436,74 @@ pub fn measure_all(workloads: &[Workload], budget: Duration, samples: usize) -> 
         .collect()
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// Renders measurements as a JSON object `{name: {secs_per_iter, iters}}`.
-pub fn measurements_json(measurements: &[Measurement], indent: &str) -> String {
+/// Renders measurements as a snapshot's JSON object
+/// `{name: {secs_per_iter, iters}}`, one row per line, with `secs_per_iter`
+/// to 10 significant digits.
+fn measurements_json(measurements: &[Measurement]) -> String {
     let mut out = String::from("{\n");
     for (i, m) in measurements.iter().enumerate() {
         out.push_str(&format!(
-            "{indent}  \"{}\": {{\"secs_per_iter\": {:.9e}, \"iters\": {}}}{}\n",
-            json_escape(&m.name),
+            "    {}: {{\"secs_per_iter\": {:.9e}, \"iters\": {}}}{}\n",
+            json::to_string(&m.name),
             m.secs_per_iter,
             m.iters,
             if i + 1 < measurements.len() { "," } else { "" },
         ));
     }
-    out.push_str(&format!("{indent}}}"));
+    out.push_str("  }");
     out
 }
 
-/// Renders the full snapshot document. `baseline_json`, when given, must be a
-/// JSON object (e.g. the `current` object of an earlier snapshot) and is
-/// embedded verbatim under `"baseline"`.
+/// Renders the full snapshot document. `baseline`, when given (e.g. the
+/// `current` rows of an earlier snapshot), is embedded under `"baseline"`
+/// in the same layout as `"current"`.
 pub fn snapshot_json(
     label: &str,
     measurements: &[Measurement],
-    baseline_json: Option<&str>,
+    baseline: Option<&[Measurement]>,
 ) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"projtile-bench-v1\",\n");
-    out.push_str(&format!("  \"label\": \"{}\",\n", json_escape(label)));
-    if let Some(base) = baseline_json {
-        out.push_str(&format!("  \"baseline\": {},\n", base.trim()));
-    }
-    out.push_str(&format!(
-        "  \"current\": {}\n",
-        measurements_json(measurements, "  ")
-    ));
-    out.push_str("}\n");
-    out
+    let baseline = baseline
+        .map(|base| format!("  \"baseline\": {},\n", measurements_json(base)))
+        .unwrap_or_default();
+    format!(
+        "{{\n  \"schema\": \"projtile-bench-v1\",\n  \"label\": {},\n{baseline}  \"current\": {}\n}}\n",
+        json::to_string(label),
+        measurements_json(measurements),
+    )
+}
+
+/// One row of a snapshot's measurements object.
+#[derive(Deserialize)]
+struct Row {
+    secs_per_iter: f64,
+    iters: u64,
+}
+
+/// Reads the rows of a `--baseline` file: a [`snapshot_json`] document,
+/// whose `current` rows are taken, or a bare measurements object.
+pub fn parse_baseline(text: &str) -> Result<Vec<Measurement>, String> {
+    let doc = json::parse(text).map_err(|e| e.to_string())?;
+    let rows = doc.field("current").unwrap_or(&doc);
+    let Value::Object(rows) = rows else {
+        return Err(format!(
+            "expected a measurements object, found {}",
+            rows.kind()
+        ));
+    };
+    rows.iter()
+        .map(|(name, row)| match json::from_value::<Row>(row) {
+            Ok(Row {
+                secs_per_iter,
+                iters,
+            }) if secs_per_iter.is_finite() => Ok(Measurement {
+                name: name.clone(),
+                secs_per_iter,
+                iters,
+            }),
+            Ok(_) => Err(format!("row `{name}`: secs_per_iter is not finite")),
+            Err(e) => Err(format!("row `{name}`: {e}")),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -508,28 +523,54 @@ mod tests {
         assert!(counter.get() >= iters);
     }
 
+    /// Names and `iters` exactly, `secs_per_iter` to the 10 significant
+    /// digits the writer prints.
+    fn printed(rows: &[Measurement]) -> Vec<(String, u64, String)> {
+        rows.iter()
+            .map(|m| (m.name.clone(), m.iters, format!("{:.9e}", m.secs_per_iter)))
+            .collect()
+    }
+
     #[test]
     fn snapshot_json_shape() {
-        let ms = vec![
-            Measurement {
-                name: "a/b".into(),
-                secs_per_iter: 1.25e-6,
-                iters: 100,
-            },
-            Measurement {
-                name: "c".into(),
-                secs_per_iter: 2.0,
-                iters: 3,
-            },
-        ];
-        let doc = snapshot_json("test", &ms, Some("{\"x\": {}}"));
+        let row = |name: &str, secs_per_iter: f64, iters: u64| Measurement {
+            name: name.to_string(),
+            secs_per_iter,
+            iters,
+        };
+        let ms = [row("a/b", 1.25e-6, 100), row("c", 2.0, 3)];
+        let base = [row("a/b", 1.0 / 3.0 * 1e-5, 7)];
+        let label = "say \"hi\"\n";
+        let doc = snapshot_json(label, &ms, Some(&base));
         assert!(doc.contains("\"schema\": \"projtile-bench-v1\""));
         assert!(doc.contains("\"a/b\""));
-        assert!(doc.contains("\"baseline\": {\"x\": {}}"));
-        // Balanced braces — a cheap well-formedness check without a parser.
-        let open = doc.matches('{').count();
-        let close = doc.matches('}').count();
-        assert_eq!(open, close);
+        assert!(doc.contains(
+            "\"baseline\": {\n    \"a/b\": {\"secs_per_iter\": 3.333333333e-6, \"iters\": 7}\n  },"
+        ));
+
+        // The document parses, and both measurement objects read back.
+        let parsed = json::parse(&doc).expect("a snapshot is valid JSON");
+        assert_eq!(parsed.field("label"), Ok(&Value::String(label.into())));
+        assert_eq!(
+            printed(&parse_baseline(&doc).expect("current")),
+            printed(&ms)
+        );
+        let embedded = json::to_string(parsed.field("baseline").expect("baseline"));
+        let read = parse_baseline(&embedded).expect("baseline");
+        assert_eq!(printed(&read), printed(&base));
+    }
+
+    #[test]
+    fn baseline_reader_rejects_malformed_rows() {
+        for bad in [
+            "[]",
+            "{\"a\": 1}",
+            "{\"a\": {\"secs_per_iter\": \"1\", \"iters\": 1}}",
+            "{\"a\": {\"secs_per_iter\": 1e999, \"iters\": 1}}",
+            "{\"current\": {\"a\": {\"secs_per_iter\": 1.0, \"iters\": -1}}}",
+        ] {
+            assert!(parse_baseline(bad).is_err(), "{bad} must be rejected");
+        }
     }
 
     #[test]

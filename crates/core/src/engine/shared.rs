@@ -163,8 +163,8 @@ impl SharedEngine {
 
     /// Cache occupancy and eviction counters, summed across shards, plus
     /// per-query-kind hit/miss counters. The front resolves queries itself
-    /// (peek + install), so its shard engines' own kind counters stay zero
-    /// and the per-kind totals come from the front's atomics.
+    /// (peek + install) and never runs a shard engine's own query path, so
+    /// the per-kind counters are the front's atomics alone.
     pub fn cache_metrics(&self) -> CacheMetrics {
         let mut total = CacheMetrics::default();
         for shard in &self.shards {
@@ -181,10 +181,6 @@ impl SharedEngine {
                 acc.cost += part.cost;
                 acc.capacity += part.capacity;
                 acc.evictions += part.evictions;
-            }
-            for (acc, part) in total.kinds.iter_mut().zip(m.kinds) {
-                acc.hits += part.hits;
-                acc.misses += part.misses;
             }
         }
         for ((acc, hits), misses) in total

@@ -9,7 +9,7 @@
 //! some string literal in `crates/bench/src`. Workload names assembled with
 //! `format!` are matched structurally: the literal's fragments around `{…}`
 //! holes must align with the grepped name (so
-//! `"service/mixed_4threads/{tag}"` covers `service/mixed_4threads/p99`).
+//! `"service/mixed_traffic/{tag}"` covers `service/mixed_traffic/p99`).
 
 use crate::findings::Finding;
 use crate::lexer::Tok;
@@ -134,11 +134,11 @@ mod tests {
     #[test]
     fn format_holes_absorb_variable_parts() {
         assert!(literal_may_contain(
-            "service/mixed_4threads/{tag}",
-            "service/mixed_4threads/p99"
+            "service/mixed_traffic/{tag}",
+            "service/mixed_traffic/p99"
         ));
         assert!(!literal_may_contain(
-            "service/mixed_4threads/{tag}",
+            "service/mixed_traffic/{tag}",
             "engine/cache_hit"
         ));
         assert!(!literal_may_contain("{tag}", "anything"));

@@ -24,6 +24,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+use projtile_core::engine::{QUERY_KIND_COUNT, QUERY_KIND_NAMES};
 use serde::Value;
 
 /// Number of histogram buckets (powers of two of microseconds).
@@ -47,16 +48,6 @@ pub const STAGES: [&str; 7] = [
     "engine",
     "serialize",
     "write",
-];
-
-/// The query kinds tracked by per-kind histograms, in render order.
-pub const QUERY_KINDS: [&str; 6] = [
-    "lower_bound",
-    "enumerated_bound",
-    "optimal_tiling",
-    "tightness",
-    "surface",
-    "slice",
 ];
 
 /// A fixed-bucket latency histogram with an exact running sum, safe for
@@ -154,8 +145,8 @@ pub struct Metrics {
     pub snapshot_failures: AtomicU64,
     /// Gauge: `/analyze` requests currently waiting for a compute permit.
     pub queue_depth: AtomicU64,
-    /// Per-query-kind compute latency, indexed like [`QUERY_KINDS`].
-    pub per_kind: [Histogram; QUERY_KINDS.len()],
+    /// Per-query-kind compute latency, indexed like [`QUERY_KIND_NAMES`].
+    pub per_kind: [Histogram; QUERY_KIND_COUNT],
     /// Per-stage latency of answered requests, indexed like [`STAGES`].
     pub stages: [Histogram; STAGES.len()],
     /// Whole-request latency of answered requests, from accept to the last
@@ -178,7 +169,7 @@ impl Metrics {
     /// in under `"engine"`.
     pub fn render(&self, engine: Value) -> Value {
         let load = |c: &AtomicU64| Value::Int(c.load(Ordering::Relaxed) as i128);
-        let kinds = QUERY_KINDS
+        let kinds = QUERY_KIND_NAMES
             .iter()
             .zip(&self.per_kind)
             .map(|(name, h)| (name.to_string(), h.render()))

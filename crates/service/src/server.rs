@@ -36,7 +36,7 @@ use std::thread::{JoinHandle, Scope};
 use std::time::{Duration, Instant};
 
 use projtile_core::engine::{
-    query_kind_index, BoundedLruStats, Query, SharedEngine, SnapshotStore,
+    query_kind_index, BoundedLruStats, Query, SharedEngine, SnapshotStore, QUERY_KIND_NAMES,
 };
 use projtile_loopnest::LoopNest;
 use serde::{json, Deserialize, Serialize, Value};
@@ -44,7 +44,7 @@ use serde::{json, Deserialize, Serialize, Value};
 use crate::admission::Permits;
 use crate::fault::FaultPlan;
 use crate::http::{read_request, write_response, ReadError, Request};
-use crate::metrics::{Metrics, QUERY_KINDS, STAGES};
+use crate::metrics::{Metrics, STAGES};
 
 /// Server tuning knobs. [`Default`] is suitable for tests and local runs:
 /// an ephemeral loopback port, one compute permit per available thread,
@@ -722,14 +722,12 @@ fn analyze(shared: &Shared, body: &[u8], timeline: &mut Timeline) -> Reply {
     )])))
 }
 
-/// Maps each query to its [`QUERY_KINDS`] histogram index, deduplicated.
-/// Indices come from the engine's stable kind order, which `QUERY_KINDS`
-/// mirrors name-for-name.
+/// Maps each query to its per-kind histogram index (its position in
+/// [`QUERY_KIND_NAMES`]), deduplicated.
 fn kind_indices(queries: &[Query]) -> Vec<usize> {
     let mut kinds: Vec<usize> = queries.iter().map(query_kind_index).collect();
     kinds.sort_unstable();
     kinds.dedup();
-    debug_assert!(kinds.iter().all(|&k| k < QUERY_KINDS.len()));
     kinds
 }
 
@@ -747,7 +745,7 @@ fn engine_value(shared: &Shared) -> Value {
             ("evictions".to_string(), Value::Int(s.evictions as i128)),
         ])
     };
-    let per_kind: Vec<(String, Value)> = QUERY_KINDS
+    let per_kind: Vec<(String, Value)> = QUERY_KIND_NAMES
         .iter()
         .zip(caches.kinds.iter())
         .map(|(name, k)| {

@@ -1,26 +1,24 @@
 #!/usr/bin/env bash
 # CI gate for the projtile workspace: build, test, lint, format.
 #
-# Usage: scripts/ci.sh [--no-bench-build] [--no-bench-smoke] [--no-service-smoke]
+# Usage: scripts/ci.sh [--no-bench-smoke] [--no-service-smoke]
 #
 # Mirrors the tier-1 verify command (`cargo build --release && cargo test -q`)
 # and adds clippy (warnings are errors) and rustfmt checks over all targets,
-# including the Criterion benches the tier-1 command does not compile, plus a
-# bench smoke run (`report --bench` on a tiny budget) that executes every
-# snapshot workload — including the warm-started batched LP sweeps and their
-# cold differential twins — so solver regressions that only manifest under
-# the batched path fail CI even when unit tests pass. The service benchmark
-# (svcbench, outside the workspace) is built and smoke-run on every workload.
+# plus a bench smoke run (`report --bench` on a tiny budget) that executes
+# every snapshot workload — including the warm-started batched LP sweeps and
+# their cold differential twins — so solver regressions that only manifest
+# under the batched path fail CI even when unit tests pass. The service
+# benchmark (svcbench, outside the workspace) is built and smoke-run on every
+# workload.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-build_benches=1
 bench_smoke=1
 service_smoke=1
 for arg in "$@"; do
     case "$arg" in
-        --no-bench-build) build_benches=0 ;;
         --no-bench-smoke) bench_smoke=0 ;;
         --no-service-smoke) service_smoke=0 ;;
         *) echo "unknown option: $arg" >&2; exit 2 ;;
@@ -63,11 +61,6 @@ cargo test -q --doc
 echo "==> cargo doc --no-deps (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
 
-if [ "$build_benches" = 1 ]; then
-    echo "==> cargo build --benches (compile Criterion benches)"
-    cargo build --benches --workspace
-fi
-
 if [ "$bench_smoke" = 1 ]; then
     echo "==> bench smoke (report --bench, tiny budget)"
     smoke_out="$(mktemp)"
@@ -94,8 +87,6 @@ if [ "$bench_smoke" = 1 ]; then
     grep -q "service/stage/write" "$smoke_out"
     grep -q "service/stage/transport" "$smoke_out"
     grep -q "service/stage/client_decode" "$smoke_out"
-    grep -q "service/mixed_4threads/secs_per_request" "$smoke_out"
-    grep -q "service/mixed_4threads/p99" "$smoke_out"
     grep -q "service/mixed_traffic/secs_per_request" "$smoke_out"
     grep -q "service/mixed_traffic/p99" "$smoke_out"
     rm -f "$smoke_out"
