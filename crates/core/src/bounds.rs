@@ -27,13 +27,18 @@
 //! and is therefore an upper bound on the tile size that may be slightly
 //! weaker; the test suite checks the expected relationships between the two.
 //!
+//! The enumeration solves only a few of its `2^d` row-deleted programs. The
+//! subsets form a lattice, and a subset whose one-larger parent's optimum
+//! already satisfies the extra row inherits that optimum and its exponent
+//! exactly (see [`enumerated_exponent`] for why).
+//!
 //! The resulting communication lower bound is
 //! `(#iterations) · M / M^{k̂} = ∏ L_i · M^{1 − k̂}` words.
 
 use projtile_arith::{log, Rational};
 use projtile_loopnest::{IndexSet, LoopNest};
 use projtile_lp::{solve, Constraint, LinearProgram, Relation};
-use projtile_par::{par_map, par_map_with};
+use projtile_par::par_map;
 use serde::{Deserialize, Serialize};
 
 use crate::hbl::{solve_hbl, HblFamily};
@@ -155,63 +160,92 @@ pub fn exponent_for_subset(nest: &LoopNest, cache_size: u64, q: IndexSet) -> Rat
     exponent_from_s_hat(nest, cache_size, q, &sol.s)
 }
 
-/// Subset sweeps smaller than this run on the calling thread. A warm subset
-/// solve takes a few microseconds, so below `2^9` subsets starting workers
-/// costs more than it saves (on a 2-vCPU host a `d = 5` sweep takes 107 µs
-/// on one thread against 188 µs fanned out; the two break even near
-/// `d = 9`).
-const PARALLEL_SWEEP: usize = 1 << 9;
-
 /// The paper's explicit `2^d` enumeration: evaluates `k_Q` for every subset
 /// and reports the minimum. Because each `k_Q` uses the *optimal* row-deleted
 /// HBL solution rather than the best feasible one, this can be marginally
 /// weaker than [`arbitrary_bound_exponent`]; it is provided because it is the
 /// form stated in the paper and is useful for reports.
 ///
-/// The sweep is batched: subsets are visited in **Gray-code order** (each
-/// differs from its neighbour in exactly one index, i.e. one right-hand-side
-/// entry of the shared relaxed HBL program) on one warm-started
-/// [`HblFamily`] whose basis re-entries compound along the sweep. Sweeps of
-/// at least `2^9` subsets are partitioned into contiguous chunks across
-/// worker threads, one family per chunk. Results are bitwise-identical to
-/// the cold [`enumerated_exponent_cold`] (both paths report the canonical
-/// lex-min optimum of each subset's LP, a property of the program rather
-/// than of the pivot path), and the cold form is retained as the
-/// differential oracle.
+/// The subsets form a lattice, and most of them take their answer from a
+/// parent. Masks are visited in descending order, so every parent
+/// `Q ∪ {i}` comes before `Q`. A subset `Q` **inherits** both `ŝ*_Q` and
+/// `k_Q` from a parent whose optimum satisfies row `i`
+/// (`Σ_{a : i ∈ supp a} ŝ_a ≥ 1`). This is exact:
+///
+/// * `ŝ*_Q = ŝ*_{Q∪{i}}`: enforcing row `i` only shrinks the feasible
+///   region, so a lex-min optimum that stays feasible is still the lex-min
+///   optimum;
+/// * `k_Q = k_{Q∪{i}}`: row `i`'s term `β_i (1 − Σ_{R_i} ŝ)` is zero or
+///   absent once its sum reaches 1.
+///
+/// Only subsets that no parent covers are solved, on one warm-started
+/// [`HblFamily`]. Results are bitwise-identical to the cold
+/// [`enumerated_exponent_cold`] (both report the canonical lex-min optimum
+/// of each subset's LP, a property of the program rather than of the pivot
+/// path), and the cold form is retained as the differential oracle.
 ///
 /// # Panics
 /// Panics if the nest has more than 30 loops (like
 /// [`IndexSet::all_subsets`]: the sweep is exponential in `d`).
-// lint: allow(L008) asserts pin nest/betas dimension agreement checked at the surface
 pub fn enumerated_exponent(nest: &LoopNest, cache_size: u64) -> EnumeratedBound {
+    enumerate_lattice(nest, cache_size, &mut HblFamily::new(nest))
+}
+
+/// One solved subset of the lattice walk: its exponent and the rows its
+/// optimum satisfies (every subset inheriting from it shares both).
+struct Solved {
+    k: Rational,
+    satisfied: IndexSet,
+}
+
+/// [`enumerated_exponent`] on a caller-supplied family, whose counters then
+/// show how many subsets needed an LP solve.
+// lint: allow(L008) asserts pin nest/betas dimension agreement checked at the surface
+fn enumerate_lattice(nest: &LoopNest, cache_size: u64, family: &mut HblFamily) -> EnumeratedBound {
     assert!(cache_size >= 2, "cache size must be at least 2 words");
     let d = nest.num_loops();
     assert!(
         d <= 30,
         "subset enumeration over more than 30 indices refused"
     );
-    // One betas computation shared by all 2^d subset evaluations.
+    // One betas computation shared by all solved subsets.
     let beta = betas(nest, cache_size);
-    let gray: Vec<u64> = (0..1u64 << d).map(|i| i ^ (i >> 1)).collect();
-    let solve = |family: &mut HblFamily, mask: u64| {
+    let full = IndexSet::full(d);
+    let mut solved: Vec<Solved> = Vec::new();
+    // `source[mask]` indexes the solve whose optimum subset `mask` shares.
+    let mut source: Vec<usize> = vec![0; 1 << d];
+    for mask in (0..1u64 << d).rev() {
         let q = IndexSet::from_bits(mask);
-        let sol = family.solve(q);
-        (q, exponent_from_s_hat_with_betas(nest, &beta, q, &sol.s))
-    };
-    let evaluated: Vec<(IndexSet, Rational)> = if gray.len() < PARALLEL_SWEEP {
-        let mut family = HblFamily::new(nest);
-        gray.iter().map(|&mask| solve(&mut family, mask)).collect()
-    } else {
-        par_map_with(
-            &gray,
-            || HblFamily::new(nest),
-            |family, _, &mask| solve(family, mask),
-        )
-    };
-    // Report per-subset results in mask order, like the cold enumeration.
-    let mut per_subset: Vec<(IndexSet, Rational)> = evaluated;
-    per_subset.sort_unstable_by_key(|(q, _)| q.bits());
+        let inherited = full.difference(q).iter().find_map(|i| {
+            let s = source[(mask | 1 << i) as usize];
+            solved[s].satisfied.contains(i).then_some(s)
+        });
+        source[mask as usize] = inherited.unwrap_or_else(|| {
+            let s_hat = family.solve(q).s;
+            solved.push(Solved {
+                k: exponent_from_s_hat_with_betas(nest, &beta, q, &s_hat),
+                satisfied: rows_satisfied(nest, &s_hat),
+            });
+            solved.len() - 1
+        });
+    }
+    let per_subset = source
+        .iter()
+        .enumerate()
+        .map(|(mask, &s)| (IndexSet::from_bits(mask as u64), solved[s].k.clone()))
+        .collect();
     select_best(per_subset)
+}
+
+/// The loop indices `i` whose HBL row `ŝ` satisfies: `Σ_{a : i ∈ supp a} ŝ_a ≥ 1`.
+fn rows_satisfied(nest: &LoopNest, s_hat: &[Rational]) -> IndexSet {
+    let one = Rational::one();
+    IndexSet::from_indices((0..nest.num_loops()).filter(|&i| {
+        let r_i = (0..nest.num_arrays())
+            .filter(|&a| nest.support(a).contains(i))
+            .fold(Rational::zero(), |acc, a| &acc + &s_hat[a]);
+        r_i >= one
+    }))
 }
 
 /// The pre-batching form of [`enumerated_exponent`]: one independent cold LP
@@ -427,9 +461,9 @@ mod tests {
 
     #[test]
     fn warm_enumeration_is_bitwise_identical_to_cold_oracle() {
-        // The batched Gray-code sweep on one warm-started solver must
-        // reproduce the one-cold-solve-per-subset oracle exactly —
-        // including every per-subset exponent and the tie-broken best subset.
+        // The lattice walk on one warm-started solver must reproduce the
+        // one-cold-solve-per-subset oracle exactly — including every
+        // per-subset exponent and the tie-broken best subset.
         for seed in 0..10u64 {
             let nest = builders::random_projective(seed, 5, 4, (1, 256));
             for m in [4u64, 1 << 6, 1 << 10] {
@@ -454,17 +488,52 @@ mod tests {
         }
     }
 
+    /// LP solves a family has run, warm or cold.
+    fn solves(family: &HblFamily) -> u64 {
+        let stats = family.stats();
+        stats.cold_solves + stats.warm_solves
+    }
+
     #[test]
-    fn fanned_out_sweeps_match_the_cold_oracle() {
-        // The smallest sweep that fans out across workers (one warm family
-        // per chunk) must agree bitwise with the cold oracle too.
-        let nest = builders::random_projective(3, 9, 4, (1, 256));
-        assert_eq!(1usize << nest.num_loops(), PARALLEL_SWEEP);
-        let m = 1u64 << 8;
-        assert_eq!(
-            enumerated_exponent(&nest, m),
-            enumerated_exponent_cold(&nest, m)
-        );
+    fn lattice_inherits_where_a_parent_covers_and_solves_elsewhere() {
+        // Rows i, j, k, l; A = {i}, B = {i, j}, C = {j, k}, D = {k, l}.
+        // Along the chain {i,j,k,l} ⊃ {j,k,l} ⊃ {k,l} ⊃ {l} of relaxed rows
+        // the optimum changes, stays, then changes again: {k,l} inherits
+        // from {j,k,l} (whose B = 1 satisfies row j) and {l} from {j,l}.
+        let nest = LoopNest::builder()
+            .index("i", 3)
+            .index("j", 40)
+            .index("k", 5)
+            .index("l", 200)
+            .array("A", ["i"])
+            .array("B", ["i", "j"])
+            .array("C", ["j", "k"])
+            .array("D", ["k", "l"])
+            .build()
+            .expect("valid nest");
+        let chain = [0b1111u64, 0b1110, 0b1100, 0b1000]
+            .map(|bits| crate::hbl::solve_hbl(&nest, IndexSet::from_bits(bits)).s);
+        assert_ne!(chain[0], chain[1]);
+        assert_eq!(chain[1], chain[2]);
+        assert_ne!(chain[2], chain[3]);
+        for m in [4u64, 1 << 6, 1 << 10] {
+            let mut family = HblFamily::new(&nest);
+            let walked = enumerate_lattice(&nest, m, &mut family);
+            assert_eq!(walked, enumerated_exponent_cold(&nest, m), "M={m}");
+            let n = solves(&family);
+            assert!(1 < n && n < 16, "M={m}: {n} solves");
+        }
+    }
+
+    #[test]
+    fn lattice_solves_few_subsets_at_depth_eleven() {
+        // The `lower_bound/subset_enumeration/d11` bench input: a sweep of
+        // every subset runs 2048 solves, the walk only those no parent covers.
+        let nest = builders::random_projective(42, 11, 4, (1, 256));
+        let mut family = HblFamily::new(&nest);
+        let en = enumerate_lattice(&nest, 1 << 6, &mut family);
+        assert_eq!(en.per_subset.len(), 2048);
+        assert!(solves(&family) <= 64, "{} solves", solves(&family));
     }
 
     #[test]

@@ -27,7 +27,9 @@
 //!   its components, so later `LowerBound`, `EnumeratedBound` and
 //!   `OptimalTiling` queries hit. The effect runs one way: a `Tightness`
 //!   query after separate component queries recomputes them, because only
-//!   `Tightness` computes the certificate bit.
+//!   `Tightness` computes the certificate bit. Within one batch, a pending
+//!   `Tightness`'s components are computed once: same-`M` component misses
+//!   take their answers from it.
 //! * **One pipeline.** [`Engine::analyze_batch`] and
 //!   [`SharedEngine::analyze_batch`] resolve queries through the same
 //!   phases (probe, classify, compute, answer twins, intern and install,
@@ -290,7 +292,8 @@ impl Engine {
     /// pipeline [`SharedEngine::analyze_batch`] runs too: resident answers
     /// are read from the caches, the remaining distinct queries fan out
     /// through `projtile_par` with one pooled warm solver context per worker
-    /// chunk, and the results are installed. Every compute path is
+    /// chunk (a component of a pending `Tightness` is taken from it instead),
+    /// and the results are installed. Every compute path is
     /// path-independent, so the fan-out cannot change any answer.
     pub fn analyze_batch(
         &mut self,

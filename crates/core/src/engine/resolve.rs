@@ -13,7 +13,11 @@
 //!    different literal of the same form (a permuted-axes surface twin) is a
 //!    twin;
 //! 3. **compute** — the misses fan out through [`compute_detached`] on
-//!    pooled solver contexts, with no lock held;
+//!    pooled solver contexts, with no lock held. A `LowerBound`,
+//!    `EnumeratedBound` or `OptimalTiling` miss whose same-`M` `Tightness`
+//!    is also a miss is not solved: it takes the component that
+//!    computation derives ([`Detached::component`]) and stays a miss that
+//!    installs the same entry at the same cost;
 //! 4. **twins** — each twin is answered from its miss's computation by
 //!    [`Detached::twin_answer`], still with no lock held, so a twin can never
 //!    read (or recompute) an entry the install pass evicts;
@@ -160,10 +164,11 @@ impl<'q> Batch<'q> {
         }
     }
 
-    /// Phases 3 and 4: computes the misses and answers the twins, with no
-    /// lock held. `None` when every valid query hit — then nothing is
-    /// checked out of `pool` and nothing is left to install. With
-    /// `with_costs`, also prices each computed artifact for the trace.
+    /// Phases 3 and 4: computes the misses (each `Tightness` component
+    /// once) and answers the twins, with no lock held. `None` when every
+    /// valid query hit — then nothing is checked out of `pool` and nothing
+    /// is left to install. With `with_costs`, also prices each computed
+    /// artifact for the trace.
     pub(crate) fn compute(
         &mut self,
         pool: &ContextPool,
@@ -175,11 +180,44 @@ impl<'q> Batch<'q> {
             return None;
         }
         let pending = std::mem::take(&mut self.pending);
-        let results: Vec<Result<Detached, EngineError>> = par_map_with(
+        // A component miss whose same-`M` Tightness is pending is not
+        // solved: that computation derives it (a map, not a scan, so a
+        // hostile batch stays linear).
+        let tightness_at: HashMap<u64, usize> = pending
+            .iter()
+            .enumerate()
+            .filter_map(|(p, q)| match q {
+                Query::Tightness { cache_size } => Some((*cache_size, p)),
+                _ => None,
+            })
+            .collect();
+        let component_of = |q: &Query| match q {
+            Query::LowerBound { cache_size }
+            | Query::EnumeratedBound { cache_size }
+            | Query::OptimalTiling { cache_size } => tightness_at.get(cache_size).copied(),
+            _ => None,
+        };
+        let mut results: Vec<Result<Detached, EngineError>> = par_map_with(
             &pending,
             || pool.checkout(),
-            |ctx, _, q| compute_detached(nest, canon, q, ctx),
+            |ctx, _, q| match component_of(q) {
+                None => compute_detached(nest, canon, q, ctx),
+                Some(_) => Err(EngineError::Internal("tightness component left unanswered")),
+            },
         );
+        for (p, q) in pending.iter().enumerate() {
+            let Some(t) = component_of(q) else {
+                continue;
+            };
+            let answer = match results.get(t) {
+                Some(Ok(tightness)) => tightness.component(q),
+                Some(Err(err)) => Err(err.clone()),
+                None => Err(EngineError::Internal("tightness check never computed")),
+            };
+            if let Some(result) = results.get_mut(p) {
+                *result = answer;
+            }
+        }
         for (slot, q) in self.slots.iter_mut().zip(self.queries) {
             if let Slot::Twin(p, answer) = slot {
                 *answer = Some(match results.get(*p) {
@@ -531,6 +569,33 @@ impl Detached {
                 "only a computed surface answers a canonical twin",
             )),
         }
+    }
+
+    /// Answers a `LowerBound`, `EnumeratedBound` or `OptimalTiling` query
+    /// at the computed tightness check's `M` from the component the check
+    /// derived, which is what that query's own free-function call returns.
+    /// Reads no cache and solves nothing.
+    fn component(&self, query: &Query) -> Result<Detached, EngineError> {
+        let Some((bound, enumerated, tiling, _)) = &self.tightness_parts else {
+            return Err(EngineError::Internal(
+                "only a computed tightness check has components",
+            ));
+        };
+        let result = match query {
+            Query::LowerBound { .. } => AnalysisResult::LowerBound(bound.clone()),
+            Query::EnumeratedBound { .. } => AnalysisResult::EnumeratedBound(enumerated.clone()),
+            Query::OptimalTiling { .. } => AnalysisResult::OptimalTiling(tiling.clone()),
+            _ => {
+                return Err(EngineError::Internal(
+                    "query is not a component of a tightness check",
+                ))
+            }
+        };
+        Ok(Detached {
+            result,
+            surface: None,
+            tightness_parts: None,
+        })
     }
 }
 

@@ -135,9 +135,10 @@ pub fn solve_hbl(nest: &LoopNest, removed_rows: IndexSet) -> HblSolution {
 ///
 /// All `2^d` subsets share one constraint matrix under the rhs-relaxation
 /// rewrite, so consecutive [`HblFamily::solve`] calls re-enter the dual
-/// simplex from the previous optimal basis. Solving subsets in an order where
-/// neighbours differ in few indices (Gray-code order) makes most re-entries a
-/// single pivot. Results are bitwise-identical to [`solve_hbl`].
+/// simplex from the previous optimal basis, whichever subsets they are.
+/// [`crate::bounds::enumerated_exponent`] solves on one family only the
+/// subsets its lattice walk cannot inherit. Results are bitwise-identical to
+/// [`solve_hbl`].
 pub struct HblFamily {
     lp: LinearProgram,
     ctx: SolverContext,
@@ -297,13 +298,13 @@ mod tests {
     #[test]
     fn warm_family_is_bitwise_identical_to_cold_solves() {
         // The differential oracle of the warm-start layer at the HBL level:
-        // sweep all subsets in Gray-code order (the batched driver's order)
-        // and compare every field against a cold solve.
+        // solve all subsets in descending mask order (the lattice walk's
+        // order) and compare every field against a cold solve.
         for seed in [0u64, 3, 11] {
             let nest = builders::random_projective(seed, 6, 4, (1, 128));
             let mut family = HblFamily::new(&nest);
-            for g in (0u64..1 << 6).map(|i| i ^ (i >> 1)) {
-                let q = IndexSet::from_bits(g);
+            for mask in (0u64..1 << 6).rev() {
+                let q = IndexSet::from_bits(mask);
                 let warm = family.solve(q);
                 let cold = solve_hbl(&nest, q);
                 assert_eq!(warm, cold, "seed {seed}, Q={q:?}");

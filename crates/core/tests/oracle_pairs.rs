@@ -15,12 +15,12 @@ proptest! {
     #[test]
     fn enumerated_exponent_matches_cold_oracle(
         seed in 0u64..1_000_000,
-        d in 1usize..5,
-        n in 1usize..5,
+        d in 1usize..12,
+        n in 1usize..8,
         log_m in 1u32..16,
     ) {
-        // The warm-started Gray-code subset sweep must report exactly the
-        // cold enumeration's result for every subset, not just the optimum.
+        // The subset-lattice walk must report exactly the cold enumeration's
+        // result for every subset, not just the optimum, up to depth 11.
         let nest = builders::random_projective(seed, d, n, (1, 256));
         let m = 1u64 << log_m;
         let warm = enumerated_exponent(&nest, m);

@@ -6,7 +6,7 @@
 //! thread asked, or whether the session was round-tripped through JSON.
 
 use projtile_core::engine::{
-    AnalysisResult, Engine, EngineConfig, EngineError, Query, SharedEngine,
+    outcome, AnalysisResult, Engine, EngineConfig, EngineError, Query, SharedEngine,
 };
 use projtile_core::{bounds, parametric, tightness, tiling_lp};
 use projtile_loopnest::canon::permute_nest;
@@ -448,6 +448,110 @@ fn batch_twins_answer_from_their_own_computation() {
     );
     assert_eq!(front.analyze(&nest, &t).expect("valid query"), again);
     assert_eq!(front.stats(), engine.stats(), "both fronts count alike");
+}
+
+/// What a trace records per event that the lab's replay charges: kind, `M`,
+/// outcome and installed costs.
+fn charged_events(front: &SharedEngine) -> Vec<(u8, u64, u8, Vec<u64>)> {
+    front
+        .trace_document()
+        .events
+        .into_iter()
+        .map(|e| (e.kind, e.m, e.outcome, e.costs))
+        .collect()
+}
+
+#[test]
+fn tightness_components_in_its_batch_are_computed_once_and_counted_alike() {
+    // A batch's component misses are answered from its Tightness miss's
+    // parts. Each stays a miss that installs the same entry at the same
+    // cost, so answers, counters, resident entries and trace events match
+    // the same queries sent one per batch.
+    let nest = builders::random_projective(7, 6, 4, (1, 256));
+    let m = 1u64 << 8;
+    let queries = [
+        Query::LowerBound { cache_size: m },
+        Query::OptimalTiling { cache_size: m },
+        Query::EnumeratedBound { cache_size: m },
+        Query::Tightness { cache_size: m },
+    ];
+
+    let mut batched = Engine::new();
+    let answers: Vec<AnalysisResult> = batched
+        .analyze_batch(&nest, &queries)
+        .into_iter()
+        .map(|r| r.expect("valid query"))
+        .collect();
+    for (q, r) in queries.iter().zip(&answers) {
+        assert_matches_oracle(&nest, q, r);
+    }
+    let stats = batched.stats();
+    assert_eq!((stats.misses, stats.hits), (4, 0), "{stats:?}");
+    let mut single = Engine::new();
+    for q in &queries {
+        single.analyze(&nest, q).expect("valid query");
+    }
+    assert_eq!(batched.stats(), single.stats(), "both count alike");
+    assert_eq!(
+        batched.cache_metrics().results,
+        single.cache_metrics().results
+    );
+    assert_eq!(
+        resident_result_kinds(&mut batched),
+        resident_result_kinds(&mut single),
+        "same entries in the same recency order"
+    );
+
+    let mut shared = SharedEngine::new();
+    shared.set_trace_capacity(64);
+    let shared_answers: Vec<AnalysisResult> = shared
+        .analyze_batch(&nest, &queries)
+        .into_iter()
+        .map(|r| r.expect("valid query"))
+        .collect();
+    assert_eq!(shared_answers, answers, "shared == private bitwise");
+    let stats = shared.stats();
+    assert_eq!((stats.misses, stats.hits), (4, 0), "{stats:?}");
+    let mut one_per_batch = SharedEngine::new();
+    one_per_batch.set_trace_capacity(64);
+    for q in &queries {
+        one_per_batch.analyze(&nest, q).expect("valid query");
+    }
+    let events = charged_events(&shared);
+    assert_eq!(events.len(), 4);
+    assert!(events.iter().all(|e| e.2 == outcome::MISS), "{events:?}");
+    assert_eq!(events, charged_events(&one_per_batch));
+}
+
+#[test]
+fn a_resident_tightness_leaves_its_batchs_components_to_compute() {
+    // A one-byte results budget keeps only the newest entry, the report, so
+    // the Tightness below hits while its LowerBound misses. That miss has
+    // no pending Tightness to take its answer from and is solved itself.
+    let nest = builders::random_projective(3, 5, 4, (1, 256));
+    let m = 1u64 << 8;
+    let config = EngineConfig {
+        results_capacity: 1,
+        ..EngineConfig::default()
+    };
+    let queries = [
+        Query::LowerBound { cache_size: m },
+        Query::Tightness { cache_size: m },
+    ];
+    let mut engine = Engine::with_config(config);
+    let shared = SharedEngine::with_config(config, 1);
+    engine.ask(&nest, &queries[1]);
+    shared.analyze(&nest, &queries[1]).expect("valid query");
+    assert_eq!(resident_result_kinds(&mut engine), ["tightness"]);
+
+    let answers = engine.analyze_batch(&nest, &queries);
+    for (q, r) in queries.iter().zip(&answers) {
+        assert_matches_oracle(&nest, q, r.as_ref().expect("valid query"));
+    }
+    let stats = engine.stats();
+    assert_eq!((stats.misses, stats.hits), (2, 1), "{stats:?}");
+    assert_eq!(shared.analyze_batch(&nest, &queries), answers);
+    assert_eq!(shared.stats(), engine.stats(), "both fronts count alike");
 }
 
 /// The nest, cache size and tightness report of the evicted-tightness tests,

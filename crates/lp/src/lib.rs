@@ -76,7 +76,7 @@
 //! 4. **Batching.** Drive sweeps through `projtile_par::par_map_with` with
 //!    one context per worker: warm starts then compound along each worker's
 //!    contiguous chunk (order the family so neighbours differ in few rhs
-//!    entries, e.g. Gray-code order for subset sweeps).
+//!    entries, as a §7 β-sweep does).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -452,10 +452,10 @@ impl Tableau {
     /// entry `Δb_k`, the basic values gain `Δb'_k · B⁻¹e_k` and the objective
     /// value gains `Δb'_k · y_k`, both read off the identity-origin column of
     /// constraint `k` in the current tableau — `O(m)` per **changed** entry,
-    /// so single-row sweeps (Gray-code subsets, parametric rays) pay almost
-    /// nothing. The basis stays dual feasible (reduced costs do not depend on
-    /// the rhs), but basic values may turn negative;
-    /// [`Tableau::dual_iterate`] restores primal feasibility.
+    /// so single-row sweeps (parametric rays) pay almost nothing. The basis
+    /// stays dual feasible (reduced costs do not depend on the rhs), but
+    /// basic values may turn negative; [`Tableau::dual_iterate`] restores
+    /// primal feasibility.
     ///
     /// Must not be called when [`Tableau::rows_removed`] is set.
     pub(crate) fn reinstall_rhs(&mut self, lp: &LinearProgram) {

@@ -11,16 +11,18 @@
 //! * [`par_map_indexed`] — the same, with the element index passed through
 //!   (used for parameter sweeps where the index identifies the configuration);
 //! * [`par_map_with`] — the same, with a per-worker state created once per
-//!   chunk and threaded through that chunk's items in order (used for
-//!   warm-started LP sweeps, where the state is a solver context whose warm
-//!   starts compound along the chunk);
+//!   chunk and threaded through that chunk's items in order (used for an
+//!   engine batch's misses, where the state is a pooled solver context whose
+//!   warm starts compound along the chunk);
 //! * [`par_reduce`] — parallel map-fold: each worker folds its own chunk and
 //!   only the per-chunk partial results are combined on the calling thread.
 //!
 //! Work is split into contiguous chunks, one per worker thread, which is the
-//! right shape for this workspace: every parallel call site (the `2^d`
-//! Theorem-2 subset sweep, parameter sweeps over cache sizes, batched cache
-//! simulations) has items of comparable cost. Inputs smaller than
+//! right shape for this workspace: every parallel call site (the cold `2^d`
+//! subset-enumeration oracle, parameter sweeps over cache sizes, batched
+//! cache simulations) has items of comparable cost. The warm subset
+//! enumeration is not one: its lattice walk solves few subsets and runs on
+//! the calling thread. Inputs smaller than
 //! [`PARALLEL_THRESHOLD`] are processed sequentially to avoid paying thread
 //! start-up cost on tiny workloads.
 //!

@@ -6,9 +6,10 @@
 # Mirrors the tier-1 verify command (`cargo build --release && cargo test -q`)
 # and adds clippy (warnings are errors) and rustfmt checks over all targets,
 # plus a bench smoke run (`report --bench` on a tiny budget) that executes
-# every snapshot workload — including the warm-started batched LP sweeps and
-# their cold differential twins — so solver regressions that only manifest
-# under the batched path fail CI even when unit tests pass. The service
+# every snapshot workload — including the warm-started LP sweeps (the
+# subset-lattice walk, the §7 β-sweeps) and their cold differential twins —
+# so solver regressions that only manifest on the warm path fail CI even
+# when unit tests pass. The service
 # benchmark (svcbench, outside the workspace) is built and smoke-run on every
 # workload.
 
@@ -49,7 +50,9 @@ fi
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> cargo test -q (PROJTILE_THREADS=4: multi-threaded sweeps + SharedEngine stress)"
+# The subset-lattice walk runs on one thread; this pass covers what does fan
+# out: engine batches, the SharedEngine stress and the cold oracles' par_map.
+echo "==> cargo test -q (PROJTILE_THREADS=4: batch fan-out, SharedEngine stress, cold oracles)"
 PROJTILE_THREADS=4 cargo test -q
 
 echo "==> cargo build --examples (engine-session example programs)"
