@@ -265,15 +265,16 @@ pub fn default_workloads() -> Vec<Workload> {
         }),
     });
 
-    // engine/evicted_rewarm: the results budget holds the tightness
-    // report's components plus ONE of {report, filler}. The priming cycle
-    // computes the report, then installs the filler, which evicts the
-    // report (the derived-last recency policy keeps the components warmer).
-    // From then on each cycle is two read-path hits and no eviction: the
-    // tightness query is answered by recomposing the evicted report from
-    // its surviving components through `peek_cached` (no LP solve, and the
-    // recomposed report is not re-installed), and the filler query hits
-    // its resident tiling. Must beat the cold free function by >= 10x.
+    // engine/evicted_rewarm (a name kept for snapshot continuity): a
+    // tightness report is never stored, so every tightness answer is
+    // composed from its three resident components. The results budget
+    // holds exactly those components plus the filler's tiling (a smaller
+    // one would evict a component every cycle and time a recompute). The
+    // priming cycle computes both; from then on each cycle is two
+    // read-path hits and no eviction: the tightness query is composed
+    // through `peek_cached` (three peeks and the certificate check, no LP
+    // solve) and the filler query hits its resident tiling. Must beat the
+    // cold free function by >= 10x.
     let filler_nest = projtile_loopnest::LoopNest::builder()
         .index("i", 2)
         .array("A", ["i"])
@@ -295,7 +296,7 @@ pub fn default_workloads() -> Vec<Workload> {
         sizing.cache_metrics().results.cost
     };
     let evict_engine = RefCell::new(Engine::with_config(projtile_core::engine::EngineConfig {
-        results_capacity: set_cost + filler_cost - 1,
+        results_capacity: set_cost + filler_cost,
         ..Default::default()
     }));
     let n = tightness_nest.clone();
@@ -307,7 +308,7 @@ pub fn default_workloads() -> Vec<Workload> {
         std::hint::black_box(engine.analyze(&n, &q).expect("valid query"));
         engine.analyze(&fnest, &fquery).expect("valid query");
     };
-    run_cycle(); // prime: reach the steady evicted-report state
+    run_cycle(); // prime: install the components and the filler
     workloads.push(Workload {
         name: "engine/evicted_rewarm/tightness_seed0".to_string(),
         run: Box::new(run_cycle),

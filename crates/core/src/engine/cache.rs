@@ -7,11 +7,9 @@
 //! nests:
 //!
 //! * **typed results** ([`ResultKey`]) — per `(nest, orientation, cache
-//!   size, kind)`: the `LowerBound`, `EnumeratedBound`, tiling summary and
-//!   tightness report, plus the internal Theorem-3 certificate-validity bit
-//!   ([`ResultKind::Certificate`]) that lets an evicted tightness report be
-//!   recomposed from its surviving components without re-solving the
-//!   row-deleted HBL LP;
+//!   size, kind)`: the `LowerBound`, `EnumeratedBound` and tiling summary. A
+//!   tightness report is not stored: it is composed from these three on
+//!   every answer;
 //! * **§7 slices** ([`SliceKey`]) — per `(nest, cache size, canonical
 //!   axis)`, both explicit `[lo, hi]` sweeps ([`SliceKind::Span`]) and the
 //!   growing probe slices behind `exponent_at_bound`
@@ -35,7 +33,6 @@ use projtile_lp::parametric::ValueFunction;
 use crate::bounds::{EnumeratedBound, LowerBound};
 use crate::engine::query::{AnalysisResult, SurfaceSummary, TilingSummary};
 use crate::parametric::ExponentSurface;
-use crate::tightness::TightnessReport;
 use projtile_loopnest::LoopNest;
 
 /// Which typed artifact a [`ResultKey`] names.
@@ -47,13 +44,6 @@ pub(crate) enum ResultKind {
     Enumerated,
     /// The optimal-tiling [`TilingSummary`].
     Tiling,
-    /// The Theorem-3 [`TightnessReport`].
-    Tightness,
-    /// Validity of the cached lower bound's `(ŝ, ζ)` certificate — an
-    /// internal component of the tightness report (never answered
-    /// directly). Caching it separately lets an evicted report be
-    /// recomposed from surviving components in O(1) solver work.
-    Certificate,
 }
 
 /// Key of one typed result: vertex-carrying payloads are positional, so the
@@ -72,21 +62,16 @@ pub(crate) enum CachedResult {
     Bound(LowerBound),
     Enumerated(EnumeratedBound),
     Tiling(TilingSummary),
-    Tightness(TightnessReport),
-    Certificate(bool),
 }
 
 impl CachedResult {
-    /// The typed answer this entry holds (`None` for the internal
-    /// certificate bit, which is never answered directly).
-    pub fn typed_answer(&self) -> Option<AnalysisResult> {
-        Some(match self {
+    /// The typed answer this entry holds.
+    pub fn typed_answer(&self) -> AnalysisResult {
+        match self {
             CachedResult::Bound(lb) => AnalysisResult::LowerBound(lb.clone()),
             CachedResult::Enumerated(en) => AnalysisResult::EnumeratedBound(en.clone()),
             CachedResult::Tiling(t) => AnalysisResult::OptimalTiling(t.clone()),
-            CachedResult::Tightness(t) => AnalysisResult::Tightness(t.clone()),
-            CachedResult::Certificate(_) => return None,
-        })
+        }
     }
 }
 
@@ -238,23 +223,11 @@ pub(crate) mod cost {
         ENTRY + rationals(1 + t.lambda.len()) + 8 * t.tile_dims.len() as u64
     }
 
-    /// Cost of a cached tightness report (payload-independent).
-    pub(crate) fn tightness() -> u64 {
-        ENTRY + rationals(3) + 16
-    }
-
-    /// Cost of a cached certificate bit (payload-independent).
-    pub(crate) fn certificate() -> u64 {
-        ENTRY + 1
-    }
-
     pub(crate) fn result(r: &CachedResult) -> u64 {
         match r {
             CachedResult::Bound(lb) => bound(lb),
             CachedResult::Enumerated(en) => enumerated(en),
             CachedResult::Tiling(t) => tiling(t),
-            CachedResult::Tightness(_) => tightness(),
-            CachedResult::Certificate(_) => certificate(),
         }
     }
 }

@@ -23,11 +23,12 @@
 //!   slices (shared across permuted variants — a value function carries no
 //!   positional data), memoized surfaces keyed by `(sorted axes, box)` (a
 //!   permuted-axes request is a hit answered by an exact coordinate remap),
-//!   and every typed result it has computed. A `Tightness` query installs
-//!   its components, so later `LowerBound`, `EnumeratedBound` and
-//!   `OptimalTiling` queries hit. The effect runs one way: a `Tightness`
-//!   query after separate component queries recomputes them, because only
-//!   `Tightness` computes the certificate bit. Within one batch, a pending
+//!   and every `LowerBound`, `EnumeratedBound` and `OptimalTiling` result
+//!   it has computed. A `Tightness` answer is never stored: it is composed
+//!   from those three results at the same `M` plus an O(nnz) certificate
+//!   check, so it hits exactly when all three are resident, whichever
+//!   queries computed them. A `Tightness` miss computes all three and
+//!   installs the ones not resident. Within one batch, a pending
 //!   `Tightness`'s components are computed once: same-`M` component misses
 //!   take their answers from it.
 //! * **One pipeline.** [`Engine::analyze_batch`] and
@@ -102,8 +103,7 @@ pub use projtile_cachesim::{BoundedLru, BoundedLruStats};
 use projtile_loopnest::{canonicalize, CanonicalNest, LoopNest, NestSignature};
 use projtile_lp::ContextPool;
 
-use crate::bounds::{exponent_from_s_hat_with_betas, EnumeratedBound, LowerBound};
-use crate::hbl::hbl_lp;
+use crate::bounds::{EnumeratedBound, LowerBound};
 use crate::parametric::{exponent_vs_beta_with, ExponentSurface};
 use crate::tightness::TightnessReport;
 use cache::{
@@ -120,8 +120,8 @@ use resolve::{canonical_query_form, validate_query, Batch};
 /// routine on the next query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Budget for typed results (bounds, enumerations, tilings, tightness
-    /// reports, certificates).
+    /// Budget for typed results (bounds, enumerations, tilings). A
+    /// `Tightness` query hits only while its three components fit together.
     pub results_capacity: u64,
     /// Budget for §7 value-function slices (explicit sweeps and the growing
     /// probe slices behind [`Engine::exponent_at_bound`]).
@@ -571,33 +571,61 @@ impl Engine {
     }
 }
 
-/// Validity of a lower bound's Theorem-3 certificate: the `ŝ` formula value
-/// matches the claimed exponent and `ŝ` is feasible for the row-deleted HBL
-/// LP. A pure function of `(nest, betas, bound)` — exactly the check
-/// [`crate::tightness::check_tightness`] performs inline.
-pub(crate) fn certificate_valid(nest: &LoopNest, beta: &[Rational], bound: &LowerBound) -> bool {
-    let formula_value =
-        exponent_from_s_hat_with_betas(nest, beta, bound.witness_subset, &bound.s_hat);
-    let row_deleted = hbl_lp(nest, bound.witness_subset);
-    formula_value == bound.exponent && row_deleted.is_feasible(&bound.s_hat)
+/// Validity of a lower bound's Theorem-3 certificate `(Q*, ŝ)`: `ŝ ≥ 0`
+/// satisfies every HBL row outside `Q*`, and the Theorem-2 formula
+/// `k_{Q*}(ŝ)` reproduces the claimed exponent. This is the check
+/// [`crate::tightness::check_tightness`] performs inline, evaluated on the
+/// supports directly: the formula reads `β_j = log_M L_j` only for
+/// `j ∈ Q*`, the only `β` it uses. A bound that does not fit the nest is
+/// invalid, not a panic.
+pub(crate) fn certificate_valid(nest: &LoopNest, m: u64, bound: &LowerBound) -> bool {
+    let s_hat = &bound.s_hat;
+    if s_hat.len() != nest.num_arrays() || s_hat.iter().any(Rational::is_negative) {
+        return false;
+    }
+    // HBL row `j` at `ŝ`: the weight of the arrays whose support holds `j`.
+    let row = |j: usize| {
+        let arrays = nest.arrays().iter().zip(s_hat);
+        arrays
+            .filter(|(a, _)| a.support.contains(j))
+            .fold(Rational::zero(), |acc, (_, w)| &acc + w)
+    };
+    let one = Rational::one();
+    let q = bound.witness_subset;
+    if (0..nest.num_loops()).any(|i| !q.contains(i) && row(i) < one) {
+        return false;
+    }
+    let mut k = s_hat.iter().fold(Rational::zero(), |acc, w| &acc + w);
+    for j in q.iter() {
+        let Some(index) = nest.indices().get(j) else {
+            return false;
+        };
+        let r = row(j);
+        if r <= one {
+            k.add_mul_assign(&log::beta(index.bound as u128, m as u128), &(&one - &r));
+        }
+    }
+    k == bound.exponent
 }
 
-/// Builds the Theorem-3 report from its component artifacts —
-/// field-for-field what [`crate::tightness::check_tightness`] computes on the
-/// same nest (shared by the compute path and the read path's recomposition
-/// of an evicted report, so both answer identically).
+/// The Theorem-3 report composed from its three component artifacts plus
+/// the certificate check — field-for-field what
+/// [`crate::tightness::check_tightness`] computes on the same nest. Every
+/// `Tightness` answer, hit or miss, is built here; the report is never
+/// stored.
 pub(crate) fn compose_tightness_report(
+    nest: &LoopNest,
+    m: u64,
     tiling: &TilingSummary,
     bound: &LowerBound,
     enumerated: &EnumeratedBound,
-    certificate_ok: bool,
 ) -> TightnessReport {
     TightnessReport {
         tiling_exponent: tiling.value.clone(),
         bound_exponent: bound.exponent.clone(),
         enumerated_exponent: enumerated.exponent.clone(),
         witness_subset: bound.witness_subset,
-        tight: tiling.value == bound.exponent && certificate_ok,
+        tight: tiling.value == bound.exponent && certificate_valid(nest, m, bound),
     }
 }
 
@@ -608,5 +636,122 @@ pub(crate) fn summarize_surface(s: &ExponentSurface, axes: &[usize]) -> SurfaceS
         num_regions: s.num_regions(),
         pieces: s.pieces().into_iter().cloned().collect(),
         rendered: s.render_pieces(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use projtile_loopnest::builders;
+
+    use super::*;
+    use crate::bounds::{arbitrary_bound_exponent, exponent_from_s_hat};
+    use crate::hbl::hbl_lp;
+
+    /// The certificate check `check_tightness` performs inline, verbatim.
+    fn inline_check(nest: &LoopNest, m: u64, bound: &LowerBound) -> bool {
+        let formula_value = exponent_from_s_hat(nest, m, bound.witness_subset, &bound.s_hat);
+        let row_deleted = hbl_lp(nest, bound.witness_subset);
+        formula_value == bound.exponent && row_deleted.is_feasible(&bound.s_hat)
+    }
+
+    #[test]
+    fn certificate_check_equals_the_inline_check_of_check_tightness() {
+        let seventh: Rational = "1/7".parse().unwrap();
+        let half: Rational = "1/2".parse().unwrap();
+        let one = Rational::one();
+        let (mut valid, mut invalid) = (0, 0);
+        for seed in 0..30u64 {
+            for (d, n) in [(3, 3), (5, 4), (7, 5), (9, 6)] {
+                let nest = builders::random_projective(seed, d, n, (1, 1 << 12));
+                for m in [4u64, 64, 1 << 10] {
+                    let bound = arbitrary_bound_exponent(&nest, m);
+                    assert!(
+                        certificate_valid(&nest, m, &bound),
+                        "seed {seed} d {d} M {m}"
+                    );
+                    // Each ŝ entry lowered by 1 or raised by 1/7, and the
+                    // exponent raised by 1/7. Two more keep `Σŝ` (so, for
+                    // an empty `Q*`, the formula) and break only a row or
+                    // the sign: `ŝ` rotated by one, and half a unit moved
+                    // from each entry to the next.
+                    let mut corrupted = Vec::new();
+                    for a in 0..n {
+                        for delta in [-&one, seventh.clone()] {
+                            let mut b = bound.clone();
+                            b.s_hat[a] = &b.s_hat[a] + &delta;
+                            corrupted.push(b);
+                        }
+                        let mut b = bound.clone();
+                        b.s_hat[a] = &b.s_hat[a] - &half;
+                        b.s_hat[(a + 1) % n] = &b.s_hat[(a + 1) % n] + &half;
+                        corrupted.push(b);
+                        // Raised by 1 with the exponent re-derived from the
+                        // formula: a consistent certificate of a weaker
+                        // bound, with rows of `Q*` past 1.
+                        let mut b = bound.clone();
+                        b.s_hat[a] = &b.s_hat[a] + &one;
+                        b.exponent = exponent_from_s_hat(&nest, m, b.witness_subset, &b.s_hat);
+                        corrupted.push(b);
+                    }
+                    let mut b = bound.clone();
+                    b.s_hat.rotate_left(1);
+                    corrupted.push(b);
+                    let mut b = bound.clone();
+                    b.exponent = &b.exponent + &seventh;
+                    corrupted.push(b);
+                    for b in std::iter::once(&bound).chain(&corrupted) {
+                        let ok = certificate_valid(&nest, m, b);
+                        assert_eq!(ok, inline_check(&nest, m, b), "seed {seed} d {d} M {m}");
+                        if ok {
+                            valid += 1;
+                        } else {
+                            invalid += 1;
+                        }
+                    }
+                }
+            }
+        }
+        // 360 genuine bounds; the corrupted ones land on both sides.
+        assert!(
+            valid > 360 && invalid > 360,
+            "{valid} valid, {invalid} invalid"
+        );
+    }
+
+    #[test]
+    fn composed_reports_equal_check_tightness() {
+        for seed in 0..6u64 {
+            let nest = builders::random_projective(seed, 5, 4, (1, 1 << 10));
+            for m in [4u64, 64, 1 << 10] {
+                let sol = crate::tiling_lp::solve_tiling_lp(&nest, m);
+                let tiling = TilingSummary {
+                    tile_dims: crate::tiling_lp::tile_dims_from_lambda(&nest, m, &sol.lambda),
+                    lambda: sol.lambda,
+                    value: sol.value,
+                };
+                let report = compose_tightness_report(
+                    &nest,
+                    m,
+                    &tiling,
+                    &arbitrary_bound_exponent(&nest, m),
+                    &crate::bounds::enumerated_exponent(&nest, m),
+                );
+                assert_eq!(report, crate::tightness::check_tightness(&nest, m));
+            }
+        }
+    }
+
+    #[test]
+    fn bounds_that_do_not_fit_the_nest_are_invalid_not_panics() {
+        let nest = builders::matmul(64, 64, 8);
+        let m = 1 << 8;
+        let bound = arbitrary_bound_exponent(&nest, m);
+        let mut short = bound.clone();
+        short.s_hat.pop();
+        let mut outside = bound.clone();
+        outside.witness_subset.insert(40);
+        for b in [short, outside] {
+            assert!(!certificate_valid(&nest, m, &b));
+        }
     }
 }

@@ -42,8 +42,8 @@ use super::cache::{
     cost, CachedResult, ResultKey, ResultKind, SliceEntry, SliceKey, SliceKind, StoredSurface,
 };
 use super::{
-    certificate_valid, compose_tightness_report, summarize_surface, AnalysisResult, Engine,
-    EngineError, Query, TilingSummary,
+    compose_tightness_report, summarize_surface, AnalysisResult, Engine, EngineError, Query,
+    TilingSummary,
 };
 use crate::bounds::{EnumeratedBound, LowerBound};
 
@@ -143,7 +143,8 @@ impl<'q> Batch<'q> {
                     return Slot::Repeat(first);
                 }
                 first_seen.insert(q, i);
-                if let Some(answer) = interned.and_then(|(e, o)| engine.peek_cached(e, o, canon, q))
+                if let Some(answer) =
+                    interned.and_then(|(e, o)| engine.peek_cached(e, o, nest, canon, q))
                 {
                     return Slot::Hit(answer);
                 }
@@ -309,10 +310,10 @@ impl Engine {
     /// without solver work or re-threading any recency list. Reads go
     /// through [`super::BoundedLru::peek`], which records recency in atomic
     /// stamps, so concurrent readers of a shard never take its write lock
-    /// for a hit. A tightness query whose report was evicted but whose
-    /// component artifacts survive (the shape the derived-last policy
-    /// produces) is recomposed here — pure arithmetic, bitwise what the
-    /// install path stored — so a rewarm needs no solve.
+    /// for a hit. A tightness query peeks its tiling, bound and enumeration
+    /// in that order, stops at the first absent one, and composes the report
+    /// from the three with the certificate check on `nest` (the declared
+    /// order its bound is keyed by) — no LP solve.
     ///
     /// Typed results and surfaces are keyed by orientation `o` and miss
     /// until this declaration order is interned; slices are keyed by the
@@ -321,6 +322,7 @@ impl Engine {
         &self,
         e: usize,
         o: Option<usize>,
+        nest: &LoopNest,
         canon: &CanonicalNest,
         query: &Query,
     ) -> Option<AnalysisResult> {
@@ -334,20 +336,16 @@ impl Engine {
         };
         match query {
             Query::LowerBound { cache_size } => {
-                result(ResultKind::Bound, *cache_size)?.typed_answer()
+                Some(result(ResultKind::Bound, *cache_size)?.typed_answer())
             }
             Query::EnumeratedBound { cache_size } => {
-                result(ResultKind::Enumerated, *cache_size)?.typed_answer()
+                Some(result(ResultKind::Enumerated, *cache_size)?.typed_answer())
             }
             Query::OptimalTiling { cache_size } => {
-                result(ResultKind::Tiling, *cache_size)?.typed_answer()
+                Some(result(ResultKind::Tiling, *cache_size)?.typed_answer())
             }
             Query::Tightness { cache_size } => {
                 let m = *cache_size;
-                if let Some(report) = result(ResultKind::Tightness, m) {
-                    return report.typed_answer();
-                }
-                // Report evicted: recompose from resident components.
                 let CachedResult::Tiling(tiling) = result(ResultKind::Tiling, m)? else {
                     return None;
                 };
@@ -358,15 +356,8 @@ impl Engine {
                 else {
                     return None;
                 };
-                let CachedResult::Certificate(certificate_ok) = result(ResultKind::Certificate, m)?
-                else {
-                    return None;
-                };
                 Some(AnalysisResult::Tightness(compose_tightness_report(
-                    tiling,
-                    bound,
-                    enumerated,
-                    *certificate_ok,
+                    nest, m, tiling, bound, enumerated,
                 )))
             }
             Query::Surface {
@@ -443,39 +434,20 @@ impl Engine {
                 AnalysisResult::OptimalTiling(t)
             }
             (Query::Tightness { cache_size }, AnalysisResult::Tightness(t)) => {
-                // The component artifacts go in first (only where absent),
-                // then the report.
-                if let Some((bound, enumerated, tiling, certificate_ok)) = detached.tightness_parts
-                {
-                    for (kind, entry) in [
-                        (ResultKind::Tiling, CachedResult::Tiling(tiling)),
-                        (ResultKind::Bound, CachedResult::Bound(bound)),
-                        (ResultKind::Enumerated, CachedResult::Enumerated(enumerated)),
-                        (
-                            ResultKind::Certificate,
-                            CachedResult::Certificate(certificate_ok),
-                        ),
-                    ] {
-                        let key = result_key(kind, *cache_size);
-                        if !self.results.contains(&key) {
-                            self.insert_result(key, entry);
-                        }
-                    }
-                }
-                let key = result_key(ResultKind::Tightness, *cache_size);
-                self.insert_result(key, CachedResult::Tightness(t.clone()));
-                // Derived-last recency policy: re-touch the components the
-                // report was composed from, so under LRU pressure the
-                // derived report is evicted before its inputs. A report is
-                // the cheapest artifact to rebuild — `peek_cached`
-                // recomposes it from surviving components with no LP solve.
-                for kind in [
-                    ResultKind::Tiling,
-                    ResultKind::Bound,
-                    ResultKind::Enumerated,
-                    ResultKind::Certificate,
+                // The report is composed on every answer, never stored: only
+                // its components go in, where absent.
+                let (bound, enumerated, tiling) = detached.tightness_parts.ok_or(
+                    EngineError::Internal("tightness result lacks its components"),
+                )?;
+                for (kind, entry) in [
+                    (ResultKind::Tiling, CachedResult::Tiling(tiling)),
+                    (ResultKind::Bound, CachedResult::Bound(bound)),
+                    (ResultKind::Enumerated, CachedResult::Enumerated(enumerated)),
                 ] {
-                    self.results.get(&result_key(kind, *cache_size));
+                    let key = result_key(kind, *cache_size);
+                    if !self.results.contains(&key) {
+                        self.insert_result(key, entry);
+                    }
                 }
                 AnalysisResult::Tightness(t)
             }
@@ -532,15 +504,15 @@ impl Engine {
     }
 }
 
-/// A result computed with no access to the caches, plus the extra artifacts
-/// its install caches alongside it: the full sorted-order surface for a
-/// surface query, and the component artifacts of a tightness check (so a
-/// `Tightness` query warms `LowerBound`, `EnumeratedBound`, `OptimalTiling`
-/// and the certificate).
+/// A result computed with no access to the caches, plus the artifacts its
+/// install caches: the full sorted-order surface for a surface query, and
+/// the components of a tightness check (which is itself never cached, so a
+/// `Tightness` query warms `LowerBound`, `EnumeratedBound` and
+/// `OptimalTiling`).
 pub(crate) struct Detached {
     result: AnalysisResult,
     surface: Option<StoredSurface>,
-    tightness_parts: Option<(LowerBound, EnumeratedBound, TilingSummary, bool)>,
+    tightness_parts: Option<(LowerBound, EnumeratedBound, TilingSummary)>,
 }
 
 impl Detached {
@@ -576,7 +548,7 @@ impl Detached {
     /// derived, which is what that query's own free-function call returns.
     /// Reads no cache and solves nothing.
     fn component(&self, query: &Query) -> Result<Detached, EngineError> {
-        let Some((bound, enumerated, tiling, _)) = &self.tightness_parts else {
+        let Some((bound, enumerated, tiling)) = &self.tightness_parts else {
             return Err(EngineError::Internal(
                 "only a computed tightness check has components",
             ));
@@ -599,19 +571,16 @@ impl Detached {
     }
 }
 
-/// Cost estimates of the cache entries installing `detached` writes, in
-/// install order — five for a tightness result (tiling, bound, enumerated,
-/// certificate, then the report last), one otherwise. Recorded into trace
-/// events so the lab's replay charges its caches exactly what the live
-/// install charged.
+/// Cost estimates of the cache entries installing `detached` may write, in
+/// install order — three for a tightness result (tiling, bound, enumerated),
+/// one otherwise. Recorded into trace events so the lab's replay charges its
+/// caches exactly what the live install charged.
 fn detached_costs(detached: &Detached) -> Vec<u64> {
-    if let Some((bound, enumerated, tiling, _certificate_ok)) = &detached.tightness_parts {
+    if let Some((bound, enumerated, tiling)) = &detached.tightness_parts {
         return vec![
             cost::tiling(tiling),
             cost::bound(bound),
             cost::enumerated(enumerated),
-            cost::certificate(),
-            cost::tightness(),
         ];
     }
     if let Some(stored) = &detached.surface {
@@ -656,18 +625,16 @@ fn compute_detached(
         Query::OptimalTiling { cache_size } => AnalysisResult::OptimalTiling(tiling(*cache_size)),
         Query::Tightness { cache_size } => {
             // Computed from its explicit components (exactly the fields
-            // `check_tightness` derives) so install can cache them too.
+            // `check_tightness` derives) so install can cache them.
             let m = *cache_size;
             let bound = crate::bounds::arbitrary_bound_exponent(nest, m);
             let enumerated = crate::bounds::enumerated_exponent(nest, m);
             let tiling = tiling(m);
-            let beta = crate::bounds::betas(nest, m);
-            let certificate_ok = certificate_valid(nest, &beta, &bound);
-            let report = compose_tightness_report(&tiling, &bound, &enumerated, certificate_ok);
+            let report = compose_tightness_report(nest, m, &tiling, &bound, &enumerated);
             return Ok(Detached {
                 result: AnalysisResult::Tightness(report),
                 surface: None,
-                tightness_parts: Some((bound, enumerated, tiling, certificate_ok)),
+                tightness_parts: Some((bound, enumerated, tiling)),
             });
         }
         Query::Surface {

@@ -10,7 +10,7 @@
 //!   "version": 1,
 //!   "entries":  [ {"canonical": <LoopNest>, "orientations": [{"loops": [..], "arrays": [..]}]} ],
 //!   "betas":    [],
-//!   "results":  [ {"entry": 0, "orientation": 0, "m": 256, "kind": "tightness", "value": {..}} ],
+//!   "results":  [ {"entry": 0, "orientation": 0, "m": 256, "kind": "bound", "value": {..}} ],
 //!   "slices":   [ {"entry": 0, "m": 256, "axis": 2, "kind": "span", "lo": 1, "hi": 256, "value": {..}} ],
 //!   "surfaces": [ {"entry": 0, "orientation": 0, "m": 256, "surface": {..}} ]
 //! }
@@ -25,7 +25,11 @@
 //! `betas` is always written empty and ignored on restore: sessions no
 //! longer cache `β` vectors (they are recomputed inline), but the field
 //! stays so documents move freely between this build and older ones that
-//! still require it — no [`SNAPSHOT_VERSION`] bump.
+//! still require it — no [`SNAPSHOT_VERSION`] bump. Result kinds are
+//! `bound`, `enumerated` and `tiling`. Older documents also hold `tightness`
+//! reports and `certificate` bits; restore skips those entries without
+//! parsing their payloads (a tightness answer is composed from its
+//! components, never read back), again with no version bump.
 //!
 //! # Versioning caveats
 //!
@@ -160,8 +164,6 @@ fn kind_tag(kind: ResultKind) -> &'static str {
         ResultKind::Bound => "bound",
         ResultKind::Enumerated => "enumerated",
         ResultKind::Tiling => "tiling",
-        ResultKind::Tightness => "tightness",
-        ResultKind::Certificate => "certificate",
     }
 }
 
@@ -243,8 +245,6 @@ impl Engine {
                     CachedResult::Bound(lb) => lb.serialize(),
                     CachedResult::Enumerated(en) => en.serialize(),
                     CachedResult::Tiling(t) => t.serialize(),
-                    CachedResult::Tightness(t) => t.serialize(),
-                    CachedResult::Certificate(ok) => ok.serialize(),
                 };
                 obj(vec![
                     ("entry", (k.entry + entry_offset).serialize()),
@@ -399,14 +399,8 @@ impl Engine {
                     ResultKind::Tiling,
                     CachedResult::Tiling(de("tiling summary", payload)?),
                 ),
-                "tightness" => (
-                    ResultKind::Tightness,
-                    CachedResult::Tightness(de("tightness report", payload)?),
-                ),
-                "certificate" => (
-                    ResultKind::Certificate,
-                    CachedResult::Certificate(de("certificate bit", payload)?),
-                ),
+                // Written by older builds; composed on every answer now.
+                "tightness" | "certificate" => continue,
                 other => {
                     return Err(EngineError::Snapshot(format!(
                         "unknown result kind `{other}`"
@@ -414,10 +408,8 @@ impl Engine {
                 }
             };
             // Payload shape checks: a hostile document can encode vectors
-            // and subsets that do not fit the nest, which would panic deep
-            // in the certificate re-check (`exponent_from_s_hat_with_betas`
-            // indexes β by witness member, `is_feasible` by array) the first
-            // time the cached artifact is consumed.
+            // and subsets that do not fit the nest. No session produces
+            // them, so the document is refused rather than served.
             let d = engine.entry(e).canonical.num_loops();
             let n = engine.entry(e).canonical.num_arrays();
             let in_range = |s: projtile_loopnest::IndexSet| s.iter().all(|j| j < d);
@@ -451,15 +443,6 @@ impl Engine {
                         ));
                     }
                 }
-                CachedResult::Tightness(t) => {
-                    if !in_range(t.witness_subset) {
-                        return Err(EngineError::Snapshot(
-                            "tightness witness subset references loops the nest does not have"
-                                .into(),
-                        ));
-                    }
-                }
-                CachedResult::Certificate(_) => {}
             }
             let key = ResultKey {
                 entry: e,

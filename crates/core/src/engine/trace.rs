@@ -31,13 +31,13 @@ use serde::{json, Value};
 use super::EngineConfig;
 
 /// Version stamp of the serialized trace document format.
-pub const TRACE_VERSION: u32 = 2;
+pub const TRACE_VERSION: u32 = 3;
 
 /// Integer header fields per serialized event (`costs` values follow).
 const EVENT_HEADER: usize = 10;
 
 /// Upper bound on per-event cost counts accepted by the parser (a
-/// tightness miss installs five artifacts; nothing installs more). Rejects
+/// tightness miss prices three artifacts; nothing prices more). Rejects
 /// hostile documents instead of over-reading the flat vector.
 const MAX_COSTS: usize = 8;
 
@@ -47,7 +47,7 @@ pub mod outcome {
     /// Served from a memoized artifact under the shard's read lock.
     pub const HIT: u8 = 0;
     /// Computed, then installed under the shard's write lock. The event
-    /// carries the per-entry cost estimates of everything installed.
+    /// carries the per-entry cost estimates of everything it may install.
     pub const MISS: u8 = 1;
     /// A duplicate literal occurrence of a pending query within one batch:
     /// the front counts it neither as a hit nor as a miss.
@@ -88,10 +88,10 @@ pub struct TraceEvent {
     pub fam: u64,
     /// An [`outcome`] constant.
     pub outcome: u8,
-    /// Cost estimates of the entries a miss installed, in install order
-    /// (five for a tightness miss — tiling, bound, enumerated, certificate,
-    /// then the report — one otherwise; empty unless `outcome` is
-    /// [`outcome::MISS`]).
+    /// Cost estimates of the entries a miss may install, in install order
+    /// (three for a tightness miss — tiling, bound, enumerated, each
+    /// installed only where absent — one otherwise; empty unless `outcome`
+    /// is [`outcome::MISS`]).
     pub costs: Vec<u64>,
 }
 
@@ -502,7 +502,7 @@ mod tests {
             events: vec![
                 event(0, vec![]),
                 event(1, vec![456]),
-                event(2, vec![1, 2, 3, 4, 5]),
+                event(2, vec![1, 2, 3]),
             ],
         };
         let parsed = TraceDocument::from_json(&doc.to_json()).unwrap();

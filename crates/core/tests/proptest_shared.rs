@@ -23,8 +23,8 @@ fn tiny_config() -> EngineConfig {
 }
 
 /// A 1-loop filler nest whose tiling result is the cheapest possible cache
-/// entry — smaller than a tightness report, so filler traffic evicts the
-/// (least recently used, derived-last) report and nothing else.
+/// entry — smaller than any tightness component, so filler traffic under a
+/// budget sized to one tightness set evicts one component and nothing else.
 fn filler_nest() -> LoopNest {
     LoopNest::builder()
         .index("i", 2)
@@ -464,9 +464,9 @@ fn charged_events(front: &SharedEngine) -> Vec<(u8, u64, u8, Vec<u64>)> {
 #[test]
 fn tightness_components_in_its_batch_are_computed_once_and_counted_alike() {
     // A batch's component misses are answered from its Tightness miss's
-    // parts. Each stays a miss that installs the same entry at the same
-    // cost, so answers, counters, resident entries and trace events match
-    // the same queries sent one per batch.
+    // parts, and each installs the same entry at the same cost as when sent
+    // alone. Sent one per batch, the Tightness comes after its components
+    // and is a hit composed from them; in the batch it is a fourth miss.
     let nest = builders::random_projective(7, 6, 4, (1, 256));
     let m = 1u64 << 8;
     let queries = [
@@ -488,18 +488,25 @@ fn tightness_components_in_its_batch_are_computed_once_and_counted_alike() {
     let stats = batched.stats();
     assert_eq!((stats.misses, stats.hits), (4, 0), "{stats:?}");
     let mut single = Engine::new();
-    for q in &queries {
-        single.analyze(&nest, q).expect("valid query");
+    for (q, r) in queries.iter().zip(&answers) {
+        assert_eq!(&single.ask(&nest, q), r, "one per batch == batched bitwise");
     }
-    assert_eq!(batched.stats(), single.stats(), "both count alike");
+    let stats = single.stats();
+    assert_eq!((stats.misses, stats.hits), (3, 1), "{stats:?}");
     assert_eq!(
         batched.cache_metrics().results,
-        single.cache_metrics().results
+        single.cache_metrics().results,
+        "the same three entries at the same costs"
     );
+    // The batched Tightness installs nothing (its components are in), and
+    // the lone one peeks tiling, bound, enumeration in that order.
     assert_eq!(
         resident_result_kinds(&mut batched),
+        ["bound", "tiling", "enumerated"]
+    );
+    assert_eq!(
         resident_result_kinds(&mut single),
-        "same entries in the same recency order"
+        ["tiling", "bound", "enumerated"]
     );
 
     let mut shared = SharedEngine::new();
@@ -517,46 +524,126 @@ fn tightness_components_in_its_batch_are_computed_once_and_counted_alike() {
     for q in &queries {
         one_per_batch.analyze(&nest, q).expect("valid query");
     }
+    let stats = one_per_batch.stats();
+    assert_eq!((stats.misses, stats.hits), (3, 1), "{stats:?}");
     let events = charged_events(&shared);
+    let alone = charged_events(&one_per_batch);
     assert_eq!(events.len(), 4);
     assert!(events.iter().all(|e| e.2 == outcome::MISS), "{events:?}");
-    assert_eq!(events, charged_events(&one_per_batch));
+    assert_eq!(events[..3], alone[..3], "components charge alike");
+    // The Tightness miss prices its three components in install order.
+    let component_costs: Vec<u64> = [1, 0, 2].iter().map(|&i| events[i].3[0]).collect();
+    assert_eq!(events[3], (3, m, outcome::MISS, component_costs));
+    assert_eq!(alone[3], (3, m, outcome::HIT, Vec::new()));
+}
+
+#[test]
+fn separately_computed_components_make_tightness_a_hit() {
+    // A Tightness answer is composed from its three components, whichever
+    // queries computed them: after separate LowerBound, EnumeratedBound and
+    // OptimalTiling queries at the same M, it is a hit that solves and
+    // installs nothing, bitwise `check_tightness`.
+    let nest = builders::random_projective(11, 6, 5, (1, 512));
+    let m = 1u64 << 6;
+    let tightness = Query::Tightness { cache_size: m };
+    let components = [
+        Query::LowerBound { cache_size: m },
+        Query::EnumeratedBound { cache_size: m },
+        Query::OptimalTiling { cache_size: m },
+    ];
+    let oracle = AnalysisResult::Tightness(tightness::check_tightness(&nest, m));
+
+    let mut engine = Engine::new();
+    let mut shared = SharedEngine::with_config(EngineConfig::default(), 1);
+    shared.set_trace_capacity(16);
+    for q in &components {
+        engine.ask(&nest, q);
+        shared.ask(&nest, q);
+    }
+    let (before, shared_before) = (engine.cache_metrics(), shared.cache_metrics());
+    assert_eq!(engine.ask(&nest, &tightness), oracle);
+    assert_eq!(shared.ask(&nest, &tightness), oracle);
+    for stats in [engine.stats(), shared.stats()] {
+        assert_eq!((stats.misses, stats.hits), (3, 1), "{stats:?}");
+    }
+    assert_eq!(engine.cache_metrics().results, before.results);
+    assert_eq!(shared.cache_metrics().results, shared_before.results);
+    let events = charged_events(&shared);
+    assert_eq!(events.last(), Some(&(3, m, outcome::HIT, Vec::new())));
 }
 
 #[test]
 fn a_resident_tightness_leaves_its_batchs_components_to_compute() {
-    // A one-byte results budget keeps only the newest entry, the report, so
-    // the Tightness below hits while its LowerBound misses. That miss has
-    // no pending Tightness to take its answer from and is solved itself.
+    // A Tightness is resident exactly when its three components are, so it
+    // is not pending and no component miss of its batch takes an answer
+    // from it: a LowerBound at another M is solved itself, while the
+    // same-M OptimalTiling hits beside the Tightness.
     let nest = builders::random_projective(3, 5, 4, (1, 256));
-    let m = 1u64 << 8;
-    let config = EngineConfig {
-        results_capacity: 1,
-        ..EngineConfig::default()
-    };
+    let (m, other) = (1u64 << 8, 1u64 << 5);
     let queries = [
-        Query::LowerBound { cache_size: m },
+        Query::LowerBound { cache_size: other },
         Query::Tightness { cache_size: m },
+        Query::OptimalTiling { cache_size: m },
     ];
-    let mut engine = Engine::with_config(config);
-    let shared = SharedEngine::with_config(config, 1);
+    let mut engine = Engine::new();
+    let shared = SharedEngine::with_config(EngineConfig::default(), 1);
     engine.ask(&nest, &queries[1]);
     shared.analyze(&nest, &queries[1]).expect("valid query");
-    assert_eq!(resident_result_kinds(&mut engine), ["tightness"]);
 
     let answers = engine.analyze_batch(&nest, &queries);
     for (q, r) in queries.iter().zip(&answers) {
         assert_matches_oracle(&nest, q, r.as_ref().expect("valid query"));
     }
     let stats = engine.stats();
-    assert_eq!((stats.misses, stats.hits), (2, 1), "{stats:?}");
+    assert_eq!((stats.misses, stats.hits), (2, 2), "{stats:?}");
     assert_eq!(shared.analyze_batch(&nest, &queries), answers);
     assert_eq!(shared.stats(), engine.stats(), "both fronts count alike");
 }
 
+#[test]
+fn batches_of_sixteen_or_more_misses_fan_out_exactly() {
+    // `par_map_with` splits a batch across threads only from 16 pending
+    // misses on. Here: the three component kinds at six cache sizes plus a
+    // Tightness at two of them, 20 distinct misses, whose six same-M
+    // components take their answers from the two Tightness computations.
+    // Every answer must equal its oracle and the same query sent alone.
+    let nest = builders::random_projective(5, 5, 4, (1, 1 << 12));
+    let sizes = [4u64, 16, 64, 256, 1 << 10, 1 << 12];
+    let mut queries: Vec<Query> = Vec::new();
+    for &m in &sizes {
+        queries.push(Query::LowerBound { cache_size: m });
+        queries.push(Query::EnumeratedBound { cache_size: m });
+        queries.push(Query::OptimalTiling { cache_size: m });
+    }
+    queries.push(Query::Tightness { cache_size: 16 });
+    queries.push(Query::Tightness {
+        cache_size: 1 << 10,
+    });
+    assert!(queries.len() >= 16);
+
+    let mut engine = Engine::new();
+    let answers: Vec<AnalysisResult> = engine
+        .analyze_batch(&nest, &queries)
+        .into_iter()
+        .map(|r| r.expect("valid query"))
+        .collect();
+    let stats = engine.stats();
+    assert_eq!((stats.misses, stats.hits), (20, 0), "{stats:?}");
+    let front = SharedEngine::with_config(EngineConfig::default(), 1);
+    let shared_answers = front.analyze_batch(&nest, &queries);
+    assert_eq!(front.stats(), engine.stats(), "both fronts count alike");
+
+    let mut single = Engine::new();
+    for ((q, r), shared) in queries.iter().zip(&answers).zip(&shared_answers) {
+        assert_matches_oracle(&nest, q, r);
+        assert_eq!(shared.as_ref(), Ok(r), "shared == private bitwise");
+        assert_eq!(&single.ask(&nest, q), r, "batched == one per batch");
+    }
+}
+
 /// The nest, cache size and tightness report of the evicted-tightness tests,
-/// with a results budget sized to exactly the five-entry tightness set of
-/// that nest.
+/// with a results budget sized to exactly the three components a tightness
+/// query installs for that nest.
 fn tightness_eviction_setup() -> (LoopNest, u64, AnalysisResult, EngineConfig) {
     let (seed, m) = (0u64, 1u64 << 8);
     let nest = builders::random_projective(seed, 5, 4, (1, 512));
@@ -620,83 +707,86 @@ fn resident_result_kinds(front: &mut impl Front) -> Vec<String> {
         .collect()
 }
 
-/// Drives one front to the state where the tightness report is evicted but
-/// its components (bound, enumeration, tiling, certificate) survive as
-/// separate results-cache entries — by install's derived-last re-touch
-/// alone, with no other reads in between.
-fn evict_tightness_report(
+/// Drives one front through a tightness miss (which installs its three
+/// components and no report), a repeat composed from them, and filler
+/// traffic that evicts exactly one component, the least recently used
+/// tiling.
+fn evict_one_tightness_component(
     front: &mut impl Front,
     nest: &LoopNest,
     m: u64,
     oracle: &AnalysisResult,
 ) {
-    assert_eq!(
-        &front.ask(nest, &Query::Tightness { cache_size: m }),
-        oracle
-    );
+    let q = Query::Tightness { cache_size: m };
+    assert_eq!(&front.ask(nest, &q), oracle);
     assert_eq!(
         front.results_evictions(),
         0,
-        "the budget holds the whole tightness set"
+        "the budget holds the three components"
     );
     assert_eq!(
         resident_result_kinds(front),
-        ["tightness", "tiling", "bound", "enumerated", "certificate"],
-        "install re-touches the components after the report"
+        ["tiling", "bound", "enumerated"],
+        "a tightness miss installs its components and nothing else"
     );
-    // Filler traffic evicts the least recently used entry, the report, and
-    // nothing else.
+    assert_eq!(&front.ask(nest, &q), oracle);
     front.ask(&filler_nest(), &Query::OptimalTiling { cache_size: m });
     assert_eq!(front.results_evictions(), 1);
     assert_eq!(
         resident_result_kinds(front),
-        ["tiling", "bound", "enumerated", "certificate", "tiling"],
-        "only the report was evicted"
+        ["bound", "enumerated", "tiling"],
+        "only the component tiling was evicted"
     );
 }
 
 #[test]
 fn evicted_tightness_recomposes_from_surviving_components() {
-    // When the tightness report itself is evicted, re-answering composes
-    // from the surviving components. Recomposition is pure arithmetic on
-    // resident entries, so it counts as a hit, not a recompute, and the
-    // composed report is bitwise the free function's.
+    // With one component evicted, a Tightness is a miss: it recomputes all
+    // three components, reinstalls the absent one (the cascade evicts the
+    // other two and the filler, which are reinstalled in turn) and answers
+    // bitwise the free function's report. Once all three are resident
+    // again, the next Tightness is recomposed from them as a hit.
     let (nest, m, oracle, config) = tightness_eviction_setup();
+    let q = Query::Tightness { cache_size: m };
     let mut engine = Engine::with_config(config);
-    evict_tightness_report(&mut engine, &nest, m, &oracle);
+    evict_one_tightness_component(&mut engine, &nest, m, &oracle);
 
     let before = engine.stats();
-    let again = engine.analyze(&nest, &Query::Tightness { cache_size: m });
+    assert_eq!(engine.ask(&nest, &q), oracle);
     let after = engine.stats();
     assert_eq!(
         (after.hits, after.misses),
-        (before.hits + 1, before.misses),
-        "the evicted report recomposes as a hit"
+        (before.hits, before.misses + 1),
+        "a Tightness missing a component is a miss"
     );
-    assert_eq!(again.unwrap(), oracle);
+    assert_eq!(
+        resident_result_kinds(&mut engine),
+        ["tiling", "bound", "enumerated"]
+    );
+    assert_eq!(engine.ask(&nest, &q), oracle);
+    assert_eq!(engine.stats().hits, after.hits + 1, "recomposed as a hit");
 }
 
 #[test]
 fn shared_tightness_recomposes_under_the_read_lock() {
-    // The shared front answers the same recomposition as a read-path hit,
-    // and counts and evicts exactly as a private `Engine` driven through the
-    // same traffic.
+    // The shared front composes a resident Tightness as a read-path hit, and
+    // counts and evicts exactly as a private `Engine` driven through the
+    // same traffic, including the miss after one component is evicted.
     let (nest, m, oracle, config) = tightness_eviction_setup();
     let q = Query::Tightness { cache_size: m };
     let mut shared = SharedEngine::with_config(config, 1);
-    evict_tightness_report(&mut shared, &nest, m, &oracle);
-
-    let hits_before = shared.stats().hits;
-    let again = shared.analyze(&nest, &q).unwrap();
+    evict_one_tightness_component(&mut shared, &nest, m, &oracle);
+    let stats = shared.stats();
     assert_eq!(
-        shared.stats().hits,
-        hits_before + 1,
-        "recomposition is served under the read lock"
+        (stats.hits, stats.misses),
+        (1, 2),
+        "the repeat was composed under the read lock: {stats:?}"
     );
-    assert_eq!(again, oracle);
+    assert_eq!(shared.analyze(&nest, &q).unwrap(), oracle);
+    assert_eq!(shared.stats().misses, 3, "a missing component is a miss");
 
     let mut engine = Engine::with_config(config);
-    evict_tightness_report(&mut engine, &nest, m, &oracle);
+    evict_one_tightness_component(&mut engine, &nest, m, &oracle);
     assert_eq!(engine.analyze(&nest, &q).unwrap(), oracle);
     assert_eq!(shared.stats(), engine.stats(), "both fronts count alike");
     assert_eq!(

@@ -4,44 +4,45 @@
 //! first time a worker consumes it. Each test takes a *genuine* snapshot of
 //! a warmed engine, applies one surgical mutation, and asserts restore
 //! errors (the process never aborts — these run in-process, so a panic
-//! fails the test loudly).
+//! fails the test loudly). Hostile payloads under the legacy result kinds
+//! restore must skip unparsed are the one exception: those documents
+//! restore, and must answer as if the entries were absent.
 
-use projtile_core::engine::{Engine, EngineError, Query};
+use projtile_core::engine::{AnalysisResult, Engine, EngineError, Query, SharedEngine};
+use projtile_core::tightness::check_tightness;
 use projtile_loopnest::builders;
-use serde::Value;
+use serde::{Serialize, Value};
 
 const M: u64 = 1 << 8;
 
-/// A warmed engine whose snapshot contains every artifact class: all five
-/// result kinds, a span slice, a probe slice, and a surface.
+/// The queries a warmed engine has answered (its probe slice aside).
+fn warming_queries() -> Vec<Query> {
+    vec![
+        Query::Tightness { cache_size: M },
+        Query::Slice {
+            cache_size: M,
+            axis: 2,
+            lo_bound: 1,
+            hi_bound: 64,
+        },
+        Query::Surface {
+            cache_size: M,
+            axes: vec![2],
+            lo_bounds: vec![1],
+            hi_bounds: vec![64],
+        },
+    ]
+}
+
+/// A warmed engine whose snapshot contains every artifact class: all three
+/// result kinds (a tightness query installs them), a span slice, a probe
+/// slice, and a surface.
 fn warmed_engine() -> Engine {
     let nest = builders::matmul(64, 64, 64);
     let mut engine = Engine::new();
-    engine
-        .analyze(&nest, &Query::Tightness { cache_size: M })
-        .expect("tightness warms bound/enumerated/tiling/certificate");
-    engine
-        .analyze(
-            &nest,
-            &Query::Slice {
-                cache_size: M,
-                axis: 2,
-                lo_bound: 1,
-                hi_bound: 64,
-            },
-        )
-        .expect("span slice warms");
-    engine
-        .analyze(
-            &nest,
-            &Query::Surface {
-                cache_size: M,
-                axes: vec![2],
-                lo_bounds: vec![1],
-                hi_bounds: vec![64],
-            },
-        )
-        .expect("surface warms");
+    for q in warming_queries() {
+        engine.analyze(&nest, &q).expect("query warms");
+    }
     engine
         .exponent_at_bound(&nest, M, 2, 32)
         .expect("probe slice warms");
@@ -177,14 +178,59 @@ fn rejects_truncated_tiling_lambda() {
     );
 }
 
+/// A result entry of the given legacy kind, keyed like the snapshot's
+/// first result.
+fn legacy_result(first: &Value, kind: &str, value: Value) -> Value {
+    let mut entry = first.clone();
+    *obj_mut(&mut entry, "kind") = Value::String(kind.to_string());
+    *obj_mut(&mut entry, "value") = value;
+    entry
+}
+
+/// Documents written before tightness reports were composed hold
+/// `tightness` and `certificate` result entries beside the components,
+/// report first and certificate bit last. Both fronts restore such a
+/// document warm, skip those entries unparsed (here a report with an
+/// out-of-range witness and a false `tight`, and a bit that is not a bool),
+/// and answer every persisted query bitwise and as a hit, never from the
+/// legacy payload.
 #[test]
-fn rejects_out_of_range_tightness_witness() {
-    assert_rejected(
-        |s| {
-            let t = find_kind(arr_mut(obj_mut(s, "results")), "tightness");
-            *obj_mut(obj_mut(t, "value"), "witness_subset") = Value::Int(1 << 40);
-        },
-        "tightness witness subset",
+fn legacy_tightness_and_certificate_entries_restore_warm() {
+    let nest = builders::matmul(64, 64, 64);
+    let queries = {
+        let mut q = warming_queries();
+        q.push(Query::LowerBound { cache_size: M });
+        q.push(Query::EnumeratedBound { cache_size: M });
+        q.push(Query::OptimalTiling { cache_size: M });
+        q
+    };
+    let expected = Engine::new().analyze_batch(&nest, &queries);
+    let oracle = check_tightness(&nest, M);
+    assert!(oracle.tight);
+    assert_eq!(expected[0], Ok(AnalysisResult::Tightness(oracle.clone())));
+
+    let mut snapshot = warmed_engine().snapshot();
+    let results = arr_mut(obj_mut(&mut snapshot, "results"));
+    let mut report = oracle.serialize();
+    *obj_mut(&mut report, "witness_subset") = Value::Int(1 << 40);
+    *obj_mut(&mut report, "tight") = Value::Bool(false);
+    let tightness = legacy_result(&results[0], "tightness", report);
+    let certificate = legacy_result(&results[0], "certificate", Value::String("yes".into()));
+    results.insert(0, tightness);
+    results.push(certificate);
+
+    let mut engine = Engine::restore(&snapshot).expect("legacy snapshot restores");
+    assert_eq!(engine.analyze_batch(&nest, &queries), expected);
+    let front = SharedEngine::restore(&snapshot).expect("legacy snapshot restores");
+    assert_eq!(front.analyze_batch(&nest, &queries), expected);
+    for stats in [engine.stats(), front.stats()] {
+        assert_eq!(stats.misses, 0, "{stats:?}");
+        assert_eq!(stats.hits, queries.len() as u64, "{stats:?}");
+    }
+    assert_eq!(
+        engine.cache_metrics().results.entries,
+        3,
+        "legacy entries skipped"
     );
 }
 

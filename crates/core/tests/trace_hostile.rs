@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use serde::{json, Value};
 
 /// A genuine document exercising every field: several batches, all outcome
-/// codes, empty and five-entry cost vectors.
+/// codes, empty and three-entry cost vectors.
 fn genuine_document() -> TraceDocument {
     let ev = |ordinal: u64, kind: u8, oc: u8, costs: Vec<u64>| TraceEvent {
         ordinal,
@@ -42,7 +42,7 @@ fn genuine_document() -> TraceDocument {
         warm_entries: 0,
         events: vec![
             ev(0, 0, outcome::MISS, vec![144]),
-            ev(1, 3, outcome::MISS, vec![500, 144, 160, 96, 200]),
+            ev(1, 3, outcome::MISS, vec![500, 144, 160]),
             ev(2, 4, outcome::HIT, vec![]),
             ev(3, 4, outcome::DUPLICATE, vec![]),
             ev(4, 1, outcome::FAILED, vec![]),
@@ -149,8 +149,8 @@ fn rejects_torn_event_header() {
         },
         "torn event header",
     );
-    // The second event (a tightness miss) carries 5 costs at offsets
-    // 21..26: cutting inside them tears the cost vector specifically.
+    // The second event (a tightness miss) carries 3 costs at offsets
+    // 21..24: cutting inside them tears the cost vector specifically.
     assert_rejected(
         |v| {
             let flat = arr_mut(obj_mut(v, "events"));

@@ -9,14 +9,15 @@
 //! * events are regrouped by their `batch` id (one group per live
 //!   `analyze`/`analyze_batch` call, contiguous in append order);
 //! * each group runs the live pipeline's phases in order: a **probe pass**
-//!   (one `peek` per distinct literal in input order, with the tightness
-//!   recompose path peeking component artifacts as it short-circuits), a
-//!   **classification** (first uncached occurrence per cache-canonical
-//!   family is the computing miss; repeated literals of it are duplicates;
-//!   distinct literals of it are canonical twins, hits answered from the
-//!   batch's own computation without touching a cache), an **orientation
-//!   intern**, and an **install pass** in pending order making the live
-//!   `contains` / `insert` / `get` calls at the recorded per-entry costs;
+//!   (one `peek` per distinct literal in input order; a tightness probe
+//!   peeks its three component entries, short-circuiting at the first
+//!   absent one), a **classification** (first uncached occurrence per
+//!   cache-canonical family is the computing miss; repeated literals of it
+//!   are duplicates; distinct literals of it are canonical twins, hits
+//!   answered from the batch's own computation without touching a cache),
+//!   an **orientation intern**, and an **install pass** in pending order
+//!   making the live `contains` / `insert` calls at the recorded per-entry
+//!   costs;
 //! * the replayed shard is the recorded routing key modulo the shard count,
 //!   so cross-shard isolation is reproduced too.
 //!
@@ -26,8 +27,8 @@
 //! hit/miss totals — the keystone differential ([`check_live`]). At other
 //! budgets the replay predicts what a live front with those budgets would
 //! have done; entry costs for misses the recording never took are recovered
-//! from a cost book learned from the trace's own miss events (from a cold
-//! start, every installable entry's first live resolution is a recorded
+//! from a cost book of per-entry costs learned from the trace's own miss
+//! events (from a cold start, every entry is first installed by a recorded
 //! miss).
 
 use std::collections::{HashMap, HashSet};
@@ -35,37 +36,40 @@ use std::fmt;
 
 use projtile_core::engine::{outcome, BoundedLru, BoundedLruStats, TraceDocument, TraceEvent};
 
-/// A replayed cache key: the event's cache-canonical family hash plus a
-/// small component tag (a tightness report and its four component artifacts
-/// share a family but occupy distinct entries).
+/// A replayed cache entry: the event's cache-canonical family hash plus the
+/// kind of query whose answer the entry holds (a tightness query's three
+/// components share its family but occupy distinct entries).
 type SimKey = u128;
 
 /// One replayed cache family: the live cache type, holding no payloads.
 type Family = BoundedLru<SimKey, ()>;
 
-/// Component tags distinguishing co-familial entries in the replayed
-/// results family (the live `ResultKind`s).
-mod tag {
-    pub const BOUND: u8 = 1;
-    pub const ENUMERATED: u8 = 2;
-    pub const TILING: u8 = 3;
-    pub const CERTIFICATE: u8 = 4;
-    pub const REPORT: u8 = 5;
+/// The query kinds a tightness query is composed from, in the live probe
+/// and install order (and the order of a tightness miss's recorded costs):
+/// tiling, bound, enumeration.
+const TIGHTNESS_COMPONENTS: [u8; 3] = [2, 0, 1];
+
+/// The kind index of a tightness query, which owns no entry of its own.
+const TIGHTNESS: u8 = 3;
+
+/// The entry kinds an event reads and installs, in order: its components
+/// for a tightness event, its own kind otherwise.
+fn entry_kinds(ev: &TraceEvent) -> &[u8] {
+    if ev.kind == TIGHTNESS {
+        &TIGHTNESS_COMPONENTS
+    } else {
+        std::slice::from_ref(&ev.kind)
+    }
 }
 
-/// Install order of a tightness miss's component artifacts (before the
-/// report), matching the live install pass and its recorded cost order.
-const TIGHTNESS_COMPONENTS: [u8; 4] = [tag::TILING, tag::BOUND, tag::ENUMERATED, tag::CERTIFICATE];
-
-fn key(fam: u64, t: u8) -> SimKey {
-    ((fam as u128) << 8) | t as u128
+fn key(fam: u64, kind: u8) -> SimKey {
+    ((fam as u128) << 8) | kind as u128
 }
 
 /// Per-shard cost budgets for the engine's three cache families.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Budgets {
-    /// Typed-results family budget (bounds, enumerations, tilings,
-    /// tightness reports and certificates).
+    /// Typed-results family budget (bounds, enumerations, tilings).
     pub results: u64,
     /// Slice value-function family budget.
     pub slices: u64,
@@ -286,59 +290,27 @@ impl Shard {
     }
 }
 
-/// The primary lookup key of an event (the entry its kind's peek answers
-/// from — for tightness, the report).
-fn primary_key(ev: &TraceEvent) -> SimKey {
-    match ev.kind {
-        0 => key(ev.fam, tag::BOUND),
-        1 => key(ev.fam, tag::ENUMERATED),
-        2 => key(ev.fam, tag::TILING),
-        3 => key(ev.fam, tag::REPORT),
-        _ => key(ev.fam, 0),
-    }
-}
-
-/// The live read path for one event (`Engine::peek_cached`): peek the
-/// primary entry; on a tightness report miss, peek the components in order,
-/// short-circuiting at the first absence (an overall miss can still stamp
-/// some components).
+/// The live read path for one event (`Engine::peek_cached`): peek its
+/// entries in order, short-circuiting at the first absence (a tightness
+/// miss can still stamp some components).
 fn probe(shard: &mut Shard, ev: &TraceEvent) -> bool {
     let family = shard.family(ev.kind);
-    if family.peek(&primary_key(ev)).is_some() {
-        return true;
-    }
-    ev.kind == 3
-        && TIGHTNESS_COMPONENTS
-            .into_iter()
-            .all(|t| family.peek(&key(ev.fam, t)).is_some())
+    entry_kinds(ev)
+        .iter()
+        .all(|&k| family.peek(&key(ev.fam, k)).is_some())
 }
 
 /// The live install path for one computing miss (`Engine::install`), at the
-/// recorded per-entry costs: typed results overwrite; tightness inserts its
-/// components where absent, the report last, then `get`s the components
-/// (the derived-last recency policy); surfaces and slices insert only where
-/// absent.
+/// given per-entry costs: a bound, enumeration or tiling query overwrites
+/// its entry; a tightness query inserts its components where absent, and so
+/// do surfaces and slices.
 fn install(shard: &mut Shard, ev: &TraceEvent, costs: &[u64]) {
-    let at = |i: usize| costs.get(i).copied().unwrap_or(0);
     let family = shard.family(ev.kind);
-    match ev.kind {
-        3 => {
-            for (i, t) in TIGHTNESS_COMPONENTS.into_iter().enumerate() {
-                if !family.contains(&key(ev.fam, t)) {
-                    family.insert(key(ev.fam, t), (), at(i));
-                }
-            }
-            family.insert(primary_key(ev), (), at(4));
-            for t in TIGHTNESS_COMPONENTS {
-                family.get(&key(ev.fam, t));
-            }
+    for (&k, &cost) in entry_kinds(ev).iter().zip(costs) {
+        let entry = key(ev.fam, k);
+        if ev.kind < TIGHTNESS || !family.contains(&entry) {
+            family.insert(entry, (), cost);
         }
-        4 | 5 => {
-            if !family.contains(&primary_key(ev)) {
-                family.insert(primary_key(ev), (), at(0));
-            }
-        }
-        _ => family.insert(primary_key(ev), (), at(0)),
     }
 }
 
@@ -350,28 +322,29 @@ pub fn replay_document(doc: &TraceDocument, budgets: Budgets) -> ReplayReport {
     let num_shards = (doc.num_shards as u64).max(1);
     let mut shards: Vec<Shard> = (0..num_shards).map(|_| Shard::new(budgets)).collect();
 
-    // Cost book: every installable entry's first live resolution from a
-    // cold start is a recorded miss, so recorded costs price the entries
-    // for replays at other budgets too.
-    let mut book: HashMap<(u8, u64), Vec<u64>> = HashMap::new();
-    for ev in &doc.events {
-        if ev.outcome == outcome::MISS && !ev.costs.is_empty() {
-            book.entry((ev.kind, ev.fam))
-                .or_insert_with(|| ev.costs.clone());
+    // Cost book: from a cold start every entry is first installed by a
+    // recorded miss, so recorded costs price each entry for replays at
+    // other budgets too.
+    let mut book: HashMap<SimKey, u64> = HashMap::new();
+    for ev in doc.events.iter().filter(|ev| ev.outcome == outcome::MISS) {
+        for (&k, &cost) in entry_kinds(ev).iter().zip(&ev.costs) {
+            book.entry(key(ev.fam, k)).or_insert(cost);
         }
     }
-    // The cost an event's answer represents, for byte-rate accounting (the
-    // report entry for tightness, the sole entry otherwise).
+    // An event's entries priced from the book (`None` if any is unpriced).
+    let priced = |ev: &TraceEvent| -> Option<Vec<u64>> {
+        entry_kinds(ev)
+            .iter()
+            .map(|&k| book.get(&key(ev.fam, k)).copied())
+            .collect()
+    };
+    // The cost an event's answer represents, for byte-rate accounting: the
+    // sum of its entries (a tightness answer is composed from three).
     let serve_cost = |ev: &TraceEvent| -> u64 {
-        book.get(&(ev.kind, ev.fam))
-            .map(|costs| {
-                if ev.kind == 3 {
-                    costs.get(4).copied().unwrap_or(0)
-                } else {
-                    costs.first().copied().unwrap_or(0)
-                }
-            })
-            .unwrap_or(0)
+        entry_kinds(ev)
+            .iter()
+            .filter_map(|&k| book.get(&key(ev.fam, k)))
+            .sum()
     };
 
     let mut report = ReplayReport {
@@ -449,8 +422,8 @@ pub fn replay_document(doc: &TraceDocument, budgets: Budgets) -> ReplayReport {
             match ev.outcome {
                 outcome::MISS => install(shard, ev, &ev.costs),
                 outcome::FAILED => {}
-                _ => match book.get(&(ev.kind, ev.fam)) {
-                    Some(costs) => install(shard, ev, costs),
+                _ => match priced(ev) {
+                    Some(costs) => install(shard, ev, &costs),
                     None => report.unpriced_installs += 1,
                 },
             }

@@ -91,7 +91,8 @@ fn generated_workloads_replay_exactly() {
 /// Handcrafted batches hitting every subtle path at once: duplicate
 /// literals of a pending miss, a permuted-axes surface twin answered as a
 /// hit in the same batch it was computed, an invalid query rejected before
-/// any cache, and a tightness query recomposed from component artifacts.
+/// any cache, and tightness queries composed from component artifacts —
+/// including components computed by separate queries.
 #[test]
 fn handcrafted_awkward_batches_replay_exactly() {
     let m = 1 << 9;
@@ -116,13 +117,14 @@ fn handcrafted_awkward_batches_replay_exactly() {
     // (cache budget below the minimum), rejected before any cache.
     let answers = front.analyze_batch(&nest, &[twin, Query::LowerBound { cache_size: 1 }]);
     assert!(answers[0].is_ok() && answers[1].is_err());
-    // Batch 3: tightness computes all five artifacts...
+    // Batch 3: tightness computes and installs its three components...
     front
         .analyze_batch(&nest, &[Query::Tightness { cache_size: m }])
         .pop()
         .expect("one answer")
         .expect("tightness computes");
-    // ...then its components hit, and tightness itself hits via its report.
+    // ...then its components hit, and tightness itself hits, composed
+    // from them.
     let answers = front.analyze_batch(
         &nest,
         &[
@@ -143,6 +145,77 @@ fn handcrafted_awkward_batches_replay_exactly() {
     assert!(
         doc.events.len() < stats.queries as usize,
         "invalid queries never become events"
+    );
+
+    // At budgets that hold a tightness set, components computed one query
+    // at a time make the tightness query after them a hit that computes
+    // nothing: its probe peeks all three.
+    let mut roomy = SharedEngine::with_config(EngineConfig::default(), 4);
+    roomy.set_trace_capacity(1 << 16);
+    for q in [
+        Query::LowerBound { cache_size: m },
+        Query::EnumeratedBound { cache_size: m },
+        Query::OptimalTiling { cache_size: m },
+        Query::Tightness { cache_size: m },
+    ] {
+        roomy.analyze(&nest, &q).expect("valid query");
+    }
+    let stats = roomy.stats();
+    assert_eq!((stats.hits, stats.misses), (1, 3), "{stats:?}");
+    let report = check_live(&roomy.trace_document())
+        .unwrap_or_else(|e| panic!("components then tightness: {e}"));
+    assert_eq!((report.sim_hits, report.sim_misses), (1, 3));
+}
+
+/// A tightness miss can stamp some components before it finds one absent,
+/// and that stamp decides the next eviction. Here the tiling is resident
+/// when the tightness query misses on its bound, so the probe's peek keeps
+/// the tiling warmer than the filler entry inserted after it, and the
+/// install evicts the filler. A replay that peeked in another order would
+/// evict the tiling and miss the last two queries; one that charged the
+/// three recorded costs to the wrong entries would end with other cache
+/// stats than the live front.
+#[test]
+fn tightness_probes_stamp_components_in_the_live_order() {
+    let m = 1 << 8;
+    let nest = builders::random_projective(0, 5, 4, (1, 512));
+    let filler = projtile_loopnest::LoopNest::builder()
+        .index("i", 2)
+        .array("A", ["i"])
+        .build()
+        .expect("trivial filler nest is valid");
+    let tiling = Query::OptimalTiling { cache_size: m };
+    let tightness = Query::Tightness { cache_size: m };
+    let cost_of = |nest: &projtile_loopnest::LoopNest, q: &Query| {
+        let front = SharedEngine::with_config(EngineConfig::default(), 1);
+        front.analyze(nest, q).expect("valid query");
+        front.cache_metrics().results.cost
+    };
+    // Room for the three components and the filler, less one unit.
+    let config = EngineConfig {
+        results_capacity: cost_of(&nest, &tightness) + cost_of(&filler, &tiling) - 1,
+        ..EngineConfig::default()
+    };
+    let mut front = SharedEngine::with_config(config, 1);
+    front.set_trace_capacity(64);
+    for (nest, q) in [
+        (&nest, &tiling),
+        (&filler, &tiling),
+        (&nest, &tightness),
+        (&nest, &tiling),
+        (&nest, &tightness),
+    ] {
+        front.analyze(nest, q).expect("valid query");
+    }
+    let stats = front.stats();
+    assert_eq!((stats.hits, stats.misses), (2, 3), "{stats:?}");
+    assert_eq!(front.cache_metrics().results.evictions, 1);
+    let report = check_live(&front.trace_document()).unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!((report.sim_hits, report.sim_misses), (2, 3));
+    assert_eq!(
+        report.results,
+        front.cache_metrics().results,
+        "same entries, costs and evictions"
     );
 }
 

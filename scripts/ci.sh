@@ -51,7 +51,9 @@ echo "==> cargo test -q"
 cargo test -q
 
 # The subset-lattice walk runs on one thread; this pass covers what does fan
-# out: engine batches, the SharedEngine stress and the cold oracles' par_map.
+# out: engine batches (a batch splits across threads only from 16 distinct
+# misses on, which proptest_shared.rs::batches_of_sixteen_or_more_misses_fan_out_exactly
+# sends), the SharedEngine stress and the cold oracles' par_map.
 echo "==> cargo test -q (PROJTILE_THREADS=4: batch fan-out, SharedEngine stress, cold oracles)"
 PROJTILE_THREADS=4 cargo test -q
 
