@@ -5,16 +5,21 @@
 //! come from driving a real in-process server over loopback sockets. The
 //! group has two parts, and each boots a server of its own:
 //!
-//! * `service/roundtrip/tightness_hit` — one warm request round-trip
-//!   (connect, POST `/analyze`, cache-hit compute, response) through the
-//!   standard timing loop;
+//! * `service/roundtrip/tightness_hit` — one warm request round-trip on a
+//!   fresh connection (connect, POST `/analyze`, cache-hit compute,
+//!   response) through the standard timing loop: each iteration is a new
+//!   `Client`, whose first call opens its connection;
 //! * `service/stage/<stage>` — where that loop's round trips went, as the
 //!   mean time per request in each layer: `client_encode`, then the
 //!   server's [`STAGES`] from its stage histograms' exact sums (accept to
-//!   the last byte written), `transport` (the client's connect-to-last-byte
-//!   exchange minus the server's share: handshake, wake-ups, bytes on the
-//!   wire) and `client_decode`, from the client's [`ClientTimings`]. The
-//!   rows add up to the mean round trip;
+//!   the last byte written), `connect` (inside `TcpStream::connect`),
+//!   `delivery` (the client's exchange, closing the connection included,
+//!   minus `connect` and the server's share: wake-ups, bytes on the wire
+//!   and the close) and `client_decode`, from the clients'
+//!   [`ClientTimings`]. The rows add up to the mean round trip;
+//! * `service/roundtrip/tightness_hit_keepalive` — the same query on one
+//!   reused `Client`, whose calls share one kept connection: no connect,
+//!   and no handoff to a connection thread;
 //! * `service/mixed_traffic/secs_per_request` — four client threads replay
 //!   the cache lab's seeded zipf workload generator
 //!   (`projtile_lab::Workload`) against a **fresh** server (clean caches,
@@ -28,6 +33,7 @@
 //!   generated traffic reaches this server, so the quantiles describe it
 //!   alone.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
@@ -44,21 +50,54 @@ use crate::perf::{time_workload, Measurement};
 pub fn service_measurements(budget: Duration) -> Vec<Measurement> {
     let handle =
         Server::start(ServerConfig::default(), FaultPlan::default()).expect("bench server starts");
-    let client = Client::new(handle.addr().to_string());
+    let addr = handle.addr().to_string();
     let nest = builders::matmul(1 << 9, 1 << 9, 1 << 5);
     let queries = [Query::Tightness {
         cache_size: 1 << 10,
     }];
 
-    // Warm the query so the loop times the service's steady state (a
+    // Warm the query so the loops time the service's steady state (a
     // read-path cache hit), not a first-touch LP solve.
-    let served = client.analyze(&nest, &queries).expect("warm-up served");
+    let served = Client::new(addr.clone())
+        .analyze(&nest, &queries)
+        .expect("warm-up served");
     assert!(served.iter().all(Result::is_ok), "warm-up query is valid");
 
     let mut out = Vec::new();
 
-    // Single-connection round-trip on the standard timing loop.
-    let before = (stage_totals(handle.metrics()), client.timings());
+    // One fresh connection per round trip: a new client per iteration,
+    // whose drop closes the connection. The close belongs to the round
+    // trip, so it counts as part of the exchange.
+    let server_before = stage_totals(handle.metrics());
+    let fresh = Cell::new(ClientTimings::default());
+    let (secs, iters) = time_workload(
+        &|| {
+            let client = Client::new(addr.clone());
+            std::hint::black_box(client.analyze(&nest, &queries).expect("served"));
+            let timings = client.timings();
+            let closing = Instant::now();
+            drop(client);
+            let exchange = timings.exchange + closing.elapsed();
+            fresh.set(sum(
+                fresh.get(),
+                ClientTimings {
+                    exchange,
+                    ..timings
+                },
+            ));
+        },
+        budget,
+        5,
+    );
+    out.push(row("service/roundtrip/tightness_hit", secs, iters));
+    out.extend(stage_measurements(
+        handle.metrics(),
+        server_before,
+        fresh.get(),
+    ));
+
+    // The same round trip on one kept connection.
+    let client = Client::new(addr);
     let (secs, iters) = time_workload(
         &|| {
             std::hint::black_box(client.analyze(&nest, &queries).expect("served"));
@@ -66,21 +105,35 @@ pub fn service_measurements(budget: Duration) -> Vec<Measurement> {
         budget,
         5,
     );
-    eprintln!(
-        "  {:<42} {:>12.3} µs/iter",
-        "service/roundtrip/tightness_hit",
-        secs * 1e6
-    );
-    out.push(Measurement {
-        name: "service/roundtrip/tightness_hit".to_string(),
-        secs_per_iter: secs,
+    out.push(row(
+        "service/roundtrip/tightness_hit_keepalive",
+        secs,
         iters,
-    });
-
-    out.extend(stage_measurements(handle.metrics(), &client, before));
+    ));
     handle.join();
     out.extend(generated_traffic_measurements(budget));
     out
+}
+
+/// A timed row, echoed to stderr as it lands.
+fn row(name: &str, secs: f64, iters: u64) -> Measurement {
+    eprintln!("  {:<42} {:>12.3} µs/iter", name, secs * 1e6);
+    Measurement {
+        name: name.to_string(),
+        secs_per_iter: secs,
+        iters,
+    }
+}
+
+/// Two clients' [`ClientTimings`] added up.
+fn sum(a: ClientTimings, b: ClientTimings) -> ClientTimings {
+    ClientTimings {
+        analyses: a.analyses + b.analyses,
+        encode: a.encode + b.encode,
+        exchange: a.exchange + b.exchange,
+        connect: a.connect + b.connect,
+        decode: a.decode + b.decode,
+    }
 }
 
 /// Answered-request count, per-stage latency sums and the whole-request
@@ -100,43 +153,39 @@ fn stage_totals(metrics: &Metrics) -> StageTotals {
 }
 
 /// The `service/stage/*` rows: the mean time per request in each layer of
-/// the round trips `client` made since `before`, all of them `/analyze`
-/// calls answered by this server alone.
+/// the round trips timed by `client` (summed over the loop's clients)
+/// since `server_before`, all of them `/analyze` calls answered by this
+/// server alone.
 fn stage_measurements(
     metrics: &Metrics,
-    client: &Client,
-    (server_before, client_before): (StageTotals, ClientTimings),
+    server_before: StageTotals,
+    client: ClientTimings,
 ) -> Vec<Measurement> {
     // A request's stages land just after its last byte is written: wait
     // for the last one before reading the sums.
-    let calls = client.timings().analyses - client_before.analyses;
     let settle = Instant::now();
-    while metrics.request_latency.count() < server_before.requests + calls
+    while metrics.request_latency.count() < server_before.requests + client.analyses
         && settle.elapsed() < Duration::from_secs(1)
     {
         std::thread::yield_now();
     }
     let server = stage_totals(metrics);
-    let client_after = client.timings();
     let requests = server.requests - server_before.requests;
-    let exchange = client_after.exchange - client_before.exchange;
     let served = server.latency_sum - server_before.latency_sum;
 
-    let mut layers = vec![(
-        "client_encode".to_string(),
-        client_after.encode - client_before.encode,
-    )];
+    let mut layers = vec![("client_encode".to_string(), client.encode)];
     for (stage, (sum_before, sum_after)) in STAGES
         .iter()
         .zip(server_before.stage_sums.iter().zip(&server.stage_sums))
     {
         layers.push((stage.to_string(), *sum_after - *sum_before));
     }
-    layers.push(("transport".to_string(), exchange.saturating_sub(served)));
+    layers.push(("connect".to_string(), client.connect));
     layers.push((
-        "client_decode".to_string(),
-        client_after.decode - client_before.decode,
+        "delivery".to_string(),
+        client.exchange.saturating_sub(client.connect + served),
     ));
+    layers.push(("client_decode".to_string(), client.decode));
     layers
         .into_iter()
         .map(|(layer, total)| {

@@ -1,6 +1,19 @@
 //! A retrying client for the analysis service, used by the
 //! `projtile-query` binary and the integration suite.
 //!
+//! A client keeps its connection between calls (HTTP/1.1 persistent
+//! connections): a call takes the kept connection, or opens its own when
+//! there is none, and hands it back afterwards unless the server said
+//! `Connection: close`. So concurrent calls on one client never share a
+//! socket, and at most one connection stays open between calls. A kept
+//! connection that turns out to be closed before any byte of its response
+//! arrives — the server idled it out, drained, or closed it to make room
+//! for a newcomer, and processed nothing it sent — is replaced by one fresh
+//! connection within the same attempt: no retry is counted and no backoff
+//! slept. Any caller that sends more than one request through one client
+//! pays connect, accept and the server's handoff once; a one-shot call
+//! pays them as on a fresh connection.
+//!
 //! Transient failures — connection refused, `503` shed, read deadline —
 //! are retried with exponential backoff plus deterministic xorshift
 //! jitter (so simultaneous clients decorrelate without a clock or OS
@@ -14,13 +27,14 @@
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use projtile_core::engine::{AnalysisResult, Query};
 use projtile_loopnest::LoopNest;
 use serde::{json, Deserialize, Serialize, Value};
 
-use crate::http::{read_response, ReadError, Response};
+use crate::http::{ended, ReadError, Reader, Response};
 
 /// Retry policy for [`Client`].
 #[derive(Debug, Clone)]
@@ -78,31 +92,77 @@ impl std::error::Error for ClientError {}
 
 /// Where a client's [`Client::analyze`] calls spent their time, summed over
 /// every call so far. Next to the server's stage histograms this splits a
-/// round trip end to end: `exchange` contains the server's accept-to-write
-/// `request_latency`, and the difference is transport (connect and
-/// handshake, wake-ups, bytes on the wire).
+/// round trip end to end: `exchange` contains `connect` and the server's
+/// `request_latency` (accept, or a kept connection's first request byte,
+/// to the last byte written), and the rest of it is delivery (wake-ups and
+/// bytes on the wire).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClientTimings {
     /// `analyze` calls that reached the server and got a `200`.
     pub analyses: u64,
     /// Serializing the request body.
     pub encode: Duration,
-    /// Connect to the last response byte read, retries included.
+    /// Sending the request to the last response byte read, retries and
+    /// connects included.
     pub exchange: Duration,
+    /// Inside `TcpStream::connect`: zero for a call on a kept connection.
+    pub connect: Duration,
     /// Parsing and deserializing the response body.
     pub decode: Duration,
 }
 
-/// A client bound to one server address. Cheap to construct; every request
-/// opens a fresh connection (the server speaks `Connection: close`).
+/// A client bound to one server address. Cheap to construct; it keeps one
+/// connection between calls (see the module docs).
 #[derive(Debug)]
 pub struct Client {
     addr: String,
     retry: RetryConfig,
     jitter: AtomicU64,
-    /// Running [`ClientTimings`] sums: calls, then encode, exchange and
-    /// decode nanoseconds.
-    timings: [AtomicU64; 4],
+    /// Running [`ClientTimings`] sums: calls, then encode, exchange,
+    /// connect and decode nanoseconds.
+    timings: [AtomicU64; 5],
+    /// The connection the last call left open, if any. A call takes it
+    /// out, so no two calls share it.
+    kept: Mutex<Option<Connection>>,
+}
+
+/// One open connection with the bytes read past its last response.
+#[derive(Debug)]
+struct Connection {
+    stream: TcpStream,
+    reader: Reader,
+}
+
+/// How one request on one connection failed.
+enum Failed {
+    /// The connection ended before the first byte of a response arrived:
+    /// the server answered nothing on it.
+    Ended,
+    /// Any other transient failure, described.
+    Transient(String),
+}
+
+impl Connection {
+    /// Sends `message` and reads the response under `deadline`.
+    fn exchange(&mut self, message: &[u8], deadline: Duration) -> Result<Response, Failed> {
+        if let Err(e) = (&self.stream).write_all(message) {
+            return Err(if ended(&e) {
+                Failed::Ended
+            } else {
+                Failed::Transient(format!("send: {e}"))
+            });
+        }
+        let read = self
+            .reader
+            .read_response(&self.stream, Instant::now(), deadline);
+        read.map_err(|e| match e {
+            ReadError::Closed => Failed::Ended,
+            ReadError::Deadline => Failed::Transient("response deadline exceeded".to_string()),
+            ReadError::TooLarge => Failed::Transient("oversized response".to_string()),
+            ReadError::Malformed(msg) => Failed::Transient(format!("malformed response: {msg}")),
+            ReadError::Io(e) => Failed::Transient(format!("read: {e}")),
+        })
+    }
 }
 
 impl Client {
@@ -119,17 +179,19 @@ impl Client {
             retry,
             jitter,
             timings: Default::default(),
+            kept: Mutex::new(None),
         }
     }
 
     /// The running sums of this client's `analyze` phases.
     pub fn timings(&self) -> ClientTimings {
-        let [analyses, encode, exchange, decode] =
+        let [analyses, encode, exchange, connect, decode] =
             self.timings.each_ref().map(|t| t.load(Ordering::Relaxed));
         ClientTimings {
             analyses,
             encode: Duration::from_nanos(encode),
             exchange: Duration::from_nanos(exchange),
+            connect: Duration::from_nanos(connect),
             decode: Duration::from_nanos(decode),
         }
     }
@@ -150,13 +212,15 @@ impl Client {
             ),
         ]));
         let encoded = Instant::now();
-        let response = self.request("POST", "/analyze", &body)?;
+        let mut connect = Duration::ZERO;
+        let response = self.request("POST", "/analyze", &body, &mut connect)?;
         let exchanged = Instant::now();
         let decoded = decode_results(&response);
         let phases = [
             1,
             (encoded - started).as_nanos() as u64,
             (exchanged - encoded).as_nanos() as u64,
+            connect.as_nanos() as u64,
             exchanged.elapsed().as_nanos() as u64,
         ];
         for (sum, add) in self.timings.iter().zip(phases) {
@@ -167,7 +231,7 @@ impl Client {
 
     /// Fetches the `/metrics` document.
     pub fn metrics(&self) -> Result<Value, ClientError> {
-        let response = self.request("GET", "/metrics", "")?;
+        let response = self.request("GET", "/metrics", "", &mut Duration::default())?;
         let text = std::str::from_utf8(&response.body)
             .map_err(|_| ClientError::Protocol("metrics body is not UTF-8".to_string()))?;
         json::parse(text).map_err(|e| ClientError::Protocol(format!("metrics body: {e}")))
@@ -176,7 +240,7 @@ impl Client {
     /// Fetches the `/trace` document (the recorded query trace; an empty
     /// document when the server runs without `--trace-capacity`).
     pub fn trace(&self) -> Result<Value, ClientError> {
-        let response = self.request("GET", "/trace", "")?;
+        let response = self.request("GET", "/trace", "", &mut Duration::default())?;
         let text = std::str::from_utf8(&response.body)
             .map_err(|_| ClientError::Protocol("trace body is not UTF-8".to_string()))?;
         json::parse(text).map_err(|e| ClientError::Protocol(format!("trace body: {e}")))
@@ -184,25 +248,41 @@ impl Client {
 
     /// Health check; `Ok` means the server answered `200`.
     pub fn healthz(&self) -> Result<(), ClientError> {
-        self.request("GET", "/healthz", "").map(|_| ())
+        self.request("GET", "/healthz", "", &mut Duration::default())
+            .map(|_| ())
     }
 
     /// Asks the server to drain gracefully.
     pub fn drain(&self) -> Result<(), ClientError> {
-        self.request("POST", "/admin/drain", "").map(|_| ())
+        self.request("POST", "/admin/drain", "", &mut Duration::default())
+            .map(|_| ())
     }
 
     /// One logical request with the retry loop: connect failures, read
     /// deadlines, and `503` answers back off and retry; anything else
-    /// returns (success) or surfaces (client/server error).
-    fn request(&self, method: &str, path: &str, body: &str) -> Result<Response, ClientError> {
+    /// returns (success) or surfaces (client/server error). Time spent
+    /// connecting is added to `connect`.
+    fn request(
+        &self,
+        method: &str,
+        path: &str,
+        body: &str,
+        connect: &mut Duration,
+    ) -> Result<Response, ClientError> {
+        // Head and body in one write: one syscall, and no Nagle wait.
+        let mut message = format!(
+            "{method} {path} HTTP/1.1\r\nhost: {}\r\ncontent-type: application/json\r\ncontent-length: {}\r\n\r\n",
+            self.addr,
+            body.len()
+        );
+        message.push_str(body);
         let attempts = self.retry.max_attempts.max(1);
         let mut last = String::new();
         for attempt in 0..attempts {
             if attempt > 0 {
                 std::thread::sleep(self.backoff(attempt, &last));
             }
-            match self.attempt(method, path, body) {
+            match self.attempt(message.as_bytes(), connect) {
                 Ok(response) if response.status == 503 => {
                     last = format!(
                         "503 ({})",
@@ -220,27 +300,54 @@ impl Client {
         Err(ClientError::Exhausted(last))
     }
 
-    /// A single connect-send-read attempt; `Err` is a transient failure
-    /// description.
-    fn attempt(&self, method: &str, path: &str, body: &str) -> Result<Response, String> {
-        let mut stream = TcpStream::connect(&self.addr).map_err(|e| format!("connect: {e}"))?;
-        // Head and body in one write: one syscall, and no Nagle wait.
-        let mut message = format!(
-            "{method} {path} HTTP/1.1\r\nhost: {}\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
-            self.addr,
-            body.len()
-        );
-        message.push_str(body);
-        stream
-            .write_all(message.as_bytes())
-            .and_then(|()| stream.flush())
-            .map_err(|e| format!("send: {e}"))?;
-        match read_response(&mut stream, self.retry.response_deadline) {
-            Ok(response) => Ok(response),
-            Err(ReadError::Deadline) => Err("response deadline exceeded".to_string()),
-            Err(ReadError::TooLarge) => Err("oversized response".to_string()),
-            Err(ReadError::Malformed(msg)) => Err(format!("malformed response: {msg}")),
-            Err(ReadError::Io(e)) => Err(format!("read: {e}")),
+    /// A single send-read attempt, on the kept connection when there is
+    /// one and on a fresh connection otherwise or when the kept one ended
+    /// unanswered; `Err` is a transient failure description.
+    fn attempt(&self, message: &[u8], connect: &mut Duration) -> Result<Response, String> {
+        let deadline = self.retry.response_deadline;
+        let kept = self.kept.lock().unwrap_or_else(|e| e.into_inner()).take();
+        if let Some(mut conn) = kept {
+            match conn.exchange(message, deadline) {
+                Err(Failed::Ended) => {}
+                outcome => return self.finish(conn, outcome),
+            }
+        }
+        let started = Instant::now();
+        let stream = TcpStream::connect(&self.addr).map_err(|e| format!("connect: {e}"))?;
+        *connect += started.elapsed();
+        // Requests and responses go out in one write each; on a connection
+        // that stays open, Nagle would hold back the tail of one that the
+        // socket splits until the peer's delayed ACK.
+        let _ = stream.set_nodelay(true);
+        let mut conn = Connection {
+            stream,
+            reader: Reader::default(),
+        };
+        let outcome = conn.exchange(message, deadline);
+        self.finish(conn, outcome)
+    }
+
+    /// Keeps `conn` for the next call after a response that leaves it
+    /// open, replacing any connection a concurrent call kept meanwhile.
+    fn finish(
+        &self,
+        conn: Connection,
+        outcome: Result<Response, Failed>,
+    ) -> Result<Response, String> {
+        match outcome {
+            Ok(response) => {
+                if !response.closes() {
+                    let displaced = self
+                        .kept
+                        .lock()
+                        .unwrap_or_else(|e| e.into_inner())
+                        .replace(conn);
+                    drop(displaced);
+                }
+                Ok(response)
+            }
+            Err(Failed::Ended) => Err("connection closed before a response".to_string()),
+            Err(Failed::Transient(msg)) => Err(msg),
         }
     }
 

@@ -8,19 +8,30 @@
 //!
 //! * **Read deadlines** — a client must deliver its whole request within
 //!   [`ServerConfig::read_deadline`]; byte-dribbling clients are
-//!   disconnected with `408`.
+//!   disconnected with `408`, and a client that stops reading its answers
+//!   is disconnected once a write makes no progress for as long.
+//! * **Persistent connections** — a connection carries request after
+//!   request (HTTP/1.1 keep-alive) until the client closes it or asks to,
+//!   a reply other than a `200` closes it, it idles between requests for
+//!   the read deadline, or the server drains. [`Client`] keeps its
+//!   connection between calls, so a caller pays connect, accept and the
+//!   handoff to a connection thread once, not per request.
 //! * **I/O apart from compute** — `accept` blocks, and each connection is
 //!   read, routed and answered on a connection thread of its own (reused
 //!   from a cache of idle ones), so silent or slow clients hold threads,
 //!   never compute. `POST /analyze` parses, computes and serializes under
 //!   one of [`ServerConfig::workers`] compute permits
 //!   ([`admission::Permits`]). No thread polls: idle threads, the
-//!   snapshot loop and drain all wait on condvars.
+//!   snapshot loop and drain all wait on condvars, and kept connections
+//!   block in `recv` until a request, a close or a drain's shutdown.
 //! * **Backpressure** — shedding happens at accept and is keyed on open
-//!   connections: past `workers + queue_capacity` of them, a new one is
-//!   answered `503 + Retry-After` instead of queued. An `/analyze` not
-//!   admitted to compute within [`ServerConfig::queue_deadline`] of its
-//!   accept is shed the same way rather than computed late.
+//!   connections: past `workers + queue_capacity` of them, a new one takes
+//!   the place of the longest-idle kept connection, or is answered
+//!   `503 + Retry-After` instead of queued when none is idle. An
+//!   `/analyze` not admitted to compute within
+//!   [`ServerConfig::queue_deadline`] of its start (accept, or a kept
+//!   connection's first request byte) is shed the same way rather than
+//!   computed late.
 //! * **Panic isolation** — compute runs under
 //!   [`std::panic::catch_unwind`]; a panicking request answers `500` and
 //!   the engine stays consistent (computation happens outside the shard
@@ -38,12 +49,18 @@
 //!   permit-wait depth, shed/panic/timeout counters, and latency
 //!   histograms with p50/p99 and exact sums: per query kind, per request
 //!   stage (pickup, read, admit, parse, engine, serialize, write) and per
-//!   request from accept to the last byte written. The stage sums add up
-//!   to the request sum ([`metrics`]).
+//!   request from its start to the last byte written. The stage sums add
+//!   up to the request sum ([`metrics`]).
 
 //! # Wire protocol
 //!
-//! One request per connection (`Connection: close`); bodies are JSON.
+//! HTTP/1.1 with persistent connections (RFC 9112 §9.3); bodies are JSON.
+//! A `200` to a request that did not send `Connection: close` answers
+//! `connection: keep-alive` and the connection waits for the next request;
+//! every other reply answers `connection: close` and closes. A connection
+//! that ends before the first byte of a request — a bare connect and close,
+//! or a kept connection the client drops — is no request: it is neither
+//! answered nor counted.
 //!
 //! | Route | Body | Answer |
 //! |---|---|---|

@@ -14,7 +14,8 @@
 //! waits for admission, parses a body and runs the engine) folds that
 //! time into its next recorded stage. So for every answered request the
 //! stage durations add up exactly to its `request_latency`, which runs
-//! from accept to the last response byte written.
+//! from the request's start (accept, or the first byte of a kept
+//! connection's later request) to the last response byte written.
 //!
 //! A request computing several query kinds through one
 //! [`SharedEngine::analyze_batch`](projtile_core::engine::SharedEngine)
@@ -31,9 +32,11 @@ use serde::Value;
 pub const HISTOGRAM_BUCKETS: usize = 31;
 
 /// The stages of one request, in order; each is timed from the end of
-/// the previous one (the first from accept):
+/// the previous one (the first from the request's start: accept, or the
+/// first byte of a kept connection's later request):
 ///
 /// * `pickup` — handoff to a connection thread (an idle one, or a spawn);
+///   zero for a kept connection's later requests, which need no handoff;
 /// * `read` — the request head and body off the socket;
 /// * `admit` — the wait for a compute permit (`/analyze` only);
 /// * `parse` — the JSON body into a nest and queries (`/analyze` only);
@@ -122,16 +125,18 @@ impl Histogram {
 /// accept loop, connection threads, snapshot loop, and the `/metrics` route.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    /// Connections accepted (shed ones included).
+    /// Connections accepted (shed ones included). A kept connection carries
+    /// many requests, so this does not track `completed`.
     pub accepted: AtomicU64,
     /// Requests answered (any status but a shed `503`), counted just before
     /// the response is written.
     pub completed: AtomicU64,
     /// Connections shed at accept because `workers + queue_capacity`
-    /// connections were already open.
+    /// connections were already open and none of them was a kept one idle
+    /// between requests.
     pub shed_queue_full: AtomicU64,
     /// `/analyze` requests shed because no compute permit came free within
-    /// the queue deadline of their accept.
+    /// the queue deadline of their start.
     pub shed_expired: AtomicU64,
     /// Worker panics caught and answered with `500`.
     pub panics: AtomicU64,
@@ -145,12 +150,16 @@ pub struct Metrics {
     pub snapshot_failures: AtomicU64,
     /// Gauge: `/analyze` requests currently waiting for a compute permit.
     pub queue_depth: AtomicU64,
+    /// Gauge: kept connections currently idle between requests (the ones
+    /// a newcomer at the open-connection limit may displace).
+    pub idle_connections: AtomicU64,
     /// Per-query-kind compute latency, indexed like [`QUERY_KIND_NAMES`].
     pub per_kind: [Histogram; QUERY_KIND_COUNT],
     /// Per-stage latency of answered requests, indexed like [`STAGES`].
     pub stages: [Histogram; STAGES.len()],
-    /// Whole-request latency of answered requests, from accept to the last
-    /// response byte written; the [`Metrics::stages`] sums add up to its sum.
+    /// Whole-request latency of answered requests, from their start (accept,
+    /// or a kept connection's first request byte) to the last response byte
+    /// written; the [`Metrics::stages`] sums add up to its sum.
     pub request_latency: Histogram,
 }
 
@@ -190,6 +199,7 @@ impl Metrics {
             ("snapshots_published", load(&self.snapshots_published)),
             ("snapshot_failures", load(&self.snapshot_failures)),
             ("queue_depth", load(&self.queue_depth)),
+            ("idle_connections", load(&self.idle_connections)),
             ("request_latency", self.request_latency.render()),
             ("stages", Value::Object(stages)),
             ("per_query_kind", Value::Object(kinds)),
@@ -239,6 +249,7 @@ mod tests {
             "shed_queue_full",
             "panics",
             "queue_depth",
+            "idle_connections",
             "per_query_kind",
             "tightness",
             "p99_micros",

@@ -1,5 +1,6 @@
-//! The server proper: blocking accept, per-connection I/O threads, compute
-//! admission, panic isolation, snapshot lifecycle, and graceful drain.
+//! The server proper: blocking accept, per-connection I/O threads,
+//! persistent connections, compute admission, panic isolation, snapshot
+//! lifecycle, and graceful drain.
 //!
 //! Threading layout: [`Server::start`] spawns one supervisor thread that
 //! runs the accept loop and, inside a [`std::thread::scope`], the snapshot
@@ -8,26 +9,53 @@
 //!
 //! * The accept loop blocks in `accept`. It hands each connection to an
 //!   idle connection thread, or spawns one when none is idle. A connection
-//!   that would leave more than `workers + queue_capacity` open is shed
-//!   with `503` on the spot.
-//! * A connection thread reads, routes and answers its connection, then
-//!   waits for the next handoff; one idle for longer than the read
-//!   deadline exits. Reads never hold compute, so silent clients cost
-//!   threads, not workers.
+//!   that would leave more than `workers + queue_capacity` open takes the
+//!   place of the longest-idle kept connection, which is shut down; with no
+//!   kept connection idle, it is shed with `503` on the spot.
+//! * A connection thread reads, routes and answers requests on its
+//!   connection until the client closes it or asks to, a reply closes it,
+//!   it sits idle for the read deadline between requests, or the server
+//!   drains; then it waits for the next handoff, and one idle for longer
+//!   than the read deadline exits. Reads never hold compute, so silent
+//!   clients cost threads, not workers.
 //! * `POST /analyze` parses, computes and serializes under one of
 //!   `workers` compute permits. A request not admitted within the queue
-//!   deadline of its accept answers `503` instead of computing late.
+//!   deadline of its start answers `503` instead of computing late.
 //! * The snapshot loop sleeps on a condvar until its next publication or a
 //!   drain.
 //!
 //! A drain ([`ServerHandle::begin_drain`] or `POST /admin/drain`) flags the
-//! shared state, wakes the idle threads and the snapshot loop through their
-//! condvars and the blocking accept through a connection to itself, lets
-//! every open connection finish, and publishes a final snapshot once the
-//! last one has closed.
+//! shared state, shuts down the idle kept connections, wakes the idle
+//! threads and the snapshot loop through their condvars and the blocking
+//! accept through a connection to itself, lets every request in progress
+//! finish (its reply closes its connection), and publishes a final snapshot
+//! once the last connection has closed.
+//!
+//! # Kept connections
+//!
+//! * **What keeps a connection.** Only a `200` to a fully read request
+//!   that did not ask to close, outside a drain. Every other reply — `4xx`,
+//!   `5xx`, a shed `503`, anything during a drain — says `connection:
+//!   close`, and the connection ends with it.
+//! * **Idle ends silently.** A kept connection that the client closes, or
+//!   that sits idle for the read deadline, before the first byte of its next
+//!   request gets no response and bumps no counter. So does a fresh one
+//!   closed before its first byte (a TCP health probe).
+//! * **Timed from the first byte.** A kept connection's next request starts
+//!   its timeline at its first byte: its read deadline and its queue
+//!   deadline count from there, and it records `pickup` as zero, since no
+//!   handoff happened. Stage counts still equal answered requests, and the
+//!   stage sums still equal `request_latency`.
+//! * **Idle connections never crowd out newcomers.** Each open connection
+//!   holds a thread, so shedding stays keyed on open connections; but the
+//!   kept connections waiting for a request are listed, longest idle first,
+//!   and a newcomer at the limit takes the place of the first of them. A
+//!   connection taken off that list — by the accept loop or by a drain — is
+//!   shut down and never processes a request it reads afterwards, so a
+//!   client that resends it on a fresh connection is counted once.
 
 use std::collections::VecDeque;
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
@@ -43,7 +71,7 @@ use serde::{json, Deserialize, Serialize, Value};
 
 use crate::admission::Permits;
 use crate::fault::FaultPlan;
-use crate::http::{read_request, write_response, ReadError, Request};
+use crate::http::{write_response, ReadError, Reader, Request};
 use crate::metrics::{Metrics, STAGES};
 
 /// Server tuning knobs. [`Default`] is suitable for tests and local runs:
@@ -58,14 +86,21 @@ pub struct ServerConfig {
     /// and writing sockets never holds a permit.
     pub workers: usize,
     /// Open connections allowed beyond `workers`; a connection accepted
-    /// while `workers + queue_capacity` are open is shed with `503`.
+    /// while `workers + queue_capacity` are open takes the place of the
+    /// longest-idle kept connection, or is shed with `503` when none is
+    /// idle.
     pub queue_capacity: usize,
-    /// Wall-clock deadline for reading one full request (dribble-proof).
-    /// A connection thread idle for this long exits.
+    /// Wall-clock deadline for reading one full request (dribble-proof),
+    /// from pickup for a connection's first request and from the first
+    /// byte for a kept connection's later ones. Also the idle limit: a kept
+    /// connection silent this long between requests closes, and a
+    /// connection thread idle this long exits. And the write limit: a
+    /// response write that makes no progress this long (a client that stops
+    /// reading) ends its connection.
     pub read_deadline: Duration,
-    /// Longest an `/analyze` request may take from accept to compute
-    /// admission; past it the request is shed with `503` instead of
-    /// computed late.
+    /// Longest an `/analyze` request may take from its start (accept, or a
+    /// kept connection's first request byte) to compute admission; past it
+    /// the request is shed with `503` instead of computed late.
     pub queue_deadline: Duration,
     /// Interval between background snapshot publications (`None` disables
     /// the periodic loop; a final drain snapshot still happens when
@@ -112,20 +147,32 @@ enum Stage {
 }
 
 /// Monotonic stage stamps of one request: each stage holds the time from
-/// the previous stamp (the first, from accept) to its own.
+/// the previous stamp (the first, from the request's start) to its own.
 struct Timeline {
-    accepted: Instant,
+    /// Accept, or the first byte of a kept connection's later request.
+    start: Instant,
     last: Instant,
     stages: [Option<Duration>; STAGES.len()],
 }
 
 impl Timeline {
+    /// The timeline of a connection's first request, started at accept.
     fn new(accepted: Instant) -> Timeline {
         Timeline {
-            accepted,
+            start: accepted,
             last: accepted,
             stages: [None; STAGES.len()],
         }
+    }
+
+    /// The timeline of a kept connection's later request, started at its
+    /// first byte; nothing was handed off, so its `pickup` is zero.
+    fn kept(first_byte: Instant) -> Timeline {
+        let mut timeline = Timeline::new(first_byte);
+        if let Some(pickup) = timeline.stages.get_mut(Stage::Pickup as usize) {
+            *pickup = Some(Duration::ZERO);
+        }
+        timeline
     }
 
     /// Ends `stage` now and returns its duration.
@@ -139,15 +186,15 @@ impl Timeline {
         took
     }
 
-    /// Records every stamped stage, then the whole request from accept to
-    /// the last stamp; the stage durations add up to the latter exactly.
+    /// Records every stamped stage, then the whole request from its start
+    /// to the last stamp; the stage durations add up to the latter exactly.
     fn record(&self, metrics: &Metrics) {
         for (histogram, took) in metrics.stages.iter().zip(&self.stages) {
             if let Some(took) = took {
                 histogram.record(*took);
             }
         }
-        metrics.request_latency.record(self.last - self.accepted);
+        metrics.request_latency.record(self.last - self.start);
     }
 }
 
@@ -204,8 +251,13 @@ impl Reply {
 #[derive(Default)]
 struct State {
     draining: bool,
-    /// Accepted connections not yet closed, handed off ones included.
+    /// Accepted connections not yet closed or taken off [`State::kept`],
+    /// handed off ones included.
     open: usize,
+    /// Kept connections waiting for their next request, longest idle
+    /// first. The accept loop and the drain take connections off it to shut
+    /// them down; a connection thread takes its own off when its wait ends.
+    kept: VecDeque<Arc<TcpStream>>,
     /// The wake-up condvars of the connection threads waiting for a
     /// handoff, most recently idle last: the accept loop wakes that one,
     /// whose caches are warmest, and the thread idle longest times out.
@@ -239,7 +291,8 @@ impl Shared {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Flags the drain and wakes everything that waits for it. Idempotent.
+    /// Flags the drain, closes the idle kept connections and wakes
+    /// everything that waits for it. Idempotent.
     fn begin_drain(&self) {
         let mut state = self.lock_state();
         let first = !state.draining;
@@ -247,11 +300,52 @@ impl Shared {
         for idle in state.idle.drain(..) {
             idle.notify_one();
         }
+        let kept: Vec<Arc<TcpStream>> = state.kept.drain(..).collect();
+        state.open = state.open.saturating_sub(kept.len());
+        self.metrics.idle_connections.store(0, Ordering::Relaxed);
         drop(state);
+        for conn in &kept {
+            let _ = conn.shutdown(Shutdown::Both);
+        }
         if first {
             self.changed.notify_all();
             // The accept loop is blocked in `accept`; a connection wakes it.
             let _ = TcpStream::connect_timeout(&self.wake, Duration::from_secs(1));
+        }
+    }
+
+    /// Waits, listed in [`State::kept`], for the first byte of the next
+    /// request on a kept connection, for at most the read deadline.
+    fn await_request(&self, stream: &Arc<TcpStream>, reader: &mut Reader) -> Awaited {
+        if reader.await_message(stream, Duration::ZERO) {
+            // Pipelined: the request is already at hand.
+            return Awaited::Request(Instant::now());
+        }
+        let mut state = self.lock_state();
+        if state.draining {
+            return Awaited::Ended;
+        }
+        state.kept.push_back(Arc::clone(stream));
+        self.metrics
+            .idle_connections
+            .store(state.kept.len() as u64, Ordering::Relaxed);
+        drop(state);
+        let arrived = reader.await_message(stream, self.config.read_deadline);
+        let first_byte = Instant::now();
+        let mut state = self.lock_state();
+        let listed = state.kept.iter().position(|c| Arc::ptr_eq(c, stream));
+        let Some(at) = listed else {
+            return Awaited::Taken;
+        };
+        state.kept.remove(at);
+        self.metrics
+            .idle_connections
+            .store(state.kept.len() as u64, Ordering::Relaxed);
+        drop(state);
+        if arrived {
+            Awaited::Request(first_byte)
+        } else {
+            Awaited::Ended
         }
     }
 
@@ -302,6 +396,19 @@ impl Shared {
             self.changed.notify_all();
         }
     }
+}
+
+/// How a kept connection's wait for its next request ended.
+enum Awaited {
+    /// A request began, at this instant (its first byte).
+    Request(Instant),
+    /// The client closed the connection, it idled out, or the server is
+    /// draining: the connection closes, and still counts as open until it
+    /// does.
+    Ended,
+    /// The accept loop or a drain took the connection off the idle list
+    /// (and no longer counts it as open) and shut it down.
+    Taken,
 }
 
 /// Namespace for [`Server::start`].
@@ -443,9 +550,11 @@ fn supervise(shared: &Shared, listener: TcpListener) {
     });
 }
 
-/// Accepts until the drain, handing each connection to a connection thread
-/// and shedding with `503 + Retry-After` at the open-connection limit.
-/// Closes the listener on return.
+/// Accepts until the drain, handing each connection to a connection thread.
+/// At the open-connection limit a newcomer takes the place of the
+/// longest-idle kept connection, which is shut down, or is shed with
+/// `503 + Retry-After` when no kept connection is idle. Closes the listener
+/// on return.
 fn accept_loop<'scope>(
     shared: &'scope Shared,
     listener: TcpListener,
@@ -486,20 +595,32 @@ fn accept_loop<'scope>(
             return;
         }
         shared.metrics.accepted.fetch_add(1, Ordering::Relaxed);
-        if state.open >= shared.max_open {
+        // At the limit, the newcomer inherits the open slot of the
+        // longest-idle kept connection.
+        let evicted = if state.open < shared.max_open {
+            state.open += 1;
+            None
+        } else if let Some(evicted) = state.kept.pop_front() {
+            shared
+                .metrics
+                .idle_connections
+                .store(state.kept.len() as u64, Ordering::Relaxed);
+            Some(evicted)
+        } else {
             drop(state);
             shared
                 .metrics
                 .shed_queue_full
                 .fetch_add(1, Ordering::Relaxed);
-            let mut stream = conn.stream;
-            let _ = write_reply(shared, &mut stream, &Reply::overloaded());
+            let _ = write_reply(shared, &conn.stream, &Reply::overloaded(), false);
             continue;
-        }
-        state.open += 1;
+        };
         state.handoff.push_back(conn);
         let idle = state.idle.pop();
         drop(state);
+        if let Some(evicted) = evicted {
+            let _ = evicted.shutdown(Shutdown::Both);
+        }
         if let Some(idle) = idle {
             idle.notify_one();
         } else {
@@ -575,63 +696,112 @@ fn publish(shared: &Shared, store: &SnapshotStore, torn: bool) {
     counter.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Serves one connection end to end, then closes it. Every answered
-/// request but a shed counts as `completed` just before its response is
-/// written (so a client that has read the response sees it counted) and
-/// has its stages recorded once the write is done.
+/// Serves one connection end to end: its requests in turn, for as long as
+/// each reply keeps it, then closes it. Every answered request but a shed
+/// counts as `completed` just before its response is written (so a client
+/// that has read the response sees it counted) and has its stages recorded
+/// once the write is done.
 fn serve(shared: &Shared, conn: Conn) {
     let Conn {
-        mut stream,
+        stream,
         mut timeline,
     } = conn;
     timeline.mark(Stage::Pickup);
-    if let Some(reply) = respond(shared, &mut stream, &mut timeline) {
+    // Responses go out in one write; see `Client` for why Nagle must not
+    // hold back the tail of one on a connection that stays open.
+    let _ = stream.set_nodelay(true);
+    // A client that pipelines requests and never reads the answers would
+    // otherwise hold this thread and its open slot in `write` forever: a
+    // write that makes no progress for the read deadline ends the
+    // connection.
+    let _ = stream.set_write_timeout(Some(
+        shared.config.read_deadline.max(Duration::from_millis(1)),
+    ));
+    let stream = Arc::new(stream);
+    let mut reader = Reader::default();
+    let still_open = loop {
+        let Some((reply, close)) = respond(shared, &stream, &mut reader, &mut timeline) else {
+            break true;
+        };
+        let keep = !close && reply.status == 200 && !shared.lock_state().draining;
         if !reply.shed {
             shared.metrics.completed.fetch_add(1, Ordering::Relaxed);
         }
-        let _ = write_reply(shared, &mut stream, &reply);
+        let written = write_reply(shared, &stream, &reply, keep).is_ok();
         timeline.mark(Stage::Write);
         if !reply.shed {
             timeline.record(&shared.metrics);
         }
-    }
+        if !(keep && written) {
+            break true;
+        }
+        match shared.await_request(&stream, &mut reader) {
+            Awaited::Request(first_byte) => timeline = Timeline::kept(first_byte),
+            Awaited::Ended => break true,
+            Awaited::Taken => break false,
+        }
+    };
     drop(stream);
-    shared.close_connection();
+    if still_open {
+        shared.close_connection();
+    }
 }
 
 /// Reads and routes one request, mapping every failure mode to its status
-/// code (see the crate docs for the taxonomy). `None` when the connection
-/// failed before any response was possible.
-fn respond(shared: &Shared, stream: &mut TcpStream, timeline: &mut Timeline) -> Option<Reply> {
-    let read = read_request(stream, shared.config.read_deadline);
+/// code (see the crate docs for the taxonomy). Returns the reply and
+/// whether the request asked to close the connection; `None` when the
+/// connection ended or failed before any response was possible.
+fn respond(
+    shared: &Shared,
+    stream: &TcpStream,
+    reader: &mut Reader,
+    timeline: &mut Timeline,
+) -> Option<(Reply, bool)> {
+    // The read deadline runs from pickup, or from a kept request's first
+    // byte: the timeline's last stamp either way.
+    let read = reader.read_request(stream, timeline.last, shared.config.read_deadline);
     timeline.mark(Stage::Read);
-    let reply = match read {
-        Ok(request) => route(shared, &request, timeline),
+    let (reply, close) = match read {
+        Ok(request) => (route(shared, &request, timeline), request.close),
         Err(ReadError::Deadline) => {
             shared.metrics.read_timeouts.fetch_add(1, Ordering::Relaxed);
-            Reply::error(408, "Request Timeout", "read deadline exceeded")
+            let reply = Reply::error(408, "Request Timeout", "read deadline exceeded");
+            (reply, true)
         }
         Err(ReadError::TooLarge) => {
-            Reply::error(413, "Payload Too Large", "request exceeds size cap")
+            let reply = Reply::error(413, "Payload Too Large", "request exceeds size cap");
+            (reply, true)
         }
         Err(ReadError::Malformed(msg)) => {
             shared.metrics.parse_errors.fetch_add(1, Ordering::Relaxed);
-            Reply::error(400, "Bad Request", &msg)
+            (Reply::error(400, "Bad Request", &msg), true)
         }
-        Err(ReadError::Io(_)) => return None,
+        Err(ReadError::Closed | ReadError::Io(_)) => return None,
     };
     timeline.mark(Stage::Serialize);
-    Some(reply)
+    Some((reply, close))
 }
 
-fn write_reply(shared: &Shared, stream: &mut TcpStream, reply: &Reply) -> std::io::Result<()> {
+fn write_reply(
+    shared: &Shared,
+    stream: &TcpStream,
+    reply: &Reply,
+    keep: bool,
+) -> std::io::Result<()> {
     let retry_after = shared.config.retry_after_secs.to_string();
     let headers: &[(&str, &str)] = if reply.shed {
         &[("retry-after", retry_after.as_str())]
     } else {
         &[]
     };
-    write_response(stream, reply.status, reply.reason, headers, &reply.body)
+    write_response(
+        stream,
+        reply.status,
+        reply.reason,
+        headers,
+        &reply.body,
+        keep,
+    )
 }
 
 fn route(shared: &Shared, request: &Request, timeline: &mut Timeline) -> Reply {
@@ -659,7 +829,7 @@ fn route(shared: &Shared, request: &Request, timeline: &mut Timeline) -> Reply {
 /// `POST /analyze`: admit, parse, validate, compute under `catch_unwind`,
 /// serialize. The compute permit is held from admission to the return.
 fn analyze(shared: &Shared, body: &[u8], timeline: &mut Timeline) -> Reply {
-    let deadline = timeline.accepted.checked_add(shared.config.queue_deadline);
+    let deadline = timeline.start.checked_add(shared.config.queue_deadline);
     let Some(_permit) = shared
         .permits
         .acquire(deadline, &shared.metrics.queue_depth)

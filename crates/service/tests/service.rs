@@ -1,8 +1,8 @@
 //! End-to-end tests for the hardened service: exactness against cold
 //! oracles, the full error taxonomy, shedding under overload, panic
-//! isolation, silent clients, the crash-safe snapshot lifecycle (with
-//! injected faults), graceful drain, and the `/metrics` reconciliations.
-//! Every server binds port 0 in-process.
+//! isolation, silent clients, persistent connections, the crash-safe
+//! snapshot lifecycle (with injected faults), graceful drain, and the
+//! `/metrics` reconciliations. Every server binds port 0 in-process.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 
 use projtile_core::engine::{Engine, Query, SharedEngine, SnapshotStore};
 use projtile_loopnest::builders;
-use projtile_service::http::{read_response, Response};
+use projtile_service::http::{read_response, ReadError, Reader, Response};
 use projtile_service::{Client, FaultPlan, Server, ServerConfig, ServerHandle};
 use serde::{json, Serialize, Value};
 
@@ -697,5 +697,299 @@ fn stage_histograms_add_up_to_request_latency() {
     }
     let exact: Duration = metrics.stages.iter().map(|h| h.sum()).sum();
     assert_eq!(exact, metrics.request_latency.sum());
+    handle.join();
+}
+
+/// Waits until the server lists `n` kept connections as idle between
+/// requests (each is listed just after its reply is written).
+fn await_idle(handle: &ServerHandle, n: u64) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while handle.metrics().idle_connections.load(Ordering::Relaxed) != n {
+        assert!(Instant::now() < deadline, "never {n} idle kept connections");
+        std::thread::yield_now();
+    }
+}
+
+/// A connection that closes before its first byte (a TCP health probe) is
+/// not a request: no `400`, no count. A request cut off mid-head or
+/// mid-body still answers `400`, and one stalled mid-head `408`.
+#[test]
+fn a_connection_closed_before_its_first_byte_is_not_a_request() {
+    // One open connection at most: a connection is admitted only once the
+    // one before it has been served and closed, so a `200` to the probe
+    // below proves the server is done with the bare connection before it.
+    let handle = start(
+        |c| {
+            c.workers = 1;
+            c.queue_capacity = 0;
+            c.read_deadline = Duration::from_millis(300);
+        },
+        FaultPlan::default(),
+    );
+    let metrics_after_the_last_close = || loop {
+        let r = raw(
+            &handle,
+            b"GET /metrics HTTP/1.1\r\nconnection: close\r\n\r\n",
+        );
+        if r.status == 200 {
+            let text = String::from_utf8(r.body).expect("UTF-8");
+            break json::parse(&text).expect("metrics JSON");
+        }
+        assert_eq!(r.status, 503, "only a shed delays the probe");
+        std::thread::yield_now();
+    };
+    let before = metrics_after_the_last_close();
+    for _ in 0..5 {
+        drop(TcpStream::connect(handle.addr()).expect("connect"));
+        let after = metrics_after_the_last_close();
+        assert_eq!(
+            metric(&after, "parse_errors"),
+            metric(&before, "parse_errors")
+        );
+    }
+    let after = metrics_after_the_last_close();
+    // The five probes before this one, and no bare connection.
+    assert_eq!(
+        metric(&after, "completed") - metric(&before, "completed"),
+        6
+    );
+    let latency = |doc: &Value| metric(doc.field("request_latency").expect("latency"), "count");
+    assert_eq!(latency(&after) - latency(&before), 6);
+    assert_eq!(metric(&after, "read_timeouts"), 0);
+    handle.join();
+
+    // Cut off mid-head and mid-body: the client half-closes, and reads.
+    // (A server of its own: at one open connection, a cut-off connection
+    // could be shed while the last probe above is still closing.)
+    let handle = start(
+        |c| c.read_deadline = Duration::from_millis(300),
+        FaultPlan::default(),
+    );
+    for partial in [
+        &b"GET /healthz HTTP/1.1\r\nhost: x"[..],
+        &b"POST /analyze HTTP/1.1\r\ncontent-length: 100\r\n\r\n{\"nest\""[..],
+    ] {
+        let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+        stream.write_all(partial).expect("send");
+        stream
+            .shutdown(std::net::Shutdown::Write)
+            .expect("half-close");
+        let r = read_response(&mut stream, Duration::from_secs(10)).expect("response");
+        assert_eq!(r.status, 400, "cut off after {partial:?}");
+        assert!(r.closes());
+    }
+    // Stalled mid-head, connection left open: the read deadline answers.
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .write_all(b"GET /healthz HTTP/1.1\r\n")
+        .expect("send");
+    let r = read_response(&mut stream, Duration::from_secs(10)).expect("response");
+    assert_eq!(r.status, 408);
+    let m = handle.metrics();
+    assert_eq!(m.parse_errors.load(Ordering::Relaxed), 2);
+    assert_eq!(m.read_timeouts.load(Ordering::Relaxed), 1);
+    handle.join();
+}
+
+/// One `Client`'s sequential calls travel on one connection.
+#[test]
+fn one_client_sends_its_calls_on_one_connection() {
+    let handle = start(|_| {}, FaultPlan::default());
+    let client = Client::new(handle.addr().to_string());
+    let nest = builders::matmul(16, 16, 16);
+    for _ in 0..5 {
+        let served = client
+            .analyze(&nest, &[Query::LowerBound { cache_size: 64 }])
+            .expect("analyze");
+        assert!(served[0].is_ok());
+    }
+    client.healthz().expect("healthz");
+    assert_eq!(handle.metrics().accepted.load(Ordering::Relaxed), 1);
+    let timings = client.timings();
+    assert_eq!(timings.analyses, 5);
+    assert!(timings.connect > Duration::ZERO && timings.connect < timings.exchange);
+    handle.join();
+}
+
+/// A kept connection that idles past the read deadline closes silently;
+/// the client's next call reconnects, and nothing is counted twice or as
+/// an error.
+#[test]
+fn a_kept_connection_idles_out_silently() {
+    let handle = start(
+        |c| c.read_deadline = Duration::from_millis(200),
+        FaultPlan::default(),
+    );
+    let client = Client::new(handle.addr().to_string());
+    let nest = builders::nbody(32, 64);
+    let queries = all_kinds_on(1 << 8, 1);
+    let mut oracle = Engine::new();
+    let expected: Vec<String> = queries
+        .iter()
+        .map(|q| json::to_string(&oracle.analyze(&nest, q).expect("oracle").serialize()))
+        .collect();
+    for call in 0..2 {
+        if call > 0 {
+            std::thread::sleep(Duration::from_millis(400));
+        }
+        let served = client.analyze(&nest, &queries).expect("analyze");
+        for (i, answer) in served.iter().enumerate() {
+            let answer = answer.as_ref().expect("valid query");
+            assert_eq!(
+                json::to_string(&answer.serialize()),
+                expected[i],
+                "call {call}, query {i}"
+            );
+        }
+    }
+    let m = client.metrics().expect("metrics");
+    for counter in [
+        "read_timeouts",
+        "parse_errors",
+        "shed_queue_full",
+        "shed_expired",
+    ] {
+        assert_eq!(metric(&m, counter), 0, "{counter}");
+    }
+    assert_eq!(metric(&m, "accepted"), 2, "the second call reconnected");
+    assert_eq!(
+        handle.engine().stats().queries,
+        2 * queries.len() as u64,
+        "each call computed once"
+    );
+    handle.join();
+}
+
+/// A kept connection's next request is timed from its first byte, so idle
+/// time before it does not count against its queue deadline.
+#[test]
+fn the_queue_deadline_counts_from_a_kept_requests_first_byte() {
+    let handle = start(
+        |c| c.queue_deadline = Duration::from_millis(300),
+        FaultPlan::default(),
+    );
+    let client = Client::new(handle.addr().to_string());
+    let nest = builders::matmul(16, 16, 16);
+    let queries = [Query::Tightness { cache_size: 64 }];
+    client.analyze(&nest, &queries).expect("first call");
+    std::thread::sleep(Duration::from_millis(500));
+    let served = client
+        .analyze(&nest, &queries)
+        .expect("second call: 200, not 503");
+    assert!(served[0].is_ok());
+    let m = handle.metrics();
+    assert_eq!(m.accepted.load(Ordering::Relaxed), 1, "one kept connection");
+    assert_eq!(m.shed_expired.load(Ordering::Relaxed), 0);
+    handle.join();
+}
+
+/// At the open-connection limit a newcomer displaces the longest-idle kept
+/// connection instead of being shed, and the displaced client reconnects.
+#[test]
+fn idle_kept_connections_make_room_for_newcomers() {
+    let handle = start(
+        |c| {
+            c.workers = 1;
+            c.queue_capacity = 1;
+            c.read_deadline = Duration::from_secs(30);
+        },
+        FaultPlan::default(),
+    );
+    let addr = handle.addr().to_string();
+    let nest = builders::matmul(16, 16, 16);
+    let queries = [Query::LowerBound { cache_size: 64 }];
+    let clients: Vec<Client> = (0..3).map(|_| Client::new(addr.clone())).collect();
+    let mut calls = 0u64;
+    for (i, client) in clients.iter().enumerate() {
+        client.analyze(&nest, &queries).expect("served");
+        calls += 1;
+        await_idle(&handle, (i + 1).min(2) as u64);
+    }
+    let shed = |h: &ServerHandle| h.metrics().shed_queue_full.load(Ordering::Relaxed);
+    assert_eq!(shed(&handle), 0, "the third client displaced the first");
+    for client in &clients[..2] {
+        let served = client.analyze(&nest, &queries).expect("served again");
+        assert!(served[0].is_ok());
+        calls += 1;
+        await_idle(&handle, 2);
+    }
+    assert_eq!(shed(&handle), 0);
+    assert_eq!(handle.metrics().accepted.load(Ordering::Relaxed), 5);
+    assert_eq!(
+        handle.engine().stats().queries,
+        calls,
+        "each call counted once"
+    );
+    handle.join();
+}
+
+/// Requests that arrive together are answered in order on one connection.
+#[test]
+fn pipelined_requests_are_answered_in_order() {
+    let handle = start(|_| {}, FaultPlan::default());
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .write_all(
+            b"GET /healthz HTTP/1.1\r\n\r\nGET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n",
+        )
+        .expect("send");
+    let mut reader = Reader::default();
+    let limit = Duration::from_secs(10);
+    for keep in [true, false] {
+        let r = reader
+            .read_response(&stream, Instant::now(), limit)
+            .expect("response");
+        assert_eq!(r.status, 200);
+        assert_eq!(r.body, br#"{"status":"ok"}"#);
+        assert_eq!(r.closes(), !keep);
+    }
+    assert!(matches!(
+        reader.read_response(&stream, Instant::now(), limit),
+        Err(ReadError::Closed)
+    ));
+    handle.join();
+}
+
+/// A client that pipelines requests and never reads the answers stalls its
+/// connection's writes; a write that makes no progress for the read
+/// deadline ends the connection, freeing its thread and its open slot.
+#[test]
+fn a_client_that_never_reads_its_answers_is_cut_off() {
+    let handle = start(
+        |c| {
+            c.workers = 1;
+            c.queue_capacity = 0;
+            c.read_deadline = Duration::from_millis(300);
+        },
+        FaultPlan::default(),
+    );
+    // Megabytes of `/metrics` answers: more than the socket buffers hold,
+    // so the server's writes stall with requests still unread (27-byte
+    // requests meet a 4 KiB read boundary only every 4096 requests, so the
+    // connection is never idle, and so never displaceable, on the way).
+    let mut hog = TcpStream::connect(handle.addr()).expect("connect");
+    hog.write_all(&b"GET /metrics HTTP/1.1\r\n\r\n".repeat(10_000))
+        .expect("send");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let r = raw(
+            &handle,
+            b"GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n",
+        );
+        if r.status == 200 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the stalled connection still holds the only open slot"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let served = handle.metrics().completed.load(Ordering::Relaxed);
+    assert!(
+        (2..10_000).contains(&served),
+        "the hog was cut off mid-pipeline: {served} answered"
+    );
+    drop(hog);
     handle.join();
 }

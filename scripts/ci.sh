@@ -80,8 +80,10 @@ if [ "$bench_smoke" = 1 ]; then
     grep -q "engine/concurrent" "$smoke_out"
     grep -q "engine/evicted_rewarm" "$smoke_out"
     grep -q "engine/snapshot_restore" "$smoke_out"
-    grep -q "service/roundtrip" "$smoke_out"
-    # The round trip split by layer: client, the server's stages, transport.
+    grep -q "service/roundtrip/tightness_hit" "$smoke_out"
+    grep -q "service/roundtrip/tightness_hit_keepalive" "$smoke_out"
+    # The fresh-connection round trip split by layer: client, the server's
+    # stages, connect and delivery.
     grep -q "service/stage/client_encode" "$smoke_out"
     grep -q "service/stage/pickup" "$smoke_out"
     grep -q "service/stage/read" "$smoke_out"
@@ -90,7 +92,8 @@ if [ "$bench_smoke" = 1 ]; then
     grep -q "service/stage/engine" "$smoke_out"
     grep -q "service/stage/serialize" "$smoke_out"
     grep -q "service/stage/write" "$smoke_out"
-    grep -q "service/stage/transport" "$smoke_out"
+    grep -q "service/stage/connect" "$smoke_out"
+    grep -q "service/stage/delivery" "$smoke_out"
     grep -q "service/stage/client_decode" "$smoke_out"
     grep -q "service/mixed_traffic/secs_per_request" "$smoke_out"
     grep -q "service/mixed_traffic/p99" "$smoke_out"
