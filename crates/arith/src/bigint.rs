@@ -22,8 +22,8 @@
 //!
 //! * `Small × Small` arithmetic fast-paths through machine integers
 //!   (widening to `i128` where the result can overflow).
-//! * Multi-limb multiplication is schoolbook below
-//!   [`KARATSUBA_THRESHOLD`] limbs and Karatsuba above it.
+//! * Multi-limb multiplication is schoolbook: the engine's values stay a few
+//!   limbs long, far below where a subquadratic method would pay.
 //! * Multi-limb division is limb-wise Knuth Algorithm D (TAOCP vol. 2,
 //!   §4.3.1), replacing the seed's bit-by-bit binary long division.
 //!
@@ -35,13 +35,6 @@ use core::cmp::Ordering;
 use core::fmt;
 use core::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Rem, Sub, SubAssign};
 use core::str::FromStr;
-
-/// Limb count below which multi-limb multiplication stays schoolbook.
-///
-/// Karatsuba's ~25% instruction saving only overtakes its allocation and
-/// recursion overhead for operands of a few dozen limbs; 32 limbs (1024 bits)
-/// is a conservative crossover for 32-bit limbs.
-const KARATSUBA_THRESHOLD: usize = 32;
 
 /// Sign of a [`BigInt`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -318,9 +311,9 @@ impl BigInt {
         out
     }
 
-    /// Schoolbook magnitude multiplication (quadratic; used below the
-    /// Karatsuba threshold and by the [`reference`] implementations).
-    fn mul_magnitude_schoolbook(a: &[u32], b: &[u32]) -> Vec<u32> {
+    /// Schoolbook magnitude multiplication (quadratic; also the
+    /// [`reference`] implementation's).
+    fn mul_magnitude(a: &[u32], b: &[u32]) -> Vec<u32> {
         if a.is_empty() || b.is_empty() {
             return Vec::new();
         }
@@ -343,64 +336,6 @@ impl BigInt {
                 k += 1;
             }
         }
-        while out.last() == Some(&0) {
-            out.pop();
-        }
-        out
-    }
-
-    /// Adds `addend << (32 * shift)` into `acc` in place.
-    fn add_into_shifted(acc: &mut Vec<u32>, addend: &[u32], shift: usize) {
-        if addend.is_empty() {
-            return;
-        }
-        if acc.len() < shift + addend.len() {
-            acc.resize(shift + addend.len(), 0);
-        }
-        let mut carry: u64 = 0;
-        for (i, &w) in addend.iter().enumerate() {
-            let s = acc[shift + i] as u64 + w as u64 + carry;
-            acc[shift + i] = s as u32;
-            carry = s >> 32;
-        }
-        let mut k = shift + addend.len();
-        while carry != 0 {
-            if k == acc.len() {
-                acc.push(carry as u32);
-                break;
-            }
-            let s = acc[k] as u64 + carry;
-            acc[k] = s as u32;
-            carry = s >> 32;
-            k += 1;
-        }
-    }
-
-    /// Magnitude multiplication: schoolbook below [`KARATSUBA_THRESHOLD`]
-    /// limbs, Karatsuba above it.
-    fn mul_magnitude(a: &[u32], b: &[u32]) -> Vec<u32> {
-        if a.len().min(b.len()) < KARATSUBA_THRESHOLD {
-            return Self::mul_magnitude_schoolbook(a, b);
-        }
-        // Karatsuba: split both operands at m limbs; with
-        // a = a0 + a1·B^m and b = b0 + b1·B^m,
-        //   a·b = z0 + z1·B^m + z2·B^{2m}
-        // where z0 = a0·b0, z2 = a1·b1, and
-        //   z1 = (a0 + a1)(b0 + b1) − z0 − z2.
-        let m = a.len().max(b.len()).div_ceil(2);
-        let (a0, a1) = (&a[..m.min(a.len())], a.get(m..).unwrap_or(&[]));
-        let (b0, b1) = (&b[..m.min(b.len())], b.get(m..).unwrap_or(&[]));
-        let z0 = Self::mul_magnitude(trim(a0), trim(b0));
-        let z2 = Self::mul_magnitude(a1, b1);
-        let sa = Self::add_magnitude(trim(a0), a1);
-        let sb = Self::add_magnitude(trim(b0), b1);
-        let mut z1 = Self::mul_magnitude(&sa, &sb);
-        z1 = Self::sub_magnitude(&z1, &z0);
-        z1 = Self::sub_magnitude(&z1, &z2);
-
-        let mut out = z0;
-        Self::add_into_shifted(&mut out, &z1, m);
-        Self::add_into_shifted(&mut out, &z2, 2 * m);
         while out.last() == Some(&0) {
             out.pop();
         }
@@ -698,14 +633,6 @@ fn small_from_mag(sign: Sign, mag: u64) -> Option<i64> {
     }
 }
 
-/// Trims trailing zero limbs from a slice view.
-fn trim(mut a: &[u32]) -> &[u32] {
-    while a.last() == Some(&0) {
-        a = &a[..a.len() - 1];
-    }
-    a
-}
-
 /// Reference implementations of the seed's simple algorithms (schoolbook
 /// multiplication, bit-by-bit binary long division), kept as the oracle for
 /// the differential property tests of the fast paths. Not part of the public
@@ -748,7 +675,7 @@ pub mod reference {
         } else {
             Sign::Negative
         };
-        BigInt::from_limbs(sign, BigInt::mul_magnitude_schoolbook(a_mag, b_mag))
+        BigInt::from_limbs(sign, BigInt::mul_magnitude(a_mag, b_mag))
     }
 
     /// Bit-by-bit binary long division (truncated), the seed's algorithm.
@@ -1308,18 +1235,6 @@ mod tests {
                 assert_eq!(&(&q * b) + &r, a.clone(), "reconstruction {a}/{b}");
             }
         }
-    }
-
-    #[test]
-    fn karatsuba_matches_schoolbook_above_threshold() {
-        // 40-limb operands force at least one Karatsuba split.
-        let a = (&bi(10).pow(350) - &bi(7)) * &bi(3);
-        let b = &bi(10).pow(340) + &bi(987654321);
-        assert!(a.bit_len() > KARATSUBA_THRESHOLD * 32);
-        assert_eq!(&a * &b, reference::schoolbook_mul(&a, &b));
-        assert_eq!(&a * &a, reference::schoolbook_mul(&a, &a));
-        let neg = -&a;
-        assert_eq!(&neg * &b, reference::schoolbook_mul(&neg, &b));
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //!   trailing zeros. Every constructor restores this invariant, which is what
 //!   makes the derived `Eq`/`Hash` value-correct. `Small × Small` arithmetic
 //!   runs on machine integers (widened to `i128` where needed); multi-limb
-//!   multiplication is schoolbook below 32 limbs and Karatsuba above;
+//!   multiplication is schoolbook (the LP values stay a few limbs long);
 //!   multi-limb division is limb-wise Knuth Algorithm D.
 //! * [`Rational`] is always in lowest terms with a positive denominator.
 //!   When all four components of a binary operation fit in `i64`, the op is

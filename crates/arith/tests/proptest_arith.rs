@@ -126,7 +126,7 @@ proptest! {
 
 // ---------------------------------------------------------------------------
 // Differential tests: the fast-path arithmetic (inline small values, Knuth-D
-// division, Karatsuba multiplication, i128 Rational cross-multiplication)
+// division, multi-limb multiplication, i128 Rational cross-multiplication)
 // must agree *exactly* with the retained reference implementations
 // (`projtile_arith::reference`: schoolbook multiplication and bit-by-bit
 // binary long division — the seed's algorithms) and with independent i128
@@ -179,7 +179,7 @@ proptest! {
         b_limbs in proptest::collection::vec(any::<u32>(), 33..80),
         a_neg in proptest::bool::ANY,
     ) {
-        // Operand sizes above the Karatsuba threshold (32 limbs).
+        // Long operands (33–79 limbs), past any value the LPs produce.
         let a = from_limbs_and_sign(&a_limbs, a_neg);
         let b = from_limbs_and_sign(&b_limbs, false);
         prop_assert_eq!(&a * &b, projtile_arith::reference::schoolbook_mul(&a, &b));

@@ -247,7 +247,7 @@ pub fn default_workloads() -> Vec<Workload> {
     //
     // engine/concurrent: four real threads per iteration hammering one
     // warmed SharedEngine with the same tightness query — every answer is a
-    // shard read-lock hit served through the lock-free peek path. The
+    // read-lock hit served through the lock-free peek path. The
     // measured time includes the per-iteration thread fan-out cost, which
     // is the realistic unit of a concurrent serving workload.
     let shared = projtile_core::engine::SharedEngine::new();

@@ -1,7 +1,9 @@
 //! The unified analysis session: a long-lived [`Engine`] answering typed
 //! [`Query`]s over interned loop nests with cross-query artifact reuse,
 //! bounded memoization, and session persistence — plus the thread-safe
-//! sharded [`SharedEngine`] front for concurrent serving.
+//! [`SharedEngine`] front for concurrent serving: one `Engine` behind a
+//! reader-writer lock, whose hits read under the shared lock and whose
+//! misses compute outside it.
 //!
 //! # Why a session API
 //!
@@ -35,7 +37,9 @@
 //!   [`SharedEngine::analyze_batch`] resolve queries through the same
 //!   phases (probe, classify, compute, answer twins, intern and install,
 //!   assemble — see `engine/resolve.rs`), and each front's `analyze` is a
-//!   batch of one, so both fronts count and cache identically.
+//!   batch of one. The shared front holds one `Engine` and its budgets are
+//!   that engine's, so a serialized stream of batches counts, evicts and
+//!   snapshots identically through either front.
 //! * **Bounded memoization.** Every memo map is a cost-aware
 //!   [`projtile_cachesim::BoundedLru`] with caps set by [`EngineConfig`]
 //!   (approximate heap bytes), so a long-lived service session cannot grow

@@ -1,12 +1,13 @@
 //! The one query pipeline behind both fronts: [`Engine::analyze_batch`] runs
 //! it on `&mut self`, [`super::SharedEngine::analyze_batch`] runs it against
-//! one shard, and each front's `analyze` is a batch of one.
+//! the engine it holds behind a reader-writer lock, and each front's
+//! `analyze` is a batch of one.
 //!
 //! A batch of queries about one nest is resolved in six phases:
 //!
 //! 1. **probe** — every distinct valid literal is looked up once with
-//!    [`Engine::peek_cached`], a pure read (the shared front holds only the
-//!    shard's read lock);
+//!    [`Engine::peek_cached`], a pure read (the shared front holds only its
+//!    read lock);
 //! 2. **classify** — literals not resident are deduplicated by
 //!    [`canonical_query_form`]: the first occurrence of each form is a miss,
 //!    a repeat of a literal is a duplicate of its first occurrence, and a
@@ -309,11 +310,11 @@ impl Engine {
     /// Pure cached lookup: `Some(result)` iff the query is answerable
     /// without solver work or re-threading any recency list. Reads go
     /// through [`super::BoundedLru::peek`], which records recency in atomic
-    /// stamps, so concurrent readers of a shard never take its write lock
-    /// for a hit. A tightness query peeks its tiling, bound and enumeration
-    /// in that order, stops at the first absent one, and composes the report
-    /// from the three with the certificate check on `nest` (the declared
-    /// order its bound is keyed by) — no LP solve.
+    /// stamps, so concurrent readers of the shared front never take its
+    /// write lock for a hit. A tightness query peeks its tiling, bound and
+    /// enumeration in that order, stops at the first absent one, and
+    /// composes the report from the three with the certificate check on
+    /// `nest` (the declared order its bound is keyed by) — no LP solve.
     ///
     /// Typed results and surfaces are keyed by orientation `o` and miss
     /// until this declaration order is interned; slices are keyed by the

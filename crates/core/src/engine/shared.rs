@@ -1,54 +1,50 @@
-//! The thread-safe service front: a [`SharedEngine`] sharding session state
-//! by canonical nest signature.
+//! The thread-safe service front: a [`SharedEngine`] holding one [`Engine`]
+//! behind a reader-writer lock.
 //!
 //! # Concurrency model
 //!
-//! * **Sharding.** Each interned nest lives in exactly one shard (chosen by
-//!   hashing its permutation-invariant [`NestSignature`]), and each shard is
-//!   an independent [`Engine`] behind a `parking_lot` reader-writer lock.
-//!   Traffic on distinct nests contends only when the nests hash to the same
-//!   shard.
-//! * **Lock-free read path for hits.** A cache hit takes only the shard's
-//!   *shared* read lock: the memoized answer is read through
+//! * **Hits read under the shared lock.** A cache hit takes only the
+//!   `parking_lot` *read* lock: the memoized answer is read through
 //!   [`projtile_cachesim::BoundedLru::peek`], which records recency in
 //!   per-entry atomic stamps rather than re-threading the LRU list, so
-//!   concurrent hits on one shard proceed in parallel and never queue behind
-//!   a writer (the stamps are folded into the eviction order by the next
-//!   exclusive operation).
-//! * **Compute outside the locks.** A miss computes with the stateless
+//!   concurrent hits proceed in parallel and never queue behind each other
+//!   (the stamps are folded into the eviction order by the next exclusive
+//!   operation).
+//! * **Compute outside the lock.** A miss computes with the stateless
 //!   free-function paths using a solver context checked out of the front's
 //!   shared [`projtile_lp::ContextPool`] — one context per worker, so
 //!   concurrent `analyze_batch` calls from many threads never serialize on
-//!   one warm tableau — and only then takes the shard's write lock, briefly,
-//!   to intern and install. A batch with nothing to compute takes no write
+//!   one warm tableau — and only then takes the write lock, briefly, to
+//!   intern and install. A batch with nothing to compute takes no write
 //!   lock at all. Two threads racing on the same query compute the same
 //!   bitwise value; the loser's install is an idempotent overwrite.
 //!
 //! The front resolves queries through the same pipeline as [`Engine`]
-//! (`engine/resolve.rs`), so answers are bitwise-identical to a
-//! single-threaded session and to the cold free functions, under any
-//! interleaving and any eviction pressure — pinned by the multi-threaded
-//! differential proptests.
+//! (`engine/resolve.rs`) against the same single set of caches, so answers
+//! are bitwise-identical to a single-threaded session and to the cold free
+//! functions under any interleaving and any eviction pressure — pinned by
+//! the multi-threaded differential proptests — and a serialized stream of
+//! batches counts, evicts and snapshots exactly as an [`Engine`] with the
+//! same budgets does.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::RwLock;
-use projtile_loopnest::{canonicalize, CanonicalNest, LoopNest, NestSignature};
+use projtile_loopnest::{canonicalize, CanonicalNest, LoopNest};
 use projtile_lp::ContextPool;
 use serde::{json, Value};
 
 use super::resolve::{canonical_query_form, Batch, Outcome, Resolved};
-use super::snapshot::SnapshotParts;
 use super::trace::{outcome, TraceDocument, TraceEvent, TraceRecorder, TRACE_VERSION};
 use super::{
     query_kind_index, AnalysisResult, CacheMetrics, Engine, EngineConfig, EngineError, EngineStats,
     Query, QUERY_KIND_COUNT,
 };
 
-/// A thread-safe, sharded analysis service front. Create once, share by
-/// reference (`&SharedEngine` is `Send + Sync`) across worker threads.
+/// A thread-safe analysis service front. Create once, share by reference
+/// (`&SharedEngine` is `Send + Sync`) across worker threads.
 ///
 /// ```
 /// use projtile_core::engine::{AnalysisResult, Query, SharedEngine};
@@ -70,7 +66,7 @@ use super::{
 /// }
 /// ```
 pub struct SharedEngine {
-    shards: Vec<RwLock<Engine>>,
+    engine: RwLock<Engine>,
     pool: ContextPool,
     queries: AtomicU64,
     hits: AtomicU64,
@@ -95,41 +91,27 @@ impl Default for SharedEngine {
 impl std::fmt::Debug for SharedEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SharedEngine")
-            .field("shards", &self.shards.len())
             .field("stats", &self.stats())
             .finish_non_exhaustive()
     }
 }
 
-/// Default shard count: enough to keep `PROJTILE_THREADS` workers off each
-/// other's locks, capped so idle shards stay cheap.
-fn default_shards() -> usize {
-    projtile_par::num_threads().clamp(1, 16).next_power_of_two()
-}
-
 impl SharedEngine {
-    /// Creates a front with default cache budgets and shard count.
+    /// Creates a front with default cache budgets.
     pub fn new() -> SharedEngine {
-        SharedEngine::with_config(EngineConfig::default(), default_shards())
+        SharedEngine::with_config(EngineConfig::default())
     }
 
-    /// Creates a front with explicit cache budgets and shard count. The
-    /// budgets are **divided evenly across shards** (rounding up, so a
-    /// small budget is never silently zeroed; the front may retain up to
-    /// `shards - 1` cost units more than requested per cache). `config`
-    /// therefore describes the whole front's retention, not one shard's.
-    pub fn with_config(config: EngineConfig, num_shards: usize) -> SharedEngine {
-        let n = num_shards.max(1) as u64;
-        let per_shard = EngineConfig {
-            results_capacity: config.results_capacity.div_ceil(n),
-            slices_capacity: config.slices_capacity.div_ceil(n),
-            surfaces_capacity: config.surfaces_capacity.div_ceil(n),
-        };
-        let n = n as usize;
+    /// Creates a front with explicit cache budgets: `config` is the whole
+    /// front's retention, exactly as for [`Engine::with_config`].
+    pub fn with_config(config: EngineConfig) -> SharedEngine {
+        SharedEngine::over(Engine::with_config(config))
+    }
+
+    /// A front serving `engine`'s caches.
+    fn over(engine: Engine) -> SharedEngine {
         SharedEngine {
-            shards: (0..n)
-                .map(|_| RwLock::new(Engine::with_config(per_shard)))
-                .collect(),
+            engine: RwLock::new(engine),
             pool: ContextPool::new(),
             queries: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -142,57 +124,32 @@ impl SharedEngine {
         }
     }
 
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Counters for this front's lifetime, aggregated across shards.
+    /// Counters for this front's lifetime.
     pub fn stats(&self) -> EngineStats {
         EngineStats {
             queries: self.queries.load(Ordering::Relaxed),
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            interned: self
-                .shards
-                .iter()
-                .map(|s| s.read().num_interned() as u64)
-                .sum(),
+            interned: self.engine.read().num_interned() as u64,
         }
     }
 
-    /// Cache occupancy and eviction counters, summed across shards, plus
-    /// per-query-kind hit/miss counters. The front resolves queries itself
-    /// (peek + install) and never runs a shard engine's own query path, so
-    /// the per-kind counters are the front's atomics alone.
+    /// Cache occupancy and eviction counters plus per-query-kind hit/miss
+    /// counters. The front resolves queries itself (peek + install) and
+    /// never runs its engine's own query path, so the per-kind counters are
+    /// the front's atomics alone.
     pub fn cache_metrics(&self) -> CacheMetrics {
-        let mut total = CacheMetrics::default();
-        for shard in &self.shards {
-            // Engine::cache_metrics only reads its own caches; the edge into
-            // SharedEngine::stats is a same-name dispatch over-approximation.
-            // lint: allow(L009) Engine::cache_metrics reads shard-local caches only
-            let m = shard.read().cache_metrics();
-            for (acc, part) in [
-                (&mut total.results, m.results),
-                (&mut total.slices, m.slices),
-                (&mut total.surfaces, m.surfaces),
-            ] {
-                acc.entries += part.entries;
-                acc.cost += part.cost;
-                acc.capacity += part.capacity;
-                acc.evictions += part.evictions;
-            }
-        }
-        for ((acc, hits), misses) in total
+        let mut metrics = Engine::cache_metrics(&self.engine.read());
+        for ((acc, hits), misses) in metrics
             .kinds
             .iter_mut()
             .zip(&self.kind_hits)
             .zip(&self.kind_misses)
         {
-            acc.hits += hits.load(Ordering::Relaxed);
-            acc.misses += misses.load(Ordering::Relaxed);
+            acc.hits = hits.load(Ordering::Relaxed);
+            acc.misses = misses.load(Ordering::Relaxed);
         }
-        total
+        metrics
     }
 
     // -----------------------------------------------------------------------
@@ -218,21 +175,14 @@ impl SharedEngine {
     }
 
     /// Drains the recorded trace (without resetting it) as a
-    /// [`TraceDocument`]: the recorded events plus the front geometry
-    /// (shard count, per-shard budgets) and the hit/miss counters covering
-    /// the recorded window — everything the lab's differential replay
-    /// needs to reproduce the live accounting.
+    /// [`TraceDocument`]: the recorded events plus the front's budgets and
+    /// the hit/miss counters covering the recorded window — everything the
+    /// lab's differential replay needs to reproduce the live accounting.
     pub fn trace_document(&self) -> TraceDocument {
         let stats = self.stats();
-        let shard_config = self
-            .shards
-            .first()
-            .map(|s| s.read().config())
-            .unwrap_or_default();
         TraceDocument {
             version: TRACE_VERSION,
-            num_shards: self.shards.len() as u32,
-            shard_config,
+            config: self.engine.read().config(),
             queries: stats.queries.saturating_sub(self.trace_base.queries),
             hits: stats.hits.saturating_sub(self.trace_base.hits),
             misses: stats.misses.saturating_sub(self.trace_base.misses),
@@ -240,23 +190,6 @@ impl SharedEngine {
             warm_entries: self.trace_warm_entries,
             events: self.recorder.events(),
         }
-    }
-
-    fn shard_of(&self, sig: &NestSignature) -> usize {
-        self.shard_index(hash_u64(sig))
-    }
-
-    /// Routes a signature hash to its home shard's index. `shards` is
-    /// non-empty for every constructed front, and `checked_rem` keeps the
-    /// arithmetic total even if it were not.
-    fn shard_index(&self, hash: u64) -> usize {
-        hash.checked_rem(self.shards.len() as u64).unwrap_or(0) as usize
-    }
-
-    /// The shard lock routed to by `hash`.
-    fn shard(&self, hash: u64) -> &RwLock<Engine> {
-        // lint: allow(L008) shard_index is always < shards.len() (checked_rem) and shards is non-empty by construction
-        &self.shards[self.shard_index(hash)]
     }
 
     /// Answers one typed query about `nest` — a batch of one through
@@ -270,7 +203,7 @@ impl SharedEngine {
 
     /// Answers a batch of queries about `nest`, in input order, through the
     /// pipeline [`Engine::analyze_batch`] runs too. Hits are read under the
-    /// shard's read lock; the remaining distinct queries fan out through
+    /// read lock; the remaining distinct queries fan out through
     /// `projtile_par` with per-worker pooled solver contexts before one
     /// write-lock install pass, which a batch of hits skips entirely.
     pub fn analyze_batch(
@@ -281,11 +214,9 @@ impl SharedEngine {
         self.queries
             .fetch_add(queries.len() as u64, Ordering::Relaxed);
         let canon = canonicalize(nest);
-        let sig_hash = hash_u64(&canon.signature());
-        let shard = self.shard(sig_hash);
         let tracing = self.recorder.enabled();
         let mut batch = {
-            let engine = shard.read();
+            let engine = self.engine.read();
             Batch::probe(&engine, nest, &canon, queries)
         };
         // The guard is let-bound so the lint's lock checks see `install`
@@ -293,7 +224,7 @@ impl SharedEngine {
         let installed = batch
             .compute(&self.pool, nest, &canon, tracing)
             .map(|computed| {
-                let mut engine = shard.write();
+                let mut engine = self.engine.write();
                 computed.install(&mut engine, &canon)
             });
         let Resolved {
@@ -318,7 +249,7 @@ impl SharedEngine {
         self.hits.fetch_add(hits, Ordering::Relaxed);
         self.misses.fetch_add(misses, Ordering::Relaxed);
         if tracing {
-            self.record(sig_hash, &canon, queries, &outcomes, costs);
+            self.record(&canon, queries, &outcomes, costs);
         }
         answers
     }
@@ -328,12 +259,12 @@ impl SharedEngine {
     /// costs of what it installed.
     fn record(
         &self,
-        sig_hash: u64,
         canon: &CanonicalNest,
         queries: &[Query],
         outcomes: &[Outcome],
         costs: Vec<Vec<u64>>,
     ) {
+        let sig_hash = hash_u64(&canon.signature());
         let orient = orientation_hash(sig_hash, canon);
         let batch = self.recorder.next_batch();
         let events = queries
@@ -365,17 +296,14 @@ impl SharedEngine {
         self.recorder.record(events);
     }
 
-    /// Serializes the whole front — every shard's result caches — as one
-    /// snapshot document in the same format as [`Engine::snapshot`], so
-    /// snapshots move freely between sharded and single-threaded sessions
-    /// (and between fronts with different shard counts). Takes each shard's
-    /// write lock briefly, one at a time.
+    /// Serializes the front's caches as a snapshot document, exactly
+    /// [`Engine::snapshot`] of the engine it holds, so snapshots move freely
+    /// between the two fronts. Holds the write lock for the whole
+    /// serialization to a [`Value`] tree (printing it as text, as
+    /// [`SharedEngine::snapshot_json`] does, happens after the lock is
+    /// released).
     pub fn snapshot(&self) -> Value {
-        let mut parts = SnapshotParts::default();
-        for shard in &self.shards {
-            shard.write().snapshot_into(&mut parts);
-        }
-        parts.into_document()
+        Engine::snapshot(&mut self.engine.write())
     }
 
     /// [`SharedEngine::snapshot`] printed as compact JSON.
@@ -385,42 +313,23 @@ impl SharedEngine {
 
     /// Restores a front from a snapshot (produced by either
     /// [`Engine::snapshot`] or [`SharedEngine::snapshot`]) with default
-    /// budgets and shard count. Entries are routed to their home shards by
-    /// signature, so the shard count need not match the snapshotting front.
+    /// budgets.
     pub fn restore(value: &Value) -> Result<SharedEngine, EngineError> {
-        SharedEngine::restore_with_config(value, EngineConfig::default(), default_shards())
+        Engine::restore(value).map(SharedEngine::over)
     }
 
-    /// [`SharedEngine::restore`] with explicit budgets and shard count.
+    /// [`SharedEngine::restore`] with explicit budgets, exactly as for
+    /// [`Engine::restore_with_config`].
     pub fn restore_with_config(
         value: &Value,
         config: EngineConfig,
-        num_shards: usize,
     ) -> Result<SharedEngine, EngineError> {
-        let front = SharedEngine::with_config(config, num_shards);
-        // One routing pass assigns every entry to its home shard; each
-        // per-shard restore then deserializes only its own entries and
-        // artifacts (foreign records are skipped by index before their
-        // payloads are parsed).
-        let routing: Vec<usize> = super::snapshot::entry_signatures(value)?
-            .iter()
-            .map(|sig| front.shard_of(sig))
-            .collect();
-        for (i, shard) in front.shards.iter().enumerate() {
-            let per_shard_config = shard.read().config();
-            let restored = Engine::restore_filtered(value, per_shard_config, &|idx| {
-                routing.get(idx) == Some(&i)
-            })?;
-            *shard.write() = restored;
-        }
-        Ok(front)
+        Engine::restore_with_config(value, config).map(SharedEngine::over)
     }
 
     /// Restores a front from snapshot JSON text with default budgets.
     pub fn restore_json(text: &str) -> Result<SharedEngine, EngineError> {
-        let value =
-            json::parse(text).map_err(|e| EngineError::Snapshot(format!("snapshot JSON: {e}")))?;
-        SharedEngine::restore(&value)
+        Engine::restore_json(text).map(SharedEngine::over)
     }
 }
 
@@ -433,8 +342,7 @@ fn bump(counters: &[AtomicU64], kind: usize) {
 }
 
 /// `DefaultHasher` digest of any hashable value — the trace's identity
-/// primitive (also how [`SharedEngine::shard_of`] routes, so a recorded
-/// `sig % num_shards` names the live shard).
+/// primitive.
 fn hash_u64<T: Hash + ?Sized>(value: &T) -> u64 {
     let mut hasher = DefaultHasher::new();
     value.hash(&mut hasher);
@@ -516,13 +424,12 @@ mod tests {
         let mut warm = Engine::new();
         let expected = warm.analyze_batch(&nest, &queries);
         let front = SharedEngine::restore(&warm.snapshot()).expect("snapshot restores");
-        let shard = front.shard(hash_u64(&canonicalize(&nest).signature()));
 
-        // Another holder of the shard's read guard must not stall a batch
-        // that computes nothing: it takes no write lock.
+        // Another holder of the read guard must not stall a batch that
+        // computes nothing: it takes no write lock.
         let (tx, rx) = mpsc::channel();
         let answers = std::thread::scope(|scope| {
-            let reader = shard.read();
+            let reader = front.engine.read();
             let (front, nest, queries) = (&front, &nest, &queries);
             scope.spawn(move || tx.send(front.analyze_batch(nest, queries)));
             let answers = rx.recv_timeout(Duration::from_secs(5));

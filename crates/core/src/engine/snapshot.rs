@@ -61,45 +61,6 @@ use crate::parametric::ExponentSurface;
 /// Current snapshot format version; restore rejects any other value.
 pub const SNAPSHOT_VERSION: i64 = 1;
 
-/// Parses just the canonical signatures of a snapshot's entries, in entry
-/// order — the single routing pass [`super::SharedEngine`] uses to assign
-/// entries to shards before restoring each shard's subset.
-pub(crate) fn entry_signatures(
-    value: &Value,
-) -> Result<Vec<projtile_loopnest::NestSignature>, EngineError> {
-    as_array(field(value, "entries")?, "entries")?
-        .iter()
-        .map(|ev| {
-            let canonical: LoopNest = de("snapshot entry nest", field(ev, "canonical")?)?;
-            Ok(canonicalize(&canonical).signature())
-        })
-        .collect()
-}
-
-/// The body lists of a snapshot document, gathered from one engine or from
-/// every shard of a front in turn.
-#[derive(Default)]
-pub(crate) struct SnapshotParts {
-    entries: Vec<Value>,
-    results: Vec<Value>,
-    slices: Vec<Value>,
-    surfaces: Vec<Value>,
-}
-
-impl SnapshotParts {
-    /// The versioned snapshot document.
-    pub(crate) fn into_document(self) -> Value {
-        obj(vec![
-            ("version", Value::Int(SNAPSHOT_VERSION as i128)),
-            ("entries", Value::Array(self.entries)),
-            ("betas", Value::Array(Vec::new())),
-            ("results", Value::Array(self.results)),
-            ("slices", Value::Array(self.slices)),
-            ("surfaces", Value::Array(self.surfaces)),
-        ])
-    }
-}
-
 fn obj(fields: Vec<(&str, Value)>) -> Value {
     Value::Object(
         fields
@@ -176,49 +137,7 @@ impl Engine {
     /// pending shared-path recency stamps into the persisted order; no
     /// cached artifact is modified.
     pub fn snapshot(&mut self) -> Value {
-        let mut parts = SnapshotParts::default();
-        self.snapshot_into(&mut parts);
-        parts.into_document()
-    }
-
-    /// [`Engine::snapshot`] printed as compact JSON.
-    pub fn snapshot_json(&mut self) -> String {
-        json::to_string(&self.snapshot())
-    }
-
-    /// Restores a session from a snapshot [`Value`], with default cache
-    /// budgets. The restored session answers every persisted query from
-    /// cache, bitwise-identically to the session that produced the snapshot.
-    pub fn restore(value: &Value) -> Result<Engine, EngineError> {
-        Engine::restore_with_config(value, EngineConfig::default())
-    }
-
-    /// [`Engine::restore`] with explicit cache budgets (restoring into
-    /// smaller budgets evicts least recently used artifacts immediately).
-    pub fn restore_with_config(value: &Value, config: EngineConfig) -> Result<Engine, EngineError> {
-        Engine::restore_filtered(value, config, &|_| true)
-    }
-
-    /// Restores a session from snapshot JSON text.
-    pub fn restore_json(text: &str) -> Result<Engine, EngineError> {
-        Engine::restore_json_with_config(text, EngineConfig::default())
-    }
-
-    /// [`Engine::restore_json`] with explicit cache budgets.
-    pub fn restore_json_with_config(
-        text: &str,
-        config: EngineConfig,
-    ) -> Result<Engine, EngineError> {
-        let value = json::parse(text).map_err(|e| snap_err("snapshot JSON", e))?;
-        Engine::restore_with_config(&value, config)
-    }
-
-    /// Appends this session's body lists to `parts`, with every entry index
-    /// shifted past the entries already there — how [`super::SharedEngine`]
-    /// merges its shards into one document.
-    pub(crate) fn snapshot_into(&mut self, parts: &mut SnapshotParts) {
-        let entry_offset = parts.entries.len();
-        parts.entries.extend(self.entries.iter().map(|entry| {
+        let entries = self.entries.iter().map(|entry| {
             obj(vec![
                 ("canonical", entry.canonical.serialize()),
                 (
@@ -237,74 +156,81 @@ impl Engine {
                     ),
                 ),
             ])
-        }));
-        parts
-            .results
-            .extend(self.results.iter_lru_to_mru().map(|(k, r)| {
-                let payload = match r {
-                    CachedResult::Bound(lb) => lb.serialize(),
-                    CachedResult::Enumerated(en) => en.serialize(),
-                    CachedResult::Tiling(t) => t.serialize(),
-                };
-                obj(vec![
-                    ("entry", (k.entry + entry_offset).serialize()),
-                    ("orientation", k.orientation.serialize()),
-                    ("m", k.m.serialize()),
-                    ("kind", Value::String(kind_tag(k.kind).to_string())),
-                    ("value", payload),
-                ])
-            }));
-        parts
-            .slices
-            .extend(self.slices.iter_lru_to_mru().filter_map(|(k, s)| {
-                let mut fields = vec![
-                    ("entry", (k.entry + entry_offset).serialize()),
-                    ("m", k.m.serialize()),
-                    ("axis", k.canon_axis.serialize()),
-                ];
-                match (k.kind, s) {
-                    (SliceKind::Span { lo_bound, hi_bound }, SliceEntry::Span(vf)) => {
-                        fields.push(("kind", Value::String("span".into())));
-                        fields.push(("lo", lo_bound.serialize()));
-                        fields.push(("hi", hi_bound.serialize()));
-                        fields.push(("value", vf.serialize()));
-                    }
-                    (SliceKind::Probe, SliceEntry::Probe(ps)) => {
-                        fields.push(("kind", Value::String("probe".into())));
-                        fields.push(("hi", ps.hi_bound.serialize()));
-                        fields.push(("value", ps.vf.serialize()));
-                    }
-                    // A key/entry variant mismatch cannot be built by the
-                    // insertion paths; dropping the cache entry from the
-                    // snapshot (it is only a memo) beats unwinding mid-write.
-                    _ => return None,
+        });
+        let results = self.results.iter_lru_to_mru().map(|(k, r)| {
+            let payload = match r {
+                CachedResult::Bound(lb) => lb.serialize(),
+                CachedResult::Enumerated(en) => en.serialize(),
+                CachedResult::Tiling(t) => t.serialize(),
+            };
+            obj(vec![
+                ("entry", k.entry.serialize()),
+                ("orientation", k.orientation.serialize()),
+                ("m", k.m.serialize()),
+                ("kind", Value::String(kind_tag(k.kind).to_string())),
+                ("value", payload),
+            ])
+        });
+        let slices = self.slices.iter_lru_to_mru().filter_map(|(k, s)| {
+            let mut fields = vec![
+                ("entry", k.entry.serialize()),
+                ("m", k.m.serialize()),
+                ("axis", k.canon_axis.serialize()),
+            ];
+            match (k.kind, s) {
+                (SliceKind::Span { lo_bound, hi_bound }, SliceEntry::Span(vf)) => {
+                    fields.push(("kind", Value::String("span".into())));
+                    fields.push(("lo", lo_bound.serialize()));
+                    fields.push(("hi", hi_bound.serialize()));
+                    fields.push(("value", vf.serialize()));
                 }
-                Some(obj(fields))
-            }));
-        parts
-            .surfaces
-            .extend(self.surfaces.iter_lru_to_mru().map(|(k, s)| {
-                obj(vec![
-                    ("entry", (k.entry + entry_offset).serialize()),
-                    ("orientation", k.orientation.serialize()),
-                    ("m", k.m.serialize()),
-                    ("lo", k.lo_bounds.serialize()),
-                    ("hi", k.hi_bounds.serialize()),
-                    ("surface", s.surface.serialize()),
-                ])
-            }));
+                (SliceKind::Probe, SliceEntry::Probe(ps)) => {
+                    fields.push(("kind", Value::String("probe".into())));
+                    fields.push(("hi", ps.hi_bound.serialize()));
+                    fields.push(("value", ps.vf.serialize()));
+                }
+                // A key/entry variant mismatch cannot be built by the
+                // insertion paths; dropping the cache entry from the
+                // snapshot (it is only a memo) beats unwinding mid-write.
+                _ => return None,
+            }
+            Some(obj(fields))
+        });
+        let surfaces = self.surfaces.iter_lru_to_mru().map(|(k, s)| {
+            obj(vec![
+                ("entry", k.entry.serialize()),
+                ("orientation", k.orientation.serialize()),
+                ("m", k.m.serialize()),
+                ("lo", k.lo_bounds.serialize()),
+                ("hi", k.hi_bounds.serialize()),
+                ("surface", s.surface.serialize()),
+            ])
+        });
+        obj(vec![
+            ("version", Value::Int(SNAPSHOT_VERSION as i128)),
+            ("entries", Value::Array(entries.collect())),
+            ("betas", Value::Array(Vec::new())),
+            ("results", Value::Array(results.collect())),
+            ("slices", Value::Array(slices.collect())),
+            ("surfaces", Value::Array(surfaces.collect())),
+        ])
     }
 
-    /// Restores the subset of a snapshot whose entry indices pass `keep`
-    /// (the sharded front routes entries to shards by signature first, then
-    /// restores one shard per call). Entry indices are remapped to the kept
-    /// subset; artifacts referencing dropped entries are skipped cheaply —
-    /// their payloads are never deserialized.
-    pub(crate) fn restore_filtered(
-        value: &Value,
-        config: EngineConfig,
-        keep: &dyn Fn(usize) -> bool,
-    ) -> Result<Engine, EngineError> {
+    /// [`Engine::snapshot`] printed as compact JSON.
+    pub fn snapshot_json(&mut self) -> String {
+        json::to_string(&self.snapshot())
+    }
+
+    /// Restores a session from a snapshot [`Value`], with default cache
+    /// budgets. The restored session answers every persisted query from
+    /// cache, bitwise-identically to the session that produced the snapshot.
+    pub fn restore(value: &Value) -> Result<Engine, EngineError> {
+        Engine::restore_with_config(value, EngineConfig::default())
+    }
+
+    /// [`Engine::restore`] with explicit cache budgets (restoring into
+    /// smaller budgets evicts least recently used artifacts immediately).
+    pub fn restore_with_config(value: &Value, config: EngineConfig) -> Result<Engine, EngineError> {
         let version: i64 = de("snapshot version", field(value, "version")?)?;
         if version != SNAPSHOT_VERSION {
             return Err(EngineError::Snapshot(format!(
@@ -314,15 +240,7 @@ impl Engine {
         let mut engine = Engine::with_config(config);
 
         // Interned nests and their orientations.
-        let mut remap: Vec<Option<usize>> = Vec::new();
-        for (idx, ev) in as_array(field(value, "entries")?, "entries")?
-            .iter()
-            .enumerate()
-        {
-            if !keep(idx) {
-                remap.push(None);
-                continue;
-            }
+        for ev in as_array(field(value, "entries")?, "entries")? {
             let canonical: LoopNest = de("snapshot entry nest", field(ev, "canonical")?)?;
             let canon = canonicalize(&canonical);
             if !canon.is_identity() {
@@ -358,25 +276,22 @@ impl Engine {
                 ));
             }
             engine.stats.interned += 1;
-            remap.push(Some(e));
         }
 
-        // Resolves a snapshot entry index to a kept local index.
-        let resolve = |v: &Value| -> Result<Option<usize>, EngineError> {
-            let raw: usize = de("artifact entry index", v)?;
-            match remap.get(raw) {
-                Some(mapped) => Ok(*mapped),
-                None => Err(EngineError::Snapshot(format!(
-                    "artifact references entry {raw}, but the snapshot has {} entries",
-                    remap.len()
-                ))),
+        // Reads an artifact's entry index and checks it names an entry.
+        let entries = engine.entries.len();
+        let resolve = |v: &Value| -> Result<usize, EngineError> {
+            let e: usize = de("artifact entry index", v)?;
+            if e >= entries {
+                return Err(EngineError::Snapshot(format!(
+                    "artifact references entry {e}, but the snapshot has {entries} entries"
+                )));
             }
+            Ok(e)
         };
 
         for rv in as_array(field(value, "results")?, "results")? {
-            let Some(e) = resolve(field(rv, "entry")?)? else {
-                continue;
-            };
+            let e = resolve(field(rv, "entry")?)?;
             let o: usize = de("result orientation", field(rv, "orientation")?)?;
             if o >= engine.entry(e).orientations.len() {
                 return Err(EngineError::Snapshot(
@@ -454,9 +369,7 @@ impl Engine {
         }
 
         for sv in as_array(field(value, "slices")?, "slices")? {
-            let Some(e) = resolve(field(sv, "entry")?)? else {
-                continue;
-            };
+            let e = resolve(field(sv, "entry")?)?;
             let m = artifact_m(field(sv, "m")?, "slice cache size")?;
             let axis: usize = de("slice axis", field(sv, "axis")?)?;
             if axis >= engine.entry(e).canonical.num_loops() {
@@ -534,9 +447,7 @@ impl Engine {
         }
 
         for sv in as_array(field(value, "surfaces")?, "surfaces")? {
-            let Some(e) = resolve(field(sv, "entry")?)? else {
-                continue;
-            };
+            let e = resolve(field(sv, "entry")?)?;
             let o: usize = de("surface orientation", field(sv, "orientation")?)?;
             if o >= engine.entry(e).orientations.len() {
                 return Err(EngineError::Snapshot(
@@ -593,5 +504,19 @@ impl Engine {
         }
 
         Ok(engine)
+    }
+
+    /// Restores a session from snapshot JSON text.
+    pub fn restore_json(text: &str) -> Result<Engine, EngineError> {
+        Engine::restore_json_with_config(text, EngineConfig::default())
+    }
+
+    /// [`Engine::restore_json`] with explicit cache budgets.
+    pub fn restore_json_with_config(
+        text: &str,
+        config: EngineConfig,
+    ) -> Result<Engine, EngineError> {
+        let value = json::parse(text).map_err(|e| snap_err("snapshot JSON", e))?;
+        Engine::restore_with_config(&value, config)
     }
 }

@@ -31,7 +31,7 @@ use serde::{json, Value};
 use super::EngineConfig;
 
 /// Version stamp of the serialized trace document format.
-pub const TRACE_VERSION: u32 = 3;
+pub const TRACE_VERSION: u32 = 4;
 
 /// Integer header fields per serialized event (`costs` values follow).
 const EVENT_HEADER: usize = 10;
@@ -44,9 +44,9 @@ const MAX_COSTS: usize = 8;
 /// How the live [`super::SharedEngine`] resolved one recorded query.
 /// Stored as the `outcome` byte of a [`TraceEvent`].
 pub mod outcome {
-    /// Served from a memoized artifact under the shard's read lock.
+    /// Served from a memoized artifact under the front's read lock.
     pub const HIT: u8 = 0;
-    /// Computed, then installed under the shard's write lock. The event
+    /// Computed, then installed under the front's write lock. The event
     /// carries the per-entry cost estimates of everything it may install.
     pub const MISS: u8 = 1;
     /// A duplicate literal occurrence of a pending query within one batch:
@@ -70,8 +70,8 @@ pub struct TraceEvent {
     /// call). Replay regroups events by this id: a batch probes all its
     /// queries before installing any of them.
     pub batch: u64,
-    /// Hash of the nest's canonical [`projtile_loopnest::NestSignature`]
-    /// (pre-modulo: the live shard is `sig % num_shards`).
+    /// Hash of the nest's canonical [`projtile_loopnest::NestSignature`]:
+    /// the identity the slice cache keys by.
     pub sig: u64,
     /// Hash of `(sig, loop permutation, array permutation)` — the nest's
     /// declaration order. Orientation-keyed caches miss until a batch of
@@ -177,17 +177,13 @@ impl TraceRecorder {
 }
 
 /// A drained trace: everything the lab needs to replay the recorded
-/// traffic through per-shard caches at the live geometry.
+/// traffic through the live cache type at the live budgets.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceDocument {
     /// Format version ([`TRACE_VERSION`]).
     pub version: u32,
-    /// Shard count of the recording front (`sig % num_shards` routes).
-    pub num_shards: u32,
-    /// The **per-shard** cache budgets of the recording front (already
-    /// divided across shards, unlike the front-wide `EngineConfig` a
-    /// caller passes to `SharedEngine::with_config`).
-    pub shard_config: EngineConfig,
+    /// The cache budgets of the recording front.
+    pub config: EngineConfig,
     /// Queries answered since the recorder was attached (includes invalid
     /// queries, which are rejected before reaching any cache and are never
     /// recorded as events).
@@ -231,23 +227,19 @@ impl TraceDocument {
         Value::Object(vec![
             ("version".to_string(), Value::Int(self.version as i128)),
             (
-                "num_shards".to_string(),
-                Value::Int(self.num_shards as i128),
-            ),
-            (
-                "shard_config".to_string(),
+                "config".to_string(),
                 Value::Object(vec![
                     (
                         "results_capacity".to_string(),
-                        Value::Int(self.shard_config.results_capacity as i128),
+                        Value::Int(self.config.results_capacity as i128),
                     ),
                     (
                         "slices_capacity".to_string(),
-                        Value::Int(self.shard_config.slices_capacity as i128),
+                        Value::Int(self.config.slices_capacity as i128),
                     ),
                     (
                         "surfaces_capacity".to_string(),
-                        Value::Int(self.shard_config.surfaces_capacity as i128),
+                        Value::Int(self.config.surfaces_capacity as i128),
                     ),
                 ]),
             ),
@@ -276,16 +268,10 @@ impl TraceDocument {
         if version != TRACE_VERSION as u64 {
             return Err(TraceError::Version(version));
         }
-        let num_shards = read_u64(value, "num_shards")?;
-        if num_shards == 0 || num_shards > u32::MAX as u64 {
-            return Err(TraceError::Malformed(format!(
-                "shard count {num_shards} out of range"
-            )));
-        }
         let config = value
-            .field("shard_config")
+            .field("config")
             .map_err(|e| TraceError::Malformed(e.to_string()))?;
-        let shard_config = EngineConfig {
+        let config = EngineConfig {
             results_capacity: read_u64(config, "results_capacity")?,
             slices_capacity: read_u64(config, "slices_capacity")?,
             surfaces_capacity: read_u64(config, "surfaces_capacity")?,
@@ -364,8 +350,7 @@ impl TraceDocument {
         }
         Ok(TraceDocument {
             version: TRACE_VERSION,
-            num_shards: num_shards as u32,
-            shard_config,
+            config,
             queries: read_u64(value, "queries")?,
             hits: read_u64(value, "hits")?,
             misses: read_u64(value, "misses")?,
@@ -488,8 +473,7 @@ mod tests {
     fn document_round_trips_through_json() {
         let doc = TraceDocument {
             version: TRACE_VERSION,
-            num_shards: 4,
-            shard_config: EngineConfig {
+            config: EngineConfig {
                 results_capacity: 175,
                 slices_capacity: 225,
                 surfaces_capacity: 500,
@@ -513,8 +497,7 @@ mod tests {
     fn version_skew_is_a_typed_error() {
         let mut doc = TraceDocument {
             version: TRACE_VERSION,
-            num_shards: 1,
-            shard_config: EngineConfig::default(),
+            config: EngineConfig::default(),
             queries: 0,
             hits: 0,
             misses: 0,

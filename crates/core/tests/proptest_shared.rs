@@ -210,7 +210,7 @@ proptest! {
 
         // Hammer one shared front from several real threads, under forced
         // eviction pressure (tiny caps) and across permuted variants.
-        let shared = SharedEngine::with_config(tiny_config(), 4);
+        let shared = SharedEngine::with_config(tiny_config());
         let workers = projtile_par::num_threads().clamp(2, 8);
         projtile_par::fan_out(workers, |w| {
             for round in 0..2 {
@@ -244,7 +244,7 @@ proptest! {
 
     /// Snapshot → JSON → restore is a warm start: every persisted query is
     /// answered from cache, bitwise-identically, by both the
-    /// single-threaded engine and the sharded front.
+    /// single-threaded engine and the shared front.
     #[test]
     fn snapshot_restore_answers_bitwise_from_cache(
         seed in 0u64..1000,
@@ -278,7 +278,7 @@ proptest! {
             probe
         );
 
-        // The same document restores into a sharded front.
+        // The same document restores into a shared front.
         let shared = SharedEngine::restore_json(&text).expect("snapshot restores");
         for (q, e) in queries.iter().zip(&expected) {
             let got = shared.analyze(&nest, q).expect("valid query");
@@ -287,12 +287,71 @@ proptest! {
         let stats = shared.stats();
         prop_assert_eq!(stats.misses, 0, "restored front must be warm: {:?}", stats);
 
-        // And a sharded snapshot round-trips back into a plain engine.
+        // And the front's snapshot round-trips back into a plain engine.
         let merged = shared.snapshot_json();
         let mut back = Engine::restore_json(&merged).expect("merged snapshot restores");
         for (q, e) in queries.iter().zip(&expected) {
             prop_assert_eq!(&back.analyze(&nest, q).expect("valid query"), e);
         }
+    }
+
+    /// The shared front is one `Engine` behind a lock, with that engine's
+    /// budgets: fed the same serialized stream of mixed batches (declared in
+    /// two orders, with duplicate literals and permuted-axes surface twins)
+    /// under tiny budgets, it answers, counts per kind, evicts per cache
+    /// and snapshots byte for byte exactly as a private `Engine` does.
+    #[test]
+    fn shared_front_counts_evicts_and_snapshots_as_an_engine(
+        seed in 0u64..1000,
+        picks in proptest::collection::vec(any::<u64>(), 24),
+    ) {
+        let nests: Vec<(LoopNest, LoopNest)> = (0..3u64)
+            .map(|i| {
+                let (d, n) = (2 + (seed + i) as usize % 3, 2 + (seed / 3 + i) as usize % 3);
+                let nest = builders::random_projective(seed + i, d, n, (1, 128));
+                let permuted = permute_nest(
+                    &nest,
+                    &permutation(seed ^ i, d),
+                    &permutation(seed.rotate_left(7) ^ i, n),
+                );
+                (nest, permuted)
+            })
+            .collect();
+        let mut engine = Engine::with_config(tiny_config());
+        let shared = SharedEngine::with_config(tiny_config());
+        for pick in picks {
+            let (nest, permuted) = &nests[(pick % 3) as usize];
+            let target = if pick & 4 == 0 { nest } else { permuted };
+            let m = [4u64, 16, 64][(pick >> 3) as usize % 3];
+            let mut batch = all_queries(target, m);
+            let shift = (pick >> 5) as usize % batch.len();
+            batch.rotate_left(shift);
+            batch.truncate(1 + (pick >> 8) as usize % 3);
+            if pick & (1 << 12) != 0 {
+                batch.push(batch[0].clone());
+            }
+            if let Some(Query::Surface { cache_size, axes, lo_bounds, hi_bounds }) =
+                batch.iter().find(|q| matches!(q, Query::Surface { axes, .. } if axes.len() > 1))
+            {
+                let twin = Query::Surface {
+                    cache_size: *cache_size,
+                    axes: axes.iter().rev().copied().collect(),
+                    lo_bounds: lo_bounds.iter().rev().copied().collect(),
+                    hi_bounds: hi_bounds.iter().rev().copied().collect(),
+                };
+                batch.push(twin);
+            }
+            let answers = engine.analyze_batch(target, &batch);
+            for (q, r) in batch.iter().zip(&answers) {
+                assert_matches_oracle(target, q, r.as_ref().expect("valid query"));
+            }
+            prop_assert_eq!(shared.analyze_batch(target, &batch), answers);
+        }
+        let metrics = engine.cache_metrics();
+        prop_assert!(metrics.results.evictions > 0, "tiny budgets must evict: {metrics:?}");
+        prop_assert_eq!(shared.cache_metrics(), metrics);
+        prop_assert_eq!(shared.stats(), engine.stats());
+        prop_assert_eq!(shared.snapshot_json(), engine.snapshot_json());
     }
 }
 
@@ -374,7 +433,7 @@ fn permuted_surface_twins_in_one_batch_compute_once() {
         assert_matches_oracle(&nest, q, r.as_ref().expect("valid query"));
     }
 
-    let shared = SharedEngine::with_config(EngineConfig::default(), 2);
+    let shared = SharedEngine::new();
     let shared_batch = shared.analyze_batch(&nest, &queries);
     let stats = shared.stats();
     assert_eq!(
@@ -438,7 +497,7 @@ fn batch_twins_answer_from_their_own_computation() {
     assert_eq!(engine.stats().hits, 2, "T is still resident");
     assert_matches_oracle(&nest, &t, &again);
 
-    let front = SharedEngine::with_config(config, 1);
+    let front = SharedEngine::with_config(config);
     let shared_answers = front.analyze_batch(&nest, &queries);
     assert_eq!(shared_answers, answers, "shared == private bitwise");
     assert_eq!(
@@ -554,7 +613,7 @@ fn separately_computed_components_make_tightness_a_hit() {
     let oracle = AnalysisResult::Tightness(tightness::check_tightness(&nest, m));
 
     let mut engine = Engine::new();
-    let mut shared = SharedEngine::with_config(EngineConfig::default(), 1);
+    let mut shared = SharedEngine::new();
     shared.set_trace_capacity(16);
     for q in &components {
         engine.ask(&nest, q);
@@ -586,7 +645,7 @@ fn a_resident_tightness_leaves_its_batchs_components_to_compute() {
         Query::OptimalTiling { cache_size: m },
     ];
     let mut engine = Engine::new();
-    let shared = SharedEngine::with_config(EngineConfig::default(), 1);
+    let shared = SharedEngine::new();
     engine.ask(&nest, &queries[1]);
     shared.analyze(&nest, &queries[1]).expect("valid query");
 
@@ -629,7 +688,7 @@ fn batches_of_sixteen_or_more_misses_fan_out_exactly() {
         .collect();
     let stats = engine.stats();
     assert_eq!((stats.misses, stats.hits), (20, 0), "{stats:?}");
-    let front = SharedEngine::with_config(EngineConfig::default(), 1);
+    let front = SharedEngine::new();
     let shared_answers = front.analyze_batch(&nest, &queries);
     assert_eq!(front.stats(), engine.stats(), "both fronts count alike");
 
@@ -774,7 +833,7 @@ fn shared_tightness_recomposes_under_the_read_lock() {
     // same traffic, including the miss after one component is evicted.
     let (nest, m, oracle, config) = tightness_eviction_setup();
     let q = Query::Tightness { cache_size: m };
-    let mut shared = SharedEngine::with_config(config, 1);
+    let mut shared = SharedEngine::with_config(config);
     evict_one_tightness_component(&mut shared, &nest, m, &oracle);
     let stats = shared.stats();
     assert_eq!(
@@ -803,13 +862,10 @@ fn shared_engine_read_path_hits_do_not_lose_recency() {
     // evicted first.
     let nest_a = builders::matmul(1 << 6, 1 << 6, 1 << 6);
     let m = 1u64 << 8;
-    let shared = SharedEngine::with_config(
-        EngineConfig {
-            results_capacity: 1 << 20,
-            ..EngineConfig::default()
-        },
-        1,
-    );
+    let shared = SharedEngine::with_config(EngineConfig {
+        results_capacity: 1 << 20,
+        ..EngineConfig::default()
+    });
     let q = Query::Tightness { cache_size: m };
     shared.analyze(&nest_a, &q).unwrap();
     for _ in 0..8 {

@@ -29,8 +29,7 @@ fn genuine_document() -> TraceDocument {
     };
     TraceDocument {
         version: TRACE_VERSION,
-        num_shards: 4,
-        shard_config: EngineConfig {
+        config: EngineConfig {
             results_capacity: 175,
             slices_capacity: 225,
             surfaces_capacity: 500,
@@ -201,14 +200,6 @@ fn rejects_implausible_cost_count() {
 }
 
 #[test]
-fn rejects_zero_shards() {
-    assert_rejected(
-        |v| *obj_mut(&mut *v, "num_shards") = Value::Int(0),
-        "shard count 0 out of range",
-    );
-}
-
-#[test]
 fn rejects_mistyped_top_level_fields() {
     assert_rejected(
         |v| *obj_mut(&mut *v, "hits") = Value::Bool(true),
@@ -219,7 +210,7 @@ fn rejects_mistyped_top_level_fields() {
         "expected an array of event integers",
     );
     assert_rejected(
-        |v| *obj_mut(obj_mut(&mut *v, "shard_config"), "results_capacity") = Value::Null,
+        |v| *obj_mut(obj_mut(&mut *v, "config"), "results_capacity") = Value::Null,
         "must be an unsigned integer",
     );
 }
@@ -258,14 +249,12 @@ proptest! {
     #[test]
     fn flat_format_round_trips(
         events in proptest::collection::vec(event_strategy(), 0..40),
-        num_shards in 1u32..64,
         counters in proptest::collection::vec(any::<u64>(), 5),
         caps in proptest::collection::vec(any::<u64>(), 3),
     ) {
         let doc = TraceDocument {
             version: TRACE_VERSION,
-            num_shards,
-            shard_config: EngineConfig {
+            config: EngineConfig {
                 results_capacity: caps[0],
                 slices_capacity: caps[1],
                 surfaces_capacity: caps[2],

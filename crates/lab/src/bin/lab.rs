@@ -166,7 +166,7 @@ fn generate(args: &[String]) -> Result<ExitCode, String> {
         slices_capacity: 8192,
         surfaces_capacity: 16384,
     };
-    let mut shared = SharedEngine::with_config(budgets, 4);
+    let mut shared = SharedEngine::with_config(budgets);
     shared.set_trace_capacity(trace_capacity);
     let workload = Workload::generate(&config);
     let stats = workload.drive_shared(&shared);

@@ -1,7 +1,7 @@
 //! Trace-driven cache lab for the projtile analysis service.
 //!
-//! The service's memo caches (`projtile_cachesim::BoundedLru` behind the
-//! sharded `SharedEngine` front) hold the paper's LP artifacts — Theorem-2
+//! The service's memo caches (`projtile_cachesim::BoundedLru` inside the
+//! `SharedEngine` front) hold the paper's LP artifacts — Theorem-2
 //! bounds, `2^d` subset enumerations, §7 exponent surfaces — under exact
 //! LRU within a cost budget. Whether those budgets are *right* for real
 //! traffic is an empirical question. This crate answers it with the classic
@@ -9,12 +9,13 @@
 //!
 //! 1. **Record** ([`projtile_core::engine::TraceRecorder`], wired by
 //!    `projtile-serve --trace-capacity`): the live front appends one compact
-//!    hashed event per query — shard routing key, cache-canonical identity,
-//!    install costs, and how the front resolved it.
+//!    hashed event per query — nest and declaration-order keys,
+//!    cache-canonical identity, install costs, and how the front resolved
+//!    it.
 //! 2. **Replay** ([`replay`]): the drained
 //!    [`projtile_core::engine::TraceDocument`] is pushed through the live
-//!    cache type itself, one `BoundedLru` per family per shard, making the
-//!    live calls in the live order. Replaying a cold-start trace at the
+//!    cache type itself, one `BoundedLru` per family, making the live calls
+//!    in the live order. Replaying a cold-start trace at the
 //!    recorded budgets therefore reproduces the live hit/miss accounting
 //!    **event for event** ([`replay::check_live`], the keystone
 //!    differential pinned by this crate's tests and the repository's CI

@@ -1,6 +1,6 @@
 //! Deterministic trace replay: push a recorded [`TraceDocument`] through
-//! the engine's real memo cache, one [`BoundedLru`] per cache family per
-//! shard, at any per-shard budgets.
+//! the engine's real memo cache, one [`BoundedLru`] per cache family, at
+//! any budgets.
 //!
 //! The replay reproduces the live `SharedEngine` resolution pipeline from
 //! events alone — no nests, no solver, no payloads (entries are `()` at
@@ -17,9 +17,7 @@
 //!   answered from the batch's own computation without touching a cache),
 //!   an **orientation intern**, and an **install pass** in pending order
 //!   making the live `contains` / `insert` calls at the recorded per-entry
-//!   costs;
-//! * the replayed shard is the recorded routing key modulo the shard count,
-//!   so cross-shard isolation is reproduced too.
+//!   costs.
 //!
 //! Because replay and live front run the same cache code in the same call
 //! order, a cold-start trace recorded under serialized traffic replays at
@@ -66,7 +64,8 @@ fn key(fam: u64, kind: u8) -> SimKey {
     ((fam as u128) << 8) | kind as u128
 }
 
-/// Per-shard cost budgets for the engine's three cache families.
+/// Cost budgets for the engine's three cache families (a whole front's,
+/// like the [`projtile_core::engine::EngineConfig`] they are read from).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Budgets {
     /// Typed-results family budget (bounds, enumerations, tilings).
@@ -78,12 +77,12 @@ pub struct Budgets {
 }
 
 impl Budgets {
-    /// The recorded per-shard budgets of the front that produced `doc`.
+    /// The recorded budgets of the front that produced `doc`.
     pub fn from_document(doc: &TraceDocument) -> Budgets {
         Budgets {
-            results: doc.shard_config.results_capacity,
-            slices: doc.shard_config.slices_capacity,
-            surfaces: doc.shard_config.surfaces_capacity,
+            results: doc.config.results_capacity,
+            slices: doc.config.slices_capacity,
+            surfaces: doc.config.surfaces_capacity,
         }
     }
 
@@ -147,7 +146,7 @@ pub struct Mismatch {
 /// The outcome of replaying one document at one set of budgets.
 #[derive(Debug, Clone)]
 pub struct ReplayReport {
-    /// The per-shard budgets the replay ran at.
+    /// The budgets the replay ran at.
     pub budgets: Budgets,
     /// Events replayed.
     pub events: usize,
@@ -168,11 +167,11 @@ pub struct ReplayReport {
     /// Replayed misses that could not charge an install because the live
     /// trace never priced the entry (only failed computations qualify).
     pub unpriced_installs: u64,
-    /// Results-family occupancy/evictions summed across shards.
+    /// Results-family occupancy and evictions.
     pub results: BoundedLruStats,
-    /// Slice-family occupancy/evictions summed across shards.
+    /// Slice-family occupancy and evictions.
     pub slices: BoundedLruStats,
-    /// Surface-family occupancy/evictions summed across shards.
+    /// Surface-family occupancy and evictions.
     pub surfaces: BoundedLruStats,
     /// Event-level divergences from the recording (first 8).
     pub mismatches: Vec<Mismatch>,
@@ -251,9 +250,9 @@ impl fmt::Display for ReplayError {
 
 impl std::error::Error for ReplayError {}
 
-/// One replayed shard: its interned nests and orientations, and one
+/// The replayed front: its interned nests and orientations, and one
 /// live-type cache per family.
-struct Shard {
+struct Front {
     signatures: HashSet<u64>,
     orientations: HashSet<u64>,
     results: Family,
@@ -261,9 +260,9 @@ struct Shard {
     surfaces: Family,
 }
 
-impl Shard {
-    fn new(budgets: Budgets) -> Shard {
-        Shard {
+impl Front {
+    fn new(budgets: Budgets) -> Front {
+        Front {
             signatures: HashSet::new(),
             orientations: HashSet::new(),
             results: BoundedLru::new(budgets.results),
@@ -293,8 +292,8 @@ impl Shard {
 /// The live read path for one event (`Engine::peek_cached`): peek its
 /// entries in order, short-circuiting at the first absence (a tightness
 /// miss can still stamp some components).
-fn probe(shard: &mut Shard, ev: &TraceEvent) -> bool {
-    let family = shard.family(ev.kind);
+fn probe(front: &mut Front, ev: &TraceEvent) -> bool {
+    let family = front.family(ev.kind);
     entry_kinds(ev)
         .iter()
         .all(|&k| family.peek(&key(ev.fam, k)).is_some())
@@ -304,8 +303,8 @@ fn probe(shard: &mut Shard, ev: &TraceEvent) -> bool {
 /// given per-entry costs: a bound, enumeration or tiling query overwrites
 /// its entry; a tightness query inserts its components where absent, and so
 /// do surfaces and slices.
-fn install(shard: &mut Shard, ev: &TraceEvent, costs: &[u64]) {
-    let family = shard.family(ev.kind);
+fn install(front: &mut Front, ev: &TraceEvent, costs: &[u64]) {
+    let family = front.family(ev.kind);
     for (&k, &cost) in entry_kinds(ev).iter().zip(costs) {
         let entry = key(ev.fam, k);
         if ev.kind < TIGHTNESS || !family.contains(&entry) {
@@ -314,13 +313,11 @@ fn install(shard: &mut Shard, ev: &TraceEvent, costs: &[u64]) {
     }
 }
 
-/// Replays `doc` at the given per-shard budgets. Processes events in append
-/// order, so the replay is exact for serialized recordings (concurrent
-/// recordings replay in commit order, which may legitimately diverge from
-/// per-shard lock order).
+/// Replays `doc` at the given budgets. Processes events in append order,
+/// so the replay is exact for serialized recordings (concurrent recordings
+/// replay in commit order, which may legitimately diverge from lock order).
 pub fn replay_document(doc: &TraceDocument, budgets: Budgets) -> ReplayReport {
-    let num_shards = (doc.num_shards as u64).max(1);
-    let mut shards: Vec<Shard> = (0..num_shards).map(|_| Shard::new(budgets)).collect();
+    let mut front = Front::new(budgets);
 
     // Cost book: from a cold start every entry is first installed by a
     // recorded miss, so recorded costs price each entry for replays at
@@ -367,8 +364,6 @@ pub fn replay_document(doc: &TraceDocument, budgets: Budgets) -> ReplayReport {
     };
 
     for batch in doc.events.chunk_by(|a, b| a.batch == b.batch) {
-        let shard = &mut shards[(batch[0].sig % num_shards) as usize];
-
         // Probe pass: each distinct literal is peeked once, in input order
         // (partial tightness peeks included); its repeats share the result.
         let mut probed: HashMap<u64, bool> = HashMap::new();
@@ -377,7 +372,7 @@ pub fn replay_document(doc: &TraceDocument, budgets: Budgets) -> ReplayReport {
             .map(|ev| {
                 *probed
                     .entry(ev.lhash)
-                    .or_insert_with(|| shard.knows(ev) && probe(shard, ev))
+                    .or_insert_with(|| front.knows(ev) && probe(&mut front, ev))
             })
             .collect();
 
@@ -407,8 +402,8 @@ pub fn replay_document(doc: &TraceDocument, budgets: Budgets) -> ReplayReport {
         // Intern: exactly the live batches with something to compute intern
         // their nest and orientation (a batch of hits takes no write lock).
         if classes.contains(&EventClass::Miss) {
-            shard.signatures.insert(batch[0].sig);
-            shard.orientations.insert(batch[0].orient);
+            front.signatures.insert(batch[0].sig);
+            front.orientations.insert(batch[0].orient);
         }
 
         // Install pass in pending order. Recorded misses charge their own
@@ -420,10 +415,10 @@ pub fn replay_document(doc: &TraceDocument, budgets: Budgets) -> ReplayReport {
                 continue;
             }
             match ev.outcome {
-                outcome::MISS => install(shard, ev, &ev.costs),
+                outcome::MISS => install(&mut front, ev, &ev.costs),
                 outcome::FAILED => {}
                 _ => match priced(ev) {
-                    Some(costs) => install(shard, ev, &costs),
+                    Some(costs) => install(&mut front, ev, &costs),
                     None => report.unpriced_installs += 1,
                 },
             }
@@ -457,18 +452,9 @@ pub fn replay_document(doc: &TraceDocument, budgets: Budgets) -> ReplayReport {
         }
     }
 
-    for shard in &shards {
-        for (acc, part) in [
-            (&mut report.results, shard.results.stats()),
-            (&mut report.slices, shard.slices.stats()),
-            (&mut report.surfaces, shard.surfaces.stats()),
-        ] {
-            acc.entries += part.entries;
-            acc.cost += part.cost;
-            acc.capacity += part.capacity;
-            acc.evictions += part.evictions;
-        }
-    }
+    report.results = front.results.stats();
+    report.slices = front.slices.stats();
+    report.surfaces = front.surfaces.stats();
     report.matches_live = report.mismatch_count == 0
         && report.sim_hits == doc.hits
         && report.sim_misses == doc.misses;

@@ -1,8 +1,7 @@
 //! Budget-sweep reporting over a recorded trace.
 //!
-//! [`LabReport::build`] replays the trace at the recorded per-shard budgets
-//! scaled by each of [`SWEEP_SCALES`] and derives a concrete budget
-//! recommendation. [`render_report`] lays the study out as a plain text
+//! [`LabReport::build`] replays the trace at the recorded budgets scaled by
+//! each of [`SWEEP_SCALES`] and derives a concrete budget recommendation. [`render_report`] lays the study out as a plain text
 //! table for the `projtile-lab` CLI.
 
 use projtile_core::engine::TraceDocument;
@@ -37,7 +36,7 @@ pub fn budget_sweep(doc: &TraceDocument, base: Budgets) -> Vec<(String, ReplayRe
 pub struct LabReport {
     /// Events in the studied trace.
     pub events: usize,
-    /// The recorded per-shard budgets the sweep scales.
+    /// The recorded budgets the sweep scales.
     pub budgets: Budgets,
     /// Replays at scaled budgets, labelled by scale.
     pub sweep: Vec<(String, ReplayReport)>,
@@ -69,7 +68,7 @@ fn recommend(sweep: &[(String, ReplayReport)]) -> String {
         .fold(0.0f64, f64::max);
     match sweep.iter().find(|(_, r)| r.hit_rate() + 0.5 >= best_rate) {
         Some((label, r)) => format!(
-            "recommend {} budgets (results {}, slices {}, surfaces {} per shard at {:.1}% hits)",
+            "recommend {} budgets (results {}, slices {}, surfaces {} at {:.1}% hits)",
             label,
             r.budgets.results,
             r.budgets.slices,
@@ -129,7 +128,7 @@ fn sweep_row(label: &str, r: &ReplayReport) -> Vec<String> {
 /// recommendation.
 pub fn render_report(report: &LabReport) -> String {
     let mut out = format!(
-        "trace: {} events; recorded per-shard budgets: results {}, slices {}, surfaces {}\n\n",
+        "trace: {} events; recorded budgets: results {}, slices {}, surfaces {}\n\n",
         report.events, report.budgets.results, report.budgets.slices, report.budgets.surfaces
     );
     out.push_str("budget sweep\n");

@@ -26,9 +26,9 @@ fn tiny_config() -> EngineConfig {
     }
 }
 
-/// A cold 4-shard front with a recorder attached from the start.
+/// A cold front with a recorder attached from the start.
 fn traced_front(trace_capacity: usize) -> SharedEngine {
-    let mut front = SharedEngine::with_config(tiny_config(), 4);
+    let mut front = SharedEngine::with_config(tiny_config());
     front.set_trace_capacity(trace_capacity);
     front
 }
@@ -150,7 +150,7 @@ fn handcrafted_awkward_batches_replay_exactly() {
     // At budgets that hold a tightness set, components computed one query
     // at a time make the tightness query after them a hit that computes
     // nothing: its probe peeks all three.
-    let mut roomy = SharedEngine::with_config(EngineConfig::default(), 4);
+    let mut roomy = SharedEngine::new();
     roomy.set_trace_capacity(1 << 16);
     for q in [
         Query::LowerBound { cache_size: m },
@@ -187,7 +187,7 @@ fn tightness_probes_stamp_components_in_the_live_order() {
     let tiling = Query::OptimalTiling { cache_size: m };
     let tightness = Query::Tightness { cache_size: m };
     let cost_of = |nest: &projtile_loopnest::LoopNest, q: &Query| {
-        let front = SharedEngine::with_config(EngineConfig::default(), 1);
+        let front = SharedEngine::new();
         front.analyze(nest, q).expect("valid query");
         front.cache_metrics().results.cost
     };
@@ -196,7 +196,7 @@ fn tightness_probes_stamp_components_in_the_live_order() {
         results_capacity: cost_of(&nest, &tightness) + cost_of(&filler, &tiling) - 1,
         ..EngineConfig::default()
     };
-    let mut front = SharedEngine::with_config(config, 1);
+    let mut front = SharedEngine::with_config(config);
     front.set_trace_capacity(64);
     for (nest, q) in [
         (&nest, &tiling),
@@ -268,8 +268,7 @@ fn failed_computations_replay_as_non_installing_misses() {
     };
     let doc = TraceDocument {
         version: TRACE_VERSION,
-        num_shards: 1,
-        shard_config: EngineConfig::default(),
+        config: EngineConfig::default(),
         queries: 5,
         hits: 1,
         misses: 4,
@@ -371,7 +370,6 @@ fn counterfactual_policies_are_consistent() {
     workload.drive_shared(&front);
     let doc = front.trace_document();
     let budgets = Budgets::from_document(&doc);
-    let shards = doc.num_shards as u64;
     let full = check_live(&doc).unwrap_or_else(|e| panic!("recorded budgets: {e}"));
     assert!(full.matches_live, "recorded budget reproduces live");
 
@@ -387,16 +385,11 @@ fn counterfactual_policies_are_consistent() {
         );
         assert_eq!(report.unpriced_installs, 0, "{what}: cost book is complete");
 
-        // The front divides its budgets across shards, so whole-front
-        // budgets of `shards` times the scaled per-shard ones reproduce them.
-        let live = SharedEngine::with_config(
-            EngineConfig {
-                results_capacity: scaled.results * shards,
-                slices_capacity: scaled.slices * shards,
-                surfaces_capacity: scaled.surfaces * shards,
-            },
-            shards as usize,
-        );
+        let live = SharedEngine::with_config(EngineConfig {
+            results_capacity: scaled.results,
+            slices_capacity: scaled.slices,
+            surfaces_capacity: scaled.surfaces,
+        });
         workload.drive_shared(&live);
         let stats = live.stats();
         assert_eq!(

@@ -1,21 +1,20 @@
-//! Minimal data-parallel utilities built on `crossbeam` scoped threads.
+//! Minimal data-parallel utilities built on [`std::thread::scope`].
 //!
-//! The workspace's allowed dependency set includes `crossbeam` but not a
-//! full work-stealing runtime, so this crate provides the four primitives the
-//! rest of `projtile` actually needs, in the data-parallel style the HPC
-//! guides recommend (independent work items, no shared mutable state,
-//! deterministic output order):
+//! This crate provides the primitives the rest of `projtile` actually needs,
+//! in the data-parallel style the HPC guides recommend (independent work
+//! items, no shared mutable state, deterministic output order):
 //!
 //! * [`par_map`] — apply a function to every element of a slice in parallel,
 //!   returning results in input order;
-//! * [`par_map_indexed`] — the same, with the element index passed through
-//!   (used for parameter sweeps where the index identifies the configuration);
-//! * [`par_map_with`] — the same, with a per-worker state created once per
-//!   chunk and threaded through that chunk's items in order (used for an
-//!   engine batch's misses, where the state is a pooled solver context whose
-//!   warm starts compound along the chunk);
+//! * [`par_map_with`] — the same, with the element index passed through and
+//!   a per-worker state created once per chunk and threaded through that
+//!   chunk's items in order (used for an engine batch's misses, where the
+//!   state is a pooled solver context whose warm starts compound along the
+//!   chunk);
 //! * [`par_reduce`] — parallel map-fold: each worker folds its own chunk and
-//!   only the per-chunk partial results are combined on the calling thread.
+//!   only the per-chunk partial results are combined on the calling thread;
+//! * [`fan_out`] — one real thread per worker index, the concurrent-callers
+//!   primitive the chunked ones above run their chunks on.
 //!
 //! Work is split into contiguous chunks, one per worker thread, which is the
 //! right shape for this workspace: every parallel call site (the cold `2^d`
@@ -82,59 +81,6 @@ fn parse_thread_setting(raw: &str) -> Result<usize, &'static str> {
     }
 }
 
-/// Runs `worker` over one contiguous chunk per thread and returns the
-/// per-chunk results in chunk order. `worker` receives the chunk's base index
-/// and the chunk itself. Panics in any worker are re-raised on the calling
-/// thread with the original payload (first chunk wins).
-///
-/// The caller guarantees `items` is non-empty and that a parallel run is
-/// worthwhile; the sequential small-input path lives in the public wrappers.
-// lint: allow(L008) expect: scoped worker threads are always joined and cannot outlive the scope
-fn run_chunked<T, R, W>(items: &[T], chunk_size: usize, worker: W) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    W: Fn(usize, &[T]) -> R + Sync,
-{
-    let num_chunks = items.len().div_ceil(chunk_size);
-    let outcome = crossbeam::scope(|scope| {
-        let mut handles = Vec::with_capacity(num_chunks);
-        for (w, chunk) in items.chunks(chunk_size).enumerate() {
-            let worker = &worker;
-            let base = w * chunk_size;
-            handles.push(scope.spawn(move |_| worker(base, chunk)));
-        }
-        // Join every handle explicitly so a panicking worker surfaces here
-        // (as an `Err` carrying its payload) instead of tearing down the
-        // scope with a generic "a scoped thread panicked" message.
-        let mut out: Vec<Option<R>> = Vec::with_capacity(num_chunks);
-        let mut first_panic: Option<Box<dyn std::any::Any + Send>> = None;
-        for handle in handles {
-            match handle.join() {
-                Ok(r) => out.push(Some(r)),
-                Err(payload) => {
-                    out.push(None);
-                    if first_panic.is_none() {
-                        first_panic = Some(payload);
-                    }
-                }
-            }
-        }
-        (out, first_panic)
-    });
-    let (results, first_panic) = match outcome {
-        Ok(pair) => pair,
-        Err(payload) => std::panic::resume_unwind(payload),
-    };
-    if let Some(payload) = first_panic {
-        std::panic::resume_unwind(payload);
-    }
-    results
-        .into_iter()
-        .map(|slot| slot.expect("non-panicking chunk produced a result"))
-        .collect()
-}
-
 /// Applies `f` to every element of `items` and collects the results in input
 /// order, splitting the work across [`num_threads`] scoped threads.
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
@@ -143,22 +89,13 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    par_map_indexed(items, |_, item| f(item))
+    par_map_with(items, || (), |(), _, item| f(item))
 }
 
-/// Like [`par_map`], but `f` also receives the element's index.
-pub fn par_map_indexed<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map_with(items, || (), |(), i, item| f(i, item))
-}
-
-/// Like [`par_map_indexed`], but each worker owns a mutable state created by
-/// `init` once per contiguous chunk and passed to `f` for every item of that
-/// chunk, **in index order within the chunk**.
+/// Like [`par_map`], but `f` also receives the element's index, and each
+/// worker owns a mutable state created by `init` once per contiguous chunk
+/// and passed to `f` for every item of that chunk, **in index order within
+/// the chunk**.
 ///
 /// This is the batched-sweep primitive: when the state is a warm-started LP
 /// solver context, consecutive items of a chunk re-enter simplex from the
@@ -190,30 +127,28 @@ where
             .collect();
     }
     let chunk_size = n.div_ceil(workers);
-    let per_chunk: Vec<Vec<R>> = run_chunked(items, chunk_size, |base, chunk| {
+    let per_chunk = fan_out(n.div_ceil(chunk_size), |c| {
+        let base = c * chunk_size;
         let mut state = init();
+        let chunk: &[T] = items.chunks(chunk_size).nth(c).unwrap_or_default();
         chunk
             .iter()
             .enumerate()
             .map(|(i, t)| f(&mut state, base + i, t))
-            .collect()
+            .collect::<Vec<R>>()
     });
-    let mut collected = Vec::with_capacity(n);
-    for chunk in per_chunk {
-        collected.extend(chunk);
-    }
-    collected
+    per_chunk.into_iter().flatten().collect()
 }
 
 /// Spawns `workers` scoped threads, each running `f(worker_index)`, and
 /// returns the results in worker-index order once all have finished.
 ///
-/// This is the **concurrent-callers** primitive, complementing the
-/// data-parallel `par_map` family: where `par_map` splits one workload
-/// across threads, `fan_out` models several independent clients hammering a
-/// shared resource at once (a `SharedEngine` front, a pool) — exactly the
-/// shape of the multi-threaded stress tests and the `engine/concurrent`
-/// bench workloads. Always spawns real threads, regardless of
+/// This is the **concurrent-callers** primitive under the data-parallel
+/// `par_map` family, which runs one chunk per `fan_out` worker. On its own,
+/// `fan_out` models several independent clients hammering a shared resource
+/// at once (a `SharedEngine` front, a pool) — exactly the shape of the
+/// multi-threaded stress tests and the `engine/concurrent` bench
+/// workloads. Always spawns real threads, regardless of
 /// [`PARALLEL_THRESHOLD`] and `PROJTILE_THREADS` (a stress test asking for 4
 /// workers means 4 threads). A panic in any worker is re-raised on the
 /// calling thread with its original payload (lowest worker index wins).
@@ -222,42 +157,32 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    if workers == 0 {
-        return Vec::new();
-    }
-    let outcome = crossbeam::scope(|scope| {
+    let (results, first_panic) = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 let f = &f;
-                scope.spawn(move |_| f(w))
+                scope.spawn(move || f(w))
             })
             .collect();
-        let mut out: Vec<Option<R>> = Vec::with_capacity(workers);
-        let mut first_panic: Option<Box<dyn std::any::Any + Send>> = None;
+        // Join every handle explicitly so a panicking worker surfaces here
+        // (as an `Err` carrying its payload) instead of tearing down the
+        // scope with a generic "a scoped thread panicked" message.
+        let mut results = Vec::with_capacity(workers);
+        let mut first_panic = None;
         for handle in handles {
             match handle.join() {
-                Ok(r) => out.push(Some(r)),
+                Ok(r) => results.push(r),
                 Err(payload) => {
-                    out.push(None);
-                    if first_panic.is_none() {
-                        first_panic = Some(payload);
-                    }
+                    first_panic.get_or_insert(payload);
                 }
             }
         }
-        (out, first_panic)
+        (results, first_panic)
     });
-    let (results, first_panic) = match outcome {
-        Ok(pair) => pair,
-        Err(payload) => std::panic::resume_unwind(payload),
-    };
     if let Some(payload) = first_panic {
         std::panic::resume_unwind(payload);
     }
     results
-        .into_iter()
-        .map(|slot| slot.expect("non-panicking worker produced a result"))
-        .collect()
 }
 
 /// Parallel map-reduce: applies `map` to every element and folds the results
@@ -284,14 +209,14 @@ where
         return items.iter().fold(identity, |acc, t| combine(acc, map(t)));
     }
     let chunk_size = n.div_ceil(workers);
-    let partials: Vec<R> = run_chunked(items, chunk_size, |_base, chunk| {
-        // Chunks are non-empty by construction, so the fold can be seeded
-        // with the first mapped value; associativity makes this equal to a
-        // fold from the identity.
-        let (first, rest) = chunk.split_first().expect("chunks are non-empty");
-        rest.iter().fold(map(first), |acc, t| combine(acc, map(t)))
+    // Each chunk's fold is seeded with its first mapped value (every chunk
+    // is non-empty); associativity makes this equal to a fold from the
+    // identity.
+    let partials = fan_out(n.div_ceil(chunk_size), |c| {
+        let chunk: &[T] = items.chunks(chunk_size).nth(c).unwrap_or_default();
+        chunk.iter().map(&map).reduce(&combine)
     });
-    partials.into_iter().fold(identity, combine)
+    partials.into_iter().flatten().fold(identity, combine)
 }
 
 #[cfg(test)]
@@ -320,9 +245,9 @@ mod tests {
     }
 
     #[test]
-    fn par_map_indexed_passes_correct_indices() {
+    fn par_map_with_passes_correct_indices() {
         let items: Vec<u32> = (0..500).map(|i| i * 2).collect();
-        let out = par_map_indexed(&items, |i, &x| (i, x));
+        let out = par_map_with(&items, || (), |(), i, &x| (i, x));
         for (i, (idx, val)) in out.iter().enumerate() {
             assert_eq!(*idx, i);
             assert_eq!(*val, items[i]);

@@ -2,7 +2,7 @@
 //! allowed to parse, compute and serialize at once.
 //!
 //! Built on [`std::sync::Mutex`]/[`Condvar`] (the workspace's
-//! `parking_lot`/`crossbeam` shims expose no condition variables). The
+//! `parking_lot` shim exposes no condition variables). The
 //! server holds one [`Permit`] per `/analyze` from admission to its
 //! response body; connection I/O never holds one.
 

@@ -187,14 +187,23 @@ impl Reader {
             head,
             body: Vec::new(),
         };
-        let mut content_length = 0usize;
+        // RFC 9112 §6.3: a Content-Length that is not all digits, or
+        // repeats that disagree, leave the framing invalid.
+        let mut content_length = None;
         for (name, value) in message.lines().1 {
             if name == "content-length" {
-                content_length = value
-                    .parse()
-                    .map_err(|_| ReadError::Malformed("bad Content-Length".into()))?;
+                let n = value
+                    .parse::<usize>()
+                    .ok()
+                    .filter(|_| value.bytes().all(|b| b.is_ascii_digit()))
+                    .ok_or_else(|| ReadError::Malformed("bad Content-Length".into()))?;
+                if content_length.is_some_and(|seen| seen != n) {
+                    return Err(ReadError::Malformed("conflicting Content-Length".into()));
+                }
+                content_length = Some(n);
             }
         }
+        let content_length = content_length.unwrap_or(0);
         if body_cap.is_some_and(|cap| content_length > cap) {
             return Err(ReadError::TooLarge);
         }
@@ -389,6 +398,27 @@ mod tests {
             reader.read_request(&server, Instant::now(), limit),
             Err(ReadError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn content_lengths_that_differ_or_are_signed_are_malformed() {
+        let read = |message: &[u8]| {
+            let (mut client, server) = pair();
+            client.write_all(message).unwrap();
+            Reader::default().read_request(&server, Instant::now(), Duration::from_secs(5))
+        };
+        for message in [
+            &b"POST / HTTP/1.1\r\ncontent-length: 2\r\nContent-Length: 3\r\n\r\nhi!"[..],
+            b"POST / HTTP/1.1\r\ncontent-length: +2\r\n\r\nhi",
+        ] {
+            assert!(
+                matches!(read(message), Err(ReadError::Malformed(_))),
+                "{}",
+                String::from_utf8_lossy(message)
+            );
+        }
+        let agreeing = read(b"POST / HTTP/1.1\r\ncontent-length: 2\r\nContent-Length: 2\r\n\r\nhi");
+        assert_eq!(agreeing.unwrap().body, b"hi");
     }
 
     #[test]

@@ -34,8 +34,8 @@
 //!   computed late.
 //! * **Panic isolation** — compute runs under
 //!   [`std::panic::catch_unwind`]; a panicking request answers `500` and
-//!   the engine stays consistent (computation happens outside the shard
-//!   locks, so an unwound request cannot poison shared state).
+//!   the engine stays consistent (computation happens outside the
+//!   engine's lock, so an unwound request cannot poison shared state).
 //! * **Exactness** — every served answer goes through
 //!   [`SharedEngine::analyze_batch`] (which dedups canonically-equal
 //!   queries within a request), so responses are bitwise-identical to the

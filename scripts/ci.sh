@@ -50,6 +50,11 @@ fi
 echo "==> cargo test -q"
 cargo test -q
 
+# The shims are not default members, so the root `cargo test` skips their
+# suites, the serde shim's every-prefix truncation fuzz among them.
+echo "==> cargo test -q -p serde -p proptest -p parking_lot (shim suites)"
+cargo test -q -p serde -p proptest -p parking_lot
+
 # The subset-lattice walk runs on one thread; this pass covers what does fan
 # out: engine batches (a batch splits across threads only from 16 distinct
 # misses on, which proptest_shared.rs::batches_of_sixteen_or_more_misses_fan_out_exactly

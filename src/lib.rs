@@ -15,7 +15,7 @@
 //!   [`core::engine`] session API (canonical nest interning, cross-query
 //!   artifact reuse, batched typed queries) for repeated-query traffic;
 //! * [`exec`] — schedules, trace generation, and measured communication;
-//! * [`par`] — small crossbeam-based data-parallel helpers;
+//! * [`par`] — small data-parallel helpers on `std::thread::scope`;
 //! * [`service`] — the hardened TCP front end (deadlines, backpressure,
 //!   panic isolation, crash-safe snapshot lifecycle, fault injection) and
 //!   its retrying client;
