@@ -9,7 +9,6 @@
 //! `BENCH_*.json` snapshot successive PRs compare against. The protocol is
 //! in `docs/benchmarking.md`.
 
-use std::cell::RefCell;
 use std::time::{Duration, Instant};
 
 use projtile_core::engine::{Engine, Query};
@@ -225,32 +224,31 @@ pub fn default_workloads() -> Vec<Workload> {
     workloads.push(Workload {
         name: "engine/cold/tightness_seed0".to_string(),
         run: Box::new(move || {
-            let mut engine = Engine::new();
+            let engine = Engine::new();
             std::hint::black_box(engine.analyze(&n, &q).expect("valid query"));
         }),
     });
     let n = tightness_nest.clone();
     let q = tightness_query.clone();
-    let warmed = RefCell::new(Engine::new());
+    let warmed = Engine::new();
     warmed
-        .borrow_mut()
         .analyze(&tightness_nest, &tightness_query)
         .expect("valid query");
     workloads.push(Workload {
         name: "engine/cache_hit/tightness_seed0".to_string(),
         run: Box::new(move || {
-            std::hint::black_box(warmed.borrow_mut().analyze(&n, &q).expect("valid query"));
+            std::hint::black_box(warmed.analyze(&n, &q).expect("valid query"));
         }),
     });
 
     // Service-layer workloads (PR 5).
     //
     // engine/concurrent: four real threads per iteration hammering one
-    // warmed SharedEngine with the same tightness query — every answer is a
+    // warmed Engine with the same tightness query — every answer is a
     // read-lock hit served through the lock-free peek path. The
     // measured time includes the per-iteration thread fan-out cost, which
     // is the realistic unit of a concurrent serving workload.
-    let shared = projtile_core::engine::SharedEngine::new();
+    let shared = Engine::new();
     shared
         .analyze(&tightness_nest, &tightness_query)
         .expect("valid query");
@@ -282,31 +280,30 @@ pub fn default_workloads() -> Vec<Workload> {
         .expect("trivial filler nest is valid");
     let filler_query = Query::OptimalTiling { cache_size: 4 };
     let set_cost = {
-        let mut sizing = Engine::new();
+        let sizing = Engine::new();
         sizing
             .analyze(&tightness_nest, &tightness_query)
             .expect("valid query");
         sizing.cache_metrics().results.cost
     };
     let filler_cost = {
-        let mut sizing = Engine::new();
+        let sizing = Engine::new();
         sizing
             .analyze(&filler_nest, &filler_query)
             .expect("valid query");
         sizing.cache_metrics().results.cost
     };
-    let evict_engine = RefCell::new(Engine::with_config(projtile_core::engine::EngineConfig {
+    let evict_engine = Engine::with_config(projtile_core::engine::EngineConfig {
         results_capacity: set_cost + filler_cost,
         ..Default::default()
-    }));
+    });
     let n = tightness_nest.clone();
     let q = tightness_query.clone();
     let fnest = filler_nest.clone();
     let fquery = filler_query.clone();
     let run_cycle = move || {
-        let mut engine = evict_engine.borrow_mut();
-        std::hint::black_box(engine.analyze(&n, &q).expect("valid query"));
-        engine.analyze(&fnest, &fquery).expect("valid query");
+        std::hint::black_box(evict_engine.analyze(&n, &q).expect("valid query"));
+        evict_engine.analyze(&fnest, &fquery).expect("valid query");
     };
     run_cycle(); // prime: install the components and the filler
     workloads.push(Workload {
@@ -317,7 +314,7 @@ pub fn default_workloads() -> Vec<Workload> {
     // engine/snapshot_restore: parse + warm-restore a persisted session and
     // answer the tightness query from the restored cache, per iteration.
     let snapshot_text = {
-        let mut warmed = Engine::new();
+        let warmed = Engine::new();
         warmed
             .analyze(&tightness_nest, &tightness_query)
             .expect("valid query");
@@ -328,7 +325,7 @@ pub fn default_workloads() -> Vec<Workload> {
     workloads.push(Workload {
         name: "engine/snapshot_restore/tightness_seed0".to_string(),
         run: Box::new(move || {
-            let mut restored = Engine::restore_json(&snapshot_text).expect("snapshot restores");
+            let restored = Engine::restore_json(&snapshot_text).expect("snapshot restores");
             std::hint::black_box(restored.analyze(&n, &q).expect("valid query"));
         }),
     });
@@ -345,9 +342,8 @@ pub fn default_workloads() -> Vec<Workload> {
         }),
     });
     let n = probe_nest.clone();
-    let warmed = RefCell::new(Engine::new());
+    let warmed = Engine::new();
     warmed
-        .borrow_mut()
         .exponent_at_bound(&probe_nest, probe_m, 2, 37)
         .expect("valid probe");
     workloads.push(Workload {
@@ -355,7 +351,6 @@ pub fn default_workloads() -> Vec<Workload> {
         run: Box::new(move || {
             std::hint::black_box(
                 warmed
-                    .borrow_mut()
                     .exponent_at_bound(&n, probe_m, 2, 37)
                     .expect("valid probe"),
             );

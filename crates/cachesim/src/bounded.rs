@@ -14,11 +14,13 @@
 //! A long-lived analysis service reads its memo maps from many threads under
 //! a shared (read) lock, where the recency list cannot be re-threaded. For
 //! that path [`BoundedLru::peek`] records the access in a per-entry atomic
-//! stamp instead of moving the entry; the next exclusive operation folds the
-//! stamps back into the list lazily — an eviction candidate whose stamp is
-//! newer than its list position is promoted instead of evicted. Peeked-at
-//! entries therefore count as recently used for eviction purposes without
-//! the reader ever taking an exclusive lock.
+//! stamp instead of moving the entry; the next eviction folds the stamps
+//! back into the list lazily — an eviction candidate whose stamp is newer
+//! than its list position is promoted instead of evicted. Peeked-at entries
+//! therefore count as recently used for eviction purposes without the
+//! reader ever taking an exclusive lock. [`BoundedLru::iter_lru_to_mru`] is
+//! a read too: it orders entries by the same effective access times, so a
+//! snapshot can be written under a shared lock.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -106,26 +108,10 @@ impl<K: Eq + Hash + Clone, V> BoundedLru<K, V> {
         self.map.contains_key(key)
     }
 
-    /// Looks up `key` and marks it most recently used.
-    pub fn get(&mut self, key: &K) -> Option<&V> {
-        let &slot = self.map.get(key)?;
-        self.list.move_front(slot);
-        let tick = self.tick();
-        let entry = self.slots[slot].as_mut().expect("mapped slot is live");
-        entry.epoch = tick;
-        *entry.stamp.get_mut() = tick;
-        Some(
-            &self.slots[slot]
-                .as_ref()
-                .expect("mapped slot is live")
-                .value,
-        )
-    }
-
     /// Looks up `key` **without exclusive access**, recording the access in
-    /// the entry's atomic stamp; the next exclusive operation folds the
-    /// stamp into the recency order (lazy promotion). This is the shared
-    /// read-lock path of a concurrent service front.
+    /// the entry's atomic stamp; the next eviction folds the stamp into the
+    /// recency order (lazy promotion). This is the shared read-lock path of
+    /// a concurrent service.
     // lint: allow(L008) expect pins map/order-list coherence maintained by every mutation
     pub fn peek(&self, key: &K) -> Option<&V> {
         let &slot = self.map.get(key)?;
@@ -166,31 +152,17 @@ impl<K: Eq + Hash + Clone, V> BoundedLru<K, V> {
         self.evict_to_fit();
     }
 
-    /// Removes `key`, returning its value if it was resident.
-    pub fn remove(&mut self, key: &K) -> Option<V> {
-        let slot = self.map.remove(key)?;
-        self.list.release(slot);
-        let entry = self.slots[slot].take().expect("mapped slot is live");
-        self.total_cost -= entry.cost;
-        Some(entry.value)
-    }
-
-    /// Changes the cost budget, evicting as needed to respect a smaller one.
-    pub fn set_capacity(&mut self, capacity: u64) {
-        self.capacity = capacity;
-        self.evict_to_fit();
-    }
-
-    /// Entries from least to most recently used (pending lazy promotions are
-    /// folded in first, so the order reflects peeks too).
+    /// Entries from least to most recently used, by effective access time
+    /// (peeks included). A pure read: pending lazy promotions are ordered
+    /// by, not folded in.
     // lint: allow(L008) expect pins map/order-list coherence maintained by every mutation
-    pub fn iter_lru_to_mru(&mut self) -> impl Iterator<Item = (&K, &V)> + '_ {
-        self.resort_by_effective_access();
-        let slots = &self.slots;
-        self.list.iter_lru_to_mru().map(move |slot| {
-            let entry = slots[slot].as_ref().expect("listed slot is live");
-            (&entry.key, &entry.value)
-        })
+    pub fn iter_lru_to_mru(&self) -> impl Iterator<Item = (&K, &V)> + '_ {
+        self.by_effective_access()
+            .into_iter()
+            .map(move |(_, slot)| {
+                let entry = self.slots[slot].as_ref().expect("listed slot is live");
+                (&entry.key, &entry.value)
+            })
     }
 
     /// Evicts from the tail until the budget is respected, keeping at least
@@ -222,13 +194,26 @@ impl<K: Eq + Hash + Clone, V> BoundedLru<K, V> {
     }
 
     /// Folds every pending peek stamp into the recency list by re-threading
-    /// it in order of effective access time `max(epoch, stamp)`. Exclusive
-    /// operations hand out strictly increasing ticks and peeks record them
-    /// atomically, so this restores the exact least-recently-used order that
-    /// a fully synchronized map would have. O(n log n); called only when an
-    /// eviction candidate has a pending stamp, or by whole-map traversals.
-    // lint: allow(L008) expect pins map/order-list coherence maintained by every mutation
+    /// it in [`BoundedLru::by_effective_access`] order. O(n log n); called
+    /// only when an eviction candidate has a pending stamp.
     fn resort_by_effective_access(&mut self) {
+        // Oldest first: moving each to the front in ascending order leaves
+        // the list sorted most-recent-first.
+        for (effective, slot) in self.by_effective_access() {
+            let entry = self.slots[slot].as_mut().expect("listed slot is live");
+            entry.epoch = effective;
+            *entry.stamp.get_mut() = effective;
+            self.list.move_front(slot);
+        }
+    }
+
+    /// Every live slot with its effective access time `max(epoch, stamp)`,
+    /// each read once, oldest first. Exclusive operations hand out strictly
+    /// increasing ticks and peeks record them atomically, so the times are
+    /// unique and this is the exact least-recently-used order a fully
+    /// synchronized map would have.
+    // lint: allow(L008) expect pins map/order-list coherence maintained by every mutation
+    fn by_effective_access(&self) -> Vec<(u64, usize)> {
         let mut order: Vec<(u64, usize)> = self
             .list
             .iter_lru_to_mru()
@@ -238,15 +223,8 @@ impl<K: Eq + Hash + Clone, V> BoundedLru<K, V> {
                 (effective, slot)
             })
             .collect();
-        // Oldest first: moving each to the front in ascending order leaves
-        // the list sorted most-recent-first.
         order.sort_unstable();
-        for (effective, slot) in order {
-            let entry = self.slots[slot].as_mut().expect("listed slot is live");
-            entry.epoch = effective;
-            *entry.stamp.get_mut() = effective;
-            self.list.move_front(slot);
-        }
+        order
     }
 
     fn tick(&self) -> u64 {
@@ -258,7 +236,7 @@ impl<K: Eq + Hash + Clone, V> BoundedLru<K, V> {
 mod tests {
     use super::*;
 
-    fn resident_keys(map: &mut BoundedLru<u32, String>) -> Vec<u32> {
+    fn resident_keys(map: &BoundedLru<u32, String>) -> Vec<u32> {
         map.iter_lru_to_mru().map(|(k, _)| *k).collect()
     }
 
@@ -269,7 +247,7 @@ mod tests {
         m.insert(2, "b".into(), 10);
         m.insert(3, "c".into(), 10);
         assert_eq!(m.len(), 3);
-        m.get(&1); // 2 is now LRU
+        m.peek(&1); // 2 is now LRU
         m.insert(4, "d".into(), 10);
         assert!(!m.contains(&2));
         assert!(m.contains(&1) && m.contains(&3) && m.contains(&4));
@@ -309,7 +287,7 @@ mod tests {
         m.insert(1, "a".into(), 40);
         m.insert(1, "b".into(), 70);
         assert_eq!(m.stats().cost, 70);
-        assert_eq!(m.get(&1).map(String::as_str), Some("b"));
+        assert_eq!(m.peek(&1).map(String::as_str), Some("b"));
         assert_eq!(m.len(), 1);
     }
 
@@ -336,35 +314,14 @@ mod tests {
         m.insert(3, "c".into(), 1);
         m.peek(&2);
         m.peek(&1);
-        assert_eq!(resident_keys(&mut m), vec![3, 2, 1]);
-    }
-
-    #[test]
-    fn set_capacity_evicts_down() {
-        let mut m: BoundedLru<u32, String> = BoundedLru::new(100);
-        for k in 0..10 {
-            m.insert(k, "x".into(), 10);
-        }
-        m.set_capacity(25);
-        assert_eq!(m.len(), 2);
-        assert_eq!(resident_keys(&mut m), vec![8, 9]);
-    }
-
-    #[test]
-    fn remove_releases_cost() {
-        let mut m: BoundedLru<u32, String> = BoundedLru::new(100);
-        m.insert(1, "a".into(), 60);
-        assert_eq!(m.remove(&1), Some("a".into()));
-        assert_eq!(m.remove(&1), None);
-        assert_eq!(m.stats().cost, 0);
-        m.insert(2, "b".into(), 100);
-        assert!(m.contains(&2));
+        assert_eq!(resident_keys(&m), vec![3, 2, 1]);
     }
 
     #[test]
     fn eviction_order_matches_reference_under_mixed_traffic() {
         // Differential check against a simple clock-ordered reference, with
-        // interleaved inserts, gets and peeks.
+        // interleaved inserts and peeks: residency and the iteration order
+        // must match the reference's clock order after every operation.
         use std::collections::BTreeMap;
         let mut fast: BoundedLru<u64, u64> = BoundedLru::new(8);
         // reference: key -> (clock, cost), eviction = smallest clock while
@@ -399,14 +356,6 @@ mod tests {
                         reference.remove(&victim);
                     }
                 }
-                1 => {
-                    let f = fast.get(&key).copied();
-                    let r = reference.get(&key).map(|_| key);
-                    assert_eq!(f, r, "get {key}");
-                    if r.is_some() {
-                        reference.insert(key, (clock, 1));
-                    }
-                }
                 _ => {
                     let f = fast.peek(&key).copied();
                     let r = reference.get(&key).map(|_| key);
@@ -417,6 +366,12 @@ mod tests {
                 }
             }
             assert_eq!(fast.len(), reference.len());
+            let mut by_clock: Vec<(u64, u64)> =
+                reference.iter().map(|(k, (t, _))| (*t, *k)).collect();
+            by_clock.sort_unstable();
+            let order: Vec<u64> = fast.iter_lru_to_mru().map(|(k, _)| *k).collect();
+            let expected: Vec<u64> = by_clock.into_iter().map(|(_, k)| k).collect();
+            assert_eq!(order, expected, "iteration order at clock {clock}");
         }
     }
 }

@@ -1,9 +1,8 @@
-//! The unified analysis session: a long-lived [`Engine`] answering typed
-//! [`Query`]s over interned loop nests with cross-query artifact reuse,
-//! bounded memoization, and session persistence — plus the thread-safe
-//! [`SharedEngine`] front for concurrent serving: one `Engine` behind a
-//! reader-writer lock, whose hits read under the shared lock and whose
-//! misses compute outside it.
+//! The analysis session: a long-lived, thread-safe [`Engine`] answering
+//! typed [`Query`]s over interned loop nests with cross-query artifact
+//! reuse, bounded memoization, and session persistence. One reader-writer
+//! lock covers its interned nests and memo caches: hits read under the
+//! shared lock, and misses compute outside it.
 //!
 //! # Why a session API
 //!
@@ -33,13 +32,9 @@
 //!   installs the ones not resident. Within one batch, a pending
 //!   `Tightness`'s components are computed once: same-`M` component misses
 //!   take their answers from it.
-//! * **One pipeline.** [`Engine::analyze_batch`] and
-//!   [`SharedEngine::analyze_batch`] resolve queries through the same
-//!   phases (probe, classify, compute, answer twins, intern and install,
-//!   assemble — see `engine/resolve.rs`), and each front's `analyze` is a
-//!   batch of one. The shared front holds one `Engine` and its budgets are
-//!   that engine's, so a serialized stream of batches counts, evicts and
-//!   snapshots identically through either front.
+//! * **One pipeline.** [`Engine::analyze_batch`] resolves queries in phases
+//!   (probe, classify, compute, answer twins, intern and install, assemble
+//!   — see `engine/resolve.rs`), and [`Engine::analyze`] is a batch of one.
 //! * **Bounded memoization.** Every memo map is a cost-aware
 //!   [`projtile_cachesim::BoundedLru`] with caps set by [`EngineConfig`]
 //!   (approximate heap bytes), so a long-lived service session cannot grow
@@ -50,18 +45,39 @@
 //!   new session from them, so a service restart does not start cold.
 //! * **Exactness.** Engine answers are **bitwise-identical** to the retained
 //!   free functions, which double as the cold differential oracles in the
-//!   test suite — under cache hits, eviction pressure, concurrent access
-//!   through [`SharedEngine`], and snapshot/restore alike. Everything the
-//!   engine shares across queries is either path-independent by
-//!   construction (canonical lex-min LP optima, unique optimal values,
-//!   unique value functions) or cached per declaration order (vertex
-//!   certificates, `λ` vectors).
+//!   test suite — under cache hits, eviction pressure, concurrent callers
+//!   and snapshot/restore alike. Everything the engine shares across
+//!   queries is either path-independent by construction (canonical lex-min
+//!   LP optima, unique optimal values, unique value functions) or cached per
+//!   declaration order (vertex certificates, `λ` vectors).
+//!
+//! # Concurrency model
+//!
+//! `Engine` is `Send + Sync`; share it by reference. Every method but
+//! [`Engine::set_trace_capacity`] takes `&self`.
+//!
+//! * **Hits read under the shared lock.** A cache hit takes only the read
+//!   lock: the memoized answer is read through
+//!   [`projtile_cachesim::BoundedLru::peek`], which records recency in
+//!   per-entry atomic stamps rather than re-threading the LRU list, so
+//!   concurrent hits proceed in parallel (the stamps are folded into the
+//!   eviction order by the next exclusive operation).
+//! * **Compute outside the lock.** A miss computes with the stateless
+//!   free-function paths using a solver context checked out of the engine's
+//!   [`projtile_lp::ContextPool`] — one context per worker, so concurrent
+//!   callers never serialize on one warm tableau — and only then takes the
+//!   write lock, briefly, to intern and install. A batch with nothing to
+//!   compute takes no write lock at all. Two threads racing on the same
+//!   query compute the same bitwise value; the loser's install is an
+//!   idempotent overwrite.
+//! * **Snapshots read.** [`Engine::snapshot`] serializes under the read
+//!   lock, so hits proceed beside it; installs wait for it.
 //!
 //! ```
 //! use projtile_core::engine::{AnalysisResult, Engine, Query};
 //! use projtile_loopnest::builders;
 //!
-//! let mut engine = Engine::new();
+//! let engine = Engine::new();
 //! let nest = builders::matmul(512, 512, 8);
 //! // First query computes; the repeat is a pure cache lookup.
 //! let q = Query::Tightness { cache_size: 1 << 10 };
@@ -75,7 +91,7 @@
 //! }
 //! // The session can be persisted and warm-restored.
 //! let snapshot = engine.snapshot_json();
-//! let mut restored = Engine::restore_json(&snapshot).unwrap();
+//! let restored = Engine::restore_json(&snapshot).unwrap();
 //! assert_eq!(restored.analyze(&nest, &q).unwrap(), again);
 //! assert_eq!(restored.stats().hits, 1);
 //! ```
@@ -83,7 +99,6 @@
 mod cache;
 mod query;
 mod resolve;
-mod shared;
 mod snapshot;
 mod store;
 mod trace;
@@ -92,17 +107,18 @@ pub use query::{
     query_kind_index, AnalysisResult, EngineError, KindCounters, Query, SurfaceSummary,
     TilingSummary, QUERY_KIND_COUNT, QUERY_KIND_NAMES,
 };
-pub use shared::SharedEngine;
 pub use snapshot::SNAPSHOT_VERSION;
 pub use store::{SnapshotStore, SNAPSHOT_TMP};
 pub use trace::{outcome, TraceDocument, TraceError, TraceEvent, TraceRecorder, TRACE_VERSION};
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
+use parking_lot::RwLock;
 use projtile_arith::{log, Rational};
 // The memo cache type is re-exported so trace replays run the same cache
-// code as the live front.
+// code as the live engine.
 pub use projtile_cachesim::{BoundedLru, BoundedLruStats};
 use projtile_loopnest::{canonicalize, CanonicalNest, LoopNest, NestSignature};
 use projtile_lp::ContextPool;
@@ -114,7 +130,11 @@ use cache::{
     cost, CachedResult, NestEntry, Orientation, PointSlice, ResultKey, SliceEntry, SliceKey,
     SliceKind, StoredSurface, SurfaceKey,
 };
-use resolve::{canonical_query_form, validate_query, Batch};
+use resolve::{canonical_query_form, validate_query, Batch, Resolved};
+
+/// Another name for [`Engine`], kept only for the service benchmark
+/// (`svcbench/`, outside the workspace), which still names `SharedEngine`.
+pub type SharedEngine = Engine;
 
 /// Retention budgets (approximate heap bytes) for the engine's memo caches.
 /// Each cap governs one artifact class across **all** interned nests; least
@@ -174,19 +194,62 @@ pub struct EngineStats {
     pub interned: u64,
 }
 
-/// A long-lived analysis session. See the [module docs](self) for the reuse
-/// model; see [`Query`] for the request vocabulary and [`SharedEngine`] for
-/// the thread-safe front.
+/// A long-lived analysis session, safe to share across threads. See the
+/// [module docs](self) for the reuse and concurrency model; see [`Query`]
+/// for the request vocabulary.
+///
+/// ```
+/// use projtile_core::engine::{AnalysisResult, Engine, Query};
+/// use projtile_loopnest::builders;
+///
+/// let engine = Engine::new();
+/// let nest = builders::matmul(512, 512, 8);
+/// let query = Query::Tightness { cache_size: 1 << 10 };
+/// // Concurrent callers share one session; repeats are read-lock hits.
+/// std::thread::scope(|scope| {
+///     for _ in 0..4 {
+///         scope.spawn(|| engine.analyze(&nest, &query).unwrap());
+///     }
+/// });
+/// assert_eq!(engine.stats().interned, 1);
+/// match engine.analyze(&nest, &query).unwrap() {
+///     AnalysisResult::Tightness(report) => assert!(report.tight),
+///     other => panic!("unexpected result {other:?}"),
+/// }
+/// ```
 pub struct Engine {
+    /// The one lock: interned nests, memo caches and their budgets.
+    caches: RwLock<Caches>,
+    pool: ContextPool,
+    queries: AtomicU64,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    kind_hits: [AtomicU64; QUERY_KIND_COUNT],
+    kind_misses: [AtomicU64; QUERY_KIND_COUNT],
+    recorder: TraceRecorder,
+    /// Counters at the moment the recorder was attached, so the drained
+    /// document reports stats covering exactly the recorded window.
+    trace_base: EngineStats,
+    /// Cache entries resident when the recorder was attached (non-zero for
+    /// a snapshot-restored engine; differential replays refuse warm traces).
+    trace_warm_entries: u64,
+}
+
+// Callers share one engine by reference across threads.
+const _: fn() = || {
+    fn shareable<T: Send + Sync>() {}
+    shareable::<Engine>();
+};
+
+/// What the engine's lock covers: the interned nests and the three memo
+/// caches with their budgets.
+pub(crate) struct Caches {
     config: EngineConfig,
     entries: Vec<NestEntry>,
     index: HashMap<NestSignature, usize>,
     results: BoundedLru<ResultKey, CachedResult>,
     slices: BoundedLru<SliceKey, SliceEntry>,
     surfaces: BoundedLru<SurfaceKey, StoredSurface>,
-    pool: ContextPool,
-    stats: EngineStats,
-    kinds: [KindCounters; QUERY_KIND_COUNT],
 }
 
 impl Default for Engine {
@@ -198,9 +261,8 @@ impl Default for Engine {
 impl fmt::Debug for Engine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Engine")
-            .field("interned_nests", &self.entries.len())
-            .field("stats", &self.stats)
-            .field("config", &self.config)
+            .field("stats", &self.stats())
+            .field("config", &self.config())
             .finish_non_exhaustive()
     }
 }
@@ -213,127 +275,138 @@ impl Engine {
 
     /// Creates an empty session with explicit cache budgets.
     pub fn with_config(config: EngineConfig) -> Engine {
+        Engine::over(Caches::new(config))
+    }
+
+    /// A session serving `caches`.
+    fn over(caches: Caches) -> Engine {
         Engine {
-            config,
-            entries: Vec::new(),
-            index: HashMap::new(),
-            results: BoundedLru::new(config.results_capacity),
-            slices: BoundedLru::new(config.slices_capacity),
-            surfaces: BoundedLru::new(config.surfaces_capacity),
+            caches: RwLock::new(caches),
             pool: ContextPool::new(),
-            stats: EngineStats::default(),
-            kinds: [KindCounters::default(); QUERY_KIND_COUNT],
+            queries: AtomicU64::new(0),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            kind_hits: std::array::from_fn(|_| AtomicU64::new(0)),
+            kind_misses: std::array::from_fn(|_| AtomicU64::new(0)),
+            recorder: TraceRecorder::disabled(),
+            trace_base: EngineStats::default(),
+            trace_warm_entries: 0,
         }
     }
 
     /// The session's cache budgets.
     pub fn config(&self) -> EngineConfig {
-        self.config
-    }
-
-    /// Interns `nest` (no analysis yet) and returns its canonical signature.
-    /// Permuted re-declarations of the same program return the same
-    /// signature and share one cache entry.
-    pub fn intern(&mut self, nest: &LoopNest) -> NestSignature {
-        let canon = canonicalize(nest);
-        let _ = self.intern_with(&canon);
-        canon.signature()
-    }
-
-    /// Number of distinct canonical signatures interned so far.
-    pub fn num_interned(&self) -> usize {
-        self.entries.len()
+        self.caches.read().config
     }
 
     /// Counters for this session's lifetime.
     pub fn stats(&self) -> EngineStats {
-        self.stats
+        EngineStats {
+            queries: self.queries.load(Ordering::Relaxed),
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            interned: self.caches.read().entries.len() as u64,
+        }
     }
 
     /// Occupancy, cost, and eviction counters of the three memo caches,
     /// plus hit/miss counters per query kind.
     pub fn cache_metrics(&self) -> CacheMetrics {
-        CacheMetrics {
-            results: self.results.stats(),
-            slices: self.slices.stats(),
-            surfaces: self.surfaces.stats(),
-            kinds: self.kinds,
+        let mut metrics = Caches::occupancy(&self.caches.read());
+        for ((acc, hits), misses) in metrics
+            .kinds
+            .iter_mut()
+            .zip(&self.kind_hits)
+            .zip(&self.kind_misses)
+        {
+            acc.hits = hits.load(Ordering::Relaxed);
+            acc.misses = misses.load(Ordering::Relaxed);
         }
-    }
-
-    /// Records one resolved query in the aggregate and per-kind counters.
-    fn count(&mut self, kind: usize, hit: bool) {
-        if hit {
-            self.stats.hits += 1;
-        } else {
-            self.stats.misses += 1;
-        }
-        // Counters are best-effort; an out-of-range kind drops the count
-        // rather than panicking a query that already has its answer.
-        if let Some(k) = self.kinds.get_mut(kind) {
-            if hit {
-                k.hits += 1;
-            } else {
-                k.misses += 1;
-            }
-        }
+        metrics
     }
 
     /// Answers one typed query about `nest` — a batch of one through
     /// [`Engine::analyze_batch`]. Results are bitwise-identical to the
     /// corresponding free function (see the module docs).
-    pub fn analyze(
-        &mut self,
-        nest: &LoopNest,
-        query: &Query,
-    ) -> Result<AnalysisResult, EngineError> {
+    pub fn analyze(&self, nest: &LoopNest, query: &Query) -> Result<AnalysisResult, EngineError> {
         self.analyze_batch(nest, std::slice::from_ref(query))
             .pop()
             .unwrap_or(Err(EngineError::Internal("a batch of one answers once")))
     }
 
-    /// Answers a batch of queries about `nest`, in input order, through the
-    /// pipeline [`SharedEngine::analyze_batch`] runs too: resident answers
-    /// are read from the caches, the remaining distinct queries fan out
-    /// through `projtile_par` with one pooled warm solver context per worker
-    /// chunk (a component of a pending `Tightness` is taken from it instead),
-    /// and the results are installed. Every compute path is
-    /// path-independent, so the fan-out cannot change any answer.
+    /// Answers a batch of queries about `nest`, in input order. Resident
+    /// answers are read under the read lock; the remaining distinct queries
+    /// fan out through `projtile_par` with one pooled warm solver context
+    /// per worker chunk (a component of a pending `Tightness` is taken from
+    /// it instead) before one write-lock install pass, which a batch of hits
+    /// skips entirely. Every compute path is path-independent, so the
+    /// fan-out cannot change any answer.
     pub fn analyze_batch(
-        &mut self,
+        &self,
         nest: &LoopNest,
         queries: &[Query],
     ) -> Vec<Result<AnalysisResult, EngineError>> {
-        self.stats.queries += queries.len() as u64;
+        self.queries
+            .fetch_add(queries.len() as u64, Ordering::Relaxed);
         let canon = canonicalize(nest);
-        let mut batch = Batch::probe(self, nest, &canon, queries);
+        let tracing = self.recorder.enabled();
+        let mut batch = {
+            let caches = self.caches.read();
+            Batch::probe(&caches, nest, &canon, queries)
+        };
+        // The guard is let-bound so the lint's lock checks see `install`
+        // run under it.
         let installed = batch
-            .compute(&self.pool, nest, &canon, false)
-            .map(|computed| computed.install(self, &canon));
-        let resolved = batch.finish(installed);
-        for (q, outcome) in queries.iter().zip(&resolved.outcomes) {
-            if let Some(hit) = outcome.counts_as_hit() {
-                self.count(query_kind_index(q), hit);
+            .compute(&self.pool, nest, &canon, tracing)
+            .map(|computed| {
+                let mut caches = self.caches.write();
+                computed.install(&mut caches, &canon)
+            });
+        let Resolved {
+            answers,
+            outcomes,
+            costs,
+        } = batch.finish(installed);
+        let (mut hits, mut misses) = (0, 0);
+        for (q, o) in queries.iter().zip(&outcomes) {
+            match o.counts_as_hit() {
+                Some(true) => {
+                    hits += 1;
+                    bump(&self.kind_hits, query_kind_index(q));
+                }
+                Some(false) => {
+                    misses += 1;
+                    bump(&self.kind_misses, query_kind_index(q));
+                }
+                None => {}
             }
         }
-        resolved.answers
+        self.hits.fetch_add(hits, Ordering::Relaxed);
+        self.misses.fetch_add(misses, Ordering::Relaxed);
+        if tracing {
+            self.record(&canon, queries, &outcomes, costs);
+        }
+        answers
     }
 
     /// The optimal exponent at one specific bound value along `axis` — the
     /// memoized form of [`crate::parametric::exponent_at_bound`]. The first
     /// query per `(cache size, axis)` sweeps a 1-D slice of the §7 value
     /// function once; every later bound on that axis (a JIT probing candidate
-    /// specializations, say) is read off the slice without touching the
-    /// solver. Answers are bitwise-identical to the cold oracle
-    /// [`crate::parametric::exponent_at_bound_cold`].
+    /// specializations, say) is read off the slice under the read lock,
+    /// without touching the solver. A bound past the covered range sweeps a
+    /// wider slice outside the lock and installs it under the write lock.
+    /// Answers are bitwise-identical to the cold oracle
+    /// [`crate::parametric::exponent_at_bound_cold`]. Probes count under the
+    /// `slice` kind, whose memo they share, and are not traced.
     pub fn exponent_at_bound(
-        &mut self,
+        &self,
         nest: &LoopNest,
         cache_size: u64,
         axis: usize,
         bound: u64,
     ) -> Result<Rational, EngineError> {
-        self.stats.queries += 1;
+        self.queries.fetch_add(1, Ordering::Relaxed);
         if cache_size < 2 {
             return Err(EngineError::InvalidQuery(
                 "cache size must be at least 2 words".into(),
@@ -348,18 +421,51 @@ impl Engine {
         if bound == 0 {
             return Err(EngineError::InvalidQuery("bound must be positive".into()));
         }
-        let (e, o) = self.intern_indices(nest);
-        let (value, was_hit) = self.exponent_at_bound_memo(e, o, cache_size, axis, bound)?;
-        // Probe reads share the slice memo, so they count under `slice`.
-        self.count(
-            query_kind_index(&Query::Slice {
-                cache_size,
-                axis,
-                lo_bound: bound,
-                hi_bound: bound,
-            }),
-            was_hit,
-        );
+        let kind = query_kind_index(&Query::Slice {
+            cache_size,
+            axis,
+            lo_bound: bound,
+            hi_bound: bound,
+        });
+        let canon = canonicalize(nest);
+        // `axis` is in range, and the loop permutation has a slot per axis.
+        let (Some(&canon_axis), Some(index)) =
+            (canon.loop_permutation().get(axis), nest.indices().get(axis))
+        else {
+            return Err(EngineError::Internal("probe axis outside the nest"));
+        };
+        let beta = log::beta(bound as u128, cache_size as u128);
+        let (answer, prev) = {
+            let caches = self.caches.read();
+            match caches.probe_slice(&canon, cache_size, canon_axis) {
+                Some(ps) if ps.hi_bound >= bound => (Some(ps.vf.value_at(&beta)), ps.hi_bound),
+                Some(ps) => (None, ps.hi_bound),
+                None => (None, 1),
+            }
+        };
+        if let Some(value) = answer {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            bump(&self.kind_hits, kind);
+            return Ok(value);
+        }
+        // Widen past the request (and past the nest's own bound) so a scan
+        // of nearby candidate bounds is answered by one sweep. Near the top
+        // of the u64 range the power-of-two rounding would overflow; sweep
+        // to the exact bound instead.
+        let hi = bound.max(index.bound).max(prev).max(cache_size);
+        let hi = hi.checked_next_power_of_two().unwrap_or(hi);
+        let vf = {
+            let mut ctx = self.pool.checkout();
+            exponent_vs_beta_with(canon.nest(), cache_size, canon_axis, 1, hi, &mut ctx)?
+        };
+        let value = vf.value_at(&beta);
+        {
+            let mut caches = self.caches.write();
+            let (e, _) = caches.intern_with(&canon);
+            caches.install_probe_slice(e, cache_size, canon_axis, PointSlice { hi_bound: hi, vf });
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        bump(&self.kind_misses, kind);
         Ok(value)
     }
 
@@ -370,7 +476,7 @@ impl Engine {
     /// to the caller's axis order, exactly as
     /// [`crate::parametric::exponent_surface`] remaps.
     pub fn exponent_surface(
-        &mut self,
+        &self,
         nest: &LoopNest,
         cache_size: u64,
         axes: &[usize],
@@ -392,35 +498,59 @@ impl Engine {
             Err(_) => query,
         };
         self.analyze(nest, &resolvable)?;
-        // A hit leaves the surface resident, and a miss installed it as the
-        // newest insertion, which is never evicted.
-        let Some((e, Some(o))) = self.find_indices(&canonicalize(nest)) else {
-            return Err(EngineError::Internal(
-                "surface nest not interned after resolve",
-            ));
+        // A hit leaves the surface resident and a miss installs it, but a
+        // concurrent install may evict it before this read: the free
+        // function then recomputes it, bitwise what the memo held.
+        let resident = {
+            let caches = self.caches.read();
+            caches.resident_surface(&canonicalize(nest), cache_size, axes, lo_bounds, hi_bounds)
         };
-        let (key, order) = self.surface_key(e, o, cache_size, axes, lo_bounds, hi_bounds);
-        let stored = self
-            .surfaces
-            .peek(&key)
-            .ok_or(EngineError::Internal("surface memo missing after resolve"))?;
-        Ok(match order {
-            None => stored.surface.clone(),
-            Some(order) => stored.surface.with_axis_order(&order),
-        })
+        match resident {
+            Some(surface) => Ok(surface),
+            None => Ok(crate::parametric::exponent_surface(
+                nest, cache_size, axes, lo_bounds, hi_bounds,
+            )?),
+        }
+    }
+}
+
+/// Best-effort per-kind counter bump: an out-of-range kind drops the count
+/// rather than panicking a query that already has its answer.
+fn bump(counters: &[AtomicU64], kind: usize) {
+    if let Some(c) = counters.get(kind) {
+        c.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+impl Caches {
+    fn new(config: EngineConfig) -> Caches {
+        Caches {
+            config,
+            entries: Vec::new(),
+            index: HashMap::new(),
+            results: BoundedLru::new(config.results_capacity),
+            slices: BoundedLru::new(config.slices_capacity),
+            surfaces: BoundedLru::new(config.surfaces_capacity),
+        }
+    }
+
+    /// Occupancy of the three caches (per-kind counters left at zero).
+    fn occupancy(&self) -> CacheMetrics {
+        CacheMetrics {
+            results: self.results.stats(),
+            slices: self.slices.stats(),
+            surfaces: self.surfaces.stats(),
+            kinds: [KindCounters::default(); QUERY_KIND_COUNT],
+        }
     }
 
     // -----------------------------------------------------------------------
     // Interning
     // -----------------------------------------------------------------------
 
-    fn intern_indices(&mut self, nest: &LoopNest) -> (usize, usize) {
-        self.intern_with(&canonicalize(nest))
-    }
-
     /// Interns the nest `canon` was computed from: its canonical entry and
     /// the orientation (declaration order) it was declared in.
-    pub(crate) fn intern_with(&mut self, canon: &CanonicalNest) -> (usize, usize) {
+    fn intern_with(&mut self, canon: &CanonicalNest) -> (usize, usize) {
         let sig = canon.signature();
         let e = match self.index.get(&sig) {
             Some(&e) => e,
@@ -429,7 +559,6 @@ impl Engine {
                     canonical: canon.nest().clone(),
                     orientations: Vec::new(),
                 });
-                self.stats.interned += 1;
                 let e = self.entries.len() - 1;
                 self.index.insert(sig, e);
                 e
@@ -440,7 +569,7 @@ impl Engine {
     }
 
     /// The interned entry `e`. Every `e` in circulation was minted by
-    /// [`Engine::intern_with`] against this engine, and `entries` is
+    /// [`Caches::intern_with`] against these caches, and `entries` is
     /// append-only, so the index cannot go out of range.
     fn entry(&self, e: usize) -> &NestEntry {
         // lint: allow(L008) e is an interned id minted by intern_with; entries is append-only
@@ -461,7 +590,7 @@ impl Engine {
     fn orientation_index(&mut self, e: usize, canon: &CanonicalNest) -> usize {
         let loop_perm = canon.loop_permutation();
         let array_perm = canon.array_permutation();
-        // lint: allow(L008) e was just minted (or found) by intern_with against this engine
+        // lint: allow(L008) e was just minted (or found) by intern_with against these caches
         let entry = &mut self.entries[e];
         if let Some(i) = entry
             .orientations
@@ -480,7 +609,7 @@ impl Engine {
     /// Entry/orientation lookup **without interning**, for the read path:
     /// `None` if the nest has never been seen, an orientation of `None` if
     /// it has but never in this declaration order.
-    pub(crate) fn find_indices(&self, canon: &CanonicalNest) -> Option<(usize, Option<usize>)> {
+    fn find_indices(&self, canon: &CanonicalNest) -> Option<(usize, Option<usize>)> {
         let e = *self.index.get(&canon.signature())?;
         let loop_perm = canon.loop_permutation();
         let array_perm = canon.array_permutation();
@@ -494,7 +623,7 @@ impl Engine {
     }
 
     // -----------------------------------------------------------------------
-    // Cache keys and the probe-slice memo
+    // Cache keys, probe slices and surface read-back
     // -----------------------------------------------------------------------
 
     /// The canonical (sorted-axes) surface cache key for a request, plus the
@@ -524,54 +653,57 @@ impl Engine {
         )
     }
 
-    /// The memoized `exponent_at_bound` path: reads the exponent off a
-    /// per-axis probe slice of the §7 value function, sweeping (and
-    /// widening) that slice only when a queried bound exceeds the covered
-    /// range — or when eviction dropped it, in which case the re-sweep
-    /// produces the identical value function again.
-    fn exponent_at_bound_memo(
-        &mut self,
-        e: usize,
-        o: usize,
+    /// The resident surface for a request, in the caller's axis order
+    /// (a peek).
+    fn resident_surface(
+        &self,
+        canon: &CanonicalNest,
         m: u64,
-        axis: usize,
-        bound: u64,
-    ) -> Result<(Rational, bool), EngineError> {
-        let canon_axis = self.canon_axis(e, o, axis);
+        axes: &[usize],
+        lo_bounds: &[u64],
+        hi_bounds: &[u64],
+    ) -> Option<ExponentSurface> {
+        let (e, o) = self.find_indices(canon)?;
+        let (key, order) = self.surface_key(e, o?, m, axes, lo_bounds, hi_bounds);
+        let stored = self.surfaces.peek(&key)?;
+        Some(match order {
+            None => stored.surface.clone(),
+            Some(order) => stored.surface.with_axis_order(&order),
+        })
+    }
+
+    /// The resident probe slice behind `exponent_at_bound` for `canon`'s
+    /// entry at `m` along canonical axis `canon_axis` (a peek).
+    fn probe_slice(&self, canon: &CanonicalNest, m: u64, canon_axis: usize) -> Option<&PointSlice> {
+        let key = SliceKey {
+            entry: *self.index.get(&canon.signature())?,
+            m,
+            canon_axis,
+            kind: SliceKind::Probe,
+        };
+        match self.slices.peek(&key)? {
+            SliceEntry::Probe(ps) => Some(ps),
+            SliceEntry::Span(_) => None,
+        }
+    }
+
+    /// Installs a freshly swept probe slice of entry `e`, unless a
+    /// concurrent probe installed one at least as wide meanwhile.
+    fn install_probe_slice(&mut self, e: usize, m: u64, canon_axis: usize, slice: PointSlice) {
         let key = SliceKey {
             entry: e,
             m,
             canon_axis,
             kind: SliceKind::Probe,
         };
-        let (covered, prev) = match self.slices.get(&key) {
-            Some(SliceEntry::Probe(ps)) => (ps.hi_bound >= bound, ps.hi_bound),
-            _ => (false, 1),
-        };
-        if !covered {
-            // Widen past the request (and past the nest's own bound) so a
-            // scan of nearby candidate bounds is answered by one sweep. Near
-            // the top of the u64 range the power-of-two rounding would
-            // overflow; sweep to the exact bound instead.
-            // lint: allow(L008) canon_axis comes from Orientation::loop_perm, a permutation of the nest's axes
-            let nest_bound = self.entry(e).canonical.bounds()[canon_axis];
-            let hi = bound.max(nest_bound).max(prev).max(m);
-            let hi = hi.checked_next_power_of_two().unwrap_or(hi);
-            let vf = {
-                let mut ctx = self.pool.checkout();
-                exponent_vs_beta_with(&self.entry(e).canonical, m, canon_axis, 1, hi, &mut ctx)?
-            };
-            let entry = SliceEntry::Probe(PointSlice { hi_bound: hi, vf });
-            let c = cost::slice_entry(&entry);
-            // The newest insertion is never evicted, so the read below is
-            // served even under a zero-cap configuration.
-            self.slices.insert(key, entry, c);
+        if let Some(SliceEntry::Probe(ps)) = self.slices.peek(&key) {
+            if ps.hi_bound >= slice.hi_bound {
+                return;
+            }
         }
-        let Some(SliceEntry::Probe(ps)) = self.slices.peek(&key) else {
-            return Err(EngineError::Internal("probe slice missing after sweep"));
-        };
-        let beta = log::beta(bound as u128, m as u128);
-        Ok((ps.vf.value_at(&beta), covered))
+        let entry = SliceEntry::Probe(slice);
+        let c = cost::slice_entry(&entry);
+        self.slices.insert(key, entry, c);
     }
 }
 
@@ -645,11 +777,70 @@ pub(crate) fn summarize_surface(s: &ExponentSurface, axes: &[usize]) -> SurfaceS
 
 #[cfg(test)]
 mod tests {
+    use std::sync::mpsc;
+    use std::time::Duration;
+
     use projtile_loopnest::builders;
 
     use super::*;
     use crate::bounds::{arbitrary_bound_exponent, exponent_from_s_hat};
     use crate::hbl::hbl_lp;
+
+    #[test]
+    fn all_hit_batches_take_no_write_lock_and_no_solver_context() {
+        let nest = builders::matmul(64, 64, 8);
+        let m = 1 << 8;
+        let queries = vec![
+            Query::Tightness { cache_size: m },
+            Query::LowerBound { cache_size: m },
+            Query::Tightness { cache_size: m },
+        ];
+        let warm = Engine::new();
+        let expected = warm.analyze_batch(&nest, &queries);
+        let restored = Engine::restore(&warm.snapshot()).expect("snapshot restores");
+
+        // Another holder of the read guard must not stall a batch that
+        // computes nothing: it takes no write lock.
+        let (tx, rx) = mpsc::channel();
+        let answers = std::thread::scope(|scope| {
+            let reader = restored.caches.read();
+            let (restored, nest, queries) = (&restored, &nest, &queries);
+            scope.spawn(move || tx.send(restored.analyze_batch(nest, queries)));
+            let answers = rx.recv_timeout(Duration::from_secs(5));
+            drop(reader);
+            answers
+        });
+        let answers = answers.expect("an all-hit batch completes beside a reader");
+        assert_eq!(answers, expected);
+        assert_eq!(restored.stats().misses, 0, "{:?}", restored.stats());
+        assert_eq!(restored.pool.idle(), 0, "no solver context was checked out");
+    }
+
+    #[test]
+    fn snapshots_complete_beside_a_reader() {
+        // A snapshot only reads the caches, so another holder of the read
+        // guard must not stall it.
+        let nest = builders::matmul(64, 64, 8);
+        let engine = Engine::new();
+        engine
+            .analyze(&nest, &Query::Tightness { cache_size: 1 << 8 })
+            .expect("valid query");
+        engine
+            .exponent_at_bound(&nest, 1 << 8, 2, 37)
+            .expect("valid probe");
+        let expected = engine.snapshot_json();
+        let (tx, rx) = mpsc::channel();
+        let snapshot = std::thread::scope(|scope| {
+            let reader = engine.caches.read();
+            let engine = &engine;
+            scope.spawn(move || tx.send(engine.snapshot_json()));
+            let snapshot = rx.recv_timeout(Duration::from_secs(5));
+            drop(reader);
+            snapshot
+        });
+        let snapshot = snapshot.expect("a snapshot completes beside a reader");
+        assert_eq!(snapshot, expected);
+    }
 
     /// The certificate check `check_tightness` performs inline, verbatim.
     fn inline_check(nest: &LoopNest, m: u64, bound: &LowerBound) -> bool {

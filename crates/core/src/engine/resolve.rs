@@ -1,13 +1,10 @@
-//! The one query pipeline behind both fronts: [`Engine::analyze_batch`] runs
-//! it on `&mut self`, [`super::SharedEngine::analyze_batch`] runs it against
-//! the engine it holds behind a reader-writer lock, and each front's
-//! `analyze` is a batch of one.
+//! The query pipeline behind [`super::Engine::analyze_batch`] (and so
+//! [`super::Engine::analyze`], a batch of one).
 //!
 //! A batch of queries about one nest is resolved in six phases:
 //!
 //! 1. **probe** — every distinct valid literal is looked up once with
-//!    [`Engine::peek_cached`], a pure read (the shared front holds only its
-//!    read lock);
+//!    [`Caches::peek_cached`], a pure read under the engine's read lock;
 //! 2. **classify** — literals not resident are deduplicated by
 //!    [`canonical_query_form`]: the first occurrence of each form is a miss,
 //!    a repeat of a literal is a duplicate of its first occurrence, and a
@@ -23,9 +20,9 @@
 //!    [`Detached::twin_answer`], still with no lock held, so a twin can never
 //!    read (or recompute) an entry the install pass evicts;
 //! 5. **intern and install** — the orientation is interned and the computed
-//!    artifacts installed (the shared front's write lock);
+//!    artifacts installed, under the engine's write lock;
 //! 6. **assemble** — answers are moved into input order, each with the
-//!    [`Outcome`] the fronts count and trace.
+//!    [`Outcome`] the engine counts and traces.
 //!
 //! A batch whose valid queries all hit stops after phase 2: it runs no
 //! fan-out, checks out no solver context and takes no write lock. A batch
@@ -43,7 +40,7 @@ use super::cache::{
     cost, CachedResult, ResultKey, ResultKind, SliceEntry, SliceKey, SliceKind, StoredSurface,
 };
 use super::{
-    compose_tightness_report, summarize_surface, AnalysisResult, Engine, EngineError, Query,
+    compose_tightness_report, summarize_surface, AnalysisResult, Caches, EngineError, Query,
     TilingSummary,
 };
 use crate::bounds::{EnumeratedBound, LowerBound};
@@ -122,14 +119,14 @@ pub(crate) struct Resolved {
 
 impl<'q> Batch<'q> {
     /// Phases 1 and 2: validates, probes and classifies every position.
-    /// `engine` is only read.
+    /// `caches` is only read.
     pub(crate) fn probe(
-        engine: &Engine,
+        caches: &Caches,
         nest: &LoopNest,
         canon: &CanonicalNest,
         queries: &'q [Query],
     ) -> Batch<'q> {
-        let interned = engine.find_indices(canon);
+        let interned = caches.find_indices(canon);
         let mut first_seen: HashMap<&Query, usize> = HashMap::new();
         let mut forms: HashMap<Query, usize> = HashMap::new();
         let mut pending: Vec<&'q Query> = Vec::new();
@@ -145,7 +142,7 @@ impl<'q> Batch<'q> {
                 }
                 first_seen.insert(q, i);
                 if let Some(answer) =
-                    interned.and_then(|(e, o)| engine.peek_cached(e, o, nest, canon, q))
+                    interned.and_then(|(e, o)| caches.peek_cached(e, o, nest, canon, q))
                 {
                     return Slot::Hit(answer);
                 }
@@ -296,22 +293,22 @@ impl<'q> Batch<'q> {
 impl Computed<'_> {
     /// Phase 5: interns the batch's orientation and installs every computed
     /// artifact, in pending order. Solves nothing.
-    pub(crate) fn install(self, engine: &mut Engine, canon: &CanonicalNest) -> Installed {
-        let (e, o) = engine.intern_with(canon);
+    pub(crate) fn install(self, caches: &mut Caches, canon: &CanonicalNest) -> Installed {
+        let (e, o) = caches.intern_with(canon);
         self.pending
             .into_iter()
             .zip(self.results)
-            .map(|(q, (result, costs))| (result.and_then(|d| engine.install(e, o, q, d)), costs))
+            .map(|(q, (result, costs))| (result.and_then(|d| caches.install(e, o, q, d)), costs))
             .collect()
     }
 }
 
-impl Engine {
+impl Caches {
     /// Pure cached lookup: `Some(result)` iff the query is answerable
     /// without solver work or re-threading any recency list. Reads go
     /// through [`super::BoundedLru::peek`], which records recency in atomic
-    /// stamps, so concurrent readers of the shared front never take its
-    /// write lock for a hit. A tightness query peeks its tiling, bound and
+    /// stamps, so concurrent readers never take the engine's write lock for
+    /// a hit. A tightness query peeks its tiling, bound and
     /// enumeration in that order, stops at the first absent one, and
     /// composes the report from the three with the certificate check on
     /// `nest` (the declared order its bound is keyed by) — no LP solve.

@@ -55,7 +55,7 @@ use super::cache::{
     cost, CachedResult, NestEntry, Orientation, PointSlice, ResultKey, ResultKind, SliceEntry,
     SliceKey, SliceKind, StoredSurface, SurfaceKey,
 };
-use super::{summarize_surface, Engine, EngineConfig, EngineError};
+use super::{summarize_surface, Caches, Engine, EngineConfig, EngineError};
 use crate::parametric::ExponentSurface;
 
 /// Current snapshot format version; restore rejects any other value.
@@ -128,15 +128,11 @@ fn kind_tag(kind: ResultKind) -> &'static str {
     }
 }
 
-impl Engine {
-    /// Serializes the session's result caches as a [`Value`] tree — one
-    /// versioned JSON object holding the interned nests, typed results,
-    /// slices, and surfaces, each list in least- to most-recently-used order
-    /// (see `engine/snapshot.rs` for the full format and its versioning
-    /// caveats, mirrored in ARCHITECTURE.md). Takes `&mut self` only to fold
-    /// pending shared-path recency stamps into the persisted order; no
-    /// cached artifact is modified.
-    pub fn snapshot(&mut self) -> Value {
+impl Caches {
+    /// The snapshot document of these caches ([`Engine::snapshot`]): a pure
+    /// read, with each list ordered by effective access time, peeks
+    /// included.
+    fn snapshot(&self) -> Value {
         let entries = self.entries.iter().map(|entry| {
             obj(vec![
                 ("canonical", entry.canonical.serialize()),
@@ -215,9 +211,23 @@ impl Engine {
             ("surfaces", Value::Array(surfaces.collect())),
         ])
     }
+}
+
+impl Engine {
+    /// Serializes the session's result caches as a [`Value`] tree — one
+    /// versioned JSON object holding the interned nests, typed results,
+    /// slices, and surfaces, each list in least- to most-recently-used order
+    /// (see `engine/snapshot.rs` for the full format and its versioning
+    /// caveats, mirrored in ARCHITECTURE.md). Holds only the read lock, so
+    /// hits proceed beside it; installs wait for it. Printing the tree as
+    /// text, as [`Engine::snapshot_json`] does, happens after the lock is
+    /// released.
+    pub fn snapshot(&self) -> Value {
+        Caches::snapshot(&self.caches.read())
+    }
 
     /// [`Engine::snapshot`] printed as compact JSON.
-    pub fn snapshot_json(&mut self) -> String {
+    pub fn snapshot_json(&self) -> String {
         json::to_string(&self.snapshot())
     }
 
@@ -237,7 +247,7 @@ impl Engine {
                 "unsupported snapshot version {version} (this build reads version {SNAPSHOT_VERSION})"
             )));
         }
-        let mut engine = Engine::with_config(config);
+        let mut caches = Caches::new(config);
 
         // Interned nests and their orientations.
         for ev in as_array(field(value, "entries")?, "entries")? {
@@ -265,21 +275,20 @@ impl Engine {
                     array_perm,
                 });
             }
-            let e = engine.entries.len();
-            engine.entries.push(NestEntry {
+            let e = caches.entries.len();
+            caches.entries.push(NestEntry {
                 canonical,
                 orientations,
             });
-            if engine.index.insert(sig, e).is_some() {
+            if caches.index.insert(sig, e).is_some() {
                 return Err(EngineError::Snapshot(
                     "snapshot contains duplicate canonical entries".into(),
                 ));
             }
-            engine.stats.interned += 1;
         }
 
         // Reads an artifact's entry index and checks it names an entry.
-        let entries = engine.entries.len();
+        let entries = caches.entries.len();
         let resolve = |v: &Value| -> Result<usize, EngineError> {
             let e: usize = de("artifact entry index", v)?;
             if e >= entries {
@@ -293,7 +302,7 @@ impl Engine {
         for rv in as_array(field(value, "results")?, "results")? {
             let e = resolve(field(rv, "entry")?)?;
             let o: usize = de("result orientation", field(rv, "orientation")?)?;
-            if o >= engine.entry(e).orientations.len() {
+            if o >= caches.entry(e).orientations.len() {
                 return Err(EngineError::Snapshot(
                     "result references an orientation the snapshot does not declare".into(),
                 ));
@@ -325,8 +334,8 @@ impl Engine {
             // Payload shape checks: a hostile document can encode vectors
             // and subsets that do not fit the nest. No session produces
             // them, so the document is refused rather than served.
-            let d = engine.entry(e).canonical.num_loops();
-            let n = engine.entry(e).canonical.num_arrays();
+            let d = caches.entry(e).canonical.num_loops();
+            let n = caches.entry(e).canonical.num_arrays();
             let in_range = |s: projtile_loopnest::IndexSet| s.iter().all(|j| j < d);
             match &cached {
                 CachedResult::Bound(lb) => {
@@ -365,14 +374,14 @@ impl Engine {
                 m,
                 kind,
             };
-            engine.insert_result(key, cached);
+            caches.insert_result(key, cached);
         }
 
         for sv in as_array(field(value, "slices")?, "slices")? {
             let e = resolve(field(sv, "entry")?)?;
             let m = artifact_m(field(sv, "m")?, "slice cache size")?;
             let axis: usize = de("slice axis", field(sv, "axis")?)?;
-            if axis >= engine.entry(e).canonical.num_loops() {
+            if axis >= caches.entry(e).canonical.num_loops() {
                 return Err(EngineError::Snapshot(
                     "slice axis out of range for its nest".into(),
                 ));
@@ -443,13 +452,13 @@ impl Engine {
                 kind,
             };
             let c = cost::slice_entry(&entry);
-            engine.slices.insert(key, entry, c);
+            caches.slices.insert(key, entry, c);
         }
 
         for sv in as_array(field(value, "surfaces")?, "surfaces")? {
             let e = resolve(field(sv, "entry")?)?;
             let o: usize = de("surface orientation", field(sv, "orientation")?)?;
-            if o >= engine.entry(e).orientations.len() {
+            if o >= caches.entry(e).orientations.len() {
                 return Err(EngineError::Snapshot(
                     "surface references an orientation the snapshot does not declare".into(),
                 ));
@@ -464,7 +473,7 @@ impl Engine {
                 return Err(EngineError::Snapshot(format!("exponent surface: {msg}")));
             }
             let axes = surface.axes().to_vec();
-            let d = engine.entry(e).canonical.num_loops();
+            let d = caches.entry(e).canonical.num_loops();
             let sorted = axes.iter().zip(axes.iter().skip(1)).all(|(a, b)| a < b);
             if axes.is_empty() || !sorted || axes.iter().any(|&a| a >= d) {
                 return Err(EngineError::Snapshot(
@@ -500,10 +509,10 @@ impl Engine {
             };
             let stored = StoredSurface { surface, summary };
             let c = cost::surface(&stored);
-            engine.surfaces.insert(key, stored, c);
+            caches.surfaces.insert(key, stored, c);
         }
 
-        Ok(engine)
+        Ok(Engine::over(caches))
     }
 
     /// Restores a session from snapshot JSON text.

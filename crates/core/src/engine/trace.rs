@@ -1,15 +1,18 @@
 //! Query-trace recording for the cache lab.
 //!
 //! A [`TraceRecorder`] is a lock-free bounded event log inside
-//! [`super::SharedEngine`]: every query the front answers appends one
-//! [`TraceEvent`] carrying exactly the identity the memo caches key by
-//! (hashed, not the payloads), the per-entry cost estimates a miss
-//! installed, and how the live front resolved it. The log is drained as a
+//! [`super::Engine`]: every query an `analyze`/`analyze_batch` call answers
+//! appends one [`TraceEvent`] carrying exactly the identity the memo caches
+//! key by (hashed, not the payloads), the per-entry cost estimates a miss
+//! installed, and how the live engine resolved it. The log is drained as a
 //! [`TraceDocument`] — a compact flat-vector serialization through the
 //! workspace serde layer — which `projtile_lab` replays through the live
 //! cache type at any budgets. Replaying a document at the recorded budgets
-//! reproduces the live front's hit/miss counts event-for-event (the
+//! reproduces the live engine's hit/miss counts event-for-event (the
 //! keystone differential of the lab's tests and the ci.sh smoke stage).
+//! [`super::Engine::exponent_at_bound`] probes are counted but not
+//! recorded, so a trace whose window includes them does not replay to the
+//! live counts.
 //!
 //! # Recording overhead
 //!
@@ -22,13 +25,17 @@
 //! [`TraceDocument::dropped`] rather than recorded — a truncated trace is
 //! still exactly replayable up to the point it stopped.
 
+use std::collections::hash_map::DefaultHasher;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
+use projtile_loopnest::CanonicalNest;
 use serde::{json, Value};
 
-use super::EngineConfig;
+use super::resolve::{canonical_query_form, Outcome};
+use super::{query_kind_index, Engine, EngineConfig, Query};
 
 /// Version stamp of the serialized trace document format.
 pub const TRACE_VERSION: u32 = 4;
@@ -41,16 +48,16 @@ const EVENT_HEADER: usize = 10;
 /// hostile documents instead of over-reading the flat vector.
 const MAX_COSTS: usize = 8;
 
-/// How the live [`super::SharedEngine`] resolved one recorded query.
+/// How the live [`super::Engine`] resolved one recorded query.
 /// Stored as the `outcome` byte of a [`TraceEvent`].
 pub mod outcome {
-    /// Served from a memoized artifact under the front's read lock.
+    /// Served from a memoized artifact under the engine's read lock.
     pub const HIT: u8 = 0;
-    /// Computed, then installed under the front's write lock. The event
+    /// Computed, then installed under the engine's write lock. The event
     /// carries the per-entry cost estimates of everything it may install.
     pub const MISS: u8 = 1;
     /// A duplicate literal occurrence of a pending query within one batch:
-    /// the front counts it neither as a hit nor as a miss.
+    /// the engine counts it neither as a hit nor as a miss.
     pub const DUPLICATE: u8 = 2;
     /// A miss whose computation failed: counted as a miss, but nothing was
     /// installed (the batch still interned the nest's orientation, like
@@ -58,7 +65,7 @@ pub mod outcome {
     pub const FAILED: u8 = 3;
 }
 
-/// One recorded query against the shared front. Identity is hashed — the
+/// One recorded query against the engine. Identity is hashed — the
 /// trace carries exactly what the memo caches key by, never nest or result
 /// payloads — so documents stay compact and replay needs no solver.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -176,13 +183,155 @@ impl TraceRecorder {
     }
 }
 
+impl Engine {
+    /// Attaches a bounded lock-free trace recorder retaining up to
+    /// `capacity` events (0 disables recording and removes all overhead
+    /// from the query path). Takes `&mut self`, so recording is wired
+    /// before the engine is shared — the service does this at boot, driven
+    /// by `--trace-capacity` / `PROJTILE_TRACE_CAPACITY`.
+    pub fn set_trace_capacity(&mut self, capacity: usize) {
+        self.recorder = TraceRecorder::with_capacity(capacity);
+        self.trace_base = self.stats();
+        let m = self.cache_metrics();
+        self.trace_warm_entries =
+            (m.results.entries + m.slices.entries + m.surfaces.entries) as u64;
+    }
+
+    /// `true` iff a non-zero-capacity recorder is attached.
+    pub fn trace_enabled(&self) -> bool {
+        self.recorder.enabled()
+    }
+
+    /// Drains the recorded trace (without resetting it) as a
+    /// [`TraceDocument`]: the recorded events plus the engine's budgets and
+    /// the hit/miss counters covering the recorded window — everything the
+    /// lab's differential replay needs to reproduce the live accounting.
+    pub fn trace_document(&self) -> TraceDocument {
+        let stats = self.stats();
+        TraceDocument {
+            version: TRACE_VERSION,
+            config: self.config(),
+            queries: stats.queries.saturating_sub(self.trace_base.queries),
+            hits: stats.hits.saturating_sub(self.trace_base.hits),
+            misses: stats.misses.saturating_sub(self.trace_base.misses),
+            dropped: self.recorder.dropped(),
+            warm_entries: self.trace_warm_entries,
+            events: self.recorder.events(),
+        }
+    }
+
+    /// Records one batch as a contiguous event group, in input order: one
+    /// event per valid query, carrying its outcome and, for a miss, the
+    /// costs of what it installed.
+    pub(super) fn record(
+        &self,
+        canon: &CanonicalNest,
+        queries: &[Query],
+        outcomes: &[Outcome],
+        costs: Vec<Vec<u64>>,
+    ) {
+        let sig_hash = hash_u64(&canon.signature());
+        let orient = orientation_hash(sig_hash, canon);
+        let batch = self.recorder.next_batch();
+        let events = queries
+            .iter()
+            .zip(outcomes)
+            .zip(costs)
+            .filter_map(|((q, o), costs)| {
+                let oc = match o {
+                    Outcome::Invalid => return None,
+                    Outcome::Hit => outcome::HIT,
+                    Outcome::Miss => outcome::MISS,
+                    Outcome::Duplicate => outcome::DUPLICATE,
+                    Outcome::Failed => outcome::FAILED,
+                };
+                Some(TraceEvent {
+                    ordinal: 0,
+                    batch,
+                    sig: sig_hash,
+                    orient,
+                    kind: query_kind_index(q) as u8,
+                    m: q.cache_size(),
+                    lhash: hash_u64(q),
+                    fam: family_hash(sig_hash, orient, canon, q),
+                    outcome: oc,
+                    costs,
+                })
+            })
+            .collect();
+        self.recorder.record(events);
+    }
+}
+
+/// `DefaultHasher` digest of any hashable value — the trace's identity
+/// primitive.
+fn hash_u64<T: Hash + ?Sized>(value: &T) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    value.hash(&mut hasher);
+    hasher.finish()
+}
+
+/// Hash of one declaration order of a canonical nest: the identity the
+/// orientation-keyed caches (typed results, surfaces) miss across until a
+/// write-lock pass has interned this orientation.
+fn orientation_hash(sig_hash: u64, canon: &CanonicalNest) -> u64 {
+    hash_u64(&(
+        sig_hash,
+        canon.loop_permutation(),
+        canon.array_permutation(),
+    ))
+}
+
+/// Hash of the cache-canonical identity of a valid query — which memoized
+/// entry (within its kind's cache) answers it:
+///
+/// * typed results are keyed per `(orientation, M)`;
+/// * slices are keyed per `(signature, M, canonical axis, span)` — shared
+///   across orientations, like the live slice cache;
+/// * surfaces are keyed per `(orientation, M, sorted axes, box)`, so
+///   permuted-axes twins share a family (the live canonicalized key).
+///
+/// Two valid queries of one batch (same orientation) agree on
+/// `(kind, family)` exactly when their [`canonical_query_form`]s are
+/// equal, which is what the pipeline's classification compares.
+fn family_hash(sig_hash: u64, orient_hash: u64, canon: &CanonicalNest, query: &Query) -> u64 {
+    match query {
+        Query::LowerBound { cache_size }
+        | Query::EnumeratedBound { cache_size }
+        | Query::OptimalTiling { cache_size }
+        | Query::Tightness { cache_size } => hash_u64(&(orient_hash, *cache_size)),
+        Query::Slice {
+            cache_size,
+            axis,
+            lo_bound,
+            hi_bound,
+        } => hash_u64(&(
+            sig_hash,
+            *cache_size,
+            canon.loop_permutation().get(*axis).copied(),
+            *lo_bound,
+            *hi_bound,
+        )),
+        Query::Surface { .. } => match canonical_query_form(query) {
+            Query::Surface {
+                cache_size,
+                axes,
+                lo_bounds,
+                hi_bounds,
+            } => hash_u64(&(orient_hash, cache_size, axes, lo_bounds, hi_bounds)),
+            // The canonical form of a surface query is a surface query.
+            _ => orient_hash,
+        },
+    }
+}
+
 /// A drained trace: everything the lab needs to replay the recorded
 /// traffic through the live cache type at the live budgets.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceDocument {
     /// Format version ([`TRACE_VERSION`]).
     pub version: u32,
-    /// The cache budgets of the recording front.
+    /// The cache budgets of the recording engine.
     pub config: EngineConfig,
     /// Queries answered since the recorder was attached (includes invalid
     /// queries, which are rejected before reaching any cache and are never

@@ -65,8 +65,6 @@ pub use tightness::{
 pub use tiling::{CommunicationModel, Tiling};
 pub use tiling_lp::{optimal_tiling, solve_tiling_lp, tiling_lp, TilingSolution};
 
-use std::cell::RefCell;
-
 /// A loop nest paired with the fast-memory (cache) size it is analyzed
 /// against.
 ///
@@ -82,7 +80,7 @@ pub struct ProblemInstance {
     pub nest: projtile_loopnest::LoopNest,
     /// Fast-memory capacity `M`, in words.
     pub cache_size: u64,
-    session: RefCell<engine::Engine>,
+    session: engine::Engine,
 }
 
 impl Clone for ProblemInstance {
@@ -92,7 +90,7 @@ impl Clone for ProblemInstance {
         ProblemInstance {
             nest: self.nest.clone(),
             cache_size: self.cache_size,
-            session: RefCell::new(engine::Engine::new()),
+            session: engine::Engine::new(),
         }
     }
 }
@@ -107,13 +105,12 @@ impl ProblemInstance {
         ProblemInstance {
             nest,
             cache_size,
-            session: RefCell::new(engine::Engine::new()),
+            session: engine::Engine::new(),
         }
     }
 
     fn query(&self, query: engine::Query) -> engine::AnalysisResult {
         self.session
-            .borrow_mut()
             .analyze(&self.nest, &query)
             .expect("instance queries are validated at construction")
     }
@@ -167,7 +164,7 @@ impl ProblemInstance {
     /// Session counters of the instance's internal engine (hits witness the
     /// cross-call reuse).
     pub fn session_stats(&self) -> engine::EngineStats {
-        self.session.borrow().stats()
+        self.session.stats()
     }
 }
 

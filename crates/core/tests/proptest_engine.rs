@@ -148,7 +148,7 @@ proptest! {
     ) {
         let nest = builders::random_projective(seed, d, n, (1, 256));
         let m = 1u64 << log_m;
-        let mut engine = Engine::new();
+        let engine = Engine::new();
         for query in all_queries(&nest, m) {
             let result = engine.analyze(&nest, &query).expect("valid query");
             assert_matches_oracle(&nest, &query, &result);
@@ -173,7 +173,7 @@ proptest! {
             &permutation(array_seed, n),
         );
         let m = 1u64 << 6;
-        let mut engine = Engine::new();
+        let engine = Engine::new();
         for query in all_queries(&nest, m) {
             let result = engine.analyze(&nest, &query).expect("valid query");
             assert_matches_oracle(&nest, &query, &result);
@@ -185,7 +185,7 @@ proptest! {
             // the permuted declaration order*.
             assert_matches_oracle(&permuted, &query, &result);
         }
-        prop_assert_eq!(engine.num_interned(), 1);
+        prop_assert_eq!(engine.stats().interned, 1);
     }
 
     #[test]
@@ -201,7 +201,7 @@ proptest! {
         queries.push(Query::LowerBound { cache_size: m });
         queries.push(Query::Tightness { cache_size: 4 });
         let batch: Vec<_> = Engine::new().analyze_batch(&nest, &queries);
-        let mut sequential_engine = Engine::new();
+        let sequential_engine = Engine::new();
         for (q, b) in queries.iter().zip(&batch) {
             let s = sequential_engine.analyze(&nest, q);
             prop_assert_eq!(b, &s);
@@ -221,7 +221,7 @@ proptest! {
         let nest = builders::random_projective(seed, d, n, (1, 512));
         let m = 1u64 << 6;
         let axis = (axis_pick % d as u64) as usize;
-        let mut engine = Engine::new();
+        let engine = Engine::new();
         for bound in [1u64, 2, 3, 5, 16, 64, 100, 1000] {
             let fast = engine
                 .exponent_at_bound(&nest, m, axis, bound)
@@ -239,7 +239,7 @@ proptest! {
 fn tightness_warms_its_component_queries() {
     let nest = builders::matmul(1 << 8, 1 << 8, 1 << 3);
     let m = 1u64 << 10;
-    let mut engine = Engine::new();
+    let engine = Engine::new();
     engine
         .analyze(&nest, &Query::Tightness { cache_size: m })
         .unwrap();
@@ -263,7 +263,7 @@ fn batched_tightness_also_warms_its_component_queries() {
     // component artifacts exactly like the sequential path does.
     let nest = builders::matmul(1 << 8, 1 << 8, 1 << 3);
     let m = 1u64 << 10;
-    let mut engine = Engine::new();
+    let engine = Engine::new();
     let batch = engine.analyze_batch(&nest, &[Query::Tightness { cache_size: m }]);
     assert!(batch[0].is_ok());
     let after_batch = engine.stats();
@@ -286,7 +286,7 @@ fn exponent_at_bound_survives_extreme_bounds() {
     // power-of-two rounding; the answer still matches the cold oracle.
     let nest = builders::matmul(1 << 6, 1 << 6, 1 << 6);
     let m = 1u64 << 8;
-    let mut engine = Engine::new();
+    let engine = Engine::new();
     for bound in [(1u64 << 63) + 1, u64::MAX] {
         let fast = engine.exponent_at_bound(&nest, m, 2, bound).unwrap();
         let cold = parametric::exponent_at_bound_cold(&nest, m, 2, bound);
@@ -304,7 +304,7 @@ fn slices_are_shared_across_permuted_variants() {
     let m = 1u64 << 10;
     let k_orig = nest.index_position("k").unwrap();
     let k_perm = permuted.index_position("k").unwrap();
-    let mut engine = Engine::new();
+    let engine = Engine::new();
     let first = engine
         .analyze(
             &nest,
@@ -347,7 +347,7 @@ fn slices_are_shared_across_permuted_variants() {
 fn surfaces_are_memoized_and_retrievable() {
     let nest = builders::matmul(1 << 6, 1 << 6, 1 << 6);
     let m = 1u64 << 8;
-    let mut engine = Engine::new();
+    let engine = Engine::new();
     let surface = engine
         .exponent_surface(&nest, m, &[0, 2], &[1, 1], &[m, m])
         .unwrap();
@@ -379,7 +379,7 @@ fn surfaces_are_memoized_and_retrievable() {
     // A permuted-axes first request computes the sorted surface once and
     // returns the free function's surface for the caller's order; the
     // sorted request then hits it.
-    let mut engine = Engine::new();
+    let engine = Engine::new();
     let permuted = engine
         .exponent_surface(&nest, m, &[2, 0], &[1, 1], &[m, m])
         .unwrap();
@@ -403,7 +403,7 @@ fn surfaces_are_memoized_and_retrievable() {
 #[test]
 fn invalid_queries_are_rejected_with_errors() {
     let nest = builders::matmul(8, 8, 8);
-    let mut engine = Engine::new();
+    let engine = Engine::new();
     for query in [
         Query::LowerBound { cache_size: 1 },
         Query::Slice {
@@ -450,7 +450,7 @@ fn invalid_queries_are_rejected_with_errors() {
 fn results_round_trip_through_json() {
     let nest = builders::matmul(1 << 8, 1 << 8, 1 << 2);
     let m = 1u64 << 10;
-    let mut engine = Engine::new();
+    let engine = Engine::new();
     for query in all_queries(&nest, m) {
         // Queries are wire-ready...
         let qtext = serde::json::to_string(&query);

@@ -1,13 +1,11 @@
-//! Differential tests for the service layer (PR 5): bounded caches under
-//! eviction pressure, the thread-safe `SharedEngine` front under concurrent
-//! traffic, and snapshot/restore persistence. Every answer must stay
+//! Differential tests for the service layer: bounded caches under eviction
+//! pressure, one `Engine` shared by concurrent threads, and
+//! snapshot/restore persistence. Every answer must stay
 //! **bitwise-identical** to the cold free-function oracles and to a private
 //! single-threaded `Engine`, no matter what the caches evicted, which
 //! thread asked, or whether the session was round-tripped through JSON.
 
-use projtile_core::engine::{
-    outcome, AnalysisResult, Engine, EngineConfig, EngineError, Query, SharedEngine,
-};
+use projtile_core::engine::{outcome, AnalysisResult, Engine, EngineConfig, EngineError, Query};
 use projtile_core::{bounds, parametric, tightness, tiling_lp};
 use projtile_loopnest::canon::permute_nest;
 use projtile_loopnest::{builders, LoopNest};
@@ -144,7 +142,7 @@ proptest! {
         n in 2usize..5,
     ) {
         let nest = builders::random_projective(seed, d, n, (1, 128));
-        let mut engine = Engine::with_config(tiny_config());
+        let engine = Engine::with_config(tiny_config());
         // Two sweeps over several cache sizes: the second sweep re-answers
         // queries whose results were long evicted by the first.
         for _ in 0..2 {
@@ -168,9 +166,9 @@ proptest! {
         }
     }
 
-    /// Concurrent `SharedEngine` traffic — mixed single queries and batches,
-    /// mixed declaration orders, tiny caps — answers bitwise what a private
-    /// sequential engine answers, from every thread.
+    /// Concurrent traffic on one `Engine` — mixed single queries and
+    /// batches, mixed declaration orders, tiny caps — answers bitwise what a
+    /// private sequential engine answers, from every thread.
     #[test]
     fn concurrent_shared_engine_matches_sequential_bitwise(
         seed in 0u64..1000,
@@ -190,9 +188,9 @@ proptest! {
         let queries_perm = all_queries(&permuted, m);
 
         // Sequential ground truth from a private engine. It runs the same
-        // pipeline as the front, so every expected answer is also checked
-        // against the cold free functions.
-        let mut sequential = Engine::new();
+        // pipeline as the shared one, so every expected answer is also
+        // checked against the cold free functions.
+        let sequential = Engine::new();
         let expected: Vec<_> = queries
             .iter()
             .map(|q| sequential.analyze(&nest, q).expect("valid query"))
@@ -208,9 +206,9 @@ proptest! {
             assert_matches_oracle(&permuted, q, e);
         }
 
-        // Hammer one shared front from several real threads, under forced
+        // Hammer one shared engine from several real threads, under forced
         // eviction pressure (tiny caps) and across permuted variants.
-        let shared = SharedEngine::with_config(tiny_config());
+        let shared = Engine::with_config(tiny_config());
         let workers = projtile_par::num_threads().clamp(2, 8);
         projtile_par::fan_out(workers, |w| {
             for round in 0..2 {
@@ -242,9 +240,44 @@ proptest! {
         );
     }
 
+    /// Four threads probing one engine's `exponent_at_bound` race on the
+    /// probe slice's sweep and install (each walks the bounds of
+    /// `proptest_engine.rs::exponent_at_bound_matches_cold_oracle` from its
+    /// own start, so narrow and wide sweeps interleave); every answer is
+    /// still bitwise the cold oracle's.
+    #[test]
+    fn concurrent_exponent_at_bound_matches_cold_oracle(
+        seed in 0u64..1000,
+        d in 2usize..6,
+        n in 2usize..5,
+        axis_pick in any::<u64>(),
+    ) {
+        let nest = builders::random_projective(seed, d, n, (1, 512));
+        let m = 1u64 << 6;
+        let axis = (axis_pick % d as u64) as usize;
+        let bounds = [1u64, 2, 3, 5, 16, 64, 100, 1000];
+        let cold: Vec<_> = bounds
+            .iter()
+            .map(|&b| parametric::exponent_at_bound_cold(&nest, m, axis, b))
+            .collect();
+        let engine = Engine::new();
+        projtile_par::fan_out(4, |w| {
+            for i in 0..bounds.len() {
+                let k = (i + 3 * w) % bounds.len();
+                let got = engine
+                    .exponent_at_bound(&nest, m, axis, bounds[k])
+                    .expect("valid probe");
+                assert_eq!(got, cold[k], "worker {w}, axis {axis}, bound {}", bounds[k]);
+            }
+        });
+        let stats = engine.stats();
+        prop_assert_eq!(stats.queries, 4 * bounds.len() as u64);
+        prop_assert_eq!(stats.hits + stats.misses, stats.queries, "{:?}", stats);
+    }
+
     /// Snapshot → JSON → restore is a warm start: every persisted query is
-    /// answered from cache, bitwise-identically, by both the
-    /// single-threaded engine and the shared front.
+    /// answered from cache, bitwise-identically, by every session restored
+    /// from the document.
     #[test]
     fn snapshot_restore_answers_bitwise_from_cache(
         seed in 0u64..1000,
@@ -254,7 +287,7 @@ proptest! {
         let nest = builders::random_projective(seed, d, n, (1, 128));
         let m = 1u64 << 6;
         let queries = all_queries(&nest, m);
-        let mut engine = Engine::new();
+        let engine = Engine::new();
         let expected: Vec<_> = queries
             .iter()
             .map(|q| engine.analyze(&nest, q).expect("valid query"))
@@ -266,7 +299,7 @@ proptest! {
 
         let text = engine.snapshot_json();
 
-        let mut restored = Engine::restore_json(&text).expect("snapshot restores");
+        let restored = Engine::restore_json(&text).expect("snapshot restores");
         for (q, e) in queries.iter().zip(&expected) {
             let got = restored.analyze(&nest, q).expect("valid query");
             prop_assert_eq!(&got, e);
@@ -278,81 +311,23 @@ proptest! {
             probe
         );
 
-        // The same document restores into a shared front.
-        let shared = SharedEngine::restore_json(&text).expect("snapshot restores");
+        // The same document restores a second session just as warm.
+        let shared = Engine::restore_json(&text).expect("snapshot restores");
         for (q, e) in queries.iter().zip(&expected) {
             let got = shared.analyze(&nest, q).expect("valid query");
             prop_assert_eq!(&got, e);
         }
         let stats = shared.stats();
-        prop_assert_eq!(stats.misses, 0, "restored front must be warm: {:?}", stats);
+        prop_assert_eq!(stats.misses, 0, "second restore must be warm: {:?}", stats);
 
-        // And the front's snapshot round-trips back into a plain engine.
+        // And that session's snapshot round-trips into a third one.
         let merged = shared.snapshot_json();
-        let mut back = Engine::restore_json(&merged).expect("merged snapshot restores");
+        let back = Engine::restore_json(&merged).expect("merged snapshot restores");
         for (q, e) in queries.iter().zip(&expected) {
             prop_assert_eq!(&back.analyze(&nest, q).expect("valid query"), e);
         }
     }
 
-    /// The shared front is one `Engine` behind a lock, with that engine's
-    /// budgets: fed the same serialized stream of mixed batches (declared in
-    /// two orders, with duplicate literals and permuted-axes surface twins)
-    /// under tiny budgets, it answers, counts per kind, evicts per cache
-    /// and snapshots byte for byte exactly as a private `Engine` does.
-    #[test]
-    fn shared_front_counts_evicts_and_snapshots_as_an_engine(
-        seed in 0u64..1000,
-        picks in proptest::collection::vec(any::<u64>(), 24),
-    ) {
-        let nests: Vec<(LoopNest, LoopNest)> = (0..3u64)
-            .map(|i| {
-                let (d, n) = (2 + (seed + i) as usize % 3, 2 + (seed / 3 + i) as usize % 3);
-                let nest = builders::random_projective(seed + i, d, n, (1, 128));
-                let permuted = permute_nest(
-                    &nest,
-                    &permutation(seed ^ i, d),
-                    &permutation(seed.rotate_left(7) ^ i, n),
-                );
-                (nest, permuted)
-            })
-            .collect();
-        let mut engine = Engine::with_config(tiny_config());
-        let shared = SharedEngine::with_config(tiny_config());
-        for pick in picks {
-            let (nest, permuted) = &nests[(pick % 3) as usize];
-            let target = if pick & 4 == 0 { nest } else { permuted };
-            let m = [4u64, 16, 64][(pick >> 3) as usize % 3];
-            let mut batch = all_queries(target, m);
-            let shift = (pick >> 5) as usize % batch.len();
-            batch.rotate_left(shift);
-            batch.truncate(1 + (pick >> 8) as usize % 3);
-            if pick & (1 << 12) != 0 {
-                batch.push(batch[0].clone());
-            }
-            if let Some(Query::Surface { cache_size, axes, lo_bounds, hi_bounds }) =
-                batch.iter().find(|q| matches!(q, Query::Surface { axes, .. } if axes.len() > 1))
-            {
-                let twin = Query::Surface {
-                    cache_size: *cache_size,
-                    axes: axes.iter().rev().copied().collect(),
-                    lo_bounds: lo_bounds.iter().rev().copied().collect(),
-                    hi_bounds: hi_bounds.iter().rev().copied().collect(),
-                };
-                batch.push(twin);
-            }
-            let answers = engine.analyze_batch(target, &batch);
-            for (q, r) in batch.iter().zip(&answers) {
-                assert_matches_oracle(target, q, r.as_ref().expect("valid query"));
-            }
-            prop_assert_eq!(shared.analyze_batch(target, &batch), answers);
-        }
-        let metrics = engine.cache_metrics();
-        prop_assert!(metrics.results.evictions > 0, "tiny budgets must evict: {metrics:?}");
-        prop_assert_eq!(shared.cache_metrics(), metrics);
-        prop_assert_eq!(shared.stats(), engine.stats());
-        prop_assert_eq!(shared.snapshot_json(), engine.snapshot_json());
-    }
 }
 
 #[test]
@@ -363,7 +338,7 @@ fn permuted_surface_requests_hit_the_cache() {
     // permuted request.
     let nest = builders::matmul(1 << 6, 1 << 6, 1 << 6);
     let m = 1u64 << 8;
-    let mut engine = Engine::new();
+    let engine = Engine::new();
     let sorted_query = Query::Surface {
         cache_size: m,
         axes: vec![0, 2],
@@ -423,7 +398,7 @@ fn permuted_surface_twins_in_one_batch_compute_once() {
         sorted_query.clone(),
     ];
 
-    let mut engine = Engine::new();
+    let engine = Engine::new();
     let batch = engine.analyze_batch(&nest, &queries);
     let stats = engine.stats();
     assert_eq!(stats.queries, 3, "every occurrence is a query: {stats:?}");
@@ -433,19 +408,25 @@ fn permuted_surface_twins_in_one_batch_compute_once() {
         assert_matches_oracle(&nest, q, r.as_ref().expect("valid query"));
     }
 
-    let shared = SharedEngine::new();
-    let shared_batch = shared.analyze_batch(&nest, &queries);
-    let stats = shared.stats();
+    let second = Engine::new();
+    let second_batch = second.analyze_batch(&nest, &queries);
+    let stats = second.stats();
     assert_eq!(
         stats.queries, 3,
-        "every shared occurrence is a query: {stats:?}"
+        "every second-session occurrence is a query: {stats:?}"
     );
-    assert_eq!(stats.misses, 1, "shared twins compute once: {stats:?}");
-    assert_eq!(stats.hits, 1, "shared twin occurrence is a hit: {stats:?}");
-    for ((q, r), seq) in queries.iter().zip(&shared_batch).zip(&batch) {
+    assert_eq!(
+        stats.misses, 1,
+        "second-session twins compute once: {stats:?}"
+    );
+    assert_eq!(
+        stats.hits, 1,
+        "second-session twin occurrence is a hit: {stats:?}"
+    );
+    for ((q, r), first) in queries.iter().zip(&second_batch).zip(&batch) {
         let r = r.as_ref().expect("valid query");
         assert_matches_oracle(&nest, q, r);
-        assert_eq!(Ok(r), seq.as_ref(), "shared == sequential bitwise");
+        assert_eq!(Ok(r), first.as_ref(), "second == first session bitwise");
     }
 }
 
@@ -454,7 +435,7 @@ fn batch_twins_answer_from_their_own_computation() {
     // A canonical twin is answered from the surface its batch computed. The
     // budget here holds one surface, so installing T evicts S before the
     // twin of S is answered: the twin must neither recompute S nor re-insert
-    // it over T. Both fronts run the same pipeline and must agree.
+    // it over T. A second session fed the same batch must agree.
     let nest = builders::matmul(64, 64, 64);
     let m = 1u64 << 9;
     let s = Query::Surface {
@@ -481,7 +462,7 @@ fn batch_twins_answer_from_their_own_computation() {
     };
     let queries = [s, twin, t.clone()];
 
-    let mut engine = Engine::with_config(config);
+    let engine = Engine::with_config(config);
     let answers = engine.analyze_batch(&nest, &queries);
     for (q, r) in queries.iter().zip(&answers) {
         assert_matches_oracle(&nest, q, r.as_ref().expect("valid query"));
@@ -497,21 +478,82 @@ fn batch_twins_answer_from_their_own_computation() {
     assert_eq!(engine.stats().hits, 2, "T is still resident");
     assert_matches_oracle(&nest, &t, &again);
 
-    let front = SharedEngine::with_config(config);
-    let shared_answers = front.analyze_batch(&nest, &queries);
-    assert_eq!(shared_answers, answers, "shared == private bitwise");
+    let second = Engine::with_config(config);
+    let second_answers = second.analyze_batch(&nest, &queries);
+    assert_eq!(second_answers, answers, "second == first session bitwise");
     assert_eq!(
-        front.cache_metrics().surfaces.evictions,
+        second.cache_metrics().surfaces.evictions,
         surfaces.evictions,
-        "both fronts evict alike"
+        "both sessions evict alike"
     );
-    assert_eq!(front.analyze(&nest, &t).expect("valid query"), again);
-    assert_eq!(front.stats(), engine.stats(), "both fronts count alike");
+    assert_eq!(second.analyze(&nest, &t).expect("valid query"), again);
+    assert_eq!(second.stats(), engine.stats(), "both sessions count alike");
+}
+
+#[test]
+fn exponent_surface_read_back_survives_concurrent_eviction() {
+    // The surfaces budget holds one surface, and a second thread installs
+    // filler surfaces nonstop, so a surface `exponent_surface` resolved can
+    // be evicted before it is read back. Every call must still return the
+    // free function's surface, bitwise, and never an internal error.
+    let nest = builders::matmul(64, 64, 64);
+    let m = 1u64 << 9;
+    let requests = [
+        (vec![0usize, 2], vec![1u64, 1], vec![4u64, 3]),
+        (vec![2, 0], vec![1, 1], vec![3, 4]),
+    ];
+    let oracles: Vec<_> = requests
+        .iter()
+        .map(|(axes, lo, hi)| {
+            parametric::exponent_surface(&nest, m, axes, lo, hi).expect("oracle surface solves")
+        })
+        .collect();
+    let fillers: Vec<Query> = (2..6)
+        .map(|h| Query::Surface {
+            cache_size: m,
+            axes: vec![0, 1],
+            lo_bounds: vec![1, 1],
+            hi_bounds: vec![h, 4],
+        })
+        .collect();
+    let engine = Engine::with_config(EngineConfig {
+        surfaces_capacity: 1000,
+        ..EngineConfig::default()
+    });
+    let stop = std::sync::atomic::AtomicBool::new(false);
+    let answers = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                for filler in &fillers {
+                    engine.analyze(&nest, filler).expect("valid filler");
+                }
+            }
+        });
+        let answers: Vec<_> = (0..40)
+            .flat_map(|_| {
+                requests
+                    .iter()
+                    .map(|(axes, lo, hi)| engine.exponent_surface(&nest, m, axes, lo, hi))
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        answers
+    });
+    for (i, answer) in answers.iter().enumerate() {
+        let oracle = &oracles[i % requests.len()];
+        assert_eq!(answer.as_ref(), Ok(oracle), "call {i}");
+    }
+    let surfaces = engine.cache_metrics().surfaces;
+    assert!(
+        surfaces.evictions > 0,
+        "the fillers must evict: {surfaces:?}"
+    );
 }
 
 /// What a trace records per event that the lab's replay charges: kind, `M`,
 /// outcome and installed costs.
-fn charged_events(front: &SharedEngine) -> Vec<(u8, u64, u8, Vec<u64>)> {
+fn charged_events(front: &Engine) -> Vec<(u8, u64, u8, Vec<u64>)> {
     front
         .trace_document()
         .events
@@ -535,7 +577,7 @@ fn tightness_components_in_its_batch_are_computed_once_and_counted_alike() {
         Query::Tightness { cache_size: m },
     ];
 
-    let mut batched = Engine::new();
+    let batched = Engine::new();
     let answers: Vec<AnalysisResult> = batched
         .analyze_batch(&nest, &queries)
         .into_iter()
@@ -546,9 +588,13 @@ fn tightness_components_in_its_batch_are_computed_once_and_counted_alike() {
     }
     let stats = batched.stats();
     assert_eq!((stats.misses, stats.hits), (4, 0), "{stats:?}");
-    let mut single = Engine::new();
+    let single = Engine::new();
     for (q, r) in queries.iter().zip(&answers) {
-        assert_eq!(&single.ask(&nest, q), r, "one per batch == batched bitwise");
+        assert_eq!(
+            &ask(&single, &nest, q),
+            r,
+            "one per batch == batched bitwise"
+        );
     }
     let stats = single.stats();
     assert_eq!((stats.misses, stats.hits), (3, 1), "{stats:?}");
@@ -560,25 +606,25 @@ fn tightness_components_in_its_batch_are_computed_once_and_counted_alike() {
     // The batched Tightness installs nothing (its components are in), and
     // the lone one peeks tiling, bound, enumeration in that order.
     assert_eq!(
-        resident_result_kinds(&mut batched),
+        resident_result_kinds(&batched),
         ["bound", "tiling", "enumerated"]
     );
     assert_eq!(
-        resident_result_kinds(&mut single),
+        resident_result_kinds(&single),
         ["tiling", "bound", "enumerated"]
     );
 
-    let mut shared = SharedEngine::new();
+    let mut shared = Engine::new();
     shared.set_trace_capacity(64);
     let shared_answers: Vec<AnalysisResult> = shared
         .analyze_batch(&nest, &queries)
         .into_iter()
         .map(|r| r.expect("valid query"))
         .collect();
-    assert_eq!(shared_answers, answers, "shared == private bitwise");
+    assert_eq!(shared_answers, answers, "traced == untraced bitwise");
     let stats = shared.stats();
     assert_eq!((stats.misses, stats.hits), (4, 0), "{stats:?}");
-    let mut one_per_batch = SharedEngine::new();
+    let mut one_per_batch = Engine::new();
     one_per_batch.set_trace_capacity(64);
     for q in &queries {
         one_per_batch.analyze(&nest, q).expect("valid query");
@@ -612,16 +658,16 @@ fn separately_computed_components_make_tightness_a_hit() {
     ];
     let oracle = AnalysisResult::Tightness(tightness::check_tightness(&nest, m));
 
-    let mut engine = Engine::new();
-    let mut shared = SharedEngine::new();
+    let engine = Engine::new();
+    let mut shared = Engine::new();
     shared.set_trace_capacity(16);
     for q in &components {
-        engine.ask(&nest, q);
-        shared.ask(&nest, q);
+        ask(&engine, &nest, q);
+        ask(&shared, &nest, q);
     }
     let (before, shared_before) = (engine.cache_metrics(), shared.cache_metrics());
-    assert_eq!(engine.ask(&nest, &tightness), oracle);
-    assert_eq!(shared.ask(&nest, &tightness), oracle);
+    assert_eq!(ask(&engine, &nest, &tightness), oracle);
+    assert_eq!(ask(&shared, &nest, &tightness), oracle);
     for stats in [engine.stats(), shared.stats()] {
         assert_eq!((stats.misses, stats.hits), (3, 1), "{stats:?}");
     }
@@ -644,9 +690,9 @@ fn a_resident_tightness_leaves_its_batchs_components_to_compute() {
         Query::Tightness { cache_size: m },
         Query::OptimalTiling { cache_size: m },
     ];
-    let mut engine = Engine::new();
-    let shared = SharedEngine::new();
-    engine.ask(&nest, &queries[1]);
+    let engine = Engine::new();
+    let shared = Engine::new();
+    ask(&engine, &nest, &queries[1]);
     shared.analyze(&nest, &queries[1]).expect("valid query");
 
     let answers = engine.analyze_batch(&nest, &queries);
@@ -656,7 +702,7 @@ fn a_resident_tightness_leaves_its_batchs_components_to_compute() {
     let stats = engine.stats();
     assert_eq!((stats.misses, stats.hits), (2, 2), "{stats:?}");
     assert_eq!(shared.analyze_batch(&nest, &queries), answers);
-    assert_eq!(shared.stats(), engine.stats(), "both fronts count alike");
+    assert_eq!(shared.stats(), engine.stats(), "both sessions count alike");
 }
 
 #[test]
@@ -680,7 +726,7 @@ fn batches_of_sixteen_or_more_misses_fan_out_exactly() {
     });
     assert!(queries.len() >= 16);
 
-    let mut engine = Engine::new();
+    let engine = Engine::new();
     let answers: Vec<AnalysisResult> = engine
         .analyze_batch(&nest, &queries)
         .into_iter()
@@ -688,15 +734,15 @@ fn batches_of_sixteen_or_more_misses_fan_out_exactly() {
         .collect();
     let stats = engine.stats();
     assert_eq!((stats.misses, stats.hits), (20, 0), "{stats:?}");
-    let front = SharedEngine::new();
-    let shared_answers = front.analyze_batch(&nest, &queries);
-    assert_eq!(front.stats(), engine.stats(), "both fronts count alike");
+    let second = Engine::new();
+    let second_answers = second.analyze_batch(&nest, &queries);
+    assert_eq!(second.stats(), engine.stats(), "both sessions count alike");
 
-    let mut single = Engine::new();
-    for ((q, r), shared) in queries.iter().zip(&answers).zip(&shared_answers) {
+    let single = Engine::new();
+    for ((q, r), again) in queries.iter().zip(&answers).zip(&second_answers) {
         assert_matches_oracle(&nest, q, r);
-        assert_eq!(shared.as_ref(), Ok(r), "shared == private bitwise");
-        assert_eq!(&single.ask(&nest, q), r, "batched == one per batch");
+        assert_eq!(again.as_ref(), Ok(r), "second == first session bitwise");
+        assert_eq!(&ask(&single, &nest, q), r, "batched == one per batch");
     }
 }
 
@@ -707,7 +753,7 @@ fn tightness_eviction_setup() -> (LoopNest, u64, AnalysisResult, EngineConfig) {
     let (seed, m) = (0u64, 1u64 << 8);
     let nest = builders::random_projective(seed, 5, 4, (1, 512));
     let oracle = AnalysisResult::Tightness(tightness::check_tightness(&nest, m));
-    let mut sizing = Engine::new();
+    let sizing = Engine::new();
     sizing
         .analyze(&nest, &Query::Tightness { cache_size: m })
         .unwrap();
@@ -718,42 +764,16 @@ fn tightness_eviction_setup() -> (LoopNest, u64, AnalysisResult, EngineConfig) {
     (nest, m, oracle, config)
 }
 
-/// The two fronts, as the evicted-tightness tests drive them.
-trait Front {
-    fn ask(&mut self, nest: &LoopNest, query: &Query) -> AnalysisResult;
-    fn results_evictions(&self) -> u64;
-    fn snapshot_value(&mut self) -> serde::Value;
+/// One query through `engine`, which must accept it.
+fn ask(engine: &Engine, nest: &LoopNest, query: &Query) -> AnalysisResult {
+    engine.analyze(nest, query).expect("valid query")
 }
 
-impl Front for Engine {
-    fn ask(&mut self, nest: &LoopNest, query: &Query) -> AnalysisResult {
-        self.analyze(nest, query).expect("valid query")
-    }
-    fn results_evictions(&self) -> u64 {
-        self.cache_metrics().results.evictions
-    }
-    fn snapshot_value(&mut self) -> serde::Value {
-        self.snapshot()
-    }
-}
-
-impl Front for SharedEngine {
-    fn ask(&mut self, nest: &LoopNest, query: &Query) -> AnalysisResult {
-        self.analyze(nest, query).expect("valid query")
-    }
-    fn results_evictions(&self) -> u64 {
-        self.cache_metrics().results.evictions
-    }
-    fn snapshot_value(&mut self) -> serde::Value {
-        self.snapshot()
-    }
-}
-
-/// The kinds of a front's resident results, least recently used first (the
-/// order snapshots persist them in).
-fn resident_result_kinds(front: &mut impl Front) -> Vec<String> {
+/// The kinds of an engine's resident results, least recently used first
+/// (the order snapshots persist them in).
+fn resident_result_kinds(engine: &Engine) -> Vec<String> {
     use serde::Value;
-    let snapshot = front.snapshot_value();
+    let snapshot = engine.snapshot();
     let Ok(Value::Array(results)) = snapshot.field("results") else {
         panic!("snapshot without a results list");
     };
@@ -766,33 +786,34 @@ fn resident_result_kinds(front: &mut impl Front) -> Vec<String> {
         .collect()
 }
 
-/// Drives one front through a tightness miss (which installs its three
+/// Drives one engine through a tightness miss (which installs its three
 /// components and no report), a repeat composed from them, and filler
 /// traffic that evicts exactly one component, the least recently used
 /// tiling.
 fn evict_one_tightness_component(
-    front: &mut impl Front,
+    engine: &Engine,
     nest: &LoopNest,
     m: u64,
     oracle: &AnalysisResult,
 ) {
     let q = Query::Tightness { cache_size: m };
-    assert_eq!(&front.ask(nest, &q), oracle);
+    let evictions = || engine.cache_metrics().results.evictions;
+    assert_eq!(&ask(engine, nest, &q), oracle);
+    assert_eq!(evictions(), 0, "the budget holds the three components");
     assert_eq!(
-        front.results_evictions(),
-        0,
-        "the budget holds the three components"
-    );
-    assert_eq!(
-        resident_result_kinds(front),
+        resident_result_kinds(engine),
         ["tiling", "bound", "enumerated"],
         "a tightness miss installs its components and nothing else"
     );
-    assert_eq!(&front.ask(nest, &q), oracle);
-    front.ask(&filler_nest(), &Query::OptimalTiling { cache_size: m });
-    assert_eq!(front.results_evictions(), 1);
+    assert_eq!(&ask(engine, nest, &q), oracle);
+    ask(
+        engine,
+        &filler_nest(),
+        &Query::OptimalTiling { cache_size: m },
+    );
+    assert_eq!(evictions(), 1);
     assert_eq!(
-        resident_result_kinds(front),
+        resident_result_kinds(engine),
         ["bound", "enumerated", "tiling"],
         "only the component tiling was evicted"
     );
@@ -807,11 +828,11 @@ fn evicted_tightness_recomposes_from_surviving_components() {
     // again, the next Tightness is recomposed from them as a hit.
     let (nest, m, oracle, config) = tightness_eviction_setup();
     let q = Query::Tightness { cache_size: m };
-    let mut engine = Engine::with_config(config);
-    evict_one_tightness_component(&mut engine, &nest, m, &oracle);
+    let engine = Engine::with_config(config);
+    evict_one_tightness_component(&engine, &nest, m, &oracle);
 
     let before = engine.stats();
-    assert_eq!(engine.ask(&nest, &q), oracle);
+    assert_eq!(ask(&engine, &nest, &q), oracle);
     let after = engine.stats();
     assert_eq!(
         (after.hits, after.misses),
@@ -819,22 +840,22 @@ fn evicted_tightness_recomposes_from_surviving_components() {
         "a Tightness missing a component is a miss"
     );
     assert_eq!(
-        resident_result_kinds(&mut engine),
+        resident_result_kinds(&engine),
         ["tiling", "bound", "enumerated"]
     );
-    assert_eq!(engine.ask(&nest, &q), oracle);
+    assert_eq!(ask(&engine, &nest, &q), oracle);
     assert_eq!(engine.stats().hits, after.hits + 1, "recomposed as a hit");
 }
 
 #[test]
 fn shared_tightness_recomposes_under_the_read_lock() {
-    // The shared front composes a resident Tightness as a read-path hit, and
-    // counts and evicts exactly as a private `Engine` driven through the
-    // same traffic, including the miss after one component is evicted.
+    // The engine composes a resident Tightness as a read-path hit, and a
+    // second session driven through the same traffic counts and evicts
+    // exactly alike, including the miss after one component is evicted.
     let (nest, m, oracle, config) = tightness_eviction_setup();
     let q = Query::Tightness { cache_size: m };
-    let mut shared = SharedEngine::with_config(config);
-    evict_one_tightness_component(&mut shared, &nest, m, &oracle);
+    let shared = Engine::with_config(config);
+    evict_one_tightness_component(&shared, &nest, m, &oracle);
     let stats = shared.stats();
     assert_eq!(
         (stats.hits, stats.misses),
@@ -844,14 +865,14 @@ fn shared_tightness_recomposes_under_the_read_lock() {
     assert_eq!(shared.analyze(&nest, &q).unwrap(), oracle);
     assert_eq!(shared.stats().misses, 3, "a missing component is a miss");
 
-    let mut engine = Engine::with_config(config);
-    evict_one_tightness_component(&mut engine, &nest, m, &oracle);
+    let engine = Engine::with_config(config);
+    evict_one_tightness_component(&engine, &nest, m, &oracle);
     assert_eq!(engine.analyze(&nest, &q).unwrap(), oracle);
-    assert_eq!(shared.stats(), engine.stats(), "both fronts count alike");
+    assert_eq!(shared.stats(), engine.stats(), "both sessions count alike");
     assert_eq!(
         shared.cache_metrics().results,
         engine.cache_metrics().results,
-        "both fronts evict alike"
+        "both sessions evict alike"
     );
 }
 
@@ -862,7 +883,7 @@ fn shared_engine_read_path_hits_do_not_lose_recency() {
     // evicted first.
     let nest_a = builders::matmul(1 << 6, 1 << 6, 1 << 6);
     let m = 1u64 << 8;
-    let shared = SharedEngine::with_config(EngineConfig {
+    let shared = Engine::with_config(EngineConfig {
         results_capacity: 1 << 20,
         ..EngineConfig::default()
     });
@@ -879,7 +900,7 @@ fn shared_engine_read_path_hits_do_not_lose_recency() {
 #[test]
 fn corrupt_snapshots_are_rejected_not_panicked() {
     let nest = builders::matmul(1 << 6, 1 << 6, 8);
-    let mut engine = Engine::new();
+    let engine = Engine::new();
     engine
         .analyze(&nest, &Query::Tightness { cache_size: 1 << 8 })
         .unwrap();
@@ -917,15 +938,14 @@ fn restore_respects_smaller_budgets() {
     // Restoring a rich session into tiny budgets evicts immediately instead
     // of overshooting the caps, and the session still answers correctly.
     let nest = builders::random_projective(3, 4, 4, (1, 128));
-    let mut engine = Engine::new();
+    let engine = Engine::new();
     for m in [4u64, 16, 64] {
         for query in all_queries(&nest, m) {
             engine.analyze(&nest, &query).unwrap();
         }
     }
     let text = engine.snapshot_json();
-    let mut small =
-        Engine::restore_json_with_config(&text, tiny_config()).expect("snapshot restores");
+    let small = Engine::restore_json_with_config(&text, tiny_config()).expect("snapshot restores");
     let metrics = small.cache_metrics();
     for cache in [metrics.results, metrics.slices, metrics.surfaces] {
         assert!(
@@ -943,11 +963,11 @@ fn restore_respects_smaller_budgets() {
 fn snapshots_with_legacy_betas_restore_warm() {
     // Earlier builds cached β vectors and persisted them under `betas`.
     // Restore ignores whatever that list holds, so such a document still
-    // restores warm into both fronts.
+    // restores warm, every time.
     let nest = builders::random_projective(5, 4, 3, (1, 128));
     let m = 1u64 << 6;
     let queries = all_queries(&nest, m);
-    let mut engine = Engine::new();
+    let engine = Engine::new();
     let expected: Vec<_> = queries
         .iter()
         .map(|q| engine.analyze(&nest, q).expect("valid query"))
@@ -965,8 +985,8 @@ fn snapshots_with_legacy_betas_restore_warm() {
     let legacy = fresh.replacen(r#""betas":[]"#, &beta_entry, 1);
     assert_ne!(legacy, fresh);
 
-    let mut restored = Engine::restore_json(&legacy).expect("legacy format restores");
-    let shared = SharedEngine::restore_json(&legacy).expect("legacy format restores");
+    let restored = Engine::restore_json(&legacy).expect("legacy format restores");
+    let shared = Engine::restore_json(&legacy).expect("legacy format restores");
     for (q, e) in queries.iter().zip(&expected) {
         assert_eq!(&restored.analyze(&nest, q).expect("valid query"), e);
         assert_eq!(&shared.analyze(&nest, q).expect("valid query"), e);

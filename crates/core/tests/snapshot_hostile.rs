@@ -8,7 +8,7 @@
 //! restore must skip unparsed are the one exception: those documents
 //! restore, and must answer as if the entries were absent.
 
-use projtile_core::engine::{AnalysisResult, Engine, EngineError, Query, SharedEngine};
+use projtile_core::engine::{AnalysisResult, Engine, EngineError, Query};
 use projtile_core::tightness::check_tightness;
 use projtile_loopnest::builders;
 use serde::{Serialize, Value};
@@ -39,7 +39,7 @@ fn warming_queries() -> Vec<Query> {
 /// slice, and a surface.
 fn warmed_engine() -> Engine {
     let nest = builders::matmul(64, 64, 64);
-    let mut engine = Engine::new();
+    let engine = Engine::new();
     for q in warming_queries() {
         engine.analyze(&nest, &q).expect("query warms");
     }
@@ -219,11 +219,11 @@ fn legacy_tightness_and_certificate_entries_restore_warm() {
     results.insert(0, tightness);
     results.push(certificate);
 
-    let mut engine = Engine::restore(&snapshot).expect("legacy snapshot restores");
+    let engine = Engine::restore(&snapshot).expect("legacy snapshot restores");
     assert_eq!(engine.analyze_batch(&nest, &queries), expected);
-    let front = SharedEngine::restore(&snapshot).expect("legacy snapshot restores");
-    assert_eq!(front.analyze_batch(&nest, &queries), expected);
-    for stats in [engine.stats(), front.stats()] {
+    let again = Engine::restore(&snapshot).expect("legacy snapshot restores");
+    assert_eq!(again.analyze_batch(&nest, &queries), expected);
+    for stats in [engine.stats(), again.stats()] {
         assert_eq!(stats.misses, 0, "{stats:?}");
         assert_eq!(stats.hits, queries.len() as u64, "{stats:?}");
     }

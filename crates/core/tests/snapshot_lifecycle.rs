@@ -10,7 +10,7 @@
 //!   free-function oracle — corruption can cost freshness, never
 //!   correctness.
 
-use projtile_core::engine::{AnalysisResult, Engine, Query, SharedEngine, SnapshotStore};
+use projtile_core::engine::{AnalysisResult, Engine, Query, SnapshotStore};
 use projtile_core::tightness::check_tightness;
 use projtile_loopnest::builders;
 
@@ -34,8 +34,8 @@ impl Drop for TempDir {
     }
 }
 
-fn warm_front(queries: usize) -> SharedEngine {
-    let front = SharedEngine::new();
+fn warm_front(queries: usize) -> Engine {
+    let front = Engine::new();
     let kernels = [
         builders::matmul(64, 64, 64),
         builders::nbody(32, 64),
@@ -71,7 +71,7 @@ fn publish_numbers_generations_and_restores_newest() {
     );
 
     let (generation, restored) = store
-        .restore_latest(SharedEngine::restore_json)
+        .restore_latest(Engine::restore_json)
         .unwrap()
         .expect("a valid generation exists");
     assert_eq!(generation, 3);
@@ -121,7 +121,7 @@ fn torn_staging_write_never_clobbers_published_generations() {
         let after = std::fs::read_to_string(store.generation_path(1)).unwrap();
         assert_eq!(before, after, "published generation untouched at cut {cut}");
         let (generation, _) = store
-            .restore_latest(SharedEngine::restore_json)
+            .restore_latest(Engine::restore_json)
             .unwrap()
             .expect("good generation still restorable");
         assert_eq!(generation, 1);
@@ -150,7 +150,7 @@ fn restore_walks_back_past_corrupt_generations() {
     std::fs::write(store.generation_path(4), r#"{"version":999}"#).unwrap();
 
     let (generation, restored) = store
-        .restore_latest(SharedEngine::restore_json)
+        .restore_latest(Engine::restore_json)
         .unwrap()
         .expect("generation 1 is still good");
     assert_eq!(generation, 1, "newest *valid* generation wins");

@@ -20,7 +20,7 @@
 
 use std::process::ExitCode;
 
-use projtile_core::engine::{EngineConfig, SharedEngine, TraceDocument};
+use projtile_core::engine::{Engine, EngineConfig, TraceDocument};
 use projtile_lab::{check_live, GeneratorConfig, LabReport, Pattern, Workload};
 use projtile_service::{Client, RetryConfig};
 
@@ -166,7 +166,7 @@ fn generate(args: &[String]) -> Result<ExitCode, String> {
         slices_capacity: 8192,
         surfaces_capacity: 16384,
     };
-    let mut shared = SharedEngine::with_config(budgets);
+    let mut shared = Engine::with_config(budgets);
     shared.set_trace_capacity(trace_capacity);
     let workload = Workload::generate(&config);
     let stats = workload.drive_shared(&shared);

@@ -8,12 +8,12 @@
 //! replay differentials and service benchmarks are all replayable bit for
 //! bit.
 //!
-//! Workloads drive either an in-process front ([`Workload::drive_shared`])
+//! Workloads drive either an in-process engine ([`Workload::drive_shared`])
 //! or a live server through the retrying client
 //! ([`Workload::drive_client`]); the CI smoke stage uses the latter to
 //! record a trace over real HTTP traffic before replaying it.
 
-use projtile_core::engine::{Query, SharedEngine};
+use projtile_core::engine::{Engine, Query};
 use projtile_loopnest::{builders, LoopNest};
 use projtile_service::{Client, ClientError};
 
@@ -218,9 +218,9 @@ impl Workload {
         Workload { batches }
     }
 
-    /// Drives an in-process front, batch by batch, through
-    /// [`SharedEngine::analyze_batch`].
-    pub fn drive_shared(&self, shared: &SharedEngine) -> DriveStats {
+    /// Drives an in-process engine, batch by batch, through
+    /// [`Engine::analyze_batch`].
+    pub fn drive_shared(&self, shared: &Engine) -> DriveStats {
         let mut stats = DriveStats::default();
         for (nest, queries) in &self.batches {
             stats.batches += 1;

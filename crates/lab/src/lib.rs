@@ -1,16 +1,16 @@
 //! Trace-driven cache lab for the projtile analysis service.
 //!
 //! The service's memo caches (`projtile_cachesim::BoundedLru` inside the
-//! `SharedEngine` front) hold the paper's LP artifacts — Theorem-2
+//! `Engine`) hold the paper's LP artifacts — Theorem-2
 //! bounds, `2^d` subset enumerations, §7 exponent surfaces — under exact
 //! LRU within a cost budget. Whether those budgets are *right* for real
 //! traffic is an empirical question. This crate answers it with the classic
 //! systems workflow:
 //!
 //! 1. **Record** ([`projtile_core::engine::TraceRecorder`], wired by
-//!    `projtile-serve --trace-capacity`): the live front appends one compact
-//!    hashed event per query — nest and declaration-order keys,
-//!    cache-canonical identity, install costs, and how the front resolved
+//!    `projtile-serve --trace-capacity`): the live engine appends one
+//!    compact hashed event per query — nest and declaration-order keys,
+//!    cache-canonical identity, install costs, and how the engine resolved
 //!    it.
 //! 2. **Replay** ([`replay`]): the drained
 //!    [`projtile_core::engine::TraceDocument`] is pushed through the live
@@ -19,11 +19,11 @@
 //!    recorded budgets therefore reproduces the live hit/miss accounting
 //!    **event for event** ([`replay::check_live`], the keystone
 //!    differential pinned by this crate's tests and the repository's CI
-//!    smoke stage); replaying at other budgets predicts what a front with
+//!    smoke stage); replaying at other budgets predicts what an engine with
 //!    those budgets would have done.
 //! 3. **Generate** ([`generate`]): a deterministic seeded workload generator
 //!    (zipf / hotspot / mixed patterns over the paper's nest corpus) drives
-//!    either an in-process front or a live server through the service
+//!    either an in-process engine or a live server through the service
 //!    client, so cache experiments and service benchmarks never depend on
 //!    production traffic being available.
 //! 4. **Report** ([`report`]): a budget-sweep table with a concrete budget

@@ -2,7 +2,7 @@
 //! the engine's real memo cache, one [`BoundedLru`] per cache family, at
 //! any budgets.
 //!
-//! The replay reproduces the live `SharedEngine` resolution pipeline from
+//! The replay reproduces the live `Engine` resolution pipeline from
 //! events alone — no nests, no solver, no payloads (entries are `()` at
 //! their recorded costs):
 //!
@@ -19,11 +19,11 @@
 //!   making the live `contains` / `insert` calls at the recorded per-entry
 //!   costs.
 //!
-//! Because replay and live front run the same cache code in the same call
+//! Because replay and live engine run the same cache code in the same call
 //! order, a cold-start trace recorded under serialized traffic replays at
 //! the recorded budgets to the **same class for every event** and the same
 //! hit/miss totals — the keystone differential ([`check_live`]). At other
-//! budgets the replay predicts what a live front with those budgets would
+//! budgets the replay predicts what a live engine with those budgets would
 //! have done; entry costs for misses the recording never took are recovered
 //! from a cost book of per-entry costs learned from the trace's own miss
 //! events (from a cold start, every entry is first installed by a recorded
@@ -289,7 +289,7 @@ impl Front {
     }
 }
 
-/// The live read path for one event (`Engine::peek_cached`): peek its
+/// The live read path for one event (the engine's `peek_cached`): peek its
 /// entries in order, short-circuiting at the first absence (a tightness
 /// miss can still stamp some components).
 fn probe(front: &mut Front, ev: &TraceEvent) -> bool {
@@ -299,10 +299,10 @@ fn probe(front: &mut Front, ev: &TraceEvent) -> bool {
         .all(|&k| family.peek(&key(ev.fam, k)).is_some())
 }
 
-/// The live install path for one computing miss (`Engine::install`), at the
-/// given per-entry costs: a bound, enumeration or tiling query overwrites
-/// its entry; a tightness query inserts its components where absent, and so
-/// do surfaces and slices.
+/// The live install path for one computing miss (the engine's `install`),
+/// at the given per-entry costs: a bound, enumeration or tiling query
+/// overwrites its entry; a tightness query inserts its components where
+/// absent, and so do surfaces and slices.
 fn install(front: &mut Front, ev: &TraceEvent, costs: &[u64]) {
     let family = front.family(ev.kind);
     for (&k, &cost) in entry_kinds(ev).iter().zip(costs) {

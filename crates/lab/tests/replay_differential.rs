@@ -1,6 +1,6 @@
 //! The lab's keystone differential: replaying a recorded trace through the
 //! live cache type at the live budgets must reproduce the live
-//! `SharedEngine` hit/miss accounting **event for event** — under eviction
+//! `Engine` hit/miss accounting **event for event** — under eviction
 //! pressure, across every generated traffic pattern, and through the
 //! awkward cases (duplicate literals, permuted-axes surface twins, invalid
 //! queries, failed computations). Replays at other budgets must reproduce
@@ -9,7 +9,7 @@
 //! recorders) must be rejected, not silently mis-replayed.
 
 use projtile_core::engine::{
-    outcome, EngineConfig, Query, SharedEngine, TraceDocument, TraceEvent, TRACE_VERSION,
+    outcome, Engine, EngineConfig, Query, TraceDocument, TraceEvent, TRACE_VERSION,
 };
 use projtile_lab::replay::{check_live, replay_document, Budgets, ReplayError};
 use projtile_lab::{GeneratorConfig, LabReport, Pattern, Workload, SWEEP_SCALES};
@@ -27,8 +27,8 @@ fn tiny_config() -> EngineConfig {
 }
 
 /// A cold front with a recorder attached from the start.
-fn traced_front(trace_capacity: usize) -> SharedEngine {
-    let mut front = SharedEngine::with_config(tiny_config());
+fn traced_front(trace_capacity: usize) -> Engine {
+    let mut front = Engine::with_config(tiny_config());
     front.set_trace_capacity(trace_capacity);
     front
 }
@@ -150,7 +150,7 @@ fn handcrafted_awkward_batches_replay_exactly() {
     // At budgets that hold a tightness set, components computed one query
     // at a time make the tightness query after them a hit that computes
     // nothing: its probe peeks all three.
-    let mut roomy = SharedEngine::new();
+    let mut roomy = Engine::new();
     roomy.set_trace_capacity(1 << 16);
     for q in [
         Query::LowerBound { cache_size: m },
@@ -187,7 +187,7 @@ fn tightness_probes_stamp_components_in_the_live_order() {
     let tiling = Query::OptimalTiling { cache_size: m };
     let tightness = Query::Tightness { cache_size: m };
     let cost_of = |nest: &projtile_loopnest::LoopNest, q: &Query| {
-        let front = SharedEngine::new();
+        let front = Engine::new();
         front.analyze(nest, q).expect("valid query");
         front.cache_metrics().results.cost
     };
@@ -196,7 +196,7 @@ fn tightness_probes_stamp_components_in_the_live_order() {
         results_capacity: cost_of(&nest, &tightness) + cost_of(&filler, &tiling) - 1,
         ..EngineConfig::default()
     };
-    let mut front = SharedEngine::with_config(config);
+    let mut front = Engine::with_config(config);
     front.set_trace_capacity(64);
     for (nest, q) in [
         (&nest, &tiling),
@@ -385,7 +385,7 @@ fn counterfactual_policies_are_consistent() {
         );
         assert_eq!(report.unpriced_installs, 0, "{what}: cost book is complete");
 
-        let live = SharedEngine::with_config(EngineConfig {
+        let live = Engine::with_config(EngineConfig {
             results_capacity: scaled.results,
             slices_capacity: scaled.slices,
             surfaces_capacity: scaled.surfaces,

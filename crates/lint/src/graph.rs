@@ -84,7 +84,7 @@ pub struct FnNode {
     pub src: usize,
     /// Bare function name.
     pub name: String,
-    /// Qualified display name, e.g. `projtile_core::engine::SharedEngine::analyze`.
+    /// Qualified display name, e.g. `projtile_core::engine::Engine::analyze`.
     pub qual: String,
     /// Self type if this is a method in an `impl` block.
     pub self_type: Option<String>,

@@ -5,7 +5,7 @@
 //! bitwise-exactly at scale) rests on conventions no compiler enforces:
 //! every warm path keeps a `_cold` differential oracle and is tested against
 //! it; the service request path never unwinds except through `catch_unwind`;
-//! [`SharedEngine`] never computes under a shard write lock; every crate
+//! the [`Engine`] never computes under its write lock; every crate
 //! forbids `unsafe`; every `PROJTILE_*` knob is in the runbook; the CI
 //! smoke-greps track real workload names. This crate turns those review-time
 //! conventions into a CI gate.
@@ -38,7 +38,7 @@
 //! and examples is documented in `docs/lints.md` (also served by
 //! `projtile-lint --explain RULE`).
 //!
-//! [`SharedEngine`]: ../projtile_core/engine/struct.SharedEngine.html
+//! [`Engine`]: ../projtile_core/engine/struct.Engine.html
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -9,7 +9,7 @@
 //! * to the end of its block when bound by `let`;
 //! * to the end of its statement when it is a temporary — including a
 //!   guard immediately consumed by further chaining
-//!   (`shard.read().config()`), whose `let` binds the chained result, not
+//!   (`caches.read().config()`), whose `let` binds the chained result, not
 //!   the guard. Poison handling (`.unwrap()`, `.expect(..)`,
 //!   `.unwrap_or_else(..)`) is not chaining: it passes the guard through
 //!   to the `let`;

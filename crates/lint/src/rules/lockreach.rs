@@ -1,5 +1,6 @@
-//! **L009 lock reachability** — while a shard/queue guard is live, nothing
-//! reachable may take another lock or perform blocking I/O.
+//! **L009 lock reachability** — while a lock guard (the engine's one lock,
+//! a service mutex) is live, nothing reachable may take another lock or
+//! perform blocking I/O.
 //!
 //! L003 keeps *expensive compute* out of lock scopes; this rule keeps the
 //! two deadlock/latency shapes out that a reviewer cannot see locally:
@@ -7,18 +8,18 @@
 //! * **nested acquisition** — a callee (any depth away) that takes another
 //!   `.read()` / `.write()` / `.lock()` while the caller's guard is live;
 //!   the read→write upgrade shape (`.write()` while a read guard is live)
-//!   is flagged explicitly, since it self-deadlocks on one shard;
+//!   is flagged explicitly, since it self-deadlocks on the one lock;
 //! * **blocking I/O under a guard** — socket sends/receives, `fsync`s, and
-//!   snapshot-store writes stall every reader of the shard for the duration
-//!   of the syscall; [`SharedEngine`]'s publish path computes the JSON text
-//!   under the lock's *scope rules* and performs I/O outside.
+//!   snapshot-store writes stall every user of the lock for the duration
+//!   of the syscall; the [`Engine`]'s snapshot is built under its read
+//!   lock, and the service publishes the text outside it.
 //!
 //! Guard liveness is the walk shared with L003 (see [`super::guards`]).
 //! `// lint: allow(L009) <reason>` cuts the graph where it stands (sink
 //! token, call edge, or acquisition line); on a `fn`'s own line it cuts the
 //! node, excusing every chain through that function at once.
 //!
-//! [`SharedEngine`]: ../../projtile_core/engine/struct.SharedEngine.html
+//! [`Engine`]: ../../projtile_core/engine/struct.Engine.html
 
 use std::collections::HashMap;
 
@@ -175,7 +176,7 @@ pub fn run(ws: &Workspace, cfg: &Config, ctx: &RuleCtx) -> Vec<Finding> {
                     (
                         "read-write-upgrade",
                         "a `.write()` acquisition while a read guard is live \
-                         self-deadlocks on the same shard",
+                         self-deadlocks on the same lock",
                     )
                 } else {
                     (
@@ -204,7 +205,7 @@ pub fn run(ws: &Workspace, cfg: &Config, ctx: &RuleCtx) -> Vec<Finding> {
                         format!("{fn_name}::blocking-io"),
                         format!(
                             "blocking I/O in `{fn_name}` while a lock guard is \
-                             live stalls every reader of the shard; hoist the \
+                             live stalls every user of the lock; hoist the \
                              I/O out of the lock scope"
                         ),
                     ));

@@ -1,8 +1,8 @@
 //! **L003 lock discipline** — never compute under a write lock.
 //!
-//! [`SharedEngine`]'s scaling contract is that misses compute *outside* the
-//! shard locks (solves can take milliseconds; a write guard held across one
-//! serializes every reader on that shard). The convention survives only as
+//! The [`Engine`]'s scaling contract is that misses compute *outside* its
+//! one lock (solves can take milliseconds; a write guard held across one
+//! serializes every reader of the engine). The convention survives only as
 //! long as nothing called while an exclusive guard (`.write()`, `.lock()`,
 //! or a helper returning one) is live can reach an expensive function.
 //! Guard liveness is the walk shared with L009 (see [`super::guards`]).
@@ -14,7 +14,7 @@
 //! its chain. Escape hatch: `// lint: allow(L003) <reason>` on the call
 //! line.
 //!
-//! [`SharedEngine`]: ../../projtile_core/engine/struct.SharedEngine.html
+//! [`Engine`]: ../../projtile_core/engine/struct.Engine.html
 
 use std::collections::HashMap;
 
@@ -73,7 +73,7 @@ pub fn run(ws: &Workspace, cfg: &Config, ctx: &RuleCtx) -> Vec<Finding> {
                 format!(
                     "`{name}` is called in `{scope}` while an exclusive lock guard is \
                      live and reaches `{sink}` via `{}`; compute before taking the \
-                     lock (see SharedEngine's compute-outside-locks contract)",
+                     lock (see the Engine's compute-outside-the-lock contract)",
                     g.chain_display(&chain)
                 ),
             )

@@ -4,7 +4,7 @@
 //! L002 catches a panic token *written inside* the surface directories; this
 //! rule walks the interprocedural call graph so that a helper in
 //! `projtile_arith` or `projtile_lp` that panics three calls away from
-//! `SharedEngine::analyze` is a finding too. Sinks are:
+//! `Engine::analyze` is a finding too. Sinks are:
 //!
 //! * panicking tokens (`.unwrap()`, `panic!`, `assert!`, …) in any
 //!   in-workspace callee **outside** the surface directories (inside them,

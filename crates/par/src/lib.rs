@@ -146,7 +146,7 @@ where
 /// This is the **concurrent-callers** primitive under the data-parallel
 /// `par_map` family, which runs one chunk per `fan_out` worker. On its own,
 /// `fan_out` models several independent clients hammering a shared resource
-/// at once (a `SharedEngine` front, a pool) — exactly the shape of the
+/// at once (one shared `Engine`, a pool) — exactly the shape of the
 /// multi-threaded stress tests and the `engine/concurrent` bench
 /// workloads. Always spawns real threads, regardless of
 /// [`PARALLEL_THRESHOLD`] and `PROJTILE_THREADS` (a stress test asking for 4

@@ -150,7 +150,7 @@ fn verify(client: &Client) -> Result<usize, String> {
             served.len()
         ));
     }
-    let mut oracle = Engine::new();
+    let oracle = Engine::new();
     for (i, (query, answer)) in queries.iter().zip(&served).enumerate() {
         let answer = answer
             .as_ref()

@@ -37,7 +37,7 @@
 //!   the engine stays consistent (computation happens outside the
 //!   engine's lock, so an unwound request cannot poison shared state).
 //! * **Exactness** — every served answer goes through
-//!   [`SharedEngine::analyze_batch`] (which dedups canonically-equal
+//!   [`Engine::analyze_batch`] (which dedups canonically-equal
 //!   queries within a request), so responses are bitwise-identical to the
 //!   cold free-function oracles no matter how requests are dropped,
 //!   retried, or replayed after a crash.
@@ -97,5 +97,5 @@ pub use server::{Server, ServerConfig, ServerHandle};
 // Re-exported for doc links and downstream convenience: the wire types the
 // service speaks are exactly the engine's, and `/metrics` documents parse
 // into the workspace serde `Value` tree.
-pub use projtile_core::engine::{AnalysisResult, Query, SharedEngine};
+pub use projtile_core::engine::{AnalysisResult, Engine, Query};
 pub use serde::Value;

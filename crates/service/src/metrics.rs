@@ -18,7 +18,7 @@
 //! connection's later request) to the last response byte written.
 //!
 //! A request computing several query kinds through one
-//! [`SharedEngine::analyze_batch`](projtile_core::engine::SharedEngine)
+//! [`Engine::analyze_batch`](projtile_core::engine::Engine::analyze_batch)
 //! call records its compute latency under *each* kind present, so a kind's
 //! histogram reads "latency of requests involving this kind".
 
@@ -40,7 +40,7 @@ pub const HISTOGRAM_BUCKETS: usize = 31;
 /// * `read` — the request head and body off the socket;
 /// * `admit` — the wait for a compute permit (`/analyze` only);
 /// * `parse` — the JSON body into a nest and queries (`/analyze` only);
-/// * `engine` — `SharedEngine::analyze_batch` (`/analyze` only);
+/// * `engine` — `Engine::analyze_batch` (`/analyze` only);
 /// * `serialize` — the response body;
 /// * `write` — the response onto the socket.
 pub const STAGES: [&str; 7] = [

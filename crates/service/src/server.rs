@@ -64,7 +64,7 @@ use std::thread::{JoinHandle, Scope};
 use std::time::{Duration, Instant};
 
 use projtile_core::engine::{
-    query_kind_index, BoundedLruStats, Query, SharedEngine, SnapshotStore, QUERY_KIND_NAMES,
+    query_kind_index, BoundedLruStats, Engine, Query, SnapshotStore, QUERY_KIND_NAMES,
 };
 use projtile_loopnest::LoopNest;
 use serde::{json, Deserialize, Serialize, Value};
@@ -269,7 +269,7 @@ struct State {
 /// State shared by the accept loop, connection threads, snapshot loop, and
 /// handle.
 struct Shared {
-    engine: SharedEngine,
+    engine: Engine,
     metrics: Metrics,
     fault: FaultPlan,
     store: Option<SnapshotStore>,
@@ -425,10 +425,10 @@ impl Server {
         };
         let mut engine = match &store {
             Some(store) => store
-                .restore_latest(SharedEngine::restore_json)?
+                .restore_latest(Engine::restore_json)?
                 .map(|(_, engine)| engine)
                 .unwrap_or_default(),
-            None => SharedEngine::new(),
+            None => Engine::new(),
         };
         if config.trace_capacity > 0 {
             // Attached before the engine is shared: the recorder itself is
@@ -491,7 +491,7 @@ impl ServerHandle {
     }
 
     /// The engine behind the service (for oracle comparisons in tests).
-    pub fn engine(&self) -> &SharedEngine {
+    pub fn engine(&self) -> &Engine {
         &self.shared.engine
     }
 
@@ -902,7 +902,7 @@ fn kind_indices(queries: &[Query]) -> Vec<usize> {
 }
 
 /// The `"engine"` section of `/metrics`: cache occupancy per artifact
-/// class plus the front's hit/miss counters. Built by hand because the
+/// class plus the engine's hit/miss counters. Built by hand because the
 /// engine's metrics structs are plain data, not wire types.
 fn engine_value(shared: &Shared) -> Value {
     let caches = shared.engine.cache_metrics();

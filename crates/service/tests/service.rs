@@ -10,7 +10,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use projtile_core::engine::{Engine, Query, SharedEngine, SnapshotStore};
+use projtile_core::engine::{Engine, Query, SnapshotStore};
 use projtile_loopnest::builders;
 use projtile_service::http::{read_response, ReadError, Reader, Response};
 use projtile_service::{Client, FaultPlan, Server, ServerConfig, ServerHandle};
@@ -83,7 +83,7 @@ fn served_answers_are_bitwise_equal_to_cold_oracles() {
         for pass in 0..2 {
             let served = client.analyze(&nest, &queries).expect("analyze");
             assert_eq!(served.len(), queries.len());
-            let mut oracle = Engine::new();
+            let oracle = Engine::new();
             for (i, (query, answer)) in queries.iter().zip(&served).enumerate() {
                 let answer = answer.as_ref().unwrap_or_else(|e| {
                     panic!("pass {pass}, query {i} answered with an error: {e}")
@@ -258,7 +258,7 @@ fn worker_panics_answer_500_and_leave_the_engine_consistent() {
     let nest = builders::matmul(32, 32, 32);
     let queries = vec![Query::Tightness { cache_size: 256 }];
 
-    let mut oracle = Engine::new();
+    let oracle = Engine::new();
     let expected = json::to_string(
         &oracle
             .analyze(&nest, &queries[0])
@@ -343,7 +343,7 @@ fn snapshot_lifecycle_survives_torn_writes_and_restores_on_restart() {
         "GC bounds retention: {generations:?}"
     );
     let restored = store
-        .restore_latest(SharedEngine::restore_json)
+        .restore_latest(Engine::restore_json)
         .expect("walk")
         .expect("at least the drain snapshot is valid");
     assert!(restored.0 >= 1);
@@ -353,7 +353,7 @@ fn snapshot_lifecycle_survives_torn_writes_and_restores_on_restart() {
     let handle = start(config, FaultPlan::default());
     let client = Client::new(handle.addr().to_string());
     let served = client.analyze(&nest, &queries).expect("restored analyze");
-    let mut oracle = Engine::new();
+    let oracle = Engine::new();
     for (i, (query, answer)) in queries.iter().zip(&served).enumerate() {
         let answer = answer.as_ref().expect("restored answers are whole");
         let expected = oracle.analyze(&nest, query).expect("oracle");
@@ -823,7 +823,7 @@ fn a_kept_connection_idles_out_silently() {
     let client = Client::new(handle.addr().to_string());
     let nest = builders::nbody(32, 64);
     let queries = all_kinds_on(1 << 8, 1);
-    let mut oracle = Engine::new();
+    let oracle = Engine::new();
     let expected: Vec<String> = queries
         .iter()
         .map(|q| json::to_string(&oracle.analyze(&nest, q).expect("oracle").serialize()))

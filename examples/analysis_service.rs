@@ -2,8 +2,8 @@
 //!
 //! Run with `cargo run --example analysis_service`.
 //!
-//! Earlier revisions of this example drove a [`SharedEngine`] in-process;
-//! since the service crate exists, the example exercises the real thing: it
+//! Earlier revisions of this example drove an `Engine` in-process; since
+//! the service crate exists, the example exercises the real thing: it
 //! boots the hardened TCP server (`projtile::service`) on an ephemeral
 //! loopback port, fans out concurrent *network* clients against it, reads
 //! the `/metrics` document, drains gracefully (which publishes a final

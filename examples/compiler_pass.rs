@@ -25,7 +25,7 @@ struct BlockingDecision {
 }
 
 /// The pass: analyze a nest for a given cache through the session engine.
-fn block_loop_nest(engine: &mut Engine, nest: &LoopNest, cache_words: u64) -> BlockingDecision {
+fn block_loop_nest(engine: &Engine, nest: &LoopNest, cache_words: u64) -> BlockingDecision {
     let queries = vec![
         Query::OptimalTiling {
             cache_size: cache_words,
@@ -99,12 +99,12 @@ fn main() {
     ];
 
     // One engine for the whole compilation unit.
-    let mut engine = Engine::new();
+    let engine = Engine::new();
 
     println!("automatic blocking decisions for a {cache_words}-word cache");
     println!();
     for (name, nest) in &programs {
-        let decision = block_loop_nest(&mut engine, nest, cache_words);
+        let decision = block_loop_nest(&engine, nest, cache_words);
         println!("{name}");
         println!("  nest        : {nest}");
         println!("  tile sizes  : {:?}", decision.tile);

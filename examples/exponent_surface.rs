@@ -24,7 +24,7 @@ fn main() {
     println!();
 
     // --- The full (β1, β2, β3) value surface --------------------------------
-    let mut engine = Engine::new();
+    let engine = Engine::new();
     let surface = engine
         .exponent_surface(&nest, m, &[0, 1, 2], &[1, 1, 1], &[m, m, m])
         .expect("surface solves");

@@ -27,7 +27,7 @@ fn main() {
     );
     println!("{}", "-".repeat(95));
 
-    let mut engine = Engine::new();
+    let engine = Engine::new();
     let queries = vec![
         Query::LowerBound { cache_size: m },
         Query::OptimalTiling { cache_size: m },

@@ -35,7 +35,7 @@ fn main() {
         (1, 1024, 1024, 1, 1),
     ];
 
-    let mut engine = Engine::new();
+    let engine = Engine::new();
     let queries = vec![
         Query::LowerBound { cache_size: m },
         Query::OptimalTiling { cache_size: m },

@@ -26,7 +26,7 @@ fn main() {
     println!();
 
     // --- One session, one batch of typed queries ---------------------------
-    let mut engine = Engine::new();
+    let engine = Engine::new();
     let queries = vec![
         Query::LowerBound {
             cache_size: cache_words,

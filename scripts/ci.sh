@@ -58,8 +58,8 @@ cargo test -q -p serde -p proptest -p parking_lot
 # The subset-lattice walk runs on one thread; this pass covers what does fan
 # out: engine batches (a batch splits across threads only from 16 distinct
 # misses on, which proptest_shared.rs::batches_of_sixteen_or_more_misses_fan_out_exactly
-# sends), the SharedEngine stress and the cold oracles' par_map.
-echo "==> cargo test -q (PROJTILE_THREADS=4: batch fan-out, SharedEngine stress, cold oracles)"
+# sends), the shared-front stress and the cold oracles' par_map.
+echo "==> cargo test -q (PROJTILE_THREADS=4: batch fan-out, shared-front stress, cold oracles)"
 PROJTILE_THREADS=4 cargo test -q
 
 echo "==> cargo build --examples (engine-session example programs)"

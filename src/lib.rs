@@ -48,13 +48,14 @@
 //!
 //! For repeated-query traffic (a compiler pass, a JIT, a service), hold a
 //! [`core::engine::Engine`] directly and feed it typed
-//! [`core::engine::Query`] values — one at a time or as a batch:
+//! [`core::engine::Query`] values — one at a time or as a batch. An
+//! `Engine` is `Send + Sync`: share it by reference across threads.
 //!
 //! ```
 //! use projtile::core::engine::{AnalysisResult, Engine, Query};
 //! use projtile::loopnest::builders;
 //!
-//! let mut engine = Engine::new();
+//! let engine = Engine::new();
 //! let nest = builders::matmul(512, 512, 4);
 //! let answers = engine.analyze_batch(
 //!     &nest,
