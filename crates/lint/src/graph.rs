@@ -20,7 +20,8 @@
 //!   require a typed receiver (`Type::m` or a narrowed `self.m`);
 //! * a bare identifier naming a resolvable workspace fn (a fn-pointer or
 //!   closure-captured reference, e.g. `par_map_with(xs, compute_detached)`)
-//!   gets an edge, since the callee may run it.
+//!   gets an edge, since the callee may run it — unless a `let` in the same
+//!   body binds that name, which makes it a local variable.
 //!
 //! Code inside `#[cfg(test)]` regions and files under any `tests/` directory
 //! contributes **no nodes and no edges**: panics there are the point.
@@ -646,6 +647,23 @@ fn collect_edges(
 ) {
     let tokens = &src.parsed.tokens;
     let (bs, be) = body;
+    let outside_children = |k: &usize| !children.iter().any(|&(cs, ce)| cs <= *k && *k <= ce);
+    // Names a `let` (or `let mut`) of this body binds: locals, never fn
+    // references, wherever they appear in it.
+    let locals: Vec<&str> = (bs + 1..be)
+        .filter(outside_children)
+        .filter(|&k| matches!(&tokens[k].tok, Tok::Ident(kw) if kw == "let"))
+        .filter_map(|k| {
+            match (
+                tokens.get(k + 1).map(|t| &t.tok),
+                tokens.get(k + 2).map(|t| &t.tok),
+            ) {
+                (Some(Tok::Ident(m)), Some(Tok::Ident(b))) if m == "mut" => Some(b.as_str()),
+                (Some(Tok::Ident(b)), _) => Some(b.as_str()),
+                _ => None,
+            }
+        })
+        .collect();
     let mut i = bs + 1;
     while i < be {
         // Skip nested child fn bodies entirely.
@@ -741,6 +759,7 @@ fn collect_edges(
             && !matches!(next, Some(Tok::Punct(':')) | Some(Tok::Punct('!')))
             && !matches!(prev, Some(Tok::Punct('.')) | Some(Tok::Punct(':')))
             && !binder_before(prev)
+            && !locals.contains(&name.as_str())
         {
             // Bare identifier: a fn reference if it resolves exactly
             // (same file or a non-glob `use`) — fn pointers / closures.

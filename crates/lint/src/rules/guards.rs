@@ -10,7 +10,9 @@
 //! * to the end of its statement when it is a temporary — including a
 //!   guard immediately consumed by further chaining
 //!   (`caches.read().config()`), whose `let` binds the chained result, not
-//!   the guard. Poison handling (`.unwrap()`, `.expect(..)`,
+//!   the guard, and a guard acquired inside a call's argument list
+//!   (`let m = metrics(&caches.read());`), whose `let` binds the call's
+//!   result. Poison handling (`.unwrap()`, `.expect(..)`,
 //!   `.unwrap_or_else(..)`) is not chaining: it passes the guard through
 //!   to the `let`;
 //! * until `drop(g)`, which ends a named guard early.
@@ -145,9 +147,11 @@ pub fn walk<F>(
 
     let mut depth = 0usize;
     let mut brackets = 0usize;
+    let mut parens = 0usize;
     let mut guards: Vec<LiveGuard> = Vec::new();
-    // The binding name of the statement's `let`, if any.
-    let mut pending_let: Option<String> = None;
+    // The binding name of the statement's `let`, if any, and the parens
+    // open at the `let`: an acquisition inside more is a call argument.
+    let mut pending_let: Option<(String, usize)> = None;
     let mut i = bs + 1;
     while i < be {
         if let Some(&(_, ce)) = children.iter().find(|&&(cs, _)| cs == i) {
@@ -164,6 +168,8 @@ pub fn walk<F>(
             }
             Tok::Punct('[') => brackets += 1,
             Tok::Punct(']') => brackets = brackets.saturating_sub(1),
+            Tok::Punct('(') => parens += 1,
+            Tok::Punct(')') => parens = parens.saturating_sub(1),
             Tok::Punct(';') if brackets == 0 => {
                 pending_let = None;
                 guards.retain(|gd| !(gd.statement_only && gd.depth == depth));
@@ -174,7 +180,7 @@ pub fn walk<F>(
                     j += 1;
                 }
                 if let Some(Tok::Ident(b)) = tokens.get(j).map(|t| &t.tok) {
-                    pending_let = Some(b.clone());
+                    pending_let = Some((b.clone(), parens));
                 }
             }
             Tok::Ident(name) if name == "drop" => {
@@ -188,9 +194,15 @@ pub fn walk<F>(
             _ => {}
         }
         if let Some(kind) = acquired {
-            let temporary = chained(tokens, i, be) || pending_let.is_none();
+            let bound = match &pending_let {
+                Some((name, open)) if parens <= *open && !chained(tokens, i, be) => {
+                    Some(name.clone())
+                }
+                _ => None,
+            };
+            let temporary = bound.is_none();
             guards.push(LiveGuard {
-                name: if temporary { None } else { pending_let.clone() },
+                name: bound,
                 depth,
                 statement_only: temporary,
                 kind,

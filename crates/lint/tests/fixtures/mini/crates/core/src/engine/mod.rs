@@ -152,3 +152,29 @@ pub fn compute_under_mutex(m: &std::sync::Mutex<u32>) -> u32 {
     let g = m.lock().unwrap_or_else(|e| e.into_inner());
     solve_thing(*g)
 }
+
+fn tally(n: &u32) -> u32 {
+    *n
+}
+
+/// Clean: a guard acquired inside a call's argument list is a temporary of
+/// the `let` statement, dead before `grab_write` takes the lock.
+pub fn tally_then_write(lock: &std::sync::RwLock<u32>) -> u32 {
+    let n = tally(&lock.read());
+    n + grab_write(lock)
+}
+
+fn reload(lock: &std::sync::RwLock<u32>) -> u32 {
+    let w = lock.write();
+    *w
+}
+
+/// Clean: `reload` here is the local the first `let` binds, not a
+/// reference to the lock-taking fn of that name.
+pub fn local_named_like_a_fn(lock: &std::sync::RwLock<u32>) -> u32 {
+    let reload = 2;
+    let g = lock.read();
+    let v = *g + reload;
+    drop(g);
+    v
+}

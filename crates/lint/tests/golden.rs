@@ -115,6 +115,14 @@ fn fixture_negatives_stay_clean() {
     assert!(!findings
         .iter()
         .any(|f| f.detail.starts_with("peek_then_write::")));
+    // A guard passed as a call argument in a `let` dies with its statement,
+    // and a local named like a lock-taking fn is no call to it.
+    assert!(!findings
+        .iter()
+        .any(|f| f.detail.starts_with("tally_then_write::")));
+    assert!(!findings
+        .iter()
+        .any(|f| f.detail.starts_with("local_named_like_a_fn::")));
     // The justified, consumed allows (guarded, vetted) are not L010 debt.
     assert!(!findings
         .iter()

@@ -876,20 +876,27 @@ fn analyze(shared: &Shared, body: &[u8], timeline: &mut Timeline) -> Reply {
         .metrics
         .record_kinds(&kind_indices(&queries), computed);
 
-    let entries: Vec<Value> = results
-        .iter()
-        .map(|r| {
-            let (tag, payload) = match r {
-                Ok(result) => ("ok", result.serialize()),
-                Err(e) => ("err", Value::String(e.to_string())),
-            };
-            Value::Object(vec![(tag.to_string(), payload)])
-        })
-        .collect();
-    Reply::ok(json::to_string(&Value::Object(vec![(
-        "results".to_string(),
-        Value::Array(entries),
-    )])))
+    // `{"results":[{"ok": answer} | {"err": message}, …]}`, written
+    // straight into the body: no `Value` tree is built for an answer.
+    let mut body = String::from("{\"results\":[");
+    for (i, r) in results.iter().enumerate() {
+        if i > 0 {
+            body.push(',');
+        }
+        match r {
+            Ok(result) => {
+                body.push_str("{\"ok\":");
+                result.write_json(&mut body);
+            }
+            Err(e) => {
+                body.push_str("{\"err\":");
+                json::write_str(&e.to_string(), &mut body);
+            }
+        }
+        body.push('}');
+    }
+    body.push_str("]}");
+    Reply::ok(body)
 }
 
 /// Maps each query to its per-kind histogram index (its position in

@@ -993,3 +993,77 @@ fn a_client_that_never_reads_its_answers_is_cut_off() {
     drop(hog);
     handle.join();
 }
+
+#[test]
+fn analyze_bodies_are_the_printed_result_tree_byte_for_byte() {
+    // The server writes its envelope straight into the body; the bytes must
+    // be those of printing `{"results":[{"ok": r.serialize()} | {"err": …}]}`,
+    // on the computing pass and on the hit pass alike.
+    let handle = start(|_| {}, FaultPlan::default());
+    let nest = builders::random_projective(11, 8, 4, (1, 256));
+    let mut queries = all_kinds_on(64, 3);
+    queries.push(Query::Slice {
+        cache_size: 64,
+        axis: 99, // no such loop
+        lo_bound: 1,
+        hi_bound: 4,
+    });
+    let body = json::to_string(&Value::Object(vec![
+        ("nest".to_string(), nest.serialize()),
+        (
+            "queries".to_string(),
+            Value::Array(queries.iter().map(Serialize::serialize).collect()),
+        ),
+    ]));
+    let entries = Engine::new()
+        .analyze_batch(&nest, &queries)
+        .iter()
+        .map(|r| {
+            let (tag, payload) = match r {
+                Ok(result) => ("ok", result.serialize()),
+                Err(e) => ("err", Value::String(e.to_string())),
+            };
+            Value::Object(vec![(tag.to_string(), payload)])
+        })
+        .collect();
+    let expected = json::to_string(&Value::Object(vec![(
+        "results".to_string(),
+        Value::Array(entries),
+    )]));
+    assert!(
+        expected.contains(r#"{"err":"#),
+        "the batch carries an error"
+    );
+    for pass in 0..2 {
+        let r = raw(&handle, &post("/analyze", &body));
+        assert_eq!(r.status, 200, "pass {pass}");
+        assert!(
+            r.body == expected.as_bytes(),
+            "pass {pass}: the served body differs from the printed tree"
+        );
+    }
+    assert!(handle.engine().stats().hits > 0, "the second pass hit");
+    handle.join();
+}
+
+#[test]
+fn numbers_outside_the_json_grammar_are_parse_errors() {
+    // RFC 8259 §6: no `+`, no leading zero, digits on both sides of the
+    // point; a literal out of `f64` range is an error, not an infinity.
+    let handle = start(|_| {}, FaultPlan::default());
+    let nest = json::to_string(&builders::matmul(16, 16, 16));
+    let body =
+        |m: &str| format!(r#"{{"nest":{nest},"queries":[{{"Tightness":{{"cache_size":{m}}}}}]}}"#);
+    let before = handle.metrics().parse_errors.load(Ordering::Relaxed);
+    let bad = ["+64", "064", "-064", "64.", ".5", "1.5e400"];
+    for m in bad {
+        let r = raw(&handle, &post("/analyze", &body(m)));
+        assert_eq!(r.status, 400, "cache_size {m}");
+        let text = String::from_utf8_lossy(&r.body);
+        assert!(text.contains("at byte"), "cache_size {m}: {text}");
+    }
+    let counted = handle.metrics().parse_errors.load(Ordering::Relaxed) - before;
+    assert_eq!(counted, bad.len() as u64, "each bad body is a parse error");
+    assert_eq!(raw(&handle, &post("/analyze", &body("64"))).status, 200);
+    handle.join();
+}

@@ -8,7 +8,9 @@
 //! * a JSON-shaped tree model ([`Value`]) with an exact printer and parser
 //!   ([`json`]);
 //! * [`Serialize`] / [`Deserialize`] traits over that model, implemented for
-//!   the primitive and container types the workspace uses;
+//!   the primitive and container types the workspace uses, plus
+//!   [`Serialize::write_json`], which prints a value's JSON straight into a
+//!   buffer without building its tree;
 //! * working derive macros (re-exported from the `serde_derive` shim crate)
 //!   for structs and externally-tagged enums.
 //!
@@ -126,6 +128,15 @@ impl std::error::Error for Error {}
 pub trait Serialize {
     /// Serializes `self` as a [`Value`].
     fn serialize(&self) -> Value;
+
+    /// Appends `self` as compact JSON to `out`: the bytes
+    /// [`json::to_string`]`(&self.serialize())` would print, without
+    /// building the tree. The provided method prints the tree; the derives,
+    /// the primitive and container impls below and `Rational` write
+    /// straight into the buffer.
+    fn write_json(&self, out: &mut String) {
+        json::write_value(&self.serialize(), out);
+    }
 }
 
 /// Conversion from the document tree.
@@ -143,6 +154,9 @@ macro_rules! int_impls {
         impl Serialize for $t {
             fn serialize(&self) -> Value {
                 Value::Int(*self as i128)
+            }
+            fn write_json(&self, out: &mut String) {
+                json::write_int(*self as i128, out);
             }
         }
         impl Deserialize for $t {
@@ -168,6 +182,9 @@ impl Serialize for bool {
     fn serialize(&self) -> Value {
         Value::Bool(*self)
     }
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
 }
 
 impl Deserialize for bool {
@@ -185,6 +202,9 @@ impl Deserialize for bool {
 impl Serialize for f64 {
     fn serialize(&self) -> Value {
         Value::Float(*self)
+    }
+    fn write_json(&self, out: &mut String) {
+        json::write_float(*self, out);
     }
 }
 
@@ -212,6 +232,9 @@ impl Serialize for String {
     fn serialize(&self) -> Value {
         Value::String(self.clone())
     }
+    fn write_json(&self, out: &mut String) {
+        json::write_str(self, out);
+    }
 }
 
 impl Deserialize for String {
@@ -230,17 +253,26 @@ impl Serialize for str {
     fn serialize(&self) -> Value {
         Value::String(self.to_string())
     }
+    fn write_json(&self, out: &mut String) {
+        json::write_str(self, out);
+    }
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn serialize(&self) -> Value {
         (**self).serialize()
     }
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
     fn serialize(&self) -> Value {
         Value::Array(self.iter().map(Serialize::serialize).collect())
+    }
+    fn write_json(&self, out: &mut String) {
+        json::write_seq(self, out);
     }
 }
 
@@ -263,6 +295,12 @@ impl<T: Serialize> Serialize for Option<T> {
             None => Value::Null,
         }
     }
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(t) => t.write_json(out),
+            None => out.push_str("null"),
+        }
+    }
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
@@ -277,6 +315,13 @@ impl<T: Deserialize> Deserialize for Option<T> {
 impl<A: Serialize, B: Serialize> Serialize for (A, B) {
     fn serialize(&self) -> Value {
         Value::Array(vec![self.0.serialize(), self.1.serialize()])
+    }
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        self.0.write_json(out);
+        out.push(',');
+        self.1.write_json(out);
+        out.push(']');
     }
 }
 
@@ -295,6 +340,15 @@ impl<A: Serialize, B: Serialize, C: Serialize> Serialize for (A, B, C) {
             self.2.serialize(),
         ])
     }
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        self.0.write_json(out);
+        out.push(',');
+        self.1.write_json(out);
+        out.push(',');
+        self.2.write_json(out);
+        out.push(']');
+    }
 }
 
 impl<A: Deserialize, B: Deserialize, C: Deserialize> Deserialize for (A, B, C) {
@@ -312,6 +366,9 @@ impl<T: Serialize> Serialize for Box<T> {
     fn serialize(&self) -> Value {
         (**self).serialize()
     }
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
 }
 
 impl<T: Deserialize> Deserialize for Box<T> {
@@ -323,6 +380,9 @@ impl<T: Deserialize> Deserialize for Box<T> {
 impl Serialize for Value {
     fn serialize(&self) -> Value {
         self.clone()
+    }
+    fn write_json(&self, out: &mut String) {
+        json::write_value(self, out);
     }
 }
 
@@ -345,10 +405,12 @@ pub mod json {
     /// workspace produces.
     pub const MAX_DEPTH: usize = 128;
 
-    /// Serializes `t` and prints it as compact JSON.
+    /// Serializes `t` and prints it as compact JSON, through
+    /// [`Serialize::write_json`]: no [`Value`] tree is built unless `T`'s
+    /// impl asks for one.
     pub fn to_string<T: Serialize + ?Sized>(t: &T) -> String {
         let mut out = String::new();
-        write_value(&t.serialize(), &mut out);
+        t.write_json(&mut out);
         out
     }
 
@@ -381,46 +443,24 @@ pub mod json {
         Ok(value)
     }
 
-    fn write_value(v: &Value, out: &mut String) {
+    /// The tree printer behind [`Value`]'s [`Serialize::write_json`] and the
+    /// trait's provided method.
+    pub(crate) fn write_value(v: &Value, out: &mut String) {
         match v {
             Value::Null => out.push_str("null"),
             Value::Bool(true) => out.push_str("true"),
             Value::Bool(false) => out.push_str("false"),
-            Value::Int(i) => out.push_str(&i.to_string()),
-            Value::Float(f) => {
-                if f.is_finite() {
-                    // Rust's shortest-round-trip formatting: parsing the
-                    // printed decimal recovers the exact bit pattern.
-                    out.push_str(&format!("{f}"));
-                    if f.fract() == 0.0 && !format!("{f}").contains(['e', 'E', '.']) {
-                        out.push_str(".0");
-                    }
-                } else if f.is_nan() {
-                    out.push_str("\"NaN\"");
-                } else if *f > 0.0 {
-                    out.push_str("\"inf\"");
-                } else {
-                    out.push_str("\"-inf\"");
-                }
-            }
-            Value::String(s) => write_string(s, out),
-            Value::Array(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_value(item, out);
-                }
-                out.push(']');
-            }
+            Value::Int(i) => write_int(*i, out),
+            Value::Float(f) => write_float(*f, out),
+            Value::String(s) => write_str(s, out),
+            Value::Array(items) => write_seq(items, out),
             Value::Object(entries) => {
                 out.push('{');
                 for (i, (k, v)) in entries.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_string(k, out);
+                    write_str(k, out);
                     out.push(':');
                     write_value(v, out);
                 }
@@ -429,21 +469,103 @@ pub mod json {
         }
     }
 
-    fn write_string(s: &str, out: &mut String) {
-        out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                '\u{08}' => out.push_str("\\b"),
-                '\u{0C}' => out.push_str("\\f"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
+    /// Appends `items` as a JSON array.
+    pub(crate) fn write_seq<T: Serialize>(items: &[T], out: &mut String) {
+        out.push('[');
+        for (i, item) in items.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item.write_json(out);
+        }
+        out.push(']');
+    }
+
+    /// Appends the decimal text of `i` (a [`Value::Int`]), with no
+    /// temporary `String`.
+    pub fn write_int(i: i128, out: &mut String) {
+        // 39 digits and a sign cover `i128::MIN`.
+        let mut buf = [0u8; 40];
+        let mut start = buf.len();
+        let mut push = |digit: u8| {
+            start -= 1;
+            if let Some(slot) = buf.get_mut(start) {
+                *slot = digit;
+            }
+        };
+        // Peel digits in `u128` only while the rest does not fit a `u64`,
+        // whose division is far cheaper.
+        let mut wide = i.unsigned_abs();
+        while wide > u128::from(u64::MAX) {
+            push(b'0' + (wide % 10) as u8);
+            wide /= 10;
+        }
+        let mut n = wide as u64;
+        loop {
+            push(b'0' + (n % 10) as u8);
+            n /= 10;
+            if n == 0 {
+                break;
             }
         }
+        if i < 0 {
+            push(b'-');
+        }
+        let digits = buf.get(start..).unwrap_or_default();
+        out.push_str(std::str::from_utf8(digits).unwrap_or_default());
+    }
+
+    /// Appends a [`Value::Float`]: Rust's shortest-round-trip decimal
+    /// (parsing it recovers the exact bit pattern), with `.0` after an
+    /// integral one; non-finite values as the tagged strings `"NaN"`,
+    /// `"inf"` and `"-inf"`.
+    pub(crate) fn write_float(f: f64, out: &mut String) {
+        use std::fmt::Write;
+        if f.is_finite() {
+            let start = out.len();
+            // Writing into a `String` cannot fail.
+            let _ = write!(out, "{f}");
+            let printed = out.get(start..).unwrap_or_default();
+            if f.fract() == 0.0 && !printed.contains(['e', 'E', '.']) {
+                out.push_str(".0");
+            }
+        } else if f.is_nan() {
+            out.push_str("\"NaN\"");
+        } else if f > 0.0 {
+            out.push_str("\"inf\"");
+        } else {
+            out.push_str("\"-inf\"");
+        }
+    }
+
+    /// Appends `s` as a quoted JSON string: one `push_str` per run between
+    /// escapes, so an escape-free string is copied whole.
+    pub fn write_str(s: &str, out: &mut String) {
+        use std::fmt::Write;
+        out.push('"');
+        let mut run = 0;
+        for (i, &b) in s.as_bytes().iter().enumerate() {
+            let escape = match b {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0x08 => "\\b",
+                0x0C => "\\f",
+                0x00..=0x1F => "",
+                _ => continue,
+            };
+            // `b` is ASCII, so `i` is a char boundary.
+            out.push_str(s.get(run..i).unwrap_or_default());
+            if escape.is_empty() {
+                let _ = write!(out, "\\u{b:04x}");
+            } else {
+                out.push_str(escape);
+            }
+            run = i + 1;
+        }
+        out.push_str(s.get(run..).unwrap_or_default());
         out.push('"');
     }
 
@@ -547,6 +669,16 @@ pub mod json {
         let start = *pos;
         *pos += 1;
         let mut out = String::new();
+        // An escape-free string is copied with one exact-size allocation.
+        let rest = bytes.get(*pos..).unwrap_or_default();
+        if let Some(len) = rest.iter().position(|&b| b == b'"' || b == b'\\') {
+            if rest.get(len) == Some(&b'"') {
+                let run = std::str::from_utf8(rest.get(..len).unwrap_or_default())
+                    .map_err(|_| Error::custom(format!("invalid UTF-8 at byte {}", *pos)))?;
+                *pos += len + 1;
+                return Ok(run.to_owned());
+            }
+        }
         loop {
             match bytes.get(*pos) {
                 None => {
@@ -637,35 +769,85 @@ pub mod json {
             .map_err(|_| Error::custom(format!("invalid \\u escape at byte {pos}")))
     }
 
+    /// Parses a number by the RFC 8259 §6 grammar
+    /// (`-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`): an integer
+    /// within `i128` is a [`Value::Int`], anything else a finite
+    /// [`Value::Float`]. A literal out of `f64` range is an error, not an
+    /// infinity.
     fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
         let start = *pos;
-        if bytes.get(*pos) == Some(&b'-') {
+        let digits = |pos: &mut usize| {
+            let from = *pos;
+            while matches!(bytes.get(*pos), Some(b'0'..=b'9')) {
+                *pos += 1;
+            }
+            *pos - from
+        };
+        let negative = bytes.get(*pos) == Some(&b'-');
+        if negative {
             *pos += 1;
         }
-        let mut fractional = false;
-        while let Some(&b) = bytes.get(*pos) {
-            match b {
-                b'0'..=b'9' => *pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    fractional = true;
-                    *pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&bytes[start..*pos])
-            .map_err(|_| Error::custom(format!("invalid number at byte {start}")))?;
-        if text.is_empty() || text == "-" {
+        let int_start = *pos;
+        let int_digits = digits(pos);
+        if int_digits == 0 {
             return Err(Error::custom(format!("expected a number at byte {start}")));
         }
-        if !fractional {
+        if int_digits > 1 && bytes.get(int_start) == Some(&b'0') {
+            return Err(Error::custom(format!(
+                "leading zero in number at byte {start}"
+            )));
+        }
+        let mut integral = true;
+        if bytes.get(*pos) == Some(&b'.') {
+            *pos += 1;
+            integral = false;
+            if digits(pos) == 0 {
+                return Err(Error::custom(format!(
+                    "expected a digit after the decimal point at byte {}",
+                    *pos
+                )));
+            }
+        }
+        if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
+            *pos += 1;
+            integral = false;
+            if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
+                *pos += 1;
+            }
+            if digits(pos) == 0 {
+                return Err(Error::custom(format!(
+                    "expected a digit in the exponent at byte {}",
+                    *pos
+                )));
+            }
+        }
+        if integral && int_digits <= 18 {
+            // Fits an `i64`: fold the digits, no text round trip.
+            let magnitude = bytes
+                .get(int_start..*pos)
+                .unwrap_or_default()
+                .iter()
+                .fold(0i64, |n, &b| n * 10 + i64::from(b - b'0'));
+            return Ok(Value::Int(i128::from(if negative {
+                -magnitude
+            } else {
+                magnitude
+            })));
+        }
+        // The grammar above admits only ASCII.
+        let text = std::str::from_utf8(bytes.get(start..*pos).unwrap_or_default())
+            .map_err(|_| Error::custom(format!("invalid number at byte {start}")))?;
+        if integral {
             if let Ok(i) = text.parse::<i128>() {
                 return Ok(Value::Int(i));
             }
         }
-        text.parse::<f64>()
-            .map(Value::Float)
-            .map_err(|_| Error::custom(format!("invalid number literal `{text}` at byte {start}")))
+        match text.parse::<f64>() {
+            Ok(f) if f.is_finite() => Ok(Value::Float(f)),
+            _ => Err(Error::custom(format!(
+                "number literal `{text}` at byte {start} is out of range"
+            ))),
+        }
     }
 }
 
@@ -751,6 +933,51 @@ mod tests {
         assert!(json::parse("\"\\ud800\\ud800\"").is_err());
         assert!(json::from_str::<u8>("300").is_err());
         assert!(json::from_str::<bool>("\"yes\"").is_err());
+        // Numbers follow RFC 8259 §6, and a literal out of `f64` range is
+        // an error rather than an infinity (which would print back as the
+        // string `"inf"`). Each error names a byte position.
+        for (doc, at) in [
+            ("+1", 0),
+            ("01", 0),
+            ("-01", 0),
+            ("00", 0),
+            ("1.", 2),
+            (".5", 0),
+            ("-", 0),
+            ("-.5", 0),
+            ("1e", 2),
+            ("1e+", 3),
+            ("1.e5", 2),
+            ("1.5e400", 0),
+            ("-1e309", 0),
+            ("[1, 01]", 4),
+            ("{\"k\": +1}", 6),
+        ] {
+            let err = json::parse(doc).expect_err(doc).to_string();
+            assert!(err.contains(&format!("at byte {at}")), "{doc}: {err}");
+        }
+        let big = format!("1{}", "0".repeat(400));
+        assert!(json::parse(&big).is_err());
+        // What the grammar admits still parses.
+        assert_eq!(json::parse("-0").unwrap(), Value::Int(0));
+        assert_eq!(json::parse("0").unwrap(), Value::Int(0));
+        assert_eq!(json::parse("-12").unwrap(), Value::Int(-12));
+        assert_eq!(json::parse("0.5").unwrap(), Value::Float(0.5));
+        assert_eq!(json::parse("-2.75e-3").unwrap(), Value::Float(-2.75e-3));
+        assert_eq!(json::parse("1E+2").unwrap(), Value::Float(100.0));
+        assert_eq!(json::parse("1e-400").unwrap(), Value::Float(0.0));
+        assert_eq!(
+            json::parse("123456789012345678901234567890").unwrap(),
+            Value::Int(123456789012345678901234567890)
+        );
+        assert_eq!(
+            json::parse("-999999999999999999").unwrap(),
+            Value::Int(-999_999_999_999_999_999)
+        );
+        assert_eq!(
+            json::parse("-170141183460469231731687303715884105728").unwrap(),
+            Value::Int(i128::MIN)
+        );
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! Unlike the pre-PR-4 shim (whose derives expanded to nothing), these macros
 //! generate **working** `serde::Serialize` / `serde::Deserialize` impls over
 //! the shim's [`Value`] tree model, so derived types round-trip through
-//! `serde::json`. The build container has no crates.io access, hence no
+//! `serde::json`; the derived `Serialize` also implements `write_json`,
+//! which appends the bytes printing `serialize()`'s tree would give,
+//! generated from the same fields, without building the tree. The build container has no crates.io access, hence no
 //! `syn`/`quote`; the input item is parsed directly from its token stream and
 //! the impl is emitted as source text. Supported shapes — everything this
 //! workspace derives on:
@@ -224,7 +226,100 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
 // Code generation (emitted as source text, parsed back into a TokenStream)
 // ---------------------------------------------------------------------------
 
+/// A Rust string literal whose value is `text`.
+fn lit(text: &str) -> String {
+    format!("{text:?}")
+}
+
+/// Statements appending the JSON object `{"f":…,…}` of the named fields,
+/// each field's value reached through `access(f)`, after `prefix`.
+fn write_named(prefix: &str, fields: &[String], access: impl Fn(&str) -> String) -> String {
+    let mut s = String::new();
+    let mut pending = format!("{prefix}{{");
+    for (k, f) in fields.iter().enumerate() {
+        if k > 0 {
+            pending.push(',');
+        }
+        pending.push_str(&format!("\"{f}\":"));
+        s.push_str(&format!(
+            "__out.push_str({});\n::serde::Serialize::write_json({}, __out);\n",
+            lit(&pending),
+            access(f)
+        ));
+        pending.clear();
+    }
+    pending.push('}');
+    s.push_str(&format!("__out.push_str({});\n", lit(&pending)));
+    s
+}
+
+/// Statements appending the JSON array `[…]` of `items`, after `prefix`
+/// and before `suffix`.
+fn write_array(prefix: &str, items: &[String], suffix: &str) -> String {
+    let mut s = format!("__out.push_str({});\n", lit(&format!("{prefix}[")));
+    for (k, item) in items.iter().enumerate() {
+        if k > 0 {
+            s.push_str("__out.push(',');\n");
+        }
+        s.push_str(&format!("::serde::Serialize::write_json({item}, __out);\n"));
+    }
+    s.push_str(&format!(
+        "__out.push_str({});\n",
+        lit(&format!("]{suffix}"))
+    ));
+    s
+}
+
+/// The body of the derived `write_json`: the bytes `serialize` would
+/// print, generated from the same fields.
+fn gen_write_json(item: &Item) -> String {
+    match item {
+        Item::Struct { fields, .. } => match fields {
+            Fields::Named(names) => write_named("", names, |f| format!("&self.{f}")),
+            Fields::Tuple(1) => "::serde::Serialize::write_json(&self.0, __out);".to_string(),
+            Fields::Tuple(n) => {
+                let items: Vec<String> = (0..*n).map(|k| format!("&self.{k}")).collect();
+                write_array("", &items, "")
+            }
+            Fields::Unit => "__out.push_str(\"null\");".to_string(),
+        },
+        Item::Enum { name, variants } => {
+            let mut arms = String::new();
+            for v in variants {
+                let vname = &v.name;
+                let tag = format!("{{\"{vname}\":");
+                match &v.fields {
+                    Fields::Unit => arms.push_str(&format!(
+                        "{name}::{vname} => __out.push_str({}),\n",
+                        lit(&format!("\"{vname}\""))
+                    )),
+                    Fields::Tuple(1) => arms.push_str(&format!(
+                        "{name}::{vname}(__f0) => {{\n__out.push_str({});\n\
+                         ::serde::Serialize::write_json(__f0, __out);\n__out.push('}}');\n}}\n",
+                        lit(&tag)
+                    )),
+                    Fields::Tuple(n) => {
+                        let binds: Vec<String> = (0..*n).map(|k| format!("__f{k}")).collect();
+                        arms.push_str(&format!(
+                            "{name}::{vname}({}) => {{\n{}}}\n",
+                            binds.join(", "),
+                            write_array(&tag, &binds, "}")
+                        ));
+                    }
+                    Fields::Named(fnames) => arms.push_str(&format!(
+                        "{name}::{vname} {{ {} }} => {{\n{}__out.push('}}');\n}}\n",
+                        fnames.join(", "),
+                        write_named(&tag, fnames, |f| f.to_string())
+                    )),
+                }
+            }
+            format!("match self {{\n{arms}}}")
+        }
+    }
+}
+
 fn gen_serialize(item: &Item) -> String {
+    let write_json = gen_write_json(item);
     match item {
         Item::Struct { name, fields } => {
             let body = match fields {
@@ -251,7 +346,8 @@ fn gen_serialize(item: &Item) -> String {
             };
             format!(
                 "#[automatically_derived]\n#[allow(clippy::all)]\nimpl ::serde::Serialize for {name} {{\n\
-                 fn serialize(&self) -> ::serde::Value {{\n{body}\n}}\n}}\n"
+                 fn serialize(&self) -> ::serde::Value {{\n{body}\n}}\n\
+                 fn write_json(&self, __out: &mut ::std::string::String) {{\n{write_json}\n}}\n}}\n"
             )
         }
         Item::Enum { name, variants } => {
@@ -295,7 +391,8 @@ fn gen_serialize(item: &Item) -> String {
             }
             format!(
                 "#[automatically_derived]\n#[allow(clippy::all)]\nimpl ::serde::Serialize for {name} {{\n\
-                 fn serialize(&self) -> ::serde::Value {{\nmatch self {{\n{arms}}}\n}}\n}}\n"
+                 fn serialize(&self) -> ::serde::Value {{\nmatch self {{\n{arms}}}\n}}\n\
+                 fn write_json(&self, __out: &mut ::std::string::String) {{\n{write_json}\n}}\n}}\n"
             )
         }
     }
