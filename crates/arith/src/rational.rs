@@ -583,26 +583,9 @@ impl serde::Serialize for Rational {
     /// The quoted [`fmt::Display`] form, written in place: digits, `-` and
     /// `/` need no escapes.
     fn write_json(&self, out: &mut String) {
-        out.push('"');
-        write_decimal(&self.numer, out);
-        if !self.denom.is_one() {
-            out.push('/');
-            write_decimal(&self.denom, out);
-        }
-        out.push('"');
-    }
-}
-
-/// Appends the decimal text of `n`: an `i64` through the JSON integer
-/// printer, a longer one through [`fmt::Display`].
-fn write_decimal(n: &BigInt, out: &mut String) {
-    match n.to_i64() {
-        Some(v) => serde::json::write_int(v as i128, out),
-        None => {
-            use fmt::Write;
-            // Writing into a `String` cannot fail.
-            let _ = write!(out, "{n}");
-        }
+        use fmt::Write;
+        // Writing into a `String` cannot fail.
+        let _ = write!(out, "\"{self}\"");
     }
 }
 

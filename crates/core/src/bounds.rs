@@ -39,7 +39,7 @@ use projtile_arith::{log, Rational};
 use projtile_loopnest::{IndexSet, LoopNest};
 use projtile_lp::{solve, Constraint, LinearProgram, Relation};
 use projtile_par::par_map;
-use serde::{json, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 use std::collections::HashMap;
 
 use crate::hbl::{solve_hbl, HblFamily};
@@ -64,13 +64,13 @@ pub struct LowerBound {
 
 /// The result of the paper's explicit subset enumeration.
 ///
-/// Its serde impls are written by hand and keep the derive's document
-/// (`{"exponent": k, "best_subset": Q, "per_subset": [[Q, k_Q], …]}`) byte
-/// for byte. The `2^d` exponents take few distinct values (the row-deleted
-/// HBL optimum behind `k_Q` does), so within one call each distinct `k_Q`
-/// is formatted once and each distinct string parsed once, through a map
-/// that is O(1) per entry even when every value is distinct.
-#[derive(Debug, Clone, PartialEq)]
+/// Its `Deserialize` is written by hand and reads the derive's document
+/// (`{"exponent": k, "best_subset": Q, "per_subset": [[Q, k_Q], …]}`) with
+/// the derive's errors. The `2^d` exponents take few distinct values (the
+/// row-deleted HBL optimum behind `k_Q` does), so within one call each
+/// distinct `k_Q` string is parsed once, through a map that is O(1) per
+/// entry even when every value is distinct.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EnumeratedBound {
     /// The best exponent found by the enumeration.
     pub exponent: Rational,
@@ -78,46 +78,6 @@ pub struct EnumeratedBound {
     pub best_subset: IndexSet,
     /// Every `(Q, k_Q)` pair, in mask order (useful for reports and plots).
     pub per_subset: Vec<(IndexSet, Rational)>,
-}
-
-impl Serialize for EnumeratedBound {
-    fn serialize(&self) -> Value {
-        let mut memo: HashMap<&Rational, Value> = HashMap::new();
-        let mut text = |k| memo.entry(k).or_insert_with(|| k.serialize()).clone();
-        Value::Object(vec![
-            ("exponent".to_string(), text(&self.exponent)),
-            ("best_subset".to_string(), self.best_subset.serialize()),
-            (
-                "per_subset".to_string(),
-                Value::Array(
-                    self.per_subset
-                        .iter()
-                        .map(|(q, k)| Value::Array(vec![q.serialize(), text(k)]))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    fn write_json(&self, out: &mut String) {
-        let mut memo: HashMap<&Rational, String> = HashMap::new();
-        let mut write = |k, out: &mut String| {
-            out.push_str(memo.entry(k).or_insert_with(|| json::to_string(k)));
-        };
-        out.push_str("{\"exponent\":");
-        write(&self.exponent, out);
-        out.push_str(",\"best_subset\":");
-        self.best_subset.write_json(out);
-        out.push_str(",\"per_subset\":[");
-        for (i, (q, k)) in self.per_subset.iter().enumerate() {
-            out.push_str(if i == 0 { "[" } else { ",[" });
-            q.write_json(out);
-            out.push(',');
-            write(k, out);
-            out.push(']');
-        }
-        out.push_str("]}");
-    }
 }
 
 /// Reads the fields in the derive's order with the derive's error texts.

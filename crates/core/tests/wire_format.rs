@@ -1,9 +1,9 @@
 //! Wire-format pins for the direct JSON writer and the hand-written
-//! `EnumeratedBound` serde impls. Writing a value straight into a buffer
+//! `EnumeratedBound` decoder. Writing a value straight into a buffer
 //! (`json::to_string`) must print the bytes its `Value` tree prints, for
 //! every answer kind, nest, query and snapshot payload; and the hand-written
-//! `EnumeratedBound` impls must build the tree the derive built, and accept
-//! and reject what it did, with its error text.
+//! `Deserialize` of `EnumeratedBound` must accept and reject what the derive
+//! did, with its error text.
 
 use projtile_arith::Rational;
 use projtile_core::bounds::{self, EnumeratedBound};
@@ -12,8 +12,8 @@ use projtile_loopnest::{builders, IndexSet, LoopNest};
 use proptest::prelude::*;
 use serde::{json, Deserialize, Serialize};
 
-/// `EnumeratedBound` as it was derived before its impls were written by
-/// hand: the oracle for the document and the error texts.
+/// `EnumeratedBound` with both impls derived, as before its `Deserialize`
+/// was written by hand: the oracle for the document and the error texts.
 #[derive(Debug, PartialEq, Serialize, Deserialize)]
 struct DerivedBound {
     exponent: Rational,
@@ -207,8 +207,8 @@ fn every_prefix_of_a_depth_eight_answer_fails_like_the_derive() {
 
 #[test]
 fn distinct_values_keep_the_memo_linear() {
-    // Every `k_Q` distinct: the writer and the reader still give the
-    // derive's bytes and values.
+    // Every `k_Q` distinct: the decoder's memo still gives the derive's
+    // values, and the writer its bytes.
     let per_subset: Vec<(IndexSet, Rational)> = (0..4096u64)
         .map(|m| {
             let k = Rational::from_frac((m as i64 + 1).into(), 7919.into());

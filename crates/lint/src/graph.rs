@@ -20,8 +20,9 @@
 //!   require a typed receiver (`Type::m` or a narrowed `self.m`);
 //! * a bare identifier naming a resolvable workspace fn (a fn-pointer or
 //!   closure-captured reference, e.g. `par_map_with(xs, compute_detached)`)
-//!   gets an edge, since the callee may run it — unless a `let` in the same
-//!   body binds that name, which makes it a local variable.
+//!   gets an edge, since the callee may run it — unless an earlier `let`
+//!   of the same block (or an enclosing one) binds that name, which makes
+//!   it a local variable.
 //!
 //! Code inside `#[cfg(test)]` regions and files under any `tests/` directory
 //! contributes **no nodes and no edges**: panics there are the point.
@@ -33,7 +34,7 @@
 
 use std::collections::HashMap;
 
-use crate::lexer::Tok;
+use crate::lexer::{Tok, Token};
 use crate::workspace::{Source, Workspace};
 
 /// Method names that shadow ubiquitous `std` container/iterator/string APIs.
@@ -648,20 +649,22 @@ fn collect_edges(
     let tokens = &src.parsed.tokens;
     let (bs, be) = body;
     let outside_children = |k: &usize| !children.iter().any(|&(cs, ce)| cs <= *k && *k <= ce);
-    // Names a `let` (or `let mut`) of this body binds: locals, never fn
-    // references, wherever they appear in it.
-    let locals: Vec<&str> = (bs + 1..be)
+    // The names a `let` (or `let mut`) of this body binds, each with the
+    // tokens it is in scope for (from the `let` to the end of its block):
+    // there the name is a local, never a fn reference.
+    let locals: Vec<(&str, usize, usize)> = (bs + 1..be)
         .filter(outside_children)
         .filter(|&k| matches!(&tokens[k].tok, Tok::Ident(kw) if kw == "let"))
         .filter_map(|k| {
-            match (
+            let name = match (
                 tokens.get(k + 1).map(|t| &t.tok),
                 tokens.get(k + 2).map(|t| &t.tok),
             ) {
-                (Some(Tok::Ident(m)), Some(Tok::Ident(b))) if m == "mut" => Some(b.as_str()),
-                (Some(Tok::Ident(b)), _) => Some(b.as_str()),
-                _ => None,
-            }
+                (Some(Tok::Ident(m)), Some(Tok::Ident(b))) if m == "mut" => b.as_str(),
+                (Some(Tok::Ident(b)), _) => b.as_str(),
+                _ => return None,
+            };
+            Some((name, k, block_end(tokens, k, be)))
         })
         .collect();
     let mut i = bs + 1;
@@ -759,7 +762,9 @@ fn collect_edges(
             && !matches!(next, Some(Tok::Punct(':')) | Some(Tok::Punct('!')))
             && !matches!(prev, Some(Tok::Punct('.')) | Some(Tok::Punct(':')))
             && !binder_before(prev)
-            && !locals.contains(&name.as_str())
+            && !locals
+                .iter()
+                .any(|&(local, from, to)| local == name && from < i && i < to)
         {
             // Bare identifier: a fn reference if it resolves exactly
             // (same file or a non-glob `use`) — fn pointers / closures.
@@ -771,6 +776,26 @@ fn collect_edges(
         }
         i += 1;
     }
+}
+
+/// The token that closes the block token `k` sits in, or `end` when none
+/// does before it.
+fn block_end(tokens: &[Token], k: usize, end: usize) -> usize {
+    let mut depth = 0usize;
+    (k..end)
+        .find(|&j| match tokens[j].tok {
+            Tok::Punct('{') => {
+                depth += 1;
+                false
+            }
+            Tok::Punct('}') if depth == 0 => true,
+            Tok::Punct('}') => {
+                depth -= 1;
+                false
+            }
+            _ => false,
+        })
+        .unwrap_or(end)
 }
 
 #[cfg(test)]

@@ -10,9 +10,11 @@
 //! * to the end of its statement when it is a temporary — including a
 //!   guard immediately consumed by further chaining
 //!   (`caches.read().config()`), whose `let` binds the chained result, not
-//!   the guard, and a guard acquired inside a call's argument list
+//!   the guard, and a guard borrowed as a call argument
 //!   (`let m = metrics(&caches.read());`), whose `let` binds the call's
-//!   result. Poison handling (`.unwrap()`, `.expect(..)`,
+//!   result. A guard passed by value (`let g = Some(caches.read());`) may
+//!   move into that result, so it counts as bound. Poison handling
+//!   (`.unwrap()`, `.expect(..)`,
 //!   `.unwrap_or_else(..)`) is not chaining: it passes the guard through
 //!   to the `let`;
 //! * until `drop(g)`, which ends a named guard early.
@@ -123,6 +125,18 @@ fn chained(tokens: &[Token], i: usize, end: usize) -> bool {
     false
 }
 
+/// Whether the acquisition at token `i` is borrowed: `&` (or `&mut`)
+/// before its receiver path (`&self.caches.read()`). A call given that
+/// reference cannot keep the guard past the statement.
+fn borrowed(tokens: &[Token], i: usize) -> bool {
+    let tok = |k: usize| tokens.get(k).map(|t| &t.tok);
+    let mut k = i;
+    while k > 0 && matches!(tok(k - 1), Some(Tok::Ident(_) | Tok::Punct('.' | ':'))) {
+        k -= 1;
+    }
+    k > 0 && matches!(tok(k - 1), Some(Tok::Punct('&')))
+}
+
 /// Walks node `id`'s body token by token (nested fn bodies are skipped;
 /// they are nodes of their own), calling `visit(i, acquired, live)` with
 /// the guards live *before* token `i` and, if token `i` acquires a guard,
@@ -150,7 +164,8 @@ pub fn walk<F>(
     let mut parens = 0usize;
     let mut guards: Vec<LiveGuard> = Vec::new();
     // The binding name of the statement's `let`, if any, and the parens
-    // open at the `let`: an acquisition inside more is a call argument.
+    // open at the `let`: an acquisition inside more is in a call's
+    // argument list.
     let mut pending_let: Option<(String, usize)> = None;
     let mut i = bs + 1;
     while i < be {
@@ -195,7 +210,9 @@ pub fn walk<F>(
         }
         if let Some(kind) = acquired {
             let bound = match &pending_let {
-                Some((name, open)) if parens <= *open && !chained(tokens, i, be) => {
+                Some((name, open))
+                    if !(chained(tokens, i, be) || (parens > *open && borrowed(tokens, i))) =>
+                {
                     Some(name.clone())
                 }
                 _ => None,

@@ -178,3 +178,25 @@ pub fn local_named_like_a_fn(lock: &std::sync::RwLock<u32>) -> u32 {
     drop(g);
     v
 }
+
+/// Seeds L009: a guard passed by value may move into the call's result, so
+/// `g` holds the read guard while `grab_write` takes the lock.
+pub fn wrap_then_write(lock: &std::sync::RwLock<u32>) -> u32 {
+    let g = Some(lock.read());
+    let v = grab_write(lock);
+    drop(g);
+    v
+}
+
+/// Seeds L009: the local `reload` is scoped to the first block, so the
+/// second `reload` is the lock-taking fn, referenced under a read guard.
+pub fn fn_named_like_an_inner_local(lock: &std::sync::RwLock<u32>) -> u32 {
+    let n = {
+        let reload = 2;
+        reload + 1
+    };
+    let g = lock.read();
+    let f: fn(&std::sync::RwLock<u32>) -> u32 = reload;
+    drop(g);
+    n + f(lock)
+}

@@ -156,7 +156,9 @@ macro_rules! int_impls {
                 Value::Int(*self as i128)
             }
             fn write_json(&self, out: &mut String) {
-                json::write_int(*self as i128, out);
+                use std::fmt::Write;
+                // Writing into a `String` cannot fail.
+                let _ = write!(out, "{self}");
             }
         }
         impl Deserialize for $t {
@@ -396,6 +398,7 @@ impl Deserialize for Value {
 /// the shim).
 pub mod json {
     use super::{Deserialize, Error, Serialize, Value};
+    use std::fmt::Write;
 
     /// Maximum container nesting depth the parser accepts. The parser
     /// recurses once per nesting level, so an unbounded depth would let a
@@ -450,7 +453,10 @@ pub mod json {
             Value::Null => out.push_str("null"),
             Value::Bool(true) => out.push_str("true"),
             Value::Bool(false) => out.push_str("false"),
-            Value::Int(i) => write_int(*i, out),
+            Value::Int(i) => {
+                // Writing into a `String` cannot fail.
+                let _ = write!(out, "{i}");
+            }
             Value::Float(f) => write_float(*f, out),
             Value::String(s) => write_str(s, out),
             Value::Array(items) => write_seq(items, out),
@@ -481,46 +487,11 @@ pub mod json {
         out.push(']');
     }
 
-    /// Appends the decimal text of `i` (a [`Value::Int`]), with no
-    /// temporary `String`.
-    pub fn write_int(i: i128, out: &mut String) {
-        // 39 digits and a sign cover `i128::MIN`.
-        let mut buf = [0u8; 40];
-        let mut start = buf.len();
-        let mut push = |digit: u8| {
-            start -= 1;
-            if let Some(slot) = buf.get_mut(start) {
-                *slot = digit;
-            }
-        };
-        // Peel digits in `u128` only while the rest does not fit a `u64`,
-        // whose division is far cheaper.
-        let mut wide = i.unsigned_abs();
-        while wide > u128::from(u64::MAX) {
-            push(b'0' + (wide % 10) as u8);
-            wide /= 10;
-        }
-        let mut n = wide as u64;
-        loop {
-            push(b'0' + (n % 10) as u8);
-            n /= 10;
-            if n == 0 {
-                break;
-            }
-        }
-        if i < 0 {
-            push(b'-');
-        }
-        let digits = buf.get(start..).unwrap_or_default();
-        out.push_str(std::str::from_utf8(digits).unwrap_or_default());
-    }
-
     /// Appends a [`Value::Float`]: Rust's shortest-round-trip decimal
     /// (parsing it recovers the exact bit pattern), with `.0` after an
     /// integral one; non-finite values as the tagged strings `"NaN"`,
     /// `"inf"` and `"-inf"`.
     pub(crate) fn write_float(f: f64, out: &mut String) {
-        use std::fmt::Write;
         if f.is_finite() {
             let start = out.len();
             // Writing into a `String` cannot fail.
@@ -541,7 +512,6 @@ pub mod json {
     /// Appends `s` as a quoted JSON string: one `push_str` per run between
     /// escapes, so an escape-free string is copied whole.
     pub fn write_str(s: &str, out: &mut String) {
-        use std::fmt::Write;
         out.push('"');
         let mut run = 0;
         for (i, &b) in s.as_bytes().iter().enumerate() {
@@ -669,16 +639,6 @@ pub mod json {
         let start = *pos;
         *pos += 1;
         let mut out = String::new();
-        // An escape-free string is copied with one exact-size allocation.
-        let rest = bytes.get(*pos..).unwrap_or_default();
-        if let Some(len) = rest.iter().position(|&b| b == b'"' || b == b'\\') {
-            if rest.get(len) == Some(&b'"') {
-                let run = std::str::from_utf8(rest.get(..len).unwrap_or_default())
-                    .map_err(|_| Error::custom(format!("invalid UTF-8 at byte {}", *pos)))?;
-                *pos += len + 1;
-                return Ok(run.to_owned());
-            }
-        }
         loop {
             match bytes.get(*pos) {
                 None => {
@@ -783,8 +743,7 @@ pub mod json {
             }
             *pos - from
         };
-        let negative = bytes.get(*pos) == Some(&b'-');
-        if negative {
+        if bytes.get(*pos) == Some(&b'-') {
             *pos += 1;
         }
         let int_start = *pos;
@@ -820,19 +779,6 @@ pub mod json {
                     *pos
                 )));
             }
-        }
-        if integral && int_digits <= 18 {
-            // Fits an `i64`: fold the digits, no text round trip.
-            let magnitude = bytes
-                .get(int_start..*pos)
-                .unwrap_or_default()
-                .iter()
-                .fold(0i64, |n, &b| n * 10 + i64::from(b - b'0'));
-            return Ok(Value::Int(i128::from(if negative {
-                -magnitude
-            } else {
-                magnitude
-            })));
         }
         // The grammar above admits only ASCII.
         let text = std::str::from_utf8(bytes.get(start..*pos).unwrap_or_default())
