@@ -592,15 +592,32 @@ impl serde::Serialize for Rational {
 impl serde::Deserialize for Rational {
     fn deserialize(v: &serde::Value) -> Result<Rational, serde::Error> {
         match v {
-            serde::Value::String(s) => s
-                .parse()
-                .map_err(|e: ParseRationalError| serde::Error::custom(e.to_string())),
+            serde::Value::String(s) => Rational::parse_json(s),
             serde::Value::Int(i) => Ok(Rational::from_integer(BigInt::from(*i))),
             other => Err(serde::Error::custom(format!(
                 "expected a rational literal string, found {}",
                 other.kind()
             ))),
         }
+    }
+
+    /// A string is parsed where it lies in the text (escape-free, as every
+    /// printed rational is); an integer or anything else reads as a tree.
+    fn read_json(r: &mut serde::json::Reader<'_>) -> Result<Rational, serde::Error> {
+        if r.peek()? == b'"' {
+            Rational::parse_json(&r.string()?)
+        } else {
+            Rational::deserialize(&r.value()?)
+        }
+    }
+}
+
+impl Rational {
+    /// Parses the text of a JSON rational string, with the deserializer's
+    /// error.
+    fn parse_json(text: &str) -> Result<Rational, serde::Error> {
+        text.parse()
+            .map_err(|e: ParseRationalError| serde::Error::custom(e.to_string()))
     }
 }
 

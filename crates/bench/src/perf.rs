@@ -3,15 +3,15 @@
 //! This module and [`crate::service_perf`] are the repository's one timing
 //! harness. [`default_workloads`] names every closure workload: the
 //! Theorem-2 bound LP and the `2^d` subset enumeration, the §7 parametric
-//! sweeps and surfaces, the engine's session paths and the full matmul
-//! pipeline. [`measure_all`] times each one with a plain warm-up +
+//! sweeps and surfaces, the engine's session paths, the decode of one large
+//! answer and the full matmul pipeline. [`measure_all`] times each one with a plain warm-up +
 //! batched-samples loop, and [`snapshot_json`] renders the machine-readable
 //! `BENCH_*.json` snapshot successive PRs compare against. The protocol is
 //! in `docs/benchmarking.md`.
 
 use std::time::{Duration, Instant};
 
-use projtile_core::engine::{Engine, Query};
+use projtile_core::engine::{AnalysisResult, Engine, Query};
 use projtile_core::{
     bounds, check_tightness, communication_lower_bound, hbl, optimal_tiling, parametric,
 };
@@ -354,6 +354,29 @@ pub fn default_workloads() -> Vec<Workload> {
                     .exponent_at_bound(&n, probe_m, 2, 37)
                     .expect("valid probe"),
             );
+        }),
+    });
+
+    // Decoding one depth-10 `EnumeratedBound` answer (1024 `(Q, k_Q)`
+    // pairs): streamed by `json::from_str`, and through the retained tree
+    // path (`json::parse` plus `deserialize`) as its in-snapshot twin.
+    let answer = json::to_string(&AnalysisResult::EnumeratedBound(
+        bounds::enumerated_exponent(&builders::random_projective(42, 10, 4, (1, 256)), BOUND_M),
+    ));
+    let text = answer.clone();
+    workloads.push(Workload {
+        name: "wire/decode/enumerated_d10".to_string(),
+        run: Box::new(move || {
+            std::hint::black_box(
+                json::from_str::<AnalysisResult>(&text).expect("the answer decodes"),
+            );
+        }),
+    });
+    workloads.push(Workload {
+        name: "wire/decode_tree/enumerated_d10".to_string(),
+        run: Box::new(move || {
+            let tree = json::parse(&answer).expect("the answer parses");
+            std::hint::black_box(AnalysisResult::deserialize(&tree).expect("the answer decodes"));
         }),
     });
 

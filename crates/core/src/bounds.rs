@@ -39,7 +39,8 @@ use projtile_arith::{log, Rational};
 use projtile_loopnest::{IndexSet, LoopNest};
 use projtile_lp::{solve, Constraint, LinearProgram, Relation};
 use projtile_par::par_map;
-use serde::{Deserialize, Serialize, Value};
+use serde::{json, Deserialize, Serialize, Value};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use crate::hbl::{solve_hbl, HblFamily};
@@ -69,7 +70,9 @@ pub struct LowerBound {
 /// the derive's errors. The `2^d` exponents take few distinct values (the
 /// row-deleted HBL optimum behind `k_Q` does), so within one call each
 /// distinct `k_Q` string is parsed once, through a map that is O(1) per
-/// entry even when every value is distinct.
+/// entry even when every value is distinct. `read_json` keys that map by
+/// each escape-free `k_Q`'s slice of the text itself, so no `String` is
+/// made per pair.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EnumeratedBound {
     /// The best exponent found by the enumeration.
@@ -107,6 +110,67 @@ impl Deserialize for EnumeratedBound {
             per_subset,
         })
     }
+
+    fn read_json(r: &mut json::Reader<'_>) -> Result<Self, serde::Error> {
+        read_enumerated(r)
+    }
+}
+
+/// Reads the derive's document as its `deserialize` does: fields in any
+/// order, the first of a repeated key, unknown keys dropped.
+fn read_enumerated<'a>(r: &mut json::Reader<'a>) -> Result<EnumeratedBound, serde::Error> {
+    let mut memo: HashMap<&'a str, Rational> = HashMap::new();
+    let (mut exponent, mut best_subset, mut per_subset) = (None, None, None);
+    r.object(|r, key| {
+        match &*key {
+            "exponent" if exponent.is_none() => exponent = Some(read_rational(r, &mut memo)?),
+            "best_subset" if best_subset.is_none() => best_subset = Some(IndexSet::read_json(r)?),
+            "per_subset" if per_subset.is_none() => {
+                let mut pairs = Vec::new();
+                r.array(|r| {
+                    let (mut q, mut k) = (None, None);
+                    r.tuple(2, |r, i| {
+                        if i == 0 {
+                            q = Some(IndexSet::read_json(r)?);
+                        } else {
+                            k = Some(read_rational(r, &mut memo)?);
+                        }
+                        Ok(())
+                    })?;
+                    pairs.push(
+                        q.zip(k).ok_or_else(|| {
+                            serde::Error::custom("expected 2 elements for a pair")
+                        })?,
+                    );
+                    Ok(())
+                })?;
+                per_subset = Some(pairs);
+            }
+            _ => r.skip()?,
+        }
+        Ok(())
+    })?;
+    let missing = |f: &str| serde::Error::custom(format!("missing field `{f}`"));
+    Ok(EnumeratedBound {
+        exponent: exponent.ok_or_else(|| missing("exponent"))?,
+        best_subset: best_subset.ok_or_else(|| missing("best_subset"))?,
+        per_subset: per_subset.ok_or_else(|| missing("per_subset"))?,
+    })
+}
+
+/// [`Rational::read_json`], parsing each distinct escape-free string once
+/// per `memo`, which borrows it from the text.
+fn read_rational<'a>(
+    r: &mut json::Reader<'a>,
+    memo: &mut HashMap<&'a str, Rational>,
+) -> Result<Rational, serde::Error> {
+    if r.peek()? != b'"' {
+        return Rational::read_json(r);
+    }
+    match r.string()? {
+        Cow::Borrowed(text) => memoized(memo, text),
+        Cow::Owned(text) => parse_rational(&text),
+    }
 }
 
 /// [`Rational::deserialize`], parsing each distinct string once per `memo`.
@@ -114,15 +178,30 @@ fn memo_rational<'v>(
     memo: &mut HashMap<&'v str, Rational>,
     v: &'v Value,
 ) -> Result<Rational, serde::Error> {
-    let Value::String(text) = v else {
-        return Rational::deserialize(v);
-    };
-    if let Some(k) = memo.get(text.as_str()) {
+    match v {
+        Value::String(text) => memoized(memo, text),
+        _ => Rational::deserialize(v),
+    }
+}
+
+/// The rational a JSON string holds, parsed once per distinct `text` per
+/// `memo`.
+fn memoized<'a>(
+    memo: &mut HashMap<&'a str, Rational>,
+    text: &'a str,
+) -> Result<Rational, serde::Error> {
+    if let Some(k) = memo.get(text) {
         return Ok(k.clone());
     }
-    let k = Rational::deserialize(v)?;
+    let k = parse_rational(text)?;
     memo.insert(text, k.clone());
     Ok(k)
+}
+
+/// A JSON string's rational, with `Rational::deserialize`'s error.
+fn parse_rational(text: &str) -> Result<Rational, serde::Error> {
+    text.parse::<Rational>()
+        .map_err(|e| serde::Error::custom(e.to_string()))
 }
 
 /// The log-bounds `β_i = log_M L_i` of a nest, as exact rationals where

@@ -1,9 +1,11 @@
-//! Wire-format pins for the direct JSON writer and the hand-written
-//! `EnumeratedBound` decoder. Writing a value straight into a buffer
+//! Wire-format pins for the direct JSON writer and the streaming and
+//! hand-written decoders. Writing a value straight into a buffer
 //! (`json::to_string`) must print the bytes its `Value` tree prints, for
-//! every answer kind, nest, query and snapshot payload; and the hand-written
-//! `Deserialize` of `EnumeratedBound` must accept and reject what the derive
-//! did, with its error text.
+//! every answer kind, nest, query and snapshot payload; reading one
+//! straight from the text (`json::from_str`, `read_json`) must give the
+//! tree decode's value; and the hand-written `Deserialize` of
+//! `EnumeratedBound` must accept and reject what the derive did, with its
+//! error text.
 
 use projtile_arith::Rational;
 use projtile_core::bounds::{self, EnumeratedBound};
@@ -223,4 +225,78 @@ fn distinct_values_keep_the_memo_linear() {
     let text = json::to_string(&b);
     assert_eq!(text, json::to_string(&DerivedBound::from(&b)));
     assert_eq!(decode_like_the_derive(&text), Ok(b));
+}
+
+/// `json::from_str` gives the tree decode's value, and the stream alone
+/// (`read_json` and the end of the input) reads `doc` to that value.
+fn streams_like_the_tree<T: Deserialize + PartialEq + std::fmt::Debug>(doc: &str) -> T {
+    let tree = T::deserialize(&json::parse(doc).expect("valid JSON")).expect("the tree decodes");
+    assert_eq!(json::from_str::<T>(doc).as_ref(), Ok(&tree), "{doc}");
+    let mut r = json::Reader::new(doc);
+    let streamed = T::read_json(&mut r).and_then(|t| r.end().map(|()| t));
+    assert_eq!(streamed.as_ref(), Ok(&tree), "the stream alone on {doc}");
+    tree
+}
+
+#[test]
+fn every_answer_kind_streams_to_the_tree_value() {
+    for (seed, d) in [(5u64, 3usize), (11, 6), (17, 8)] {
+        let nest = builders::random_projective(seed, d, 4, (1, 256));
+        assert_eq!(
+            streams_like_the_tree::<LoopNest>(&json::to_string(&nest)),
+            nest
+        );
+        let engine = Engine::new();
+        for query in all_queries(&nest, 64) {
+            assert_eq!(
+                streams_like_the_tree::<Query>(&json::to_string(&query)),
+                query
+            );
+            let answer = engine.analyze(&nest, &query).expect("valid query");
+            let text = json::to_string(&answer);
+            assert_eq!(streams_like_the_tree::<AnalysisResult>(&text), answer);
+        }
+        // The queries as the server reads them, in one array.
+        let queries = all_queries(&nest, 64);
+        assert_eq!(
+            streams_like_the_tree::<Vec<Query>>(&json::to_string(&queries)),
+            queries
+        );
+    }
+}
+
+#[test]
+fn escaped_integer_and_reordered_enumerations_stream_like_the_derive() {
+    let doc = r#"{"per_subset":[[0,"1\/2"],[1,3],[2,"1/2"],[3,"1\/2"],[4,"-3/4"]],"extra":{"k":["1/2"]},"best_subset":1,"exponent":"1\/2","best_subset":"x"}"#;
+    let b = streams_like_the_tree::<EnumeratedBound>(doc);
+    assert_eq!(decode_like_the_derive(doc), Ok(b.clone()));
+    let half = Rational::from_frac(1.into(), 2.into());
+    let ks: Vec<Rational> = b.per_subset.iter().map(|(_, k)| k.clone()).collect();
+    assert_eq!(
+        ks,
+        [
+            half.clone(),
+            Rational::from_integer(3.into()),
+            half.clone(),
+            half.clone(),
+            Rational::from_frac((-3).into(), 4.into()),
+        ]
+    );
+    assert_eq!(b.exponent, half);
+    assert_eq!(b.best_subset, IndexSet::from_bits(1));
+    // The same answer inside the result envelope, spaced out.
+    let wrapped = format!("{{ \"EnumeratedBound\" :\n{doc} }}");
+    assert_eq!(
+        streams_like_the_tree::<AnalysisResult>(&wrapped),
+        AnalysisResult::EnumeratedBound(b)
+    );
+    // A depth-8 answer with its fields reordered.
+    let b = d8_bound();
+    let doc = format!(
+        r#"{{"best_subset":{},"per_subset":{},"exponent":{}}}"#,
+        json::to_string(&b.best_subset),
+        json::to_string(&b.per_subset),
+        json::to_string(&b.exponent)
+    );
+    assert_eq!(streams_like_the_tree::<EnumeratedBound>(&doc), b);
 }

@@ -120,9 +120,23 @@ pub struct LoopNest {
 /// panics deep inside the analyses.
 impl serde::Deserialize for LoopNest {
     fn deserialize(v: &serde::Value) -> Result<LoopNest, serde::Error> {
-        let indices = Vec::<LoopIndex>::deserialize(v.field("indices")?)?;
-        let arrays = Vec::<ArrayAccess>::deserialize(v.field("arrays")?)?;
-        LoopNest::new(indices, arrays)
+        NestFields::deserialize(v).and_then(NestFields::validate)
+    }
+    fn read_json(r: &mut serde::json::Reader<'_>) -> Result<LoopNest, serde::Error> {
+        NestFields::read_json(r).and_then(NestFields::validate)
+    }
+}
+
+/// A [`LoopNest`] document's fields before validation.
+#[derive(Deserialize)]
+struct NestFields {
+    indices: Vec<LoopIndex>,
+    arrays: Vec<ArrayAccess>,
+}
+
+impl NestFields {
+    fn validate(self) -> Result<LoopNest, serde::Error> {
+        LoopNest::new(self.indices, self.arrays)
             .map_err(|e| serde::Error::custom(format!("invalid loop nest: {e}")))
     }
 }

@@ -204,13 +204,7 @@ impl Client {
         queries: &[Query],
     ) -> Result<Vec<Result<AnalysisResult, String>>, ClientError> {
         let started = Instant::now();
-        let body = json::to_string(&Value::Object(vec![
-            ("nest".to_string(), nest.serialize()),
-            (
-                "queries".to_string(),
-                Value::Array(queries.iter().map(Serialize::serialize).collect()),
-            ),
-        ]));
+        let body = request_body(nest, queries);
         let encoded = Instant::now();
         let mut connect = Duration::ZERO;
         let response = self.request("POST", "/analyze", &body, &mut connect)?;
@@ -379,10 +373,68 @@ impl Client {
     }
 }
 
-/// The per-query outcomes of an `/analyze` response.
-fn decode_results(response: &Response) -> Result<Vec<Result<AnalysisResult, String>>, ClientError> {
+/// The `/analyze` body `{"nest":…,"queries":[…]}`, written straight from
+/// the values: the bytes printing its `Value` tree gives.
+fn request_body(nest: &LoopNest, queries: &[Query]) -> String {
+    let mut body = String::from("{\"nest\":");
+    nest.write_json(&mut body);
+    body.push_str(",\"queries\":");
+    queries.write_json(&mut body);
+    body.push('}');
+    body
+}
+
+/// One query's outcome in an `/analyze` response.
+type Outcome = Result<AnalysisResult, String>;
+
+/// The per-query outcomes of an `/analyze` response, read from the body
+/// without a tree; a body the stream refuses goes through [`tree_results`],
+/// so every error is the tree decode's.
+fn decode_results(response: &Response) -> Result<Vec<Outcome>, ClientError> {
     let text = std::str::from_utf8(&response.body)
         .map_err(|_| ClientError::Protocol("response body is not UTF-8".to_string()))?;
+    read_results(text).or_else(|_| tree_results(text))
+}
+
+/// `{"results":[{"ok": answer} | {"err": message}, …]}` read token by
+/// token. What it accepts, [`tree_results`] accepts with the same outcomes:
+/// the first of a repeated key counts, `ok` wins over `err`, other keys
+/// are dropped.
+fn read_results(text: &str) -> Result<Vec<Outcome>, serde::Error> {
+    let mut r = json::Reader::new(text);
+    let mut results = None;
+    r.object(|r, key| {
+        if key != "results" || results.is_some() {
+            return r.skip();
+        }
+        let mut entries = Vec::new();
+        r.array(|r| {
+            let (mut ok, mut err) = (None, None);
+            r.object(|r, key| {
+                match &*key {
+                    "ok" if ok.is_none() => ok = Some(AnalysisResult::read_json(r)?),
+                    "err" if err.is_none() => err = Some(String::read_json(r)?),
+                    _ => r.skip()?,
+                }
+                Ok(())
+            })?;
+            entries.push(match (ok, err) {
+                (Some(answer), _) => Ok(answer),
+                (None, Some(msg)) => Err(msg),
+                (None, None) => return Err(serde::Error::custom("an entry without a result")),
+            });
+            Ok(())
+        })?;
+        results = Some(entries);
+        Ok(())
+    })?;
+    r.end()?;
+    results.ok_or_else(|| serde::Error::custom("no `results` array"))
+}
+
+/// The per-query outcomes of an `/analyze` response, through a `Value`
+/// tree.
+fn tree_results(text: &str) -> Result<Vec<Outcome>, ClientError> {
     let doc =
         json::parse(text).map_err(|e| ClientError::Protocol(format!("response body: {e}")))?;
     let entries = match doc.field("results") {
@@ -414,6 +466,31 @@ fn decode_results(response: &Response) -> Result<Vec<Result<AnalysisResult, Stri
 #[cfg(test)]
 mod tests {
     use super::*;
+    use projtile_loopnest::builders;
+
+    #[test]
+    fn request_bodies_are_the_printed_tree() {
+        let nest = builders::random_projective(3, 10, 4, (1, 256));
+        let queries = [
+            Query::EnumeratedBound { cache_size: 64 },
+            Query::Slice {
+                cache_size: 64,
+                axis: 9,
+                lo_bound: 1,
+                hi_bound: 64,
+            },
+        ];
+        for queries in [&queries[..], &queries[..1], &[]] {
+            let tree = json::to_string(&Value::Object(vec![
+                ("nest".to_string(), nest.serialize()),
+                (
+                    "queries".to_string(),
+                    Value::Array(queries.iter().map(Serialize::serialize).collect()),
+                ),
+            ]));
+            assert_eq!(request_body(&nest, queries), tree);
+        }
+    }
 
     #[test]
     fn backoff_grows_and_honors_retry_after() {

@@ -826,6 +826,14 @@ fn route(shared: &Shared, request: &Request, timeline: &mut Timeline) -> Reply {
     }
 }
 
+/// The body of `POST /analyze`. A `400` carries the tree decode's error
+/// text (see `json::from_str`).
+#[derive(Deserialize)]
+struct AnalyzeRequest {
+    nest: LoopNest,
+    queries: Vec<Query>,
+}
+
 /// `POST /analyze`: admit, parse, validate, compute under `catch_unwind`,
 /// serialize. The compute permit is held from admission to the return.
 fn analyze(shared: &Shared, body: &[u8], timeline: &mut Timeline) -> Reply {
@@ -841,14 +849,9 @@ fn analyze(shared: &Shared, body: &[u8], timeline: &mut Timeline) -> Reply {
 
     let parsed = std::str::from_utf8(body)
         .map_err(|_| serde::Error::custom("body is not UTF-8"))
-        .and_then(json::parse)
-        .and_then(|v| {
-            let nest = LoopNest::deserialize(v.field("nest")?)?;
-            let queries = Vec::<Query>::deserialize(v.field("queries")?)?;
-            Ok((nest, queries))
-        });
-    let (nest, queries) = match parsed {
-        Ok(pair) => pair,
+        .and_then(json::from_str::<AnalyzeRequest>);
+    let AnalyzeRequest { nest, queries } = match parsed {
+        Ok(request) => request,
         Err(e) => {
             shared.metrics.parse_errors.fetch_add(1, Ordering::Relaxed);
             return Reply::error(400, "Bad Request", &e.to_string());

@@ -10,11 +10,11 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use projtile_core::engine::{Engine, Query, SnapshotStore};
+use projtile_core::engine::{AnalysisResult, Engine, Query, SnapshotStore};
 use projtile_loopnest::builders;
 use projtile_service::http::{read_response, ReadError, Reader, Response};
 use projtile_service::{Client, FaultPlan, Server, ServerConfig, ServerHandle};
-use serde::{json, Serialize, Value};
+use serde::{json, Deserialize, Serialize, Value};
 
 fn start(mutate: impl FnOnce(&mut ServerConfig), fault: FaultPlan) -> ServerHandle {
     let mut config = ServerConfig::default();
@@ -1008,13 +1008,7 @@ fn analyze_bodies_are_the_printed_result_tree_byte_for_byte() {
         lo_bound: 1,
         hi_bound: 4,
     });
-    let body = json::to_string(&Value::Object(vec![
-        ("nest".to_string(), nest.serialize()),
-        (
-            "queries".to_string(),
-            Value::Array(queries.iter().map(Serialize::serialize).collect()),
-        ),
-    ]));
+    let body = analyze_body(&nest, &queries);
     let entries = Engine::new()
         .analyze_batch(&nest, &queries)
         .iter()
@@ -1065,5 +1059,122 @@ fn numbers_outside_the_json_grammar_are_parse_errors() {
     let counted = handle.metrics().parse_errors.load(Ordering::Relaxed) - before;
     assert_eq!(counted, bad.len() as u64, "each bad body is a parse error");
     assert_eq!(raw(&handle, &post("/analyze", &body("64"))).status, 200);
+    handle.join();
+}
+
+/// The `/analyze` body for `nest` and `queries`, printed from its tree.
+fn analyze_body(nest: &projtile_loopnest::LoopNest, queries: &[Query]) -> String {
+    json::to_string(&Value::Object(vec![
+        ("nest".to_string(), nest.serialize()),
+        (
+            "queries".to_string(),
+            Value::Array(queries.iter().map(Serialize::serialize).collect()),
+        ),
+    ]))
+}
+
+#[test]
+fn request_parse_errors_keep_their_texts_and_repeated_keys_read_the_first() {
+    let handle = start(|_| {}, FaultPlan::default());
+    let nest = json::to_string(&builders::matmul(16, 16, 16));
+    let invalid_nest = r#"{"indices":[{"name":"i","bound":4},{"name":"j","bound":4}],"arrays":[{"name":"A","support":1}]}"#;
+    let cases = [
+        (
+            r#"{"queries":[]}"#.to_string(),
+            r#"{"error":"serde: missing field `nest`"}"#,
+        ),
+        (
+            format!(r#"{{"nest":{nest},"queries":5}}"#),
+            r#"{"error":"serde: expected an array, found a number"}"#,
+        ),
+        (
+            format!(r#"{{"nest":{invalid_nest},"queries":[]}}"#),
+            r#"{"error":"serde: invalid loop nest: loop index `j` appears in no array's support (drop it before analysis)"}"#,
+        ),
+    ];
+    for (body, text) in &cases {
+        let r = raw(&handle, &post("/analyze", body));
+        assert_eq!(r.status, 400, "{body}");
+        assert_eq!(String::from_utf8_lossy(&r.body), *text, "{body}");
+    }
+    // The first `nest` is the one analyzed; a later one, even an invalid
+    // one, is only read as JSON.
+    let query = r#"[{"LowerBound":{"cache_size":64}}]"#;
+    let first = raw(
+        &handle,
+        &post(
+            "/analyze",
+            &format!(r#"{{"nest":{nest},"queries":{query},"nest":{invalid_nest}}}"#),
+        ),
+    );
+    let alone = raw(
+        &handle,
+        &post(
+            "/analyze",
+            &format!(r#"{{"nest":{nest},"queries":{query}}}"#),
+        ),
+    );
+    assert_eq!(first.status, 200);
+    assert_eq!(first.body, alone.body);
+    handle.join();
+}
+
+#[test]
+fn a_raw_control_character_in_a_name_is_a_parse_error() {
+    // RFC 8259 §7: U+0000–U+001F must be escaped inside a string.
+    let handle = start(|_| {}, FaultPlan::default());
+    let nest = |name: &str| {
+        format!(
+            r#"{{"nest":{{"indices":[{{"name":"{name}","bound":8}}],"arrays":[{{"name":"A","support":1}}]}},"queries":[{{"LowerBound":{{"cache_size":64}}}}]}}"#
+        )
+    };
+    let before = handle.metrics().parse_errors.load(Ordering::Relaxed);
+    let r = raw(&handle, &post("/analyze", &nest("i\nj")));
+    assert_eq!(r.status, 400);
+    let text = String::from_utf8_lossy(&r.body);
+    assert!(
+        text.contains("U+000A") && text.contains("at byte"),
+        "{text}"
+    );
+    let counted = handle.metrics().parse_errors.load(Ordering::Relaxed) - before;
+    assert_eq!(counted, 1);
+    // Escaped, the same name is a valid loop name.
+    assert_eq!(raw(&handle, &post("/analyze", &nest("i\\nj"))).status, 200);
+    handle.join();
+}
+
+#[test]
+fn the_client_stream_decodes_what_the_tree_decodes() {
+    let handle = start(|_| {}, FaultPlan::default());
+    let nest = builders::random_projective(11, 8, 4, (1, 256));
+    let mut queries = all_kinds_on(64, 3);
+    queries.push(Query::Slice {
+        cache_size: 64,
+        axis: 99, // no such loop
+        lo_bound: 1,
+        hi_bound: 4,
+    });
+    let client = Client::new(handle.addr().to_string());
+    let streamed = client.analyze(&nest, &queries).expect("served");
+    let r = raw(&handle, &post("/analyze", &analyze_body(&nest, &queries)));
+    assert_eq!(r.status, 200);
+    let doc = json::parse(std::str::from_utf8(&r.body).expect("UTF-8")).expect("JSON");
+    let Ok(Value::Array(entries)) = doc.field("results") else {
+        panic!("no results array");
+    };
+    let tree: Vec<Result<AnalysisResult, String>> = entries
+        .iter()
+        .map(|entry| match (entry.field("ok"), entry.field("err")) {
+            (Ok(ok), _) => Ok(AnalysisResult::deserialize(ok).expect("an answer")),
+            (_, Ok(Value::String(msg))) => Err(msg.clone()),
+            other => panic!("entry {other:?}"),
+        })
+        .collect();
+    assert_eq!(tree.len(), queries.len());
+    assert!(
+        tree.last().is_some_and(Result::is_err),
+        "the batch carries an error"
+    );
+    assert_eq!(streamed, tree);
     handle.join();
 }

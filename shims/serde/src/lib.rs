@@ -10,7 +10,9 @@
 //! * [`Serialize`] / [`Deserialize`] traits over that model, implemented for
 //!   the primitive and container types the workspace uses, plus
 //!   [`Serialize::write_json`], which prints a value's JSON straight into a
-//!   buffer without building its tree;
+//!   buffer without building its tree, and [`Deserialize::read_json`],
+//!   which reads a value from a [`json::Reader`] over the text without
+//!   building its tree;
 //! * working derive macros (re-exported from the `serde_derive` shim crate)
 //!   for structs and externally-tagged enums.
 //!
@@ -139,10 +141,22 @@ pub trait Serialize {
     }
 }
 
-/// Conversion from the document tree.
+/// Conversion from the document tree, or straight from JSON text.
 pub trait Deserialize: Sized {
     /// Deserializes a value of `Self` from `v`.
     fn deserialize(v: &Value) -> Result<Self, Error>;
+
+    /// Reads one `Self` from `r`'s next value, without building its tree.
+    /// Whatever it accepts must be what [`Deserialize::deserialize`] gives
+    /// for that value's tree; it may refuse more, since [`json::from_str`]
+    /// answers any refusal through the tree (see there). The provided
+    /// method reads the value as a [`Value`] (which allocates nothing for a
+    /// number or a literal) and calls `deserialize`; the derives, the
+    /// container impls, `String`, `Value` and `Rational` read the tokens
+    /// themselves.
+    fn read_json(r: &mut json::Reader<'_>) -> Result<Self, Error> {
+        Self::deserialize(&r.value()?)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -249,6 +263,9 @@ impl Deserialize for String {
             ))),
         }
     }
+    fn read_json(r: &mut json::Reader<'_>) -> Result<Self, Error> {
+        r.string().map(std::borrow::Cow::into_owned)
+    }
 }
 
 impl Serialize for str {
@@ -269,9 +286,18 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     }
 }
 
-impl<T: Serialize> Serialize for Vec<T> {
+impl<T: Serialize> Serialize for [T] {
     fn serialize(&self) -> Value {
         Value::Array(self.iter().map(Serialize::serialize).collect())
+    }
+    fn write_json(&self, out: &mut String) {
+        json::write_seq(self, out);
+    }
+}
+
+impl<T: Serialize> Serialize for Vec<T> {
+    fn serialize(&self) -> Value {
+        self.as_slice().serialize()
     }
     fn write_json(&self, out: &mut String) {
         json::write_seq(self, out);
@@ -287,6 +313,14 @@ impl<T: Deserialize> Deserialize for Vec<T> {
                 other.kind()
             ))),
         }
+    }
+    fn read_json(r: &mut json::Reader<'_>) -> Result<Self, Error> {
+        let mut items = Vec::new();
+        r.array(|r| {
+            items.push(T::read_json(r)?);
+            Ok(())
+        })?;
+        Ok(items)
     }
 }
 
@@ -312,6 +346,14 @@ impl<T: Deserialize> Deserialize for Option<T> {
             other => T::deserialize(other).map(Some),
         }
     }
+    fn read_json(r: &mut json::Reader<'_>) -> Result<Self, Error> {
+        if r.peek()? == b'n' {
+            // `null`, or a grammar error.
+            r.skip().map(|()| None)
+        } else {
+            T::read_json(r).map(Some)
+        }
+    }
 }
 
 impl<A: Serialize, B: Serialize> Serialize for (A, B) {
@@ -331,6 +373,19 @@ impl<A: Deserialize, B: Deserialize> Deserialize for (A, B) {
     fn deserialize(v: &Value) -> Result<Self, Error> {
         let items = v.array_of(2, "a pair")?;
         Ok((A::deserialize(&items[0])?, B::deserialize(&items[1])?))
+    }
+    fn read_json(r: &mut json::Reader<'_>) -> Result<Self, Error> {
+        let (mut a, mut b) = (None, None);
+        r.tuple(2, |r, k| {
+            if k == 0 {
+                a = Some(A::read_json(r)?);
+            } else {
+                b = Some(B::read_json(r)?);
+            }
+            Ok(())
+        })?;
+        a.zip(b)
+            .ok_or_else(|| Error::custom("expected 2 elements for a pair"))
     }
 }
 
@@ -362,6 +417,21 @@ impl<A: Deserialize, B: Deserialize, C: Deserialize> Deserialize for (A, B, C) {
             C::deserialize(&items[2])?,
         ))
     }
+    fn read_json(r: &mut json::Reader<'_>) -> Result<Self, Error> {
+        let (mut a, mut b, mut c) = (None, None, None);
+        r.tuple(3, |r, k| {
+            match k {
+                0 => a = Some(A::read_json(r)?),
+                1 => b = Some(B::read_json(r)?),
+                _ => c = Some(C::read_json(r)?),
+            }
+            Ok(())
+        })?;
+        a.zip(b)
+            .zip(c)
+            .map(|((a, b), c)| (a, b, c))
+            .ok_or_else(|| Error::custom("expected 3 elements for a triple"))
+    }
 }
 
 impl<T: Serialize> Serialize for Box<T> {
@@ -376,6 +446,9 @@ impl<T: Serialize> Serialize for Box<T> {
 impl<T: Deserialize> Deserialize for Box<T> {
     fn deserialize(v: &Value) -> Result<Self, Error> {
         T::deserialize(v).map(Box::new)
+    }
+    fn read_json(r: &mut json::Reader<'_>) -> Result<Self, Error> {
+        T::read_json(r).map(Box::new)
     }
 }
 
@@ -392,20 +465,24 @@ impl Deserialize for Value {
     fn deserialize(v: &Value) -> Result<Self, Error> {
         Ok(v.clone())
     }
+    fn read_json(r: &mut json::Reader<'_>) -> Result<Self, Error> {
+        r.value()
+    }
 }
 
 /// JSON printing and parsing for [`Value`] trees (the `serde_json` corner of
 /// the shim).
 pub mod json {
     use super::{Deserialize, Error, Serialize, Value};
+    use std::borrow::Cow;
     use std::fmt::Write;
 
-    /// Maximum container nesting depth the parser accepts. The parser
-    /// recurses once per nesting level, so an unbounded depth would let a
-    /// hostile or corrupt document (e.g. a tampered engine snapshot of
-    /// `[[[[…`) overflow the stack; beyond this cap it returns a parse
-    /// error instead. 128 levels is far deeper than any document this
-    /// workspace produces.
+    /// Maximum container nesting depth the parser accepts, in the tree and
+    /// in typed reads alike. The parser recurses once per nesting level, so
+    /// an unbounded depth would let a hostile or corrupt document (e.g. a
+    /// tampered engine snapshot of `[[[[…`) overflow the stack; beyond this
+    /// cap it returns a parse error instead. 128 levels is far deeper than
+    /// any document this workspace produces.
     pub const MAX_DEPTH: usize = 128;
 
     /// Serializes `t` and prints it as compact JSON, through
@@ -427,22 +504,25 @@ pub mod json {
         T::deserialize(v)
     }
 
-    /// Parses JSON text and deserializes a `T` from it.
+    /// Deserializes a `T` from JSON text, streaming: [`Deserialize::read_json`]
+    /// reads it without a [`Value`] tree, and the input must end after it.
+    /// On any error the text goes through the tree path,
+    /// `T::deserialize(&parse(s)?)`, and its result is returned, so every
+    /// acceptance and every error text is the tree's; the stream only has
+    /// to be sound (whatever it accepts decodes to the tree's value).
     pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-        T::deserialize(&parse(s)?)
+        let mut r = Reader::new(s);
+        match T::read_json(&mut r).and_then(|t| r.end().map(|()| t)) {
+            Ok(t) => Ok(t),
+            Err(_) => T::deserialize(&parse(s)?),
+        }
     }
 
     /// Parses JSON text into a [`Value`] tree.
     pub fn parse(s: &str) -> Result<Value, Error> {
-        let bytes = s.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos, 0)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(Error::custom(format!(
-                "trailing characters after JSON value at byte {pos}"
-            )));
-        }
+        let mut r = Reader::new(s);
+        let value = r.value()?;
+        r.end()?;
         Ok(value)
     }
 
@@ -539,260 +619,429 @@ pub mod json {
         out.push('"');
     }
 
-    fn skip_ws(bytes: &[u8], pos: &mut usize) {
-        while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        }
+    /// A cursor over JSON text: the one grammar behind [`parse`] (whose
+    /// tree parser is [`Reader::value`]) and behind every
+    /// [`Deserialize::read_json`], which reads typed values token by token.
+    /// Every value read checks its nesting depth against [`MAX_DEPTH`]
+    /// (typed reads count their containers too), and every error names a
+    /// byte position. After an error the reader is spent.
+    #[derive(Debug)]
+    pub struct Reader<'a> {
+        text: &'a str,
+        pos: usize,
+        /// Nesting depth of the value read next.
+        depth: usize,
     }
 
-    fn expect(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), Error> {
-        if bytes[*pos..].starts_with(lit.as_bytes()) {
-            *pos += lit.len();
-            Ok(())
-        } else {
-            Err(Error::custom(format!("expected `{lit}` at byte {}", *pos)))
+    impl<'a> Reader<'a> {
+        /// A reader at the start of `text`.
+        pub fn new(text: &'a str) -> Reader<'a> {
+            Reader {
+                text,
+                pos: 0,
+                depth: 0,
+            }
         }
-    }
 
-    fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Error> {
-        if depth > MAX_DEPTH {
-            return Err(Error::custom(format!(
-                "JSON nesting deeper than {MAX_DEPTH} levels at byte {}",
-                *pos
-            )));
+        /// Skips whitespace and returns the first byte of the next value,
+        /// unread; an error past [`MAX_DEPTH`] or at the end of the input.
+        pub fn peek(&mut self) -> Result<u8, Error> {
+            if self.depth > MAX_DEPTH {
+                return Err(Error::custom(format!(
+                    "JSON nesting deeper than {MAX_DEPTH} levels at byte {}",
+                    self.pos
+                )));
+            }
+            self.skip_ws();
+            self.text.as_bytes().get(self.pos).copied().ok_or_else(|| {
+                Error::custom(format!("unexpected end of JSON input at byte {}", self.pos))
+            })
         }
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            None => Err(Error::custom(format!(
-                "unexpected end of JSON input at byte {}",
-                *pos
-            ))),
-            Some(b'n') => expect(bytes, pos, "null").map(|()| Value::Null),
-            Some(b't') => expect(bytes, pos, "true").map(|()| Value::Bool(true)),
-            Some(b'f') => expect(bytes, pos, "false").map(|()| Value::Bool(false)),
-            Some(b'"') => parse_string(bytes, pos).map(Value::String),
-            Some(b'[') => {
-                *pos += 1;
-                let mut items = Vec::new();
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) == Some(&b']') {
-                    *pos += 1;
-                    return Ok(Value::Array(items));
+
+        /// Succeeds when only whitespace is left.
+        pub fn end(&mut self) -> Result<(), Error> {
+            self.skip_ws();
+            if self.pos == self.text.len() {
+                Ok(())
+            } else {
+                Err(Error::custom(format!(
+                    "trailing characters after JSON value at byte {}",
+                    self.pos
+                )))
+            }
+        }
+
+        /// Reads the next value as a tree.
+        pub fn value(&mut self) -> Result<Value, Error> {
+            match self.peek()? {
+                b'n' => self.literal("null").map(|()| Value::Null),
+                b't' => self.literal("true").map(|()| Value::Bool(true)),
+                b'f' => self.literal("false").map(|()| Value::Bool(false)),
+                b'"' => self.string().map(|s| Value::String(s.into_owned())),
+                b'[' => {
+                    let mut items = Vec::new();
+                    self.array(|r| {
+                        items.push(r.value()?);
+                        Ok(())
+                    })?;
+                    Ok(Value::Array(items))
                 }
-                loop {
-                    items.push(parse_value(bytes, pos, depth + 1)?);
-                    skip_ws(bytes, pos);
-                    match bytes.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b']') => {
-                            *pos += 1;
-                            return Ok(Value::Array(items));
-                        }
-                        _ => {
-                            return Err(Error::custom(format!(
-                                "expected `,` or `]` at byte {pos}",
-                                pos = *pos
-                            )))
-                        }
+                b'{' => {
+                    let mut entries = Vec::new();
+                    self.object(|r, key| {
+                        entries.push((key.into_owned(), r.value()?));
+                        Ok(())
+                    })?;
+                    Ok(Value::Object(entries))
+                }
+                _ => self.number(),
+            }
+        }
+
+        /// Reads past the next value, checking it as [`Reader::value`]
+        /// does, without building it.
+        pub fn skip(&mut self) -> Result<(), Error> {
+            match self.peek()? {
+                b'"' => self.string().map(drop),
+                b'[' => self.array(Reader::skip),
+                b'{' => self.object(|r, _| r.skip()),
+                // A literal or a number allocates nothing.
+                _ => self.value().map(drop),
+            }
+        }
+
+        /// Reads the next value, which must be a string: borrowed from the
+        /// text when it has no escapes.
+        pub fn string(&mut self) -> Result<Cow<'a, str>, Error> {
+            self.peek()?;
+            self.parse_string()
+        }
+
+        /// Reads the next value, which must be an array, handing each
+        /// element to `each` (which must read exactly one value).
+        pub fn array(
+            &mut self,
+            mut each: impl FnMut(&mut Self) -> Result<(), Error>,
+        ) -> Result<(), Error> {
+            self.open(b'[', "an array")?;
+            if self.close(b']') {
+                return Ok(());
+            }
+            loop {
+                each(self)?;
+                self.skip_ws();
+                match self.text.as_bytes().get(self.pos) {
+                    Some(b',') => self.pos += 1,
+                    Some(b']') => {
+                        self.pos += 1;
+                        self.depth -= 1;
+                        return Ok(());
+                    }
+                    _ => {
+                        return Err(Error::custom(format!(
+                            "expected `,` or `]` at byte {}",
+                            self.pos
+                        )))
                     }
                 }
             }
-            Some(b'{') => {
-                *pos += 1;
-                let mut entries = Vec::new();
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) == Some(&b'}') {
-                    *pos += 1;
-                    return Ok(Value::Object(entries));
-                }
-                loop {
-                    skip_ws(bytes, pos);
-                    let key = parse_string(bytes, pos)?;
-                    skip_ws(bytes, pos);
-                    expect(bytes, pos, ":")?;
-                    let value = parse_value(bytes, pos, depth + 1)?;
-                    entries.push((key, value));
-                    skip_ws(bytes, pos);
-                    match bytes.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b'}') => {
-                            *pos += 1;
-                            return Ok(Value::Object(entries));
-                        }
-                        _ => {
-                            return Err(Error::custom(format!(
-                                "expected `,` or `}}` at byte {pos}",
-                                pos = *pos
-                            )))
-                        }
-                    }
-                }
-            }
-            Some(_) => parse_number(bytes, pos),
         }
-    }
 
-    fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, Error> {
-        if bytes.get(*pos) != Some(&b'"') {
-            return Err(Error::custom(format!("expected a string at byte {}", *pos)));
-        }
-        let start = *pos;
-        *pos += 1;
-        let mut out = String::new();
-        loop {
-            match bytes.get(*pos) {
-                None => {
+        /// Reads the next value, which must be an array of exactly `len`
+        /// elements, handing each to `each` with its index.
+        pub fn tuple(
+            &mut self,
+            len: usize,
+            mut each: impl FnMut(&mut Self, usize) -> Result<(), Error>,
+        ) -> Result<(), Error> {
+            let start = self.pos;
+            let mut k = 0;
+            self.array(|r| {
+                if k == len {
                     return Err(Error::custom(format!(
-                        "unterminated string starting at byte {start}"
+                        "more than {len} elements at byte {}",
+                        r.pos
+                    )));
+                }
+                each(r, k)?;
+                k += 1;
+                Ok(())
+            })?;
+            if k == len {
+                Ok(())
+            } else {
+                Err(Error::custom(format!(
+                    "{k} elements where {len} were expected, in the array after byte {start}"
+                )))
+            }
+        }
+
+        /// Reads the next value, which must be an object, handing each key
+        /// (unescaped, in document order, repeats included) to `each`,
+        /// which must read exactly one value: the key's.
+        pub fn object(
+            &mut self,
+            mut each: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), Error>,
+        ) -> Result<(), Error> {
+            self.open(b'{', "an object")?;
+            if self.close(b'}') {
+                return Ok(());
+            }
+            loop {
+                self.skip_ws();
+                let key = self.parse_string()?;
+                self.skip_ws();
+                self.literal(":")?;
+                each(self, key)?;
+                self.skip_ws();
+                match self.text.as_bytes().get(self.pos) {
+                    Some(b',') => self.pos += 1,
+                    Some(b'}') => {
+                        self.pos += 1;
+                        self.depth -= 1;
+                        return Ok(());
+                    }
+                    _ => {
+                        return Err(Error::custom(format!(
+                            "expected `,` or `}}` at byte {}",
+                            self.pos
+                        )))
+                    }
+                }
+            }
+        }
+
+        /// Consumes the opening `bracket` of the next value and descends.
+        fn open(&mut self, bracket: u8, what: &str) -> Result<(), Error> {
+            if self.peek()? != bracket {
+                return Err(Error::custom(format!(
+                    "expected {what} at byte {}",
+                    self.pos
+                )));
+            }
+            self.pos += 1;
+            self.depth += 1;
+            Ok(())
+        }
+
+        /// After [`Reader::open`]: consumes an immediate `bracket` (an
+        /// empty container) and ascends.
+        fn close(&mut self, bracket: u8) -> bool {
+            self.skip_ws();
+            let empty = self.text.as_bytes().get(self.pos) == Some(&bracket);
+            if empty {
+                self.pos += 1;
+                self.depth -= 1;
+            }
+            empty
+        }
+
+        fn skip_ws(&mut self) {
+            let bytes = self.text.as_bytes();
+            while matches!(bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+                self.pos += 1;
+            }
+        }
+
+        fn literal(&mut self, lit: &str) -> Result<(), Error> {
+            let rest = self.text.as_bytes().get(self.pos..).unwrap_or_default();
+            if rest.starts_with(lit.as_bytes()) {
+                self.pos += lit.len();
+                Ok(())
+            } else {
+                Err(Error::custom(format!(
+                    "expected `{lit}` at byte {}",
+                    self.pos
+                )))
+            }
+        }
+
+        /// Reads a string token at the cursor. An escape-free string is a
+        /// slice of the text; RFC 8259 §7 requires U+0000–U+001F escaped,
+        /// so a raw one is an error.
+        fn parse_string(&mut self) -> Result<Cow<'a, str>, Error> {
+            let bytes = self.text.as_bytes();
+            if bytes.get(self.pos) != Some(&b'"') {
+                return Err(Error::custom(format!(
+                    "expected a string at byte {}",
+                    self.pos
+                )));
+            }
+            let start = self.pos;
+            self.pos += 1;
+            let mut unescaped: Option<String> = None;
+            loop {
+                // The run up to the next `"`, `\` or control byte: all ASCII,
+                // so the run ends on a char boundary of the text.
+                let rest = bytes.get(self.pos..).unwrap_or_default();
+                let len = rest
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                    .unwrap_or(rest.len());
+                let run = self.text.get(self.pos..self.pos + len).unwrap_or_default();
+                self.pos += len;
+                match bytes.get(self.pos) {
+                    None => {
+                        return Err(Error::custom(format!(
+                            "unterminated string starting at byte {start}"
+                        )))
+                    }
+                    Some(b'"') => {
+                        self.pos += 1;
+                        return Ok(match unescaped {
+                            None => Cow::Borrowed(run),
+                            Some(mut out) => {
+                                out.push_str(run);
+                                Cow::Owned(out)
+                            }
+                        });
+                    }
+                    Some(b'\\') => {
+                        let out = unescaped.get_or_insert_with(String::new);
+                        out.push_str(run);
+                        self.escape(out)?;
+                    }
+                    Some(&control) => {
+                        return Err(Error::custom(format!(
+                            "unescaped control character U+{control:04X} in string at byte {}",
+                            self.pos
+                        )))
+                    }
+                }
+            }
+        }
+
+        /// Appends the escape sequence at the cursor (a `\`) to `out`.
+        fn escape(&mut self, out: &mut String) -> Result<(), Error> {
+            let bytes = self.text.as_bytes();
+            self.pos += 1;
+            match bytes.get(self.pos) {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'b') => out.push('\u{08}'),
+                Some(b'f') => out.push('\u{0C}'),
+                Some(b'u') => {
+                    let hi = self.hex4(self.pos + 1)?;
+                    self.pos += 4;
+                    // Combine surrogate pairs; lone surrogates error.
+                    let code = if (0xD800..0xDC00).contains(&hi) {
+                        if bytes.get(self.pos + 1) == Some(&b'\\')
+                            && bytes.get(self.pos + 2) == Some(&b'u')
+                        {
+                            let lo = self.hex4(self.pos + 3)?;
+                            if !(0xDC00..0xE000).contains(&lo) {
+                                return Err(Error::custom(format!(
+                                    "high surrogate not followed by a low surrogate at byte {}",
+                                    self.pos + 1
+                                )));
+                            }
+                            self.pos += 6;
+                            0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+                        } else {
+                            return Err(Error::custom(format!(
+                                "lone surrogate in string at byte {}",
+                                self.pos - 5
+                            )));
+                        }
+                    } else {
+                        hi
+                    };
+                    out.push(char::from_u32(code).ok_or_else(|| {
+                        Error::custom(format!("invalid \\u escape at byte {}", self.pos - 5))
+                    })?);
+                }
+                _ => {
+                    return Err(Error::custom(format!(
+                        "invalid escape sequence at byte {}",
+                        self.pos - 1
                     )))
                 }
-                Some(b'"') => {
-                    *pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    *pos += 1;
-                    match bytes.get(*pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{08}'),
-                        Some(b'f') => out.push('\u{0C}'),
-                        Some(b'u') => {
-                            let hi = parse_hex4(bytes, *pos + 1)?;
-                            *pos += 4;
-                            // Combine surrogate pairs; lone surrogates error.
-                            let code = if (0xD800..0xDC00).contains(&hi) {
-                                if bytes.get(*pos + 1) == Some(&b'\\')
-                                    && bytes.get(*pos + 2) == Some(&b'u')
-                                {
-                                    let lo = parse_hex4(bytes, *pos + 3)?;
-                                    if !(0xDC00..0xE000).contains(&lo) {
-                                        return Err(Error::custom(format!(
-                                            "high surrogate not followed by a low surrogate at byte {}",
-                                            *pos + 1
-                                        )));
-                                    }
-                                    *pos += 6;
-                                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                                } else {
-                                    return Err(Error::custom(format!(
-                                        "lone surrogate in string at byte {}",
-                                        *pos - 5
-                                    )));
-                                }
-                            } else {
-                                hi
-                            };
-                            out.push(char::from_u32(code).ok_or_else(|| {
-                                Error::custom(format!("invalid \\u escape at byte {}", *pos - 5))
-                            })?);
-                        }
-                        _ => {
-                            return Err(Error::custom(format!(
-                                "invalid escape sequence at byte {}",
-                                *pos - 1
-                            )))
-                        }
-                    }
-                    *pos += 1;
-                }
-                Some(_) => {
-                    // Copy the whole run up to the next `"` or `\` at once.
-                    // Both delimiters are ASCII, so the run ends on a char
-                    // boundary of the (valid UTF-8) input and validating it
-                    // costs only its own length.
-                    let rest = bytes.get(*pos..).unwrap_or_default();
-                    let len = rest
-                        .iter()
-                        .position(|&b| b == b'"' || b == b'\\')
-                        .unwrap_or(rest.len());
-                    let run = std::str::from_utf8(rest.get(..len).unwrap_or_default())
-                        .map_err(|_| Error::custom(format!("invalid UTF-8 at byte {}", *pos)))?;
-                    out.push_str(run);
-                    *pos += len;
-                }
             }
+            self.pos += 1;
+            Ok(())
         }
-    }
 
-    fn parse_hex4(bytes: &[u8], pos: usize) -> Result<u32, Error> {
-        if pos + 4 > bytes.len() {
-            return Err(Error::custom(format!("truncated \\u escape at byte {pos}")));
+        fn hex4(&self, pos: usize) -> Result<u32, Error> {
+            let digits = self
+                .text
+                .as_bytes()
+                .get(pos..pos + 4)
+                .ok_or_else(|| Error::custom(format!("truncated \\u escape at byte {pos}")))?;
+            std::str::from_utf8(digits)
+                .ok()
+                .and_then(|s| u32::from_str_radix(s, 16).ok())
+                .ok_or_else(|| Error::custom(format!("invalid \\u escape at byte {pos}")))
         }
-        let s = std::str::from_utf8(&bytes[pos..pos + 4])
-            .map_err(|_| Error::custom(format!("invalid \\u escape at byte {pos}")))?;
-        u32::from_str_radix(s, 16)
-            .map_err(|_| Error::custom(format!("invalid \\u escape at byte {pos}")))
-    }
 
-    /// Parses a number by the RFC 8259 §6 grammar
-    /// (`-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`): an integer
-    /// within `i128` is a [`Value::Int`], anything else a finite
-    /// [`Value::Float`]. A literal out of `f64` range is an error, not an
-    /// infinity.
-    fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
-        let start = *pos;
-        let digits = |pos: &mut usize| {
-            let from = *pos;
-            while matches!(bytes.get(*pos), Some(b'0'..=b'9')) {
-                *pos += 1;
+        /// Reads a number by the RFC 8259 §6 grammar
+        /// (`-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`): an
+        /// integer within `i128` is a [`Value::Int`], anything else a finite
+        /// [`Value::Float`]. A literal out of `f64` range is an error, not
+        /// an infinity.
+        fn number(&mut self) -> Result<Value, Error> {
+            let bytes = self.text.as_bytes();
+            let start = self.pos;
+            let digits = |pos: &mut usize| {
+                let from = *pos;
+                while matches!(bytes.get(*pos), Some(b'0'..=b'9')) {
+                    *pos += 1;
+                }
+                *pos - from
+            };
+            let mut pos = self.pos;
+            if bytes.get(pos) == Some(&b'-') {
+                pos += 1;
             }
-            *pos - from
-        };
-        if bytes.get(*pos) == Some(&b'-') {
-            *pos += 1;
-        }
-        let int_start = *pos;
-        let int_digits = digits(pos);
-        if int_digits == 0 {
-            return Err(Error::custom(format!("expected a number at byte {start}")));
-        }
-        if int_digits > 1 && bytes.get(int_start) == Some(&b'0') {
-            return Err(Error::custom(format!(
-                "leading zero in number at byte {start}"
-            )));
-        }
-        let mut integral = true;
-        if bytes.get(*pos) == Some(&b'.') {
-            *pos += 1;
-            integral = false;
-            if digits(pos) == 0 {
+            let int_start = pos;
+            let int_digits = digits(&mut pos);
+            if int_digits == 0 {
+                return Err(Error::custom(format!("expected a number at byte {start}")));
+            }
+            if int_digits > 1 && bytes.get(int_start) == Some(&b'0') {
                 return Err(Error::custom(format!(
-                    "expected a digit after the decimal point at byte {}",
-                    *pos
+                    "leading zero in number at byte {start}"
                 )));
             }
-        }
-        if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
-            *pos += 1;
-            integral = false;
-            if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
-                *pos += 1;
+            let mut integral = true;
+            if bytes.get(pos) == Some(&b'.') {
+                pos += 1;
+                integral = false;
+                if digits(&mut pos) == 0 {
+                    return Err(Error::custom(format!(
+                        "expected a digit after the decimal point at byte {pos}"
+                    )));
+                }
             }
-            if digits(pos) == 0 {
-                return Err(Error::custom(format!(
-                    "expected a digit in the exponent at byte {}",
-                    *pos
-                )));
+            if matches!(bytes.get(pos), Some(b'e' | b'E')) {
+                pos += 1;
+                integral = false;
+                if matches!(bytes.get(pos), Some(b'+' | b'-')) {
+                    pos += 1;
+                }
+                if digits(&mut pos) == 0 {
+                    return Err(Error::custom(format!(
+                        "expected a digit in the exponent at byte {pos}"
+                    )));
+                }
             }
-        }
-        // The grammar above admits only ASCII.
-        let text = std::str::from_utf8(bytes.get(start..*pos).unwrap_or_default())
-            .map_err(|_| Error::custom(format!("invalid number at byte {start}")))?;
-        if integral {
-            if let Ok(i) = text.parse::<i128>() {
-                return Ok(Value::Int(i));
+            self.pos = pos;
+            // The grammar above admits only ASCII.
+            let text = self.text.get(start..pos).unwrap_or_default();
+            if integral {
+                if let Ok(i) = text.parse::<i128>() {
+                    return Ok(Value::Int(i));
+                }
             }
-        }
-        match text.parse::<f64>() {
-            Ok(f) if f.is_finite() => Ok(Value::Float(f)),
-            _ => Err(Error::custom(format!(
-                "number literal `{text}` at byte {start} is out of range"
-            ))),
+            match text.parse::<f64>() {
+                Ok(f) if f.is_finite() => Ok(Value::Float(f)),
+                _ => Err(Error::custom(format!(
+                    "number literal `{text}` at byte {start} is out of range"
+                ))),
+            }
         }
     }
 }
@@ -904,6 +1153,29 @@ mod tests {
         }
         let big = format!("1{}", "0".repeat(400));
         assert!(json::parse(&big).is_err());
+        // RFC 8259 §7: a raw U+0000–U+001F inside a string (keys included)
+        // is an error naming the character and its byte; printing escapes
+        // every one of them.
+        for (doc, code, at) in [
+            ("\"a\nb\"", "U+000A", 2),
+            ("\"tab\there\"", "U+0009", 4),
+            ("[\"\u{0}\"]", "U+0000", 2),
+            ("{\"k\u{1f}\":1}", "U+001F", 3),
+        ] {
+            let err = json::parse(doc).expect_err(doc).to_string();
+            assert!(
+                err.contains(code) && err.contains(&format!("at byte {at}")),
+                "{doc:?}: {err}"
+            );
+        }
+        for c in '\u{0}'..='\u{1f}' {
+            let printed = json::to_string(&c.to_string());
+            assert!(
+                printed.starts_with("\"\\"),
+                "{c:?} printed raw: {printed:?}"
+            );
+            assert_eq!(json::from_str::<String>(&printed).unwrap(), c.to_string());
+        }
         // What the grammar admits still parses.
         assert_eq!(json::parse("-0").unwrap(), Value::Int(0));
         assert_eq!(json::parse("0").unwrap(), Value::Int(0));

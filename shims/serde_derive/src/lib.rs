@@ -5,7 +5,11 @@
 //! the shim's [`Value`] tree model, so derived types round-trip through
 //! `serde::json`; the derived `Serialize` also implements `write_json`,
 //! which appends the bytes printing `serialize()`'s tree would give,
-//! generated from the same fields, without building the tree. The build container has no crates.io access, hence no
+//! generated from the same fields, without building the tree, and the
+//! derived `Deserialize` implements `read_json`, which reads the value
+//! `deserialize` would give straight from a `json::Reader` (named fields in
+//! any order, the first of a repeated key, unknown keys read and dropped).
+//! The build container has no crates.io access, hence no
 //! `syn`/`quote`; the input item is parsed directly from its token stream and
 //! the impl is emitted as source text. Supported shapes — everything this
 //! workspace derives on:
@@ -398,7 +402,121 @@ fn gen_serialize(item: &Item) -> String {
     }
 }
 
+/// A block reading an object's named `fields` from `__r` into
+/// `ctor { f: …, … }` (a struct or a struct variant): keys in any order,
+/// the first of a repeated key wins (as with `Value::field`), and unknown
+/// keys are read and dropped.
+fn read_named(ctor: &str, fields: &[String]) -> String {
+    let mut s = String::new();
+    let mut arms = String::new();
+    let mut inits = Vec::new();
+    for f in fields {
+        s.push_str(&format!("let mut __f_{f} = ::std::option::Option::None;\n"));
+        arms.push_str(&format!(
+            "{f:?} if __f_{f}.is_none() => __f_{f} = ::std::option::Option::Some(::serde::Deserialize::read_json(__r)?),\n"
+        ));
+        inits.push(format!(
+            "{f}: __f_{f}.ok_or_else(|| ::serde::Error::custom({}))?",
+            lit(&format!("missing field `{f}`"))
+        ));
+    }
+    s.push_str(&format!(
+        "__r.object(|__r, __key| {{\nmatch &*__key {{\n{arms}_ => __r.skip()?,\n}}\n\
+         ::std::result::Result::Ok(())\n}})?;\n{ctor} {{ {} }}",
+        inits.join(", ")
+    ));
+    format!("{{\n{s}\n}}")
+}
+
+/// A block reading an array of exactly `n` elements from `__r` into
+/// `ctor(…)` (a tuple struct or a tuple variant).
+fn read_tuple(ctor: &str, what: &str, n: usize) -> String {
+    let mut s = String::new();
+    let mut arms = String::new();
+    let mut inits = Vec::new();
+    for k in 0..n {
+        s.push_str(&format!("let mut __f{k} = ::std::option::Option::None;\n"));
+        arms.push_str(&format!(
+            "{k} => __f{k} = ::std::option::Option::Some(::serde::Deserialize::read_json(__r)?),\n"
+        ));
+        inits.push(format!(
+            "__f{k}.ok_or_else(|| ::serde::Error::custom({}))?",
+            lit(&format!("expected {n} elements for {what}"))
+        ));
+    }
+    s.push_str(&format!(
+        "__r.tuple({n}, |__r, __k| {{\nmatch __k {{\n{arms}_ => {{}}\n}}\n\
+         ::std::result::Result::Ok(())\n}})?;\n{ctor}({})",
+        inits.join(", ")
+    ));
+    format!("{{\n{s}\n}}")
+}
+
+/// The body of the derived `read_json`: the value `deserialize` gives for
+/// the same document, read token by token from the same parsed fields. A
+/// unit struct keeps the provided method, which reads `null` as one token.
+fn gen_read_json(item: &Item) -> Option<String> {
+    let ok = |e: String| format!("::std::result::Result::Ok({e})");
+    match item {
+        Item::Struct { name, fields } => match fields {
+            Fields::Named(names) => Some(ok(read_named(name, names))),
+            Fields::Tuple(1) => Some(ok(format!("{name}(::serde::Deserialize::read_json(__r)?)"))),
+            Fields::Tuple(n) => Some(ok(read_tuple(name, name, *n))),
+            Fields::Unit => None,
+        },
+        Item::Enum { name, variants } => {
+            let mut unit_arms = String::new();
+            let mut payload_arms = String::new();
+            for v in variants {
+                let vname = &v.name;
+                let ctor = format!("{name}::{vname}");
+                match &v.fields {
+                    Fields::Unit => unit_arms.push_str(&format!(
+                        "{vname:?} => ::std::result::Result::Ok({ctor}),\n"
+                    )),
+                    Fields::Tuple(1) => payload_arms.push_str(&format!(
+                        "{vname:?} => {ctor}(::serde::Deserialize::read_json(__r)?),\n"
+                    )),
+                    Fields::Tuple(n) => payload_arms
+                        .push_str(&format!("{vname:?} => {},\n", read_tuple(&ctor, vname, *n))),
+                    Fields::Named(fnames) => payload_arms
+                        .push_str(&format!("{vname:?} => {},\n", read_named(&ctor, fnames))),
+                }
+            }
+            let not_enum = format!(
+                "::serde::Error::custom({})",
+                lit(&format!("expected a {name} enum value"))
+            );
+            // `{"Variant": payload}`: exactly one entry.
+            let tagged = if payload_arms.is_empty() {
+                format!("::std::result::Result::Err({not_enum})")
+            } else {
+                format!(
+                    "let mut __out = ::std::option::Option::None;\n\
+                     __r.object(|__r, __tag| {{\n\
+                     if __out.is_some() {{\nreturn ::std::result::Result::Err({not_enum});\n}}\n\
+                     __out = ::std::option::Option::Some(match &*__tag {{\n{payload_arms}\
+                     __other => return ::std::result::Result::Err(::serde::Error::custom(format!(\"unknown variant `{{__other}}` of {name}\"))),\n}});\n\
+                     ::std::result::Result::Ok(())\n}})?;\n\
+                     __out.ok_or_else(|| {not_enum})"
+                )
+            };
+            Some(format!(
+                "match __r.peek()? {{\n\
+                 b'\"' => match &*__r.string()? {{\n{unit_arms}\
+                 __other => ::std::result::Result::Err(::serde::Error::custom(format!(\"unknown unit variant `{{__other}}` of {name}\"))),\n}},\n\
+                 _ => {{\n{tagged}\n}}\n}}"
+            ))
+        }
+    }
+}
+
 fn gen_deserialize(item: &Item) -> String {
+    let read_json = gen_read_json(item).map_or(String::new(), |body| {
+        format!(
+            "fn read_json(__r: &mut ::serde::json::Reader<'_>) -> ::std::result::Result<Self, ::serde::Error> {{\n{body}\n}}\n"
+        )
+    });
     match item {
         Item::Struct { name, fields } => {
             let body = match fields {
@@ -436,7 +554,7 @@ fn gen_deserialize(item: &Item) -> String {
             };
             format!(
                 "#[automatically_derived]\n#[allow(clippy::all)]\nimpl ::serde::Deserialize for {name} {{\n\
-                 fn deserialize(__v: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{\n{body}\n}}\n}}\n"
+                 fn deserialize(__v: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{\n{body}\n}}\n{read_json}}}\n"
             )
         }
         Item::Enum { name, variants } => {
@@ -488,7 +606,7 @@ fn gen_deserialize(item: &Item) -> String {
                  match __tag.as_str() {{\n{payload_arms}\
                  __other => ::std::result::Result::Err(::serde::Error::custom(format!(\"unknown variant `{{__other}}` of {name}\"))),\n}}\n}},\n\
                  _ => ::std::result::Result::Err(::serde::Error::custom(format!(\"expected a {name} enum value\"))),\n\
-                 }}\n}}\n}}\n"
+                 }}\n}}\n{read_json}}}\n"
             )
         }
     }
