@@ -1000,11 +1000,16 @@ impl fmt::Display for BigInt {
                     chunks.push(r);
                     mag = q;
                 }
+                // A `Large` value is nonzero, so it has a top chunk; a
+                // formatter must not panic, so an empty one prints as zero.
+                let Some((top, rest)) = chunks.split_last() else {
+                    return write!(f, "0");
+                };
                 if *sign == Sign::Negative {
                     write!(f, "-")?;
                 }
-                write!(f, "{}", chunks.last().expect("Large is nonzero"))?;
-                for chunk in chunks.iter().rev().skip(1) {
+                write!(f, "{top}")?;
+                for chunk in rest.iter().rev() {
                     write!(f, "{:09}", chunk)?;
                 }
                 Ok(())

@@ -3,11 +3,12 @@
 //! This module and [`crate::service_perf`] are the repository's one timing
 //! harness. [`default_workloads`] names every closure workload: the
 //! Theorem-2 bound LP and the `2^d` subset enumeration, the §7 parametric
-//! sweeps and surfaces, the engine's session paths, the decode of one large
-//! answer and the full matmul pipeline. [`measure_all`] times each one with a plain warm-up +
-//! batched-samples loop, and [`snapshot_json`] renders the machine-readable
-//! `BENCH_*.json` snapshot successive PRs compare against. The protocol is
-//! in `docs/benchmarking.md`.
+//! sweeps and surfaces, the engine's session paths, the decode and the warm
+//! serve of one large answer and the full matmul pipeline. [`measure_all`]
+//! times each one with a plain warm-up + batched-samples loop, and
+//! [`snapshot_json`] renders the machine-readable `BENCH_*.json` snapshot
+//! successive PRs compare against. The protocol is in
+//! `docs/benchmarking.md`.
 
 use std::time::{Duration, Instant};
 
@@ -16,7 +17,7 @@ use projtile_core::{
     bounds, check_tightness, communication_lower_bound, hbl, optimal_tiling, parametric,
 };
 use projtile_loopnest::{builders, LoopNest};
-use serde::{json, Deserialize, Value};
+use serde::{json, Deserialize, Serialize, Value};
 
 /// Cache size for the bound-LP / subset-enumeration workloads (E6).
 const BOUND_M: u64 = 1 << 6;
@@ -360,8 +361,9 @@ pub fn default_workloads() -> Vec<Workload> {
     // Decoding one depth-10 `EnumeratedBound` answer (1024 `(Q, k_Q)`
     // pairs): streamed by `json::from_str`, and through the retained tree
     // path (`json::parse` plus `deserialize`) as its in-snapshot twin.
+    let d10 = builders::random_projective(42, 10, 4, (1, 256));
     let answer = json::to_string(&AnalysisResult::EnumeratedBound(
-        bounds::enumerated_exponent(&builders::random_projective(42, 10, 4, (1, 256)), BOUND_M),
+        bounds::enumerated_exponent(&d10, BOUND_M),
     ));
     let text = answer.clone();
     workloads.push(Workload {
@@ -377,6 +379,46 @@ pub fn default_workloads() -> Vec<Workload> {
         run: Box::new(move || {
             let tree = json::parse(&answer).expect("the answer parses");
             std::hint::black_box(AnalysisResult::deserialize(&tree).expect("the answer decodes"));
+        }),
+    });
+
+    // Serving the same answer as a warm hit, body included: `answer_batch`
+    // hands out the resident handle and the body copies its rendered text,
+    // as the server's `/analyze` does. The twin is the typed path the
+    // server ran before answers were shared: `analyze_batch` (a clone of
+    // the resident value) and `write_json` of every rational.
+    let served = [Query::EnumeratedBound {
+        cache_size: BOUND_M,
+    }];
+    let warmed = || {
+        let engine = Engine::new();
+        engine.answer_batch(&d10, &served);
+        engine
+    };
+    let (engine, n, q) = (warmed(), d10.clone(), served.clone());
+    workloads.push(Workload {
+        name: "wire/serve_hit/enumerated_d10".to_string(),
+        run: Box::new(move || {
+            let answers = engine.answer_batch(&n, &q);
+            let answer = answers.first().expect("one query").as_ref();
+            let text = answer.expect("valid query").json();
+            let mut body = String::with_capacity(text.len() + 24);
+            body.push_str("{\"results\":[{\"ok\":");
+            body.push_str(text);
+            body.push_str("}]}");
+            std::hint::black_box(body);
+        }),
+    });
+    let engine = warmed();
+    workloads.push(Workload {
+        name: "wire/serve_hit_typed/enumerated_d10".to_string(),
+        run: Box::new(move || {
+            let answers = engine.analyze_batch(&d10, &served);
+            let answer = answers.first().expect("one query").as_ref();
+            let mut body = String::from("{\"results\":[{\"ok\":");
+            answer.expect("valid query").write_json(&mut body);
+            body.push_str("}]}");
+            std::hint::black_box(body);
         }),
     });
 

@@ -7,9 +7,10 @@
 //! nests:
 //!
 //! * **typed results** ([`ResultKey`]) — per `(nest, orientation, cache
-//!   size, kind)`: the `LowerBound`, `EnumeratedBound` and tiling summary. A
-//!   tightness report is not stored: it is composed from these three on
-//!   every answer;
+//!   size, kind)`: the `LowerBound`, `EnumeratedBound` and tiling summary,
+//!   each held as the [`crate::engine::Answer`] every hit on it returns, so
+//!   hits share one value and one rendered JSON text. A tightness report is
+//!   not stored: it is composed from these three on every answer;
 //! * **§7 slices** ([`SliceKey`]) — per `(nest, cache size, canonical
 //!   axis)`, both explicit `[lo, hi]` sweeps ([`SliceKind::Span`]) and the
 //!   growing probe slices behind `exponent_at_bound`
@@ -31,7 +32,7 @@
 use projtile_lp::parametric::ValueFunction;
 
 use crate::bounds::{EnumeratedBound, LowerBound};
-use crate::engine::query::{AnalysisResult, SurfaceSummary, TilingSummary};
+use crate::engine::query::{AnalysisResult, Query, SurfaceSummary, TilingSummary};
 use crate::parametric::ExponentSurface;
 use projtile_loopnest::LoopNest;
 
@@ -56,22 +57,27 @@ pub(crate) struct ResultKey {
     pub kind: ResultKind,
 }
 
-/// One memoized typed artifact.
-#[derive(Debug, Clone)]
-pub(crate) enum CachedResult {
-    Bound(LowerBound),
-    Enumerated(EnumeratedBound),
-    Tiling(TilingSummary),
-}
-
-impl CachedResult {
-    /// The typed answer this entry holds.
-    pub fn typed_answer(&self) -> AnalysisResult {
-        match self {
-            CachedResult::Bound(lb) => AnalysisResult::LowerBound(lb.clone()),
-            CachedResult::Enumerated(en) => AnalysisResult::EnumeratedBound(en.clone()),
-            CachedResult::Tiling(t) => AnalysisResult::OptimalTiling(t.clone()),
+impl ResultKind {
+    /// The kind of resident result a `LowerBound`, `EnumeratedBound` or
+    /// `OptimalTiling` query is answered from, with its cache size; `None`
+    /// for the other queries.
+    pub fn of_query(query: &Query) -> Option<(ResultKind, u64)> {
+        match query {
+            Query::LowerBound { cache_size } => Some((ResultKind::Bound, *cache_size)),
+            Query::EnumeratedBound { cache_size } => Some((ResultKind::Enumerated, *cache_size)),
+            Query::OptimalTiling { cache_size } => Some((ResultKind::Tiling, *cache_size)),
+            _ => None,
         }
+    }
+
+    /// Whether `result` is the variant a result of this kind holds.
+    pub fn holds(self, result: &AnalysisResult) -> bool {
+        matches!(
+            (self, result),
+            (ResultKind::Bound, AnalysisResult::LowerBound(_))
+                | (ResultKind::Enumerated, AnalysisResult::EnumeratedBound(_))
+                | (ResultKind::Tiling, AnalysisResult::OptimalTiling(_))
+        )
     }
 }
 
@@ -168,6 +174,15 @@ pub(crate) struct NestEntry {
 /// simple — flat per-rational cost plus container overheads — because the
 /// caps they are compared against are order-of-magnitude budgets, not exact
 /// allocator accounting.
+///
+/// A resident result also keeps its rendered JSON text once a caller asked
+/// for it ([`crate::engine::Answer::json`]: the server does, for every
+/// answer it writes), and the budget does not charge that text, just as it
+/// under-counts `Large` rationals. A depth-10 enumeration at `M = 64`
+/// renders to 19–34 KB and is charged 65.7 KB; the 48 enumerations of
+/// svcbench's `large_answers` pool hold 0.76 MB of text beside 1.84 MB of
+/// charged cost. Charging the text would change which entries a budget
+/// evicts, and with them the lab's replay.
 pub(crate) mod cost {
     use super::*;
 
@@ -223,11 +238,17 @@ pub(crate) mod cost {
         ENTRY + rationals(1 + t.lambda.len()) + 8 * t.tile_dims.len() as u64
     }
 
-    pub(crate) fn result(r: &CachedResult) -> u64 {
+    /// Cost of a resident typed result. Only the three component kinds
+    /// are ever resident ([`ResultKind::holds`]); a tightness report,
+    /// surface summary or slice is charged one entry's overhead.
+    pub(crate) fn result(r: &AnalysisResult) -> u64 {
         match r {
-            CachedResult::Bound(lb) => bound(lb),
-            CachedResult::Enumerated(en) => enumerated(en),
-            CachedResult::Tiling(t) => tiling(t),
+            AnalysisResult::LowerBound(lb) => bound(lb),
+            AnalysisResult::EnumeratedBound(en) => enumerated(en),
+            AnalysisResult::OptimalTiling(t) => tiling(t),
+            AnalysisResult::Tightness(_)
+            | AnalysisResult::Surface(_)
+            | AnalysisResult::Slice(_) => ENTRY,
         }
     }
 }

@@ -32,9 +32,11 @@
 //!   installs the ones not resident. Within one batch, a pending
 //!   `Tightness`'s components are computed once: same-`M` component misses
 //!   take their answers from it.
-//! * **One pipeline.** [`Engine::analyze_batch`] resolves queries in phases
+//! * **One pipeline.** [`Engine::answer_batch`] resolves queries in phases
 //!   (probe, classify, compute, answer twins, intern and install, assemble
-//!   — see `engine/resolve.rs`), and [`Engine::analyze`] is a batch of one.
+//!   — see `engine/resolve.rs`) into shared [`Answer`] handles;
+//!   [`Engine::analyze_batch`] takes their typed values, and
+//!   [`Engine::analyze`] is a batch of one.
 //! * **Bounded memoization.** Every memo map is a cost-aware
 //!   [`projtile_cachesim::BoundedLru`] with caps set by [`EngineConfig`]
 //!   (approximate heap bytes), so a long-lived service session cannot grow
@@ -61,7 +63,15 @@
 //!   [`projtile_cachesim::BoundedLru::peek`], which records recency in
 //!   per-entry atomic stamps rather than re-threading the LRU list, so
 //!   concurrent hits proceed in parallel (the stamps are folded into the
-//!   eviction order by the next exclusive operation).
+//!   eviction order by the next exclusive operation). A resident
+//!   `LowerBound`, `EnumeratedBound` or `OptimalTiling` is stored as the
+//!   [`Answer`] its miss returned, so a hit clones an `Arc` under the lock
+//!   and copies no value.
+//! * **Render outside the lock.** An answer's JSON text
+//!   ([`Answer::json`]) is rendered by the first caller that asks for it,
+//!   after the lock is released, and kept with the answer: every later hit
+//!   on a resident answer shares the same text, and concurrent first
+//!   callers render it once.
 //! * **Compute outside the lock.** A miss computes with the stateless
 //!   free-function paths using a solver context checked out of the engine's
 //!   [`projtile_lp::ContextPool`] — one context per worker, so concurrent
@@ -104,7 +114,7 @@ mod store;
 mod trace;
 
 pub use query::{
-    query_kind_index, AnalysisResult, EngineError, KindCounters, Query, SurfaceSummary,
+    query_kind_index, AnalysisResult, Answer, EngineError, KindCounters, Query, SurfaceSummary,
     TilingSummary, QUERY_KIND_COUNT, QUERY_KIND_NAMES,
 };
 pub use snapshot::SNAPSHOT_VERSION;
@@ -127,8 +137,8 @@ use crate::bounds::{EnumeratedBound, LowerBound};
 use crate::parametric::{exponent_vs_beta_with, ExponentSurface};
 use crate::tightness::TightnessReport;
 use cache::{
-    cost, CachedResult, NestEntry, Orientation, PointSlice, ResultKey, SliceEntry, SliceKey,
-    SliceKind, StoredSurface, SurfaceKey,
+    cost, NestEntry, Orientation, PointSlice, ResultKey, SliceEntry, SliceKey, SliceKind,
+    StoredSurface, SurfaceKey,
 };
 use resolve::{canonical_query_form, validate_query, Batch, Resolved};
 
@@ -247,7 +257,7 @@ pub(crate) struct Caches {
     config: EngineConfig,
     entries: Vec<NestEntry>,
     index: HashMap<NestSignature, usize>,
-    results: BoundedLru<ResultKey, CachedResult>,
+    results: BoundedLru<ResultKey, Answer>,
     slices: BoundedLru<SliceKey, SliceEntry>,
     surfaces: BoundedLru<SurfaceKey, StoredSurface>,
 }
@@ -334,18 +344,33 @@ impl Engine {
             .unwrap_or(Err(EngineError::Internal("a batch of one answers once")))
     }
 
-    /// Answers a batch of queries about `nest`, in input order. Resident
-    /// answers are read under the read lock; the remaining distinct queries
-    /// fan out through `projtile_par` with one pooled warm solver context
-    /// per worker chunk (a component of a pending `Tightness` is taken from
-    /// it instead) before one write-lock install pass, which a batch of hits
-    /// skips entirely. Every compute path is path-independent, so the
-    /// fan-out cannot change any answer.
+    /// Answers a batch of queries about `nest` with typed values, in input
+    /// order: [`Engine::answer_batch`] with each [`Answer`] taken by value
+    /// ([`Answer::into_result`], a clone of a resident result).
     pub fn analyze_batch(
         &self,
         nest: &LoopNest,
         queries: &[Query],
     ) -> Vec<Result<AnalysisResult, EngineError>> {
+        self.answer_batch(nest, queries)
+            .into_iter()
+            .map(|answer| answer.map(Answer::into_result))
+            .collect()
+    }
+
+    /// Answers a batch of queries about `nest`, in input order. Resident
+    /// answers are read under the read lock, each a shared handle to the
+    /// cached value and its rendered JSON text ([`Answer::json`]); the
+    /// remaining distinct queries fan out through `projtile_par` with one
+    /// pooled warm solver context per worker chunk (a component of a
+    /// pending `Tightness` is taken from it instead) before one write-lock
+    /// install pass, which a batch of hits skips entirely. Every compute
+    /// path is path-independent, so the fan-out cannot change any answer.
+    pub fn answer_batch(
+        &self,
+        nest: &LoopNest,
+        queries: &[Query],
+    ) -> Vec<Result<Answer, EngineError>> {
         self.queries
             .fetch_add(queries.len() as u64, Ordering::Relaxed);
         let canon = canonicalize(nest);
@@ -934,6 +959,88 @@ mod tests {
                 assert_eq!(report, crate::tightness::check_tightness(&nest, m));
             }
         }
+    }
+
+    /// The one answer a batch of one returns.
+    fn answer(engine: &Engine, nest: &LoopNest, query: &Query) -> Answer {
+        let mut answers = engine.answer_batch(nest, std::slice::from_ref(query));
+        assert_eq!(answers.len(), 1);
+        answers.pop().expect("one answer").expect("valid query")
+    }
+
+    /// `result`'s `Value` tree, printed.
+    fn printed_tree(result: &AnalysisResult) -> String {
+        serde::json::to_string(&serde::Serialize::serialize(result))
+    }
+
+    #[test]
+    fn hits_on_a_resident_enumeration_share_one_rendered_text() {
+        let nest = builders::random_projective(42, 6, 4, (1, 256));
+        let query = Query::EnumeratedBound { cache_size: 64 };
+        let engine = Engine::new();
+        let miss = answer(&engine, &nest, &query);
+        let (first, second) = (
+            answer(&engine, &nest, &query),
+            answer(&engine, &nest, &query),
+        );
+        assert_eq!(engine.stats().hits, 2, "{:?}", engine.stats());
+        assert_eq!(
+            first.json().as_ptr(),
+            second.json().as_ptr(),
+            "one allocation"
+        );
+        assert_eq!(
+            miss.json().as_ptr(),
+            first.json().as_ptr(),
+            "the miss installed its own handle"
+        );
+        assert_eq!(first.json(), printed_tree(first.result()));
+        assert_eq!(serde::json::to_string(&first), first.json());
+        assert_eq!(
+            first.result(),
+            &AnalysisResult::EnumeratedBound(crate::bounds::enumerated_exponent(&nest, 64))
+        );
+    }
+
+    #[test]
+    fn rendered_text_is_the_same_after_eviction_and_restore() {
+        let nest = builders::random_projective(42, 6, 4, (1, 256));
+        let query = Query::EnumeratedBound { cache_size: 64 };
+        let other = Query::EnumeratedBound { cache_size: 128 };
+        let text = answer(&Engine::new(), &nest, &query).json().to_string();
+        // A budget that holds one enumeration: each install evicts the other.
+        let sizing = Engine::new();
+        answer(&sizing, &nest, &query);
+        let engine = Engine::with_config(EngineConfig {
+            results_capacity: sizing.cache_metrics().results.cost,
+            ..EngineConfig::default()
+        });
+        assert_eq!(answer(&engine, &nest, &query).json(), text);
+        answer(&engine, &nest, &other);
+        assert_eq!(engine.cache_metrics().results.evictions, 1);
+        assert_eq!(answer(&engine, &nest, &query).json(), text, "recomputed");
+        assert_eq!(engine.stats().misses, 3, "{:?}", engine.stats());
+        let restored = Engine::restore_json(&engine.snapshot_json()).expect("snapshot restores");
+        assert_eq!(answer(&restored, &nest, &query).json(), text, "restored");
+        assert_eq!(restored.stats().hits, 1, "{:?}", restored.stats());
+    }
+
+    #[test]
+    fn tightness_components_render_like_their_own_misses() {
+        let nest = builders::random_projective(7, 6, 4, (1, 256));
+        let m = 64;
+        let via_tightness = Engine::new();
+        answer(&via_tightness, &nest, &Query::Tightness { cache_size: m });
+        for query in [
+            Query::LowerBound { cache_size: m },
+            Query::EnumeratedBound { cache_size: m },
+            Query::OptimalTiling { cache_size: m },
+        ] {
+            let hit = answer(&via_tightness, &nest, &query);
+            let own = answer(&Engine::new(), &nest, &query);
+            assert_eq!(hit.json(), own.json(), "{query:?}");
+        }
+        assert_eq!(via_tightness.stats().hits, 3, "{:?}", via_tightness.stats());
     }
 
     #[test]

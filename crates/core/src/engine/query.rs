@@ -4,8 +4,9 @@ use projtile_arith::Rational;
 use projtile_lp::mplp::AffinePiece;
 use projtile_lp::parametric::ValueFunction;
 use projtile_lp::LpError;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 use crate::bounds::{EnumeratedBound, LowerBound};
 use crate::tightness::TightnessReport;
@@ -172,6 +173,77 @@ pub enum AnalysisResult {
     Surface(SurfaceSummary),
     /// Answer to [`Query::Slice`].
     Slice(ValueFunction),
+}
+
+/// One [`AnalysisResult`] behind a shared handle, with its JSON text
+/// rendered at most once, as returned by
+/// [`crate::engine::Engine::answer_batch`]. A resident `LowerBound`,
+/// `EnumeratedBound` or `OptimalTiling` answer is the cache entry itself, so
+/// every hit on it shares one value and one rendered text; cloning an
+/// `Answer` copies a pointer. Equality and `Debug` are by value.
+#[derive(Clone)]
+pub struct Answer(Arc<Rendered>);
+
+struct Rendered {
+    result: AnalysisResult,
+    json: OnceLock<String>,
+}
+
+impl Answer {
+    pub(crate) fn new(result: AnalysisResult) -> Answer {
+        Answer(Arc::new(Rendered {
+            result,
+            json: OnceLock::new(),
+        }))
+    }
+
+    /// The typed answer.
+    pub fn result(&self) -> &AnalysisResult {
+        &self.0.result
+    }
+
+    /// The typed answer by value: moved out when no other handle shares it,
+    /// cloned otherwise.
+    pub fn into_result(self) -> AnalysisResult {
+        match Arc::try_unwrap(self.0) {
+            Ok(rendered) => rendered.result,
+            Err(shared) => shared.result.clone(),
+        }
+    }
+
+    /// The answer as compact JSON, byte for byte what
+    /// [`Serialize::write_json`] writes for [`Answer::result`]. The first
+    /// call renders it and every later call, on any handle to this answer,
+    /// returns the same text; concurrent first calls render it once.
+    pub fn json(&self) -> &str {
+        self.0.json.get_or_init(|| {
+            let mut out = String::new();
+            self.0.result.write_json(&mut out);
+            out
+        })
+    }
+}
+
+impl Serialize for Answer {
+    fn serialize(&self) -> Value {
+        self.result().serialize()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        out.push_str(self.json());
+    }
+}
+
+impl fmt::Debug for Answer {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.result().fmt(f)
+    }
+}
+
+impl PartialEq for Answer {
+    fn eq(&self, other: &Answer) -> bool {
+        self.result() == other.result()
+    }
 }
 
 /// Why the engine rejected or failed a query.

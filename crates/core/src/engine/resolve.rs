@@ -1,10 +1,13 @@
-//! The query pipeline behind [`super::Engine::analyze_batch`] (and so
-//! [`super::Engine::analyze`], a batch of one).
+//! The query pipeline behind [`super::Engine::answer_batch`] (and so
+//! [`super::Engine::analyze_batch`] and [`super::Engine::analyze`], a batch
+//! of one).
 //!
 //! A batch of queries about one nest is resolved in six phases:
 //!
 //! 1. **probe** — every distinct valid literal is looked up once with
-//!    [`Caches::peek_cached`], a pure read under the engine's read lock;
+//!    [`Caches::peek_cached`], a pure read under the engine's read lock: a
+//!    resident result is answered by its cached [`Answer`] handle, so a hit
+//!    copies a pointer, not a value;
 //! 2. **classify** — literals not resident are deduplicated by
 //!    [`canonical_query_form`]: the first occurrence of each form is a miss,
 //!    a repeat of a literal is a duplicate of its first occurrence, and a
@@ -20,7 +23,8 @@
 //!    [`Detached::twin_answer`], still with no lock held, so a twin can never
 //!    read (or recompute) an entry the install pass evicts;
 //! 5. **intern and install** — the orientation is interned and the computed
-//!    artifacts installed, under the engine's write lock;
+//!    artifacts installed, under the engine's write lock; a component result
+//!    is installed as the same [`Answer`] the miss returns;
 //! 6. **assemble** — answers are moved into input order, each with the
 //!    [`Outcome`] the engine counts and traces.
 //!
@@ -36,14 +40,11 @@ use projtile_loopnest::{CanonicalNest, LoopNest};
 use projtile_lp::ContextPool;
 use projtile_par::par_map_with;
 
-use super::cache::{
-    cost, CachedResult, ResultKey, ResultKind, SliceEntry, SliceKey, SliceKind, StoredSurface,
-};
+use super::cache::{cost, ResultKey, ResultKind, SliceEntry, SliceKey, SliceKind, StoredSurface};
 use super::{
-    compose_tightness_report, summarize_surface, AnalysisResult, Caches, EngineError, Query,
-    TilingSummary,
+    compose_tightness_report, summarize_surface, AnalysisResult, Answer, Caches, EngineError,
+    Query, TilingSummary,
 };
-use crate::bounds::{EnumeratedBound, LowerBound};
 
 /// How the pipeline resolved one batch position.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,17 +79,18 @@ impl Outcome {
 enum Slot {
     /// Rejected by validation.
     Invalid(EngineError),
-    /// Resident: the answer, cloned once out of the cache.
-    Hit(AnalysisResult),
-    /// A repeated literal, answered with a copy of the answer at the
-    /// literal's first position.
+    /// Resident: the cache's own handle for a stored result, or a report,
+    /// summary or slice built from resident artifacts.
+    Hit(Answer),
+    /// A repeated literal, answered with the handle at the literal's first
+    /// position.
     Repeat(usize),
     /// The first occurrence of a form to compute (misses appear in pending
     /// order).
     Miss,
     /// Another literal of pending form `p`; the answer is filled in by
     /// [`Batch::compute`].
-    Twin(usize, Option<Result<AnalysisResult, EngineError>>),
+    Twin(usize, Option<Result<Answer, EngineError>>),
 }
 
 /// A batch after its probe and classification phases.
@@ -106,11 +108,11 @@ pub(crate) struct Computed<'q> {
 }
 
 /// The install pass's answers and their trace costs, in pending order.
-pub(crate) type Installed = Vec<(Result<AnalysisResult, EngineError>, Vec<u64>)>;
+pub(crate) type Installed = Vec<(Result<Answer, EngineError>, Vec<u64>)>;
 
 /// A resolved batch, in input order.
 pub(crate) struct Resolved {
-    pub answers: Vec<Result<AnalysisResult, EngineError>>,
+    pub answers: Vec<Result<Answer, EngineError>>,
     pub outcomes: Vec<Outcome>,
     /// The cost estimates each miss installed (when requested from
     /// [`Batch::compute`]); empty everywhere else.
@@ -190,12 +192,8 @@ impl<'q> Batch<'q> {
                 _ => None,
             })
             .collect();
-        let component_of = |q: &Query| match q {
-            Query::LowerBound { cache_size }
-            | Query::EnumeratedBound { cache_size }
-            | Query::OptimalTiling { cache_size } => tightness_at.get(cache_size).copied(),
-            _ => None,
-        };
+        let component_of =
+            |q: &Query| ResultKind::of_query(q).and_then(|(_, m)| tightness_at.get(&m).copied());
         let mut results: Vec<Result<Detached, EngineError>> = par_map_with(
             &pending,
             || pool.checkout(),
@@ -243,7 +241,7 @@ impl<'q> Batch<'q> {
     pub(crate) fn finish(self, installed: Option<Installed>) -> Resolved {
         let mut installed = installed.unwrap_or_default().into_iter();
         let n = self.slots.len();
-        let mut answers: Vec<Result<AnalysisResult, EngineError>> = Vec::with_capacity(n);
+        let mut answers: Vec<Result<Answer, EngineError>> = Vec::with_capacity(n);
         let mut outcomes: Vec<Outcome> = Vec::with_capacity(n);
         let mut costs: Vec<Vec<u64>> = Vec::with_capacity(n);
         for slot in self.slots {
@@ -304,14 +302,16 @@ impl Computed<'_> {
 }
 
 impl Caches {
-    /// Pure cached lookup: `Some(result)` iff the query is answerable
+    /// Pure cached lookup: `Some(answer)` iff the query is answerable
     /// without solver work or re-threading any recency list. Reads go
     /// through [`super::BoundedLru::peek`], which records recency in atomic
     /// stamps, so concurrent readers never take the engine's write lock for
-    /// a hit. A tightness query peeks its tiling, bound and
-    /// enumeration in that order, stops at the first absent one, and
-    /// composes the report from the three with the certificate check on
-    /// `nest` (the declared order its bound is keyed by) — no LP solve.
+    /// a hit. A resident `LowerBound`, `EnumeratedBound` or `OptimalTiling`
+    /// is answered by the cache's own [`Answer`] handle (an `Arc` clone). A
+    /// tightness query peeks its tiling, bound and enumeration in that
+    /// order, stops at the first absent one, and composes the report from
+    /// the three with the certificate check on `nest` (the declared order
+    /// its bound is keyed by) — no LP solve.
     ///
     /// Typed results and surfaces are keyed by orientation `o` and miss
     /// until this declaration order is interned; slices are keyed by the
@@ -323,7 +323,7 @@ impl Caches {
         nest: &LoopNest,
         canon: &CanonicalNest,
         query: &Query,
-    ) -> Option<AnalysisResult> {
+    ) -> Option<Answer> {
         let result = |kind: ResultKind, m: u64| {
             self.results.peek(&ResultKey {
                 entry: e,
@@ -332,31 +332,28 @@ impl Caches {
                 kind,
             })
         };
-        match query {
-            Query::LowerBound { cache_size } => {
-                Some(result(ResultKind::Bound, *cache_size)?.typed_answer())
-            }
-            Query::EnumeratedBound { cache_size } => {
-                Some(result(ResultKind::Enumerated, *cache_size)?.typed_answer())
-            }
-            Query::OptimalTiling { cache_size } => {
-                Some(result(ResultKind::Tiling, *cache_size)?.typed_answer())
-            }
+        if let Some((kind, m)) = ResultKind::of_query(query) {
+            return result(kind, m).cloned();
+        }
+        let answer = match query {
             Query::Tightness { cache_size } => {
                 let m = *cache_size;
-                let CachedResult::Tiling(tiling) = result(ResultKind::Tiling, m)? else {
-                    return None;
-                };
-                let CachedResult::Bound(bound) = result(ResultKind::Bound, m)? else {
-                    return None;
-                };
-                let CachedResult::Enumerated(enumerated) = result(ResultKind::Enumerated, m)?
+                let AnalysisResult::OptimalTiling(tiling) = result(ResultKind::Tiling, m)?.result()
                 else {
                     return None;
                 };
-                Some(AnalysisResult::Tightness(compose_tightness_report(
+                let AnalysisResult::LowerBound(bound) = result(ResultKind::Bound, m)?.result()
+                else {
+                    return None;
+                };
+                let AnalysisResult::EnumeratedBound(enumerated) =
+                    result(ResultKind::Enumerated, m)?.result()
+                else {
+                    return None;
+                };
+                AnalysisResult::Tightness(compose_tightness_report(
                     nest, m, tiling, bound, enumerated,
-                )))
+                ))
             }
             Query::Surface {
                 cache_size,
@@ -366,9 +363,7 @@ impl Caches {
             } => {
                 let (key, order) = self.surface_key(e, o?, *cache_size, axes, lo_bounds, hi_bounds);
                 let stored = self.surfaces.peek(&key)?;
-                Some(AnalysisResult::Surface(
-                    stored.summary_in(axes, order.as_deref()),
-                ))
+                AnalysisResult::Surface(stored.summary_in(axes, order.as_deref()))
             }
             Query::Slice {
                 cache_size,
@@ -386,68 +381,62 @@ impl Caches {
                     },
                 };
                 match self.slices.peek(&key)? {
-                    SliceEntry::Span(vf) => Some(AnalysisResult::Slice(vf.clone())),
-                    SliceEntry::Probe(_) => None,
+                    SliceEntry::Span(vf) => AnalysisResult::Slice(vf.clone()),
+                    SliceEntry::Probe(_) => return None,
                 }
             }
-        }
+            Query::LowerBound { .. }
+            | Query::EnumeratedBound { .. }
+            | Query::OptimalTiling { .. } => return None,
+        };
+        Some(Answer::new(answer))
     }
 
     /// Inserts a typed result at its estimated cost.
-    pub(super) fn insert_result(&mut self, key: ResultKey, entry: CachedResult) {
-        let c = cost::result(&entry);
-        self.results.insert(key, entry, c);
+    pub(super) fn insert_result(&mut self, key: ResultKey, answer: Answer) {
+        let c = cost::result(answer.result());
+        self.results.insert(key, answer, c);
     }
 
     /// Installs one computed result into the memo caches and returns the
     /// caller-facing answer (without re-reading — or, for surfaces,
-    /// re-remapping — the caches).
+    /// re-remapping — the caches). A component result is installed as the
+    /// handle it returns.
     fn install(
         &mut self,
         e: usize,
         o: usize,
         query: &Query,
         detached: Detached,
-    ) -> Result<AnalysisResult, EngineError> {
+    ) -> Result<Answer, EngineError> {
         let result_key = |kind: ResultKind, m: u64| ResultKey {
             entry: e,
             orientation: o,
             m,
             kind,
         };
-        Ok(match (query, detached.result) {
-            (Query::LowerBound { cache_size }, AnalysisResult::LowerBound(lb)) => {
-                let key = result_key(ResultKind::Bound, *cache_size);
-                self.insert_result(key, CachedResult::Bound(lb.clone()));
-                AnalysisResult::LowerBound(lb)
+        let mismatch = EngineError::Internal("detached result variant does not match its query");
+        let answer = detached.result;
+        if let Some((kind, m)) = ResultKind::of_query(query) {
+            if !kind.holds(answer.result()) {
+                return Err(mismatch);
             }
-            (Query::EnumeratedBound { cache_size }, AnalysisResult::EnumeratedBound(en)) => {
-                let key = result_key(ResultKind::Enumerated, *cache_size);
-                self.insert_result(key, CachedResult::Enumerated(en.clone()));
-                AnalysisResult::EnumeratedBound(en)
-            }
-            (Query::OptimalTiling { cache_size }, AnalysisResult::OptimalTiling(t)) => {
-                let key = result_key(ResultKind::Tiling, *cache_size);
-                self.insert_result(key, CachedResult::Tiling(t.clone()));
-                AnalysisResult::OptimalTiling(t)
-            }
-            (Query::Tightness { cache_size }, AnalysisResult::Tightness(t)) => {
+            self.insert_result(result_key(kind, m), answer.clone());
+            return Ok(answer);
+        }
+        match (query, answer.result()) {
+            (Query::Tightness { cache_size }, AnalysisResult::Tightness(_)) => {
                 // The report is composed on every answer, never stored: only
                 // its components go in, where absent.
-                let (bound, enumerated, tiling) = detached.tightness_parts.ok_or(
-                    EngineError::Internal("tightness result lacks its components"),
-                )?;
-                for (kind, entry) in [
-                    (ResultKind::Tiling, CachedResult::Tiling(tiling)),
-                    (ResultKind::Bound, CachedResult::Bound(bound)),
-                    (ResultKind::Enumerated, CachedResult::Enumerated(enumerated)),
-                ] {
+                let parts = detached.tightness_parts.ok_or(EngineError::Internal(
+                    "tightness result lacks its components",
+                ))?;
+                for (kind, part) in parts {
                     let key = result_key(kind, *cache_size);
                     if !self.results.contains(&key) {
-                        self.insert_result(key, entry);
+                        self.insert_result(key, part);
                     }
                 }
-                AnalysisResult::Tightness(t)
             }
             (
                 Query::Surface {
@@ -456,7 +445,7 @@ impl Caches {
                     lo_bounds,
                     hi_bounds,
                 },
-                AnalysisResult::Surface(summary),
+                AnalysisResult::Surface(_),
             ) => {
                 let (key, _) = self.surface_key(e, o, *cache_size, axes, lo_bounds, hi_bounds);
                 let stored = detached
@@ -466,7 +455,6 @@ impl Caches {
                     let c = cost::surface(&stored);
                     self.surfaces.insert(key, stored, c);
                 }
-                AnalysisResult::Surface(summary)
             }
             (
                 Query::Slice {
@@ -491,34 +479,39 @@ impl Caches {
                     let c = cost::slice_entry(&entry);
                     self.slices.insert(key, entry, c);
                 }
-                AnalysisResult::Slice(vf)
             }
-            _ => {
-                return Err(EngineError::Internal(
-                    "detached result variant does not match its query",
-                ))
-            }
-        })
+            _ => return Err(mismatch),
+        }
+        Ok(answer)
     }
 }
 
 /// A result computed with no access to the caches, plus the artifacts its
 /// install caches: the full sorted-order surface for a surface query, and
-/// the components of a tightness check (which is itself never cached, so a
-/// `Tightness` query warms `LowerBound`, `EnumeratedBound` and
-/// `OptimalTiling`).
+/// the components of a tightness check in install order (the check is
+/// itself never cached, so a `Tightness` query warms `OptimalTiling`,
+/// `LowerBound` and `EnumeratedBound`).
 pub(crate) struct Detached {
-    result: AnalysisResult,
+    result: Answer,
     surface: Option<StoredSurface>,
-    tightness_parts: Option<(LowerBound, EnumeratedBound, TilingSummary)>,
+    tightness_parts: Option<[(ResultKind, Answer); 3]>,
 }
 
 impl Detached {
+    /// A result with no artifacts besides itself.
+    fn bare(result: Answer) -> Detached {
+        Detached {
+            result,
+            surface: None,
+            tightness_parts: None,
+        }
+    }
+
     /// Answers a canonical twin of the computed query — the same surface
     /// requested with permuted axes — from the computed sorted-order
     /// surface, by the same exact remap [`compute_detached`] applies. Reads
     /// no cache and solves nothing.
-    fn twin_answer(&self, twin: &Query) -> Result<AnalysisResult, EngineError> {
+    fn twin_answer(&self, twin: &Query) -> Result<Answer, EngineError> {
         match (twin, &self.surface) {
             (
                 Query::Surface {
@@ -531,9 +524,9 @@ impl Detached {
             ) => {
                 let (_, _, _, order) =
                     crate::parametric::sort_surface_request(axes, lo_bounds, hi_bounds);
-                Ok(AnalysisResult::Surface(
+                Ok(Answer::new(AnalysisResult::Surface(
                     stored.summary_in(axes, order.as_deref()),
-                ))
+                )))
             }
             _ => Err(EngineError::Internal(
                 "only a computed surface answers a canonical twin",
@@ -542,30 +535,21 @@ impl Detached {
     }
 
     /// Answers a `LowerBound`, `EnumeratedBound` or `OptimalTiling` query
-    /// at the computed tightness check's `M` from the component the check
-    /// derived, which is what that query's own free-function call returns.
-    /// Reads no cache and solves nothing.
+    /// at the computed tightness check's `M` with the handle of the
+    /// component the check derived, which is what that query's own
+    /// free-function call returns. Reads no cache and solves nothing.
     fn component(&self, query: &Query) -> Result<Detached, EngineError> {
-        let Some((bound, enumerated, tiling)) = &self.tightness_parts else {
+        let Some(parts) = &self.tightness_parts else {
             return Err(EngineError::Internal(
                 "only a computed tightness check has components",
             ));
         };
-        let result = match query {
-            Query::LowerBound { .. } => AnalysisResult::LowerBound(bound.clone()),
-            Query::EnumeratedBound { .. } => AnalysisResult::EnumeratedBound(enumerated.clone()),
-            Query::OptimalTiling { .. } => AnalysisResult::OptimalTiling(tiling.clone()),
-            _ => {
-                return Err(EngineError::Internal(
-                    "query is not a component of a tightness check",
-                ))
-            }
-        };
-        Ok(Detached {
-            result,
-            surface: None,
-            tightness_parts: None,
-        })
+        let part = ResultKind::of_query(query)
+            .and_then(|(kind, _)| parts.iter().find(|(k, _)| *k == kind))
+            .ok_or(EngineError::Internal(
+                "query is not a component of a tightness check",
+            ))?;
+        Ok(Detached::bare(part.1.clone()))
     }
 }
 
@@ -574,24 +558,21 @@ impl Detached {
 /// one otherwise. Recorded into trace events so the lab's replay charges its
 /// caches exactly what the live install charged.
 fn detached_costs(detached: &Detached) -> Vec<u64> {
-    if let Some((bound, enumerated, tiling)) = &detached.tightness_parts {
-        return vec![
-            cost::tiling(tiling),
-            cost::bound(bound),
-            cost::enumerated(enumerated),
-        ];
+    if let Some(parts) = &detached.tightness_parts {
+        return parts
+            .iter()
+            .map(|(_, a)| cost::result(a.result()))
+            .collect();
     }
     if let Some(stored) = &detached.surface {
         return vec![cost::surface(stored)];
     }
-    match &detached.result {
-        AnalysisResult::LowerBound(lb) => vec![cost::bound(lb)],
-        AnalysisResult::EnumeratedBound(en) => vec![cost::enumerated(en)],
-        AnalysisResult::OptimalTiling(t) => vec![cost::tiling(t)],
+    match detached.result.result() {
         AnalysisResult::Slice(vf) => vec![cost::value_function(vf)],
         // Tightness and Surface results always carry their parts/surface
         // and are handled above; an inconsistent Detached records nothing.
         AnalysisResult::Tightness(_) | AnalysisResult::Surface(_) => Vec::new(),
+        component => vec![cost::result(component)],
     }
 }
 
@@ -630,9 +611,22 @@ fn compute_detached(
             let tiling = tiling(m);
             let report = compose_tightness_report(nest, m, &tiling, &bound, &enumerated);
             return Ok(Detached {
-                result: AnalysisResult::Tightness(report),
+                result: Answer::new(AnalysisResult::Tightness(report)),
                 surface: None,
-                tightness_parts: Some((bound, enumerated, tiling)),
+                tightness_parts: Some([
+                    (
+                        ResultKind::Tiling,
+                        Answer::new(AnalysisResult::OptimalTiling(tiling)),
+                    ),
+                    (
+                        ResultKind::Bound,
+                        Answer::new(AnalysisResult::LowerBound(bound)),
+                    ),
+                    (
+                        ResultKind::Enumerated,
+                        Answer::new(AnalysisResult::EnumeratedBound(enumerated)),
+                    ),
+                ]),
             });
         }
         Query::Surface {
@@ -652,7 +646,9 @@ fn compute_detached(
                 surface: s,
             };
             return Ok(Detached {
-                result: AnalysisResult::Surface(stored.summary_in(axes, order.as_deref())),
+                result: Answer::new(AnalysisResult::Surface(
+                    stored.summary_in(axes, order.as_deref()),
+                )),
                 surface: Some(stored),
                 tightness_parts: None,
             });
@@ -681,11 +677,7 @@ fn compute_detached(
             )?)
         }
     };
-    Ok(Detached {
-        result,
-        surface: None,
-        tightness_parts: None,
-    })
+    Ok(Detached::bare(Answer::new(result)))
 }
 
 /// The cache-canonical form of a query: `Surface` axes sorted ascending

@@ -52,10 +52,14 @@ use projtile_loopnest::{canonicalize, LoopNest};
 use projtile_lp::parametric::ValueFunction;
 
 use super::cache::{
-    cost, CachedResult, NestEntry, Orientation, PointSlice, ResultKey, ResultKind, SliceEntry,
-    SliceKey, SliceKind, StoredSurface, SurfaceKey,
+    cost, NestEntry, Orientation, PointSlice, ResultKey, ResultKind, SliceEntry, SliceKey,
+    SliceKind, StoredSurface, SurfaceKey,
 };
-use super::{summarize_surface, Caches, Engine, EngineConfig, EngineError};
+use super::{
+    summarize_surface, AnalysisResult, Answer, Caches, Engine, EngineConfig, EngineError,
+    TilingSummary,
+};
+use crate::bounds::{EnumeratedBound, LowerBound};
 use crate::parametric::ExponentSurface;
 
 /// Current snapshot format version; restore rejects any other value.
@@ -153,19 +157,22 @@ impl Caches {
                 ),
             ])
         });
-        let results = self.results.iter_lru_to_mru().map(|(k, r)| {
-            let payload = match r {
-                CachedResult::Bound(lb) => lb.serialize(),
-                CachedResult::Enumerated(en) => en.serialize(),
-                CachedResult::Tiling(t) => t.serialize(),
+        let results = self.results.iter_lru_to_mru().filter_map(|(k, answer)| {
+            let payload = match (k.kind, answer.result()) {
+                (ResultKind::Bound, AnalysisResult::LowerBound(lb)) => lb.serialize(),
+                (ResultKind::Enumerated, AnalysisResult::EnumeratedBound(en)) => en.serialize(),
+                (ResultKind::Tiling, AnalysisResult::OptimalTiling(t)) => t.serialize(),
+                // A key/answer variant mismatch cannot be built by the
+                // insertion paths; it is dropped like a mismatched slice.
+                _ => return None,
             };
-            obj(vec![
+            Some(obj(vec![
                 ("entry", k.entry.serialize()),
                 ("orientation", k.orientation.serialize()),
                 ("m", k.m.serialize()),
                 ("kind", Value::String(kind_tag(k.kind).to_string())),
                 ("value", payload),
-            ])
+            ]))
         });
         let slices = self.slices.iter_lru_to_mru().filter_map(|(k, s)| {
             let mut fields = vec![
@@ -310,35 +317,15 @@ impl Engine {
             let m = artifact_m(field(rv, "m")?, "result cache size")?;
             let kind: String = de("result kind", field(rv, "kind")?)?;
             let payload = field(rv, "value")?;
-            let (kind, cached) = match kind.as_str() {
-                "bound" => (
-                    ResultKind::Bound,
-                    CachedResult::Bound(de("lower bound", payload)?),
-                ),
-                "enumerated" => (
-                    ResultKind::Enumerated,
-                    CachedResult::Enumerated(de("enumerated bound", payload)?),
-                ),
-                "tiling" => (
-                    ResultKind::Tiling,
-                    CachedResult::Tiling(de("tiling summary", payload)?),
-                ),
-                // Written by older builds; composed on every answer now.
-                "tightness" | "certificate" => continue,
-                other => {
-                    return Err(EngineError::Snapshot(format!(
-                        "unknown result kind `{other}`"
-                    )))
-                }
-            };
             // Payload shape checks: a hostile document can encode vectors
             // and subsets that do not fit the nest. No session produces
             // them, so the document is refused rather than served.
             let d = caches.entry(e).canonical.num_loops();
             let n = caches.entry(e).canonical.num_arrays();
             let in_range = |s: projtile_loopnest::IndexSet| s.iter().all(|j| j < d);
-            match &cached {
-                CachedResult::Bound(lb) => {
+            let (kind, result) = match kind.as_str() {
+                "bound" => {
+                    let lb: LowerBound = de("lower bound", payload)?;
                     if lb.s_hat.len() != n || lb.zeta.len() != d {
                         return Err(EngineError::Snapshot(
                             "lower-bound certificate vectors do not match the nest".into(),
@@ -350,8 +337,10 @@ impl Engine {
                                 .into(),
                         ));
                     }
+                    (ResultKind::Bound, AnalysisResult::LowerBound(lb))
                 }
-                CachedResult::Enumerated(en) => {
+                "enumerated" => {
+                    let en: EnumeratedBound = de("enumerated bound", payload)?;
                     if !in_range(en.best_subset) || en.per_subset.iter().any(|(q, _)| !in_range(*q))
                     {
                         return Err(EngineError::Snapshot(
@@ -359,22 +348,32 @@ impl Engine {
                                 .into(),
                         ));
                     }
+                    (ResultKind::Enumerated, AnalysisResult::EnumeratedBound(en))
                 }
-                CachedResult::Tiling(t) => {
+                "tiling" => {
+                    let t: TilingSummary = de("tiling summary", payload)?;
                     if t.lambda.len() != d || t.tile_dims.len() != d {
                         return Err(EngineError::Snapshot(
                             "tiling summary dimensions do not match the nest".into(),
                         ));
                     }
+                    (ResultKind::Tiling, AnalysisResult::OptimalTiling(t))
                 }
-            }
+                // Written by older builds; composed on every answer now.
+                "tightness" | "certificate" => continue,
+                other => {
+                    return Err(EngineError::Snapshot(format!(
+                        "unknown result kind `{other}`"
+                    )))
+                }
+            };
             let key = ResultKey {
                 entry: e,
                 orientation: o,
                 m,
                 kind,
             };
-            caches.insert_result(key, cached);
+            caches.insert_result(key, Answer::new(result));
         }
 
         for sv in as_array(field(value, "slices")?, "slices")? {

@@ -1,7 +1,7 @@
 //! Query-trace recording for the cache lab.
 //!
 //! A [`TraceRecorder`] is a lock-free bounded event log inside
-//! [`super::Engine`]: every query an `analyze`/`analyze_batch` call answers
+//! [`super::Engine`]: every query an `analyze`/`answer_batch` call answers
 //! appends one [`TraceEvent`] carrying exactly the identity the memo caches
 //! key by (hashed, not the payloads), the per-entry cost estimates a miss
 //! installed, and how the live engine resolved it. The log is drained as a
@@ -73,7 +73,7 @@ pub struct TraceEvent {
     /// Global append position (assigned by the recorder; events with equal
     /// `batch` are contiguous and in intra-batch input order).
     pub ordinal: u64,
-    /// Which `analyze`/`analyze_batch` call produced this event (one id per
+    /// Which `analyze`/`answer_batch` call produced this event (one id per
     /// call). Replay regroups events by this id: a batch probes all its
     /// queries before installing any of them.
     pub batch: u64,
@@ -134,7 +134,7 @@ impl TraceRecorder {
         !self.slots.is_empty()
     }
 
-    /// Reserves the next batch id (one per `analyze`/`analyze_batch` call).
+    /// Reserves the next batch id (one per `analyze`/`answer_batch` call).
     pub fn next_batch(&self) -> u64 {
         self.batches.fetch_add(1, Ordering::Relaxed)
     }

@@ -5,11 +5,15 @@
 //! single-threaded `Engine`, no matter what the caches evicted, which
 //! thread asked, or whether the session was round-tripped through JSON.
 
-use projtile_core::engine::{outcome, AnalysisResult, Engine, EngineConfig, EngineError, Query};
+use projtile_core::engine::{
+    outcome, AnalysisResult, Engine, EngineConfig, EngineError, Query, SurfaceSummary,
+    TilingSummary,
+};
 use projtile_core::{bounds, parametric, tightness, tiling_lp};
 use projtile_loopnest::canon::permute_nest;
 use projtile_loopnest::{builders, LoopNest};
 use proptest::prelude::*;
+use serde::{json, Serialize};
 
 /// Budgets tiny enough that nearly every insertion evicts something.
 fn tiny_config() -> EngineConfig {
@@ -126,6 +130,55 @@ fn assert_matches_oracle(nest: &LoopNest, query: &Query, result: &AnalysisResult
             assert_eq!(summary.rendered, oracle.render_pieces());
         }
         (q, r) => panic!("result variant {r:?} does not match query {q:?}"),
+    }
+}
+
+/// The whole answer to `query`, built from the cold free functions (the
+/// oracles [`assert_matches_oracle`] compares against).
+fn oracle_answer(nest: &LoopNest, query: &Query) -> AnalysisResult {
+    match query {
+        Query::LowerBound { cache_size } => {
+            AnalysisResult::LowerBound(bounds::arbitrary_bound_exponent(nest, *cache_size))
+        }
+        Query::EnumeratedBound { cache_size } => {
+            AnalysisResult::EnumeratedBound(bounds::enumerated_exponent_cold(nest, *cache_size))
+        }
+        Query::OptimalTiling { cache_size } => {
+            let sol = tiling_lp::solve_tiling_lp(nest, *cache_size);
+            AnalysisResult::OptimalTiling(TilingSummary {
+                tile_dims: tiling_lp::tile_dims_from_lambda(nest, *cache_size, &sol.lambda),
+                lambda: sol.lambda,
+                value: sol.value,
+            })
+        }
+        Query::Tightness { cache_size } => {
+            AnalysisResult::Tightness(tightness::check_tightness(nest, *cache_size))
+        }
+        Query::Slice {
+            cache_size,
+            axis,
+            lo_bound,
+            hi_bound,
+        } => AnalysisResult::Slice(
+            parametric::exponent_vs_beta_cold(nest, *cache_size, *axis, *lo_bound, *hi_bound)
+                .expect("oracle sweep solves"),
+        ),
+        Query::Surface {
+            cache_size,
+            axes,
+            lo_bounds,
+            hi_bounds,
+        } => {
+            let surface =
+                parametric::exponent_surface(nest, *cache_size, axes, lo_bounds, hi_bounds)
+                    .expect("oracle surface solves");
+            AnalysisResult::Surface(SurfaceSummary {
+                axes: axes.clone(),
+                num_regions: surface.num_regions(),
+                pieces: surface.pieces().into_iter().cloned().collect(),
+                rendered: surface.render_pieces(),
+            })
+        }
     }
 }
 
@@ -328,6 +381,44 @@ proptest! {
         }
     }
 
+    /// Four callers share one engine under tiny caps, so answers are
+    /// rendered, shared, evicted and recomputed while others read them:
+    /// every `answer_batch` answer's JSON text is the printed tree of the
+    /// cold oracle's answer, for every query kind.
+    #[test]
+    fn concurrent_answer_texts_are_the_cold_oracles_printed_trees(
+        seed in 0u64..1000,
+        d in 2usize..5,
+        n in 2usize..5,
+    ) {
+        let nest = builders::random_projective(seed, d, n, (1, 128));
+        let batches: Vec<Vec<Query>> = [4u64, 16, 64]
+            .iter()
+            .map(|&m| all_queries(&nest, m))
+            .collect();
+        let expected: Vec<Vec<String>> = batches
+            .iter()
+            .map(|qs| {
+                qs.iter()
+                    .map(|q| json::to_string(&oracle_answer(&nest, q).serialize()))
+                    .collect()
+            })
+            .collect();
+        let engine = Engine::with_config(tiny_config());
+        projtile_par::fan_out(4, |w| {
+            for round in 0..3 {
+                let b = (w + round) % batches.len();
+                let answers = engine.answer_batch(&nest, &batches[b]);
+                for ((q, a), text) in batches[b].iter().zip(&answers).zip(&expected[b]) {
+                    let answer = a.as_ref().expect("valid query");
+                    assert_eq!(answer.json(), text.as_str(), "worker {w}, {q:?}");
+                }
+            }
+        });
+        let metrics = engine.cache_metrics();
+        prop_assert!(metrics.results.evictions > 0, "tiny caps evict: {:?}", metrics);
+    }
+
 }
 
 #[test]
@@ -521,19 +612,27 @@ fn exponent_surface_read_back_survives_concurrent_eviction() {
         ..EngineConfig::default()
     });
     let stop = std::sync::atomic::AtomicBool::new(false);
+    // The reads start once the fillers have made one pass (and so evicted),
+    // rather than whenever the scheduler first runs the filler thread: the
+    // filler thread drops `filled` after its first pass, or as it unwinds.
+    let (filled, first_pass) = std::sync::mpsc::channel::<()>();
     let answers = std::thread::scope(|scope| {
-        scope.spawn(|| {
-            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                for filler in &fillers {
-                    engine.analyze(&nest, filler).expect("valid filler");
+        let (engine, nest, fillers, stop) = (&engine, &nest, &fillers, &stop);
+        scope.spawn(move || {
+            let mut filled = Some(filled);
+            while filled.is_some() || !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                for filler in fillers {
+                    engine.analyze(nest, filler).expect("valid filler");
                 }
+                drop(filled.take());
             }
         });
+        let _ = first_pass.recv();
         let answers: Vec<_> = (0..40)
             .flat_map(|_| {
                 requests
                     .iter()
-                    .map(|(axes, lo, hi)| engine.exponent_surface(&nest, m, axes, lo, hi))
+                    .map(|(axes, lo, hi)| engine.exponent_surface(nest, m, axes, lo, hi))
                     .collect::<Vec<_>>()
             })
             .collect();

@@ -37,10 +37,12 @@
 //!   the engine stays consistent (computation happens outside the
 //!   engine's lock, so an unwound request cannot poison shared state).
 //! * **Exactness** — every served answer goes through
-//!   [`Engine::analyze_batch`] (which dedups canonically-equal
+//!   [`Engine::answer_batch`] (which dedups canonically-equal
 //!   queries within a request), so responses are bitwise-identical to the
 //!   cold free-function oracles no matter how requests are dropped,
-//!   retried, or replayed after a crash.
+//!   retried, or replayed after a crash. A resident answer's JSON text is
+//!   rendered once and copied into every response that carries it
+//!   ([`projtile_core::engine::Answer::json`]).
 //! * **Crash-safe persistence** — a background loop publishes snapshots
 //!   through [`projtile_core::engine::SnapshotStore`] (atomic
 //!   `snap.tmp` → fsync → rename, bounded retention), and startup restore

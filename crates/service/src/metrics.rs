@@ -18,7 +18,7 @@
 //! connection's later request) to the last response byte written.
 //!
 //! A request computing several query kinds through one
-//! [`Engine::analyze_batch`](projtile_core::engine::Engine::analyze_batch)
+//! [`Engine::answer_batch`](projtile_core::engine::Engine::answer_batch)
 //! call records its compute latency under *each* kind present, so a kind's
 //! histogram reads "latency of requests involving this kind".
 
@@ -40,8 +40,11 @@ pub const HISTOGRAM_BUCKETS: usize = 31;
 /// * `read` — the request head and body off the socket;
 /// * `admit` — the wait for a compute permit (`/analyze` only);
 /// * `parse` — the JSON body into a nest and queries (`/analyze` only);
-/// * `engine` — `Engine::analyze_batch` (`/analyze` only);
-/// * `serialize` — the response body;
+/// * `engine` — `Engine::answer_batch` (`/analyze` only): a hit clones a
+///   handle to the resident answer;
+/// * `serialize` — the response body: each answer's JSON text, rendered
+///   by the first request that writes a resident answer and copied by
+///   every later one;
 /// * `write` — the response onto the socket.
 pub const STAGES: [&str; 7] = [
     "pickup",

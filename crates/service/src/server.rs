@@ -67,7 +67,7 @@ use projtile_core::engine::{
     query_kind_index, BoundedLruStats, Engine, Query, SnapshotStore, QUERY_KIND_NAMES,
 };
 use projtile_loopnest::LoopNest;
-use serde::{json, Deserialize, Serialize, Value};
+use serde::{json, Deserialize, Value};
 
 use crate::admission::Permits;
 use crate::fault::FaultPlan;
@@ -861,7 +861,7 @@ fn analyze(shared: &Shared, body: &[u8], timeline: &mut Timeline) -> Reply {
 
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         shared.fault.before_compute();
-        shared.engine.analyze_batch(&nest, &queries)
+        shared.engine.answer_batch(&nest, &queries)
     }));
     let results = match outcome {
         Ok(results) => results,
@@ -879,17 +879,25 @@ fn analyze(shared: &Shared, body: &[u8], timeline: &mut Timeline) -> Reply {
         .metrics
         .record_kinds(&kind_indices(&queries), computed);
 
-    // `{"results":[{"ok": answer} | {"err": message}, …]}`, written
-    // straight into the body: no `Value` tree is built for an answer.
-    let mut body = String::from("{\"results\":[");
+    // `{"results":[{"ok": answer} | {"err": message}, …]}`, copied from
+    // each answer's JSON text into a body sized for those texts (an error's
+    // text is short). A resident answer is rendered by the first request
+    // that writes it, outside the engine's lock, and every later hit copies
+    // the same text.
+    let len: usize = results
+        .iter()
+        .map(|r| r.as_ref().map_or(64, |answer| answer.json().len()) + 8)
+        .sum();
+    let mut body = String::with_capacity(len + 16);
+    body.push_str("{\"results\":[");
     for (i, r) in results.iter().enumerate() {
         if i > 0 {
             body.push(',');
         }
         match r {
-            Ok(result) => {
+            Ok(answer) => {
                 body.push_str("{\"ok\":");
-                result.write_json(&mut body);
+                body.push_str(answer.json());
             }
             Err(e) => {
                 body.push_str("{\"err\":");

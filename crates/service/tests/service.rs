@@ -1041,6 +1041,33 @@ fn analyze_bodies_are_the_printed_result_tree_byte_for_byte() {
 }
 
 #[test]
+fn hits_serve_the_bytes_their_miss_served() {
+    // The first request computes every answer and renders it; the resident
+    // ones keep that text, and every later hit, from any connection, copies
+    // it. A repeated literal shares its first position's answer.
+    let handle = start(|_| {}, FaultPlan::default());
+    let nest = builders::random_projective(23, 8, 4, (1, 256));
+    let mut queries = all_kinds_on(64, 5);
+    queries.push(Query::EnumeratedBound { cache_size: 64 });
+    let body = analyze_body(&nest, &queries);
+    let first = raw(&handle, &post("/analyze", &body));
+    assert_eq!(first.status, 200);
+    let misses = handle.engine().stats().misses;
+    assert!(misses > 0, "the first request computed");
+    std::thread::scope(|scope| {
+        for _ in 0..3 {
+            scope.spawn(|| {
+                let hit = raw(&handle, &post("/analyze", &body));
+                assert_eq!(hit.status, 200);
+                assert!(hit.body == first.body, "a hit differs from its miss");
+            });
+        }
+    });
+    assert_eq!(handle.engine().stats().misses, misses, "later requests hit");
+    handle.join();
+}
+
+#[test]
 fn numbers_outside_the_json_grammar_are_parse_errors() {
     // RFC 8259 §6: no `+`, no leading zero, digits on both sides of the
     // point; a literal out of `f64` range is an error, not an infinity.

@@ -87,6 +87,8 @@ if [ "$bench_smoke" = 1 ]; then
     grep -q "engine/snapshot_restore" "$smoke_out"
     grep -q "wire/decode/enumerated_d10" "$smoke_out"
     grep -q "wire/decode_tree/enumerated_d10" "$smoke_out"
+    grep -q "wire/serve_hit/enumerated_d10" "$smoke_out"
+    grep -q "wire/serve_hit_typed/enumerated_d10" "$smoke_out"
     grep -q "service/roundtrip/tightness_hit" "$smoke_out"
     grep -q "service/roundtrip/tightness_hit_keepalive" "$smoke_out"
     # The fresh-connection round trip split by layer: client, the server's
