@@ -26,9 +26,12 @@
 //!   limbs long, far below where a subquadratic method would pay.
 //! * Multi-limb division is limb-wise Knuth Algorithm D (TAOCP vol. 2,
 //!   §4.3.1), replacing the seed's bit-by-bit binary long division.
+//! * Multi-limb gcd is Lehmer's algorithm (TAOCP vol. 2, §4.5.2,
+//!   Algorithm L) in two reused buffers, replacing a Euclid loop that
+//!   allocated a quotient and a remainder per step; see [`BigInt::gcd`].
 //!
-//! The seed's simple algorithms are retained verbatim in [`reference`] and
-//! the property suite checks the fast paths against them exactly
+//! The replaced algorithms are retained verbatim in [`reference`] and the
+//! property suite checks the fast paths against them exactly
 //! (`crates/arith/tests/proptest_arith.rs`).
 
 use core::cmp::Ordering;
@@ -359,35 +362,85 @@ impl BigInt {
         (q, rem as u32)
     }
 
-    /// Shifts a magnitude left by `shift < 32` bits, appending a spill limb.
-    fn shl_bits_with_spill(a: &[u32], shift: u32) -> Vec<u32> {
-        let mut out = Vec::with_capacity(a.len() + 1);
-        let mut carry = 0u32;
-        for &w in a {
-            if shift == 0 {
-                out.push(w);
-            } else {
-                out.push((w << shift) | carry);
-                carry = w >> (32 - shift);
-            }
+    /// Shifts a magnitude left by `shift < 32` bits in place and returns the
+    /// bits shifted out of its top limb.
+    fn shl_in_place(x: &mut [u32], shift: u32) -> u32 {
+        if shift == 0 {
+            return 0;
         }
-        out.push(carry);
-        out
+        let mut carry = 0u32;
+        for w in x.iter_mut() {
+            let out = *w >> (32 - shift);
+            *w = (*w << shift) | carry;
+            carry = out;
+        }
+        carry
     }
 
-    /// Shifts a magnitude right by `shift < 32` bits, trimming zeros.
-    fn shr_bits(a: &[u32], shift: u32) -> Vec<u32> {
-        let mut out = a.to_vec();
-        if shift != 0 {
-            for i in 0..out.len() {
-                let hi = out.get(i + 1).copied().unwrap_or(0);
-                out[i] = (out[i] >> shift) | (hi << (32 - shift));
+    /// Shifts a magnitude right by `shift < 32` bits in place, dropping the
+    /// bits shifted out of its bottom limb.
+    fn shr_in_place(x: &mut [u32], shift: u32) {
+        if shift == 0 {
+            return;
+        }
+        let mut carry = 0u32;
+        for w in x.iter_mut().rev() {
+            let out = *w << (32 - shift);
+            *w = (*w >> shift) | carry;
+            carry = out;
+        }
+    }
+
+    /// Knuth Algorithm D steps D3–D6 on one window: `u` holds `n + 1` limbs
+    /// whose value is below `v·2^32`, and `v` (`n >= 2` limbs) is normalized
+    /// (top bit set). Replaces `u` by `u mod v` and returns `u / v`.
+    fn knuth_d_digit(u: &mut [u32], v: &[u32]) -> u32 {
+        let n = v.len();
+        let vn1 = v[n - 1] as u64;
+        let vn2 = v[n - 2] as u64;
+        debug_assert!(vn1 >= 1 << 31, "the divisor is normalized");
+
+        // D3: estimate the quotient limb from the top three dividend limbs
+        // and top two divisor limbs; the estimate is at most 2 too large,
+        // corrected by the loop below and the add-back step.
+        let top = ((u[n] as u64) << 32) | u[n - 1] as u64;
+        let mut qhat = top / vn1;
+        let mut rhat = top % vn1;
+        while qhat >= 1 << 32 || qhat * vn2 > ((rhat << 32) | u[n - 2] as u64) {
+            qhat -= 1;
+            rhat += vn1;
+            if rhat >= 1 << 32 {
+                break;
             }
         }
-        while out.last() == Some(&0) {
-            out.pop();
+
+        // D4: multiply-subtract qhat·v from u (wrapping on underflow,
+        // detected via the final borrow).
+        let mut mul_carry: u64 = 0;
+        let mut borrow: i64 = 0;
+        for i in 0..n {
+            let p = qhat * v[i] as u64 + mul_carry;
+            mul_carry = p >> 32;
+            let t = u[i] as i64 - (p as u32) as i64 - borrow;
+            u[i] = t as u32;
+            borrow = i64::from(t < 0);
         }
-        out
+        let t = u[n] as i64 - mul_carry as i64 - borrow;
+        u[n] = t as u32;
+
+        // D5/D6: if the subtraction underflowed, the estimate was one too
+        // large — add one multiple of v back.
+        if t < 0 {
+            qhat -= 1;
+            let mut carry: u64 = 0;
+            for i in 0..n {
+                let s = u[i] as u64 + v[i] as u64 + carry;
+                u[i] = s as u32;
+                carry = s >> 32;
+            }
+            u[n] = (u[n] as u64).wrapping_add(carry) as u32;
+        }
+        qhat as u32
     }
 
     /// Multi-limb magnitude division by Knuth Algorithm D (TAOCP vol. 2,
@@ -400,67 +453,50 @@ impl BigInt {
         // D1: normalize so the divisor's top limb has its high bit set; the
         // dividend gains one (possibly zero) spill limb.
         let shift = b[n - 1].leading_zeros();
-        let mut u = Self::shl_bits_with_spill(a, shift);
-        let mut v = Self::shl_bits_with_spill(b, shift);
-        debug_assert_eq!(v.pop(), Some(0), "normalization never spills the divisor");
-        debug_assert!(v[n - 1] >= 1 << 31);
+        let mut u = Vec::with_capacity(a.len() + 1);
+        u.extend_from_slice(a);
+        let spill = Self::shl_in_place(&mut u, shift);
+        u.push(spill);
+        let mut v = b.to_vec();
+        let v_spill = Self::shl_in_place(&mut v, shift);
+        debug_assert_eq!(v_spill, 0, "normalization never spills the divisor");
 
-        let m = u.len() - 1 - n;
+        // D2–D7: one quotient limb per window, most significant first.
+        let m = a.len() - n;
         let mut q = vec![0u32; m + 1];
-        let vn1 = v[n - 1] as u64;
-        let vn2 = v[n - 2] as u64;
-
-        // D2–D7: one quotient limb per iteration, most significant first.
         for j in (0..=m).rev() {
-            // D3: estimate the quotient limb from the top three dividend
-            // limbs and top two divisor limbs; the estimate is at most 2 too
-            // large, corrected by the loop below and the add-back step.
-            let top = ((u[j + n] as u64) << 32) | u[j + n - 1] as u64;
-            let mut qhat = top / vn1;
-            let mut rhat = top % vn1;
-            while qhat >= 1 << 32 || qhat * vn2 > ((rhat << 32) | u[j + n - 2] as u64) {
-                qhat -= 1;
-                rhat += vn1;
-                if rhat >= 1 << 32 {
-                    break;
-                }
-            }
-
-            // D4: multiply-subtract qhat·v from u[j..=j+n] (wrapping on
-            // underflow, detected via the final borrow).
-            let mut mul_carry: u64 = 0;
-            let mut borrow: i64 = 0;
-            for i in 0..n {
-                let p = qhat * v[i] as u64 + mul_carry;
-                mul_carry = p >> 32;
-                let t = u[j + i] as i64 - (p as u32) as i64 - borrow;
-                u[j + i] = t as u32;
-                borrow = i64::from(t < 0);
-            }
-            let t = u[j + n] as i64 - mul_carry as i64 - borrow;
-            u[j + n] = t as u32;
-
-            // D5/D6: if the subtraction underflowed, the estimate was one too
-            // large — add one multiple of v back.
-            if t < 0 {
-                qhat -= 1;
-                let mut carry: u64 = 0;
-                for i in 0..n {
-                    let s = u[j + i] as u64 + v[i] as u64 + carry;
-                    u[j + i] = s as u32;
-                    carry = s >> 32;
-                }
-                u[j + n] = (u[j + n] as u64).wrapping_add(carry) as u32;
-            }
-            q[j] = qhat as u32;
+            q[j] = Self::knuth_d_digit(&mut u[j..=j + n], &v);
         }
 
         // D8: denormalize the remainder.
         while q.last() == Some(&0) {
             q.pop();
         }
-        let rem = Self::shr_bits(&u[..n], shift);
-        (q, rem)
+        u.truncate(n);
+        Self::shr_in_place(&mut u, shift);
+        while u.last() == Some(&0) {
+            u.pop();
+        }
+        (q, u)
+    }
+
+    /// Replaces `u[..len]` by its remainder modulo `v` in place (Algorithm D
+    /// without the quotient) and returns the remainder's length. Requires
+    /// `u[..len] >= v`, `v.len() >= 2` with a nonzero top limb, and a zero
+    /// limb at `u[len]` for the normalization spill; every limb of
+    /// `u[rem_len..=len]` is zero afterwards. `v` is normalized in place and
+    /// restored.
+    fn rem_in_place(u: &mut [u32], len: usize, v: &mut [u32]) -> usize {
+        let n = v.len();
+        let shift = v[n - 1].leading_zeros();
+        Self::shl_in_place(v, shift);
+        u[len] = Self::shl_in_place(&mut u[..len], shift);
+        for j in (0..=len - n).rev() {
+            Self::knuth_d_digit(&mut u[j..=j + n], v);
+        }
+        Self::shr_in_place(&mut u[..n], shift);
+        Self::shr_in_place(v, shift);
+        trimmed_len(&u[..n])
     }
 
     /// Magnitude division dispatch. Returns `(quotient, remainder)`.
@@ -525,25 +561,44 @@ impl BigInt {
     }
 
     /// Greatest common divisor of the magnitudes (always non-negative).
+    ///
+    /// Two inline values take the binary [`crate::gcd_u64`]. Otherwise, once
+    /// the smaller operand fits in one 64-bit word, a single remainder folded
+    /// limb by limb in `u128` hands both to `gcd_u64`. Longer operands run
+    /// Lehmer's algorithm (Knuth, TAOCP vol. 2, §4.5.2, Algorithm L):
+    /// Euclid simulated on the leading 60 bits in `i64`, its cofactors
+    /// applied to both magnitudes in place, and an exact remainder step
+    /// whenever the leading bits cannot certify a single quotient (the
+    /// operands differ by about a limb or more). The working magnitudes live
+    /// in two buffers, on the stack for short operands; no step allocates.
+    /// The allocating Euclid loop this replaces is `reference::euclid_gcd`,
+    /// the property suite's oracle.
     pub fn gcd(&self, rhs: &BigInt) -> BigInt {
         if let (Repr::Small(a), Repr::Small(b)) = (&self.repr, &rhs.repr) {
             let g = crate::gcd::gcd_u64(a.unsigned_abs(), b.unsigned_abs());
             return BigInt::from_u128_sign(Sign::Positive, g as u128);
         }
-        // Euclid on magnitudes; each step drops to the small fast path as
-        // soon as both operands fit in i64.
-        let mut a = self.abs();
-        let mut b = rhs.abs();
-        while !b.is_zero() {
-            if let (Some(x), Some(y)) = (a.to_i64(), b.to_i64()) {
-                let g = crate::gcd::gcd_u64(x.unsigned_abs(), y.unsigned_abs());
-                return BigInt::from_u128_sign(Sign::Positive, g as u128);
-            }
-            let (_, r) = a.div_rem(&b);
-            a = b;
-            b = r;
+        let (mut abuf, mut bbuf) = ([0u32; 2], [0u32; 2]);
+        let (_, a) = self.parts(&mut abuf);
+        let (_, b) = rhs.parts(&mut bbuf);
+        let (a, b) = match Self::cmp_magnitude(a, b) {
+            Ordering::Less => (b, a),
+            _ => (a, b),
+        };
+        if b.len() <= 2 {
+            return gcd_with_word(a, word_value(b));
         }
-        a
+        let lehmer = if a.len() < LEHMER_STACK_LIMBS {
+            lehmer_gcd(
+                &mut [0; LEHMER_STACK_LIMBS],
+                &mut [0; LEHMER_STACK_LIMBS],
+                a,
+                b,
+            )
+        } else {
+            lehmer_gcd(&mut vec![0; a.len() + 1], &mut vec![0; a.len() + 1], a, b)
+        };
+        lehmer.unwrap_or_else(|| reference::euclid_gcd(self, rhs))
     }
 
     /// Raises the value to a non-negative integer power (`0^0 == 1`).
@@ -633,14 +688,150 @@ fn small_from_mag(sign: Sign, mag: u64) -> Option<i64> {
     }
 }
 
-/// Reference implementations of the seed's simple algorithms (schoolbook
-/// multiplication, bit-by-bit binary long division), kept as the oracle for
-/// the differential property tests of the fast paths. Not part of the public
-/// API surface.
+/// Width of the leading-bit window Lehmer's gcd simulates Euclid on. With 60
+/// bits every simulated remainder, cofactor and quotient product stays below
+/// `2^62`, so the inner loop runs in `i64` without overflow.
+const LEHMER_BITS: usize = 60;
+
+/// Operands shorter than this many limbs run Lehmer's gcd in stack buffers
+/// (each holds the longer operand plus the remainder step's spill limb).
+const LEHMER_STACK_LIMBS: usize = 16;
+
+/// Length of a magnitude once its zero top limbs are dropped.
+fn trimmed_len(x: &[u32]) -> usize {
+    x.iter().rposition(|&l| l != 0).map_or(0, |i| i + 1)
+}
+
+/// The value of a magnitude of at most two limbs.
+fn word_value(x: &[u32]) -> u64 {
+    x.iter().rev().fold(0, |acc, &l| (acc << 32) | l as u64)
+}
+
+/// `⌊x / 2^shift⌋` for a magnitude `x < 2^(shift + 64)`.
+fn bits_from(x: &[u32], shift: usize) -> u64 {
+    let (limb, bit) = (shift / 32, shift % 32);
+    let window = (0..3).rev().fold(0u128, |acc, k| {
+        (acc << 32) | *x.get(limb + k).unwrap_or(&0) as u128
+    });
+    (window >> bit) as u64
+}
+
+/// `gcd(a, w)` for a magnitude `a >= w`: one remainder folded limb by limb in
+/// `u128`, then [`crate::gcd_u64`].
+fn gcd_with_word(a: &[u32], w: u64) -> BigInt {
+    if w == 0 {
+        return BigInt::from_limbs(Sign::Positive, a.to_vec());
+    }
+    let r = a
+        .iter()
+        .rev()
+        .fold(0u128, |r, &l| ((r << 32) | l as u128) % w as u128);
+    BigInt::from(crate::gcd::gcd_u64(w, r as u64))
+}
+
+/// Lehmer's gcd of magnitudes `a >= b` with `b` longer than two limbs, in
+/// the zeroed buffers `x` and `y` of at least `a.len() + 1` limbs each. Every
+/// limb past a working value's length stays zero. Returns `None` only if a
+/// cofactor update leaves a carry, which the algorithm rules out.
+fn lehmer_gcd(x: &mut [u32], y: &mut [u32], a: &[u32], b: &[u32]) -> Option<BigInt> {
+    x[..a.len()].copy_from_slice(a);
+    y[..b.len()].copy_from_slice(b);
+    let (mut u, mut v) = (x, y);
+    let (mut u_len, mut v_len) = (a.len(), b.len());
+    // Invariant: u >= v, and v exceeds one word, so u has over 64 bits.
+    while v_len > 2 {
+        let shift = u_len * 32 - u[u_len - 1].leading_zeros() as usize - LEHMER_BITS;
+        let uh = bits_from(&u[..u_len], shift) as i64;
+        let vh = bits_from(&v[..v_len], shift) as i64;
+        match lehmer_cofactors(uh, vh) {
+            Some(m) => (u_len, v_len) = apply_cofactors(&mut u[..u_len], &mut v[..u_len], m)?,
+            None => {
+                let r_len = BigInt::rem_in_place(u, u_len, &mut v[..v_len]);
+                core::mem::swap(&mut u, &mut v);
+                (u_len, v_len) = (v_len, r_len);
+            }
+        }
+    }
+    Some(gcd_with_word(&u[..u_len], word_value(&v[..v_len])))
+}
+
+/// Knuth's steps L2–L3 on the leading bits `uh >= vh` of the operands (the
+/// same shift of both): Euclid runs on them while the quotients of the two
+/// bracketing fractions agree, so every quotient taken is also the exact
+/// quotient of the full operands. Returns the cofactors `[a, b, c, d]` with
+/// `(u, v) ← (a·u + b·v, c·u + d·v)`, or `None` when not one step is
+/// certain.
+fn lehmer_cofactors(mut uh: i64, mut vh: i64) -> Option<[i64; 4]> {
+    let (mut a, mut b, mut c, mut d) = (1i64, 0i64, 0i64, 1i64);
+    loop {
+        let (num_a, num_b, den_c, den_d) = (uh + a, uh + b, vh + c, vh + d);
+        if num_a < 0 || num_b < 0 || den_c <= 0 || den_d <= 0 {
+            break;
+        }
+        let q = num_a / den_c;
+        if q != num_b / den_d {
+            break;
+        }
+        (a, c) = (c, a - q * c);
+        (b, d) = (d, b - q * d);
+        (uh, vh) = (vh, uh - q * vh);
+    }
+    (b != 0).then_some([a, b, c, d])
+}
+
+/// Replaces `(u, v)` (equal-length slices) by `(a·u + b·v, c·u + d·v)` in
+/// place with signed `i128` carries and returns the new lengths. Both
+/// results are Euclid remainders of `u` and `v`, hence non-negative and no
+/// longer than `u`; a carry left over would contradict that, and returns
+/// `None`.
+fn apply_cofactors(u: &mut [u32], v: &mut [u32], m: [i64; 4]) -> Option<(usize, usize)> {
+    let [a, b, c, d] = m.map(i128::from);
+    let (mut carry_u, mut carry_v) = (0i128, 0i128);
+    for (x, y) in u.iter_mut().zip(v.iter_mut()) {
+        let (xi, yi) = (i128::from(*x), i128::from(*y));
+        carry_u += a * xi + b * yi;
+        carry_v += c * xi + d * yi;
+        *x = carry_u as u32;
+        *y = carry_v as u32;
+        carry_u >>= 32;
+        carry_v >>= 32;
+    }
+    debug_assert!(
+        carry_u == 0 && carry_v == 0,
+        "Lehmer cofactors left a carry"
+    );
+    (carry_u == 0 && carry_v == 0).then(|| (trimmed_len(u), trimmed_len(v)))
+}
+
+/// Reference implementations of the simple algorithms the fast paths
+/// replaced (the seed's schoolbook multiplication and bit-by-bit binary long
+/// division, and the allocating Euclid gcd loop), kept as the oracle for the
+/// differential property tests of the fast paths. Not part of the public API
+/// surface.
 #[doc(hidden)]
 pub mod reference {
     use super::{BigInt, Sign};
     use core::cmp::Ordering;
+
+    /// Euclid's algorithm on magnitudes, one allocating [`BigInt::div_rem`]
+    /// per step: the loop [`BigInt::gcd`] ran before Lehmer's algorithm.
+    /// Always non-negative.
+    pub fn euclid_gcd(a: &BigInt, b: &BigInt) -> BigInt {
+        // Each step drops to the small fast path as soon as both operands
+        // fit in i64.
+        let mut a = a.abs();
+        let mut b = b.abs();
+        while !b.is_zero() {
+            if let (Some(x), Some(y)) = (a.to_i64(), b.to_i64()) {
+                let g = crate::gcd::gcd_u64(x.unsigned_abs(), y.unsigned_abs());
+                return BigInt::from_u128_sign(Sign::Positive, g as u128);
+            }
+            let (_, r) = a.div_rem(&b);
+            a = b;
+            b = r;
+        }
+        a
+    }
 
     /// Shifts a magnitude left by one bit in place.
     fn shl1_magnitude(limbs: &mut Vec<u32>) {
@@ -1271,6 +1462,26 @@ mod tests {
             bi(i64::MIN as i128).gcd(&bi(i64::MIN as i128)),
             bi(1i128 << 63)
         );
+        // Lehmer's extremes against the Euclid loop: consecutive Fibonacci
+        // numbers (every quotient 1, so the cofactors grow fastest),
+        // Mersenne numbers (gcd(2^m - 1, 2^n - 1) = 2^gcd(m,n) - 1), a
+        // multiple (one exact remainder step), neighbours and equal values.
+        let (mut f0, mut f1) = (bi(0), bi(1));
+        for i in 0..700 {
+            (f0, f1) = (f1.clone(), &f0 + &f1);
+            if i > 90 {
+                assert_eq!(f1.gcd(&f0), reference::euclid_gcd(&f1, &f0), "F{i}");
+            }
+        }
+        let mersenne = |e: u32| &bi(2).pow(e) - &bi(1);
+        for (m, n) in [(96, 64), (180, 120), (500, 75), (131, 97), (640, 639)] {
+            let g = crate::gcd_i128(m as i128, n as i128) as u32;
+            assert_eq!(mersenne(m).gcd(&mersenne(n)), mersenne(g), "({m}, {n})");
+        }
+        let big = &bi(3).pow(200) * &bi(7).pow(40);
+        for other in [&big * &bi(3).pow(90), &big + &bi(1), big.clone(), -&big] {
+            assert_eq!(big.gcd(&other), reference::euclid_gcd(&big, &other));
+        }
     }
 
     #[test]

@@ -34,7 +34,8 @@
 //!   makes the derived `Eq`/`Hash` value-correct. `Small × Small` arithmetic
 //!   runs on machine integers (widened to `i128` where needed); multi-limb
 //!   multiplication is schoolbook (the LP values stay a few limbs long);
-//!   multi-limb division is limb-wise Knuth Algorithm D.
+//!   multi-limb division is limb-wise Knuth Algorithm D; multi-limb GCD is
+//!   Lehmer's algorithm in two reused buffers.
 //! * [`Rational`] is always in lowest terms with a positive denominator.
 //!   When all four components of a binary operation fit in `i64`, the op is
 //!   one `i128` cross-multiplication plus one binary-GCD normalization
@@ -44,11 +45,12 @@
 //!   [`Rational::cmp_div`] compares two quotients without forming either —
 //!   these are the "gcd-light" kernels `projtile_lp::simplex` pivots on.
 //!
-//! The seed's simple algorithms (schoolbook multiplication, bit-by-bit binary
-//! long division) are retained under `reference` (doc-hidden) and the
-//! property suite (`tests/proptest_arith.rs`) checks the fast paths against
-//! them *exactly*, limb-for-limb, alongside `i128` differential checks for
-//! `Rational`.
+//! The simple algorithms the fast paths replaced (the seed's schoolbook
+//! multiplication and bit-by-bit binary long division, and the allocating
+//! Euclid gcd loop that Lehmer's algorithm replaced) are retained under
+//! `reference` (doc-hidden) and the property suite
+//! (`tests/proptest_arith.rs`) checks the fast paths against them *exactly*,
+//! limb-for-limb, alongside `i128` differential checks for `Rational`.
 //!
 //! # Benchmark protocol
 //!

@@ -10,9 +10,10 @@
 //! numerator and denominator both fit in `i64` occupies no heap at all. Every
 //! arithmetic operation first tries an `i128` cross-multiplication fast path
 //! (the products of two `i64`s always fit in `i128`), normalizing with the
-//! machine binary GCD ([`crate::gcd_u64`]/[`gcd_u128`]) instead of the
-//! allocating `BigInt` Euclid loop; only results that overflow the checked
-//! `i128` arithmetic fall back to the general `BigInt` path.
+//! machine binary GCD ([`crate::gcd_u64`]/[`gcd_u128`]) without building a
+//! `BigInt`; only results that overflow the checked `i128` arithmetic fall
+//! back to the general `BigInt` path, which normalizes with [`BigInt::gcd`]
+//! (Lehmer's algorithm, no allocation per step) and two exact divisions.
 //!
 //! # Deferred normalization (gcd-light fused ops)
 //!

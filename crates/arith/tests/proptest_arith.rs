@@ -312,3 +312,119 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Multi-limb gcd: Lehmer's algorithm in `BigInt::gcd` against the Euclid loop
+// it replaced (`projtile_arith::reference::euclid_gcd`), and the canonical
+// form of rationals whose normalization runs it.
+// ---------------------------------------------------------------------------
+
+/// A limb that is zero or all ones a quarter of the time, so carries, zero
+/// limbs and exact divisions turn up as well as uniform values.
+fn gcd_limb() -> impl Strategy<Value = u32> {
+    any::<u64>().prop_map(|x| match x % 8 {
+        0 => 0,
+        1 => u32::MAX,
+        _ => (x >> 32) as u32,
+    })
+}
+
+/// Zero and the values at the `Small`/`Large` boundary and at the one- and
+/// two-word boundaries of the gcd's fast paths.
+fn gcd_edge_values() -> Vec<BigInt> {
+    let one = BigInt::one();
+    let pow2 = |e: u32| BigInt::from(2).pow(e);
+    vec![
+        BigInt::zero(),
+        BigInt::from(i64::MIN),
+        pow2(63),
+        &pow2(64) - &one,
+        &pow2(64) + &one,
+        &pow2(128) - &one,
+        &pow2(128) + &one,
+    ]
+}
+
+/// Asserts that `r` is in lowest terms with a positive denominator, using
+/// the reference gcd so the check does not share the fast path under test.
+fn assert_canonical(r: &Rational) -> Result<(), TestCaseError> {
+    prop_assert!(r.denom().is_positive(), "denominator of {} not positive", r);
+    prop_assert_eq!(
+        projtile_arith::reference::euclid_gcd(r.numer(), r.denom()),
+        BigInt::one(),
+        "{} not in lowest terms",
+        r
+    );
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn gcd_matches_euclid_reference_on_multi_limb_operands(
+        a_limbs in proptest::collection::vec(gcd_limb(), 1..=16),
+        b_limbs in proptest::collection::vec(gcd_limb(), 1..=16),
+        f_limbs in proptest::collection::vec(gcd_limb(), 1..=8),
+        a_neg in proptest::bool::ANY,
+        b_neg in proptest::bool::ANY,
+        edge in 0usize..7,
+    ) {
+        use projtile_arith::reference::euclid_gcd;
+        let a = from_limbs_and_sign(&a_limbs, a_neg);
+        let b = from_limbs_and_sign(&b_limbs, b_neg);
+        // A shared factor of 1-8 limbs makes the gcd itself multi-limb.
+        let f = from_limbs_and_sign(&f_limbs, false);
+        let (af, bf) = (&a * &f, &b * &f);
+        let e = &gcd_edge_values()[edge];
+        let pairs = [(&a, &b), (&af, &bf), (&af, &b), (&a, &a), (&af, &af), (&a, e), (&af, e)];
+        for (x, y) in pairs {
+            let g = euclid_gcd(x, y);
+            prop_assert_eq!(x.gcd(y), g.clone(), "gcd({}, {})", x, y);
+            prop_assert_eq!(y.gcd(x), g.clone(), "gcd({}, {})", y, x);
+            prop_assert_eq!((-x).gcd(y), g, "gcd(-({}), {})", x, y);
+        }
+    }
+
+    #[test]
+    fn large_rational_ops_stay_canonical(
+        an in proptest::collection::vec(gcd_limb(), 2..=6),
+        ad in proptest::collection::vec(gcd_limb(), 2..=6),
+        bn in proptest::collection::vec(gcd_limb(), 2..=6),
+        bd in proptest::collection::vec(gcd_limb(), 2..=6),
+        f_limbs in proptest::collection::vec(gcd_limb(), 1..=3),
+        a_neg in proptest::bool::ANY,
+        b_neg in proptest::bool::ANY,
+    ) {
+        // Components share a factor so that every operation has a
+        // multi-limb common divisor to cancel.
+        let f = from_limbs_and_sign(&f_limbs, false);
+        prop_assume!(!f.is_zero());
+        let big = |limbs: &[u32], neg: bool| &from_limbs_and_sign(limbs, neg) * &f;
+        let (an, ad, bn, bd) = (big(&an, a_neg), big(&ad, false), big(&bn, b_neg), big(&bd, false));
+        prop_assume!(!ad.is_zero() && !bd.is_zero());
+        let a = Rational::from_frac(an.clone(), ad.clone());
+        let b = Rational::from_frac(bn.clone(), bd.clone());
+        assert_canonical(&a)?;
+        assert_canonical(&b)?;
+        // Each result must equal its unreduced fraction `num / den`.
+        let same_value = |r: &Rational, num: &BigInt, den: &BigInt| {
+            r.numer() * den == num * r.denom()
+        };
+        let sum = &a + &b;
+        assert_canonical(&sum)?;
+        prop_assert!(same_value(&sum, &(&(&an * &bd) + &(&bn * &ad)), &(&ad * &bd)));
+        let product = &a * &b;
+        assert_canonical(&product)?;
+        prop_assert!(same_value(&product, &(&an * &bn), &(&ad * &bd)));
+        if !b.is_zero() {
+            let quotient = &a / &b;
+            assert_canonical(&quotient)?;
+            prop_assert!(same_value(&quotient, &(&an * &bd), &(&ad * &bn)));
+        }
+        let mut fused = a.clone();
+        fused.sub_mul_assign(&b, &sum);
+        assert_canonical(&fused)?;
+        prop_assert_eq!(&fused, &(&a - &(&b * &sum)));
+    }
+}

@@ -2,20 +2,23 @@
 //!
 //! This module and [`crate::service_perf`] are the repository's one timing
 //! harness. [`default_workloads`] names every closure workload: the
-//! Theorem-2 bound LP and the `2^d` subset enumeration, the §7 parametric
-//! sweeps and surfaces, the engine's session paths, the decode and the warm
-//! serve of one large answer and the full matmul pipeline. [`measure_all`]
-//! times each one with a plain warm-up + batched-samples loop, and
+//! multi-limb gcd, the Theorem-2 bound LP and the `2^d` subset enumeration,
+//! the §7 parametric sweeps and surfaces, the engine's session paths, the
+//! decode and the warm serve of one large answer and the full matmul
+//! pipeline. [`measure_all`] times each one with a plain warm-up +
+//! batched-samples loop, and
 //! [`snapshot_json`] renders the machine-readable `BENCH_*.json` snapshot
 //! successive PRs compare against. The protocol is in
 //! `docs/benchmarking.md`.
 
 use std::time::{Duration, Instant};
 
+use projtile_arith::{reference, BigInt};
 use projtile_core::engine::{AnalysisResult, Engine, Query};
 use projtile_core::{
     bounds, check_tightness, communication_lower_bound, hbl, optimal_tiling, parametric,
 };
+use projtile_lab::generate::XorShift;
 use projtile_loopnest::{builders, LoopNest};
 use serde::{json, Deserialize, Serialize, Value};
 
@@ -86,6 +89,32 @@ fn surface_cases() -> Vec<(String, LoopNest, Vec<usize>, u64, u64)> {
     ]
 }
 
+/// The `arith/gcd/*` operand pairs as `(name, bits of a, bits of b)`: a
+/// balanced pair as wide as the bound LP's large fractions, and an
+/// unbalanced one whose smaller operand fits in one limb.
+const GCD_CASES: [(&str, u32, u32); 2] =
+    [("balanced_135", 135, 135), ("unbalanced_135x20", 135, 20)];
+
+/// 1000 fixed operand pairs of the given widths, every operand drawn
+/// uniformly with its top bit set.
+fn gcd_pairs(a_bits: u32, b_bits: u32) -> Vec<(BigInt, BigInt)> {
+    let mut rng = XorShift::new(0x6cd);
+    let mut operand = |bits: u32| {
+        let mut x = BigInt::one();
+        let mut left = bits - 1;
+        while left > 0 {
+            let take = left.min(32);
+            let scale = BigInt::from(1u64 << take);
+            x = &(&x * &scale) + &BigInt::from(rng.next_u64() >> (64 - take));
+            left -= take;
+        }
+        x
+    };
+    (0..1000)
+        .map(|_| (operand(a_bits), operand(b_bits)))
+        .collect()
+}
+
 /// The random nest of the tightness workloads with seed `seed`.
 fn tightness_input(seed: u64) -> LoopNest {
     builders::random_projective(seed, 5, 4, (1, 512))
@@ -115,12 +144,36 @@ pub struct Measurement {
     pub iters: u64,
 }
 
-/// The closure workload set snapshotted into `BENCH_*.json`: the bound LP
-/// and subset enumeration, the §7 sweeps and surfaces, the engine session
-/// paths and the full matmul pipeline. All of these bottom out in the exact
-/// simplex solver.
+/// The closure workload set snapshotted into `BENCH_*.json`: the multi-limb
+/// gcd, the bound LP and subset enumeration, the §7 sweeps and surfaces, the
+/// engine session paths and the full matmul pipeline. All but the gcd rows
+/// bottom out in the exact simplex solver.
 pub fn default_workloads() -> Vec<Workload> {
     let mut workloads: Vec<Workload> = Vec::new();
+
+    // The multi-limb gcd behind every large-fraction normalization, and as
+    // its in-snapshot twin the allocating Euclid loop it replaced, each over
+    // the same 1000 operand pairs per iteration.
+    for (name, a_bits, b_bits) in GCD_CASES {
+        let pairs = gcd_pairs(a_bits, b_bits);
+        let p = pairs.clone();
+        workloads.push(Workload {
+            name: format!("arith/gcd/{name}"),
+            run: Box::new(move || {
+                for (a, b) in &p {
+                    std::hint::black_box(a.gcd(b));
+                }
+            }),
+        });
+        workloads.push(Workload {
+            name: format!("arith/gcd_reference/{name}"),
+            run: Box::new(move || {
+                for (a, b) in &pairs {
+                    std::hint::black_box(reference::euclid_gcd(a, b));
+                }
+            }),
+        });
+    }
 
     // Theorem-2 bound LP and subset enumeration (E6/E7).
     for d in [3usize, 5, 7, 9, 11] {

@@ -76,6 +76,11 @@ if [ "$bench_smoke" = 1 ]; then
     smoke_out="$(mktemp)"
     cargo run --release -q -p projtile-bench --bin report -- \
         --bench --budget-ms 25 --label ci-smoke --out "$smoke_out"
+    # The multi-limb gcd and its reference twin.
+    grep -q "arith/gcd/balanced_135" "$smoke_out"
+    grep -q "arith/gcd/unbalanced_135x20" "$smoke_out"
+    grep -q "arith/gcd_reference/balanced_135" "$smoke_out"
+    grep -q "arith/gcd_reference/unbalanced_135x20" "$smoke_out"
     # A well-formed snapshot must mention the warm-started sweep workloads.
     grep -q "subset_enumeration_cold" "$smoke_out"
     grep -q "parametric/exponent_vs_beta" "$smoke_out"
