@@ -577,10 +577,6 @@ impl std::error::Error for ParseRationalError {}
 /// Serialized as the exact string `"p"` or `"p/q"` (the [`fmt::Display`]
 /// form), so JSON documents carry rationals without precision loss.
 impl serde::Serialize for Rational {
-    fn serialize(&self) -> serde::Value {
-        serde::Value::String(self.to_string())
-    }
-
     /// The quoted [`fmt::Display`] form, written in place: digits, `-` and
     /// `/` need no escapes.
     fn write_json(&self, out: &mut String) {

@@ -42,9 +42,10 @@
 //!   (approximate heap bytes), so a long-lived service session cannot grow
 //!   without bound; least recently used artifacts are evicted first and
 //!   transparently recomputed on the next query.
-//! * **Persistence.** [`Engine::snapshot`] serializes the result caches
-//!   through the workspace serde layer and [`Engine::restore`] warm-starts a
-//!   new session from them, so a service restart does not start cold.
+//! * **Persistence.** [`Engine::snapshot_json`] writes the result caches as
+//!   JSON text through the workspace serde layer and
+//!   [`Engine::restore_json`] warm-starts a new session from it, so a
+//!   service restart does not start cold.
 //! * **Exactness.** Engine answers are **bitwise-identical** to the retained
 //!   free functions, which double as the cold differential oracles in the
 //!   test suite — under cache hits, eviction pressure, concurrent callers
@@ -80,8 +81,8 @@
 //!   compute takes no write lock at all. Two threads racing on the same
 //!   query compute the same bitwise value; the loser's install is an
 //!   idempotent overwrite.
-//! * **Snapshots read.** [`Engine::snapshot`] serializes under the read
-//!   lock, so hits proceed beside it; installs wait for it.
+//! * **Snapshots read.** [`Engine::snapshot_json`] writes its text under
+//!   the read lock, so hits proceed beside it; installs wait for it.
 //!
 //! ```
 //! use projtile_core::engine::{AnalysisResult, Engine, Query};
@@ -822,7 +823,7 @@ mod tests {
         ];
         let warm = Engine::new();
         let expected = warm.analyze_batch(&nest, &queries);
-        let restored = Engine::restore(&warm.snapshot()).expect("snapshot restores");
+        let restored = Engine::restore_json(&warm.snapshot_json()).expect("snapshot restores");
 
         // Another holder of the read guard must not stall a batch that
         // computes nothing: it takes no write lock.
@@ -968,11 +969,6 @@ mod tests {
         answers.pop().expect("one answer").expect("valid query")
     }
 
-    /// `result`'s `Value` tree, printed.
-    fn printed_tree(result: &AnalysisResult) -> String {
-        serde::json::to_string(&serde::Serialize::serialize(result))
-    }
-
     #[test]
     fn hits_on_a_resident_enumeration_share_one_rendered_text() {
         let nest = builders::random_projective(42, 6, 4, (1, 256));
@@ -994,7 +990,7 @@ mod tests {
             first.json().as_ptr(),
             "the miss installed its own handle"
         );
-        assert_eq!(first.json(), printed_tree(first.result()));
+        assert_eq!(first.json(), serde::json::to_string(first.result()));
         assert_eq!(serde::json::to_string(&first), first.json());
         assert_eq!(
             first.result(),

@@ -4,7 +4,7 @@ use projtile_arith::Rational;
 use projtile_lp::mplp::AffinePiece;
 use projtile_lp::parametric::ValueFunction;
 use projtile_lp::LpError;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -225,10 +225,6 @@ impl Answer {
 }
 
 impl Serialize for Answer {
-    fn serialize(&self) -> Value {
-        self.result().serialize()
-    }
-
     fn write_json(&self, out: &mut String) {
         out.push_str(self.json());
     }

@@ -1,5 +1,6 @@
-//! Session persistence: serializing an [`Engine`]'s result caches through
-//! the workspace serde layer so a service warm-starts from disk.
+//! Session persistence: writing an [`Engine`]'s result caches as one JSON
+//! text, under the engine's read lock, through the workspace serde layer,
+//! so a service warm-starts from disk.
 //!
 //! # Format
 //!
@@ -65,15 +66,6 @@ use crate::parametric::ExponentSurface;
 /// Current snapshot format version; restore rejects any other value.
 pub const SNAPSHOT_VERSION: i64 = 1;
 
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
 fn snap_err(context: &str, e: serde::Error) -> EngineError {
     EngineError::Snapshot(format!("{context}: {e}"))
 }
@@ -124,118 +116,126 @@ fn is_permutation(perm: &[usize], len: usize) -> bool {
     true
 }
 
-fn kind_tag(kind: ResultKind) -> &'static str {
-    match kind {
-        ResultKind::Bound => "bound",
-        ResultKind::Enumerated => "enumerated",
-        ResultKind::Tiling => "tiling",
+/// One JSON object of the snapshot document: its keys in order, each value
+/// in its own encoding.
+struct Object<'a>(Vec<(&'static str, &'a dyn Serialize)>);
+
+impl Serialize for Object<'_> {
+    fn write_json(&self, out: &mut String) {
+        json::write_object(self.0.iter().copied(), out);
+    }
+}
+
+/// An orientation as snapshots store it: `{"loops":[…],"arrays":[…]}`.
+impl Serialize for Orientation {
+    fn write_json(&self, out: &mut String) {
+        json::write_object(
+            [("loops", &self.loop_perm), ("arrays", &self.array_perm)],
+            out,
+        );
     }
 }
 
 impl Caches {
-    /// The snapshot document of these caches ([`Engine::snapshot`]): a pure
-    /// read, with each list ordered by effective access time, peeks
-    /// included.
-    fn snapshot(&self) -> Value {
-        let entries = self.entries.iter().map(|entry| {
-            obj(vec![
-                ("canonical", entry.canonical.serialize()),
-                (
-                    "orientations",
-                    Value::Array(
-                        entry
-                            .orientations
-                            .iter()
-                            .map(|o| {
-                                obj(vec![
-                                    ("loops", o.loop_perm.serialize()),
-                                    ("arrays", o.array_perm.serialize()),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ])
-        });
-        let results = self.results.iter_lru_to_mru().filter_map(|(k, answer)| {
-            let payload = match (k.kind, answer.result()) {
-                (ResultKind::Bound, AnalysisResult::LowerBound(lb)) => lb.serialize(),
-                (ResultKind::Enumerated, AnalysisResult::EnumeratedBound(en)) => en.serialize(),
-                (ResultKind::Tiling, AnalysisResult::OptimalTiling(t)) => t.serialize(),
-                // A key/answer variant mismatch cannot be built by the
-                // insertion paths; it is dropped like a mismatched slice.
-                _ => return None,
-            };
-            Some(obj(vec![
-                ("entry", k.entry.serialize()),
-                ("orientation", k.orientation.serialize()),
-                ("m", k.m.serialize()),
-                ("kind", Value::String(kind_tag(k.kind).to_string())),
-                ("value", payload),
-            ]))
-        });
-        let slices = self.slices.iter_lru_to_mru().filter_map(|(k, s)| {
-            let mut fields = vec![
-                ("entry", k.entry.serialize()),
-                ("m", k.m.serialize()),
-                ("axis", k.canon_axis.serialize()),
-            ];
-            match (k.kind, s) {
-                (SliceKind::Span { lo_bound, hi_bound }, SliceEntry::Span(vf)) => {
-                    fields.push(("kind", Value::String("span".into())));
-                    fields.push(("lo", lo_bound.serialize()));
-                    fields.push(("hi", hi_bound.serialize()));
-                    fields.push(("value", vf.serialize()));
+    /// The snapshot document of these caches ([`Engine::snapshot_json`]): a
+    /// pure read, with each list ordered by effective access time, peeks
+    /// included. The lists hold references into the caches, and the text
+    /// is written from them in one pass.
+    fn snapshot(&self) -> String {
+        let entries: Vec<Object> = self
+            .entries
+            .iter()
+            .map(|entry| {
+                Object(vec![
+                    ("canonical", &entry.canonical),
+                    ("orientations", &entry.orientations),
+                ])
+            })
+            .collect();
+        let results: Vec<Object> = self
+            .results
+            .iter_lru_to_mru()
+            .filter_map(|(k, answer)| {
+                let (kind, value): (&dyn Serialize, &dyn Serialize) =
+                    match (k.kind, answer.result()) {
+                        (ResultKind::Bound, AnalysisResult::LowerBound(lb)) => (&"bound", lb),
+                        (ResultKind::Enumerated, AnalysisResult::EnumeratedBound(en)) => {
+                            (&"enumerated", en)
+                        }
+                        (ResultKind::Tiling, AnalysisResult::OptimalTiling(t)) => (&"tiling", t),
+                        // A key/answer variant mismatch cannot be built by the
+                        // insertion paths; it is dropped like a mismatched slice.
+                        _ => return None,
+                    };
+                Some(Object(vec![
+                    ("entry", &k.entry),
+                    ("orientation", &k.orientation),
+                    ("m", &k.m),
+                    ("kind", kind),
+                    ("value", value),
+                ]))
+            })
+            .collect();
+        let slices: Vec<Object> = self
+            .slices
+            .iter_lru_to_mru()
+            .filter_map(|(k, s)| {
+                let mut fields: Vec<(&str, &dyn Serialize)> =
+                    vec![("entry", &k.entry), ("m", &k.m), ("axis", &k.canon_axis)];
+                match (&k.kind, s) {
+                    (SliceKind::Span { lo_bound, hi_bound }, SliceEntry::Span(vf)) => {
+                        fields.push(("kind", &"span"));
+                        fields.push(("lo", lo_bound));
+                        fields.push(("hi", hi_bound));
+                        fields.push(("value", vf));
+                    }
+                    (SliceKind::Probe, SliceEntry::Probe(ps)) => {
+                        fields.push(("kind", &"probe"));
+                        fields.push(("hi", &ps.hi_bound));
+                        fields.push(("value", &ps.vf));
+                    }
+                    // A key/entry variant mismatch cannot be built by the
+                    // insertion paths; dropping the cache entry from the
+                    // snapshot (it is only a memo) beats unwinding mid-write.
+                    _ => return None,
                 }
-                (SliceKind::Probe, SliceEntry::Probe(ps)) => {
-                    fields.push(("kind", Value::String("probe".into())));
-                    fields.push(("hi", ps.hi_bound.serialize()));
-                    fields.push(("value", ps.vf.serialize()));
-                }
-                // A key/entry variant mismatch cannot be built by the
-                // insertion paths; dropping the cache entry from the
-                // snapshot (it is only a memo) beats unwinding mid-write.
-                _ => return None,
-            }
-            Some(obj(fields))
-        });
-        let surfaces = self.surfaces.iter_lru_to_mru().map(|(k, s)| {
-            obj(vec![
-                ("entry", k.entry.serialize()),
-                ("orientation", k.orientation.serialize()),
-                ("m", k.m.serialize()),
-                ("lo", k.lo_bounds.serialize()),
-                ("hi", k.hi_bounds.serialize()),
-                ("surface", s.surface.serialize()),
-            ])
-        });
-        obj(vec![
-            ("version", Value::Int(SNAPSHOT_VERSION as i128)),
-            ("entries", Value::Array(entries.collect())),
-            ("betas", Value::Array(Vec::new())),
-            ("results", Value::Array(results.collect())),
-            ("slices", Value::Array(slices.collect())),
-            ("surfaces", Value::Array(surfaces.collect())),
-        ])
+                Some(Object(fields))
+            })
+            .collect();
+        let surfaces: Vec<Object> = self
+            .surfaces
+            .iter_lru_to_mru()
+            .map(|(k, s)| {
+                Object(vec![
+                    ("entry", &k.entry),
+                    ("orientation", &k.orientation),
+                    ("m", &k.m),
+                    ("lo", &k.lo_bounds),
+                    ("hi", &k.hi_bounds),
+                    ("surface", &s.surface),
+                ])
+            })
+            .collect();
+        json::to_string(&Object(vec![
+            ("version", &SNAPSHOT_VERSION),
+            ("entries", &entries),
+            ("betas", &Value::Array(Vec::new())),
+            ("results", &results),
+            ("slices", &slices),
+            ("surfaces", &surfaces),
+        ]))
     }
 }
 
 impl Engine {
-    /// Serializes the session's result caches as a [`Value`] tree — one
-    /// versioned JSON object holding the interned nests, typed results,
-    /// slices, and surfaces, each list in least- to most-recently-used order
-    /// (see `engine/snapshot.rs` for the full format and its versioning
-    /// caveats, mirrored in ARCHITECTURE.md). Holds only the read lock, so
-    /// hits proceed beside it; installs wait for it. Printing the tree as
-    /// text, as [`Engine::snapshot_json`] does, happens after the lock is
-    /// released.
-    pub fn snapshot(&self) -> Value {
-        Caches::snapshot(&self.caches.read())
-    }
-
-    /// [`Engine::snapshot`] printed as compact JSON.
+    /// The session's result caches as compact JSON text: one versioned
+    /// object holding the interned nests, typed results, slices, and
+    /// surfaces, each list in least- to most-recently-used order (see
+    /// `engine/snapshot.rs` for the full format and its versioning caveats,
+    /// mirrored in ARCHITECTURE.md). The text is written under the read
+    /// lock, so hits proceed beside it and installs wait for it.
     pub fn snapshot_json(&self) -> String {
-        json::to_string(&self.snapshot())
+        Caches::snapshot(&self.caches.read())
     }
 
     /// Restores a session from a snapshot [`Value`], with default cache

@@ -197,11 +197,6 @@ impl Engine {
             (m.results.entries + m.slices.entries + m.surfaces.entries) as u64;
     }
 
-    /// `true` iff a non-zero-capacity recorder is attached.
-    pub fn trace_enabled(&self) -> bool {
-        self.recorder.enabled()
-    }
-
     /// Drains the recorded trace (without resetting it) as a
     /// [`TraceDocument`]: the recorded events plus the engine's budgets and
     /// the hit/miss counters covering the recorded window — everything the

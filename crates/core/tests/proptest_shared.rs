@@ -13,7 +13,7 @@ use projtile_core::{bounds, parametric, tightness, tiling_lp};
 use projtile_loopnest::canon::permute_nest;
 use projtile_loopnest::{builders, LoopNest};
 use proptest::prelude::*;
-use serde::{json, Serialize};
+use serde::json;
 
 /// Budgets tiny enough that nearly every insertion evicts something.
 fn tiny_config() -> EngineConfig {
@@ -400,7 +400,7 @@ proptest! {
             .iter()
             .map(|qs| {
                 qs.iter()
-                    .map(|q| json::to_string(&oracle_answer(&nest, q).serialize()))
+                    .map(|q| json::to_string(&oracle_answer(&nest, q)))
                     .collect()
             })
             .collect();
@@ -872,7 +872,7 @@ fn ask(engine: &Engine, nest: &LoopNest, query: &Query) -> AnalysisResult {
 /// (the order snapshots persist them in).
 fn resident_result_kinds(engine: &Engine) -> Vec<String> {
     use serde::Value;
-    let snapshot = engine.snapshot();
+    let snapshot = json::parse(&engine.snapshot_json()).expect("a snapshot is JSON");
     let Ok(Value::Array(results)) = snapshot.field("results") else {
         panic!("snapshot without a results list");
     };

@@ -11,7 +11,7 @@
 use projtile_core::engine::{AnalysisResult, Engine, EngineError, Query};
 use projtile_core::tightness::check_tightness;
 use projtile_loopnest::builders;
-use serde::{Serialize, Value};
+use serde::{json, Serialize, Value};
 
 const M: u64 = 1 << 8;
 
@@ -49,6 +49,11 @@ fn warmed_engine() -> Engine {
     engine
 }
 
+/// The warmed engine's snapshot, parsed into a tree to be tampered with.
+fn warmed_snapshot() -> Value {
+    json::parse(&warmed_engine().snapshot_json()).expect("a snapshot is JSON")
+}
+
 fn obj_mut<'a>(v: &'a mut Value, name: &str) -> &'a mut Value {
     match v {
         Value::Object(entries) => entries
@@ -78,7 +83,7 @@ fn find_kind<'a>(list: &'a mut [Value], kind: &str) -> &'a mut Value {
 /// Applies `mutate` to a fresh genuine snapshot and asserts restore rejects
 /// the result with a `Snapshot` error mentioning `expect_msg`.
 fn assert_rejected(mutate: impl FnOnce(&mut Value), expect_msg: &str) {
-    let mut snapshot = warmed_engine().snapshot();
+    let mut snapshot = warmed_snapshot();
     mutate(&mut snapshot);
     match Engine::restore(&snapshot) {
         Err(EngineError::Snapshot(msg)) => assert!(
@@ -120,7 +125,7 @@ fn truncated_snapshot_prefixes_never_restore_partially() {
 
 #[test]
 fn genuine_snapshot_restores() {
-    let snapshot = warmed_engine().snapshot();
+    let snapshot = warmed_snapshot();
     Engine::restore(&snapshot).expect("unmutated snapshot restores");
 }
 
@@ -209,7 +214,7 @@ fn legacy_tightness_and_certificate_entries_restore_warm() {
     assert!(oracle.tight);
     assert_eq!(expected[0], Ok(AnalysisResult::Tightness(oracle.clone())));
 
-    let mut snapshot = warmed_engine().snapshot();
+    let mut snapshot = warmed_snapshot();
     let results = arr_mut(obj_mut(&mut snapshot, "results"));
     let mut report = oracle.serialize();
     *obj_mut(&mut report, "witness_subset") = Value::Int(1 << 40);

@@ -1,11 +1,13 @@
-//! Wire-format pins for the direct JSON writer and the streaming and
-//! hand-written decoders. Writing a value straight into a buffer
-//! (`json::to_string`) must print the bytes its `Value` tree prints, for
-//! every answer kind, nest, query and snapshot payload; reading one
-//! straight from the text (`json::from_str`, `read_json`) must give the
-//! tree decode's value; and the hand-written `Deserialize` of
-//! `EnumeratedBound` must accept and reject what the derive did, with its
-//! error text.
+//! Wire-format pins for the JSON writer and the streaming and hand-written
+//! decoders. `write_json` is each type's only encoder, so literals pin its
+//! bytes: a nest, every query kind, one answer of every kind and the
+//! snapshot of an engine holding every artifact kind, each captured from
+//! the tree-printing encoders the writer replaced, must be written byte for
+//! byte and must decode back. Written text must also be canonical (its
+//! parsed tree prints the same bytes); reading a value straight from the
+//! text (`json::from_str`, `read_json`) must give the tree decode's value;
+//! and the hand-written `Deserialize` of `EnumeratedBound` must accept and
+//! reject what the derive did, with its error text.
 
 use projtile_arith::Rational;
 use projtile_core::bounds::{self, EnumeratedBound};
@@ -33,13 +35,11 @@ impl From<&EnumeratedBound> for DerivedBound {
     }
 }
 
-/// `x` written directly and `x`'s tree printed give the same bytes.
+/// `x`'s written text is canonical: its parsed tree prints the same bytes.
 fn assert_same_bytes<T: Serialize>(x: &T, what: &str) {
-    assert_eq!(
-        json::to_string(x),
-        json::to_string(&x.serialize()),
-        "{what}: the direct writer diverges from the tree printer"
-    );
+    let text = json::to_string(x);
+    let tree = json::parse(&text).unwrap_or_else(|e| panic!("{what}: {e} in {text}"));
+    assert_eq!(json::to_string(&tree), text, "{what}: not canonical");
 }
 
 /// Every query kind on `nest` at cache size `m`.
@@ -70,6 +70,109 @@ fn d8_bound() -> EnumeratedBound {
     bounds::enumerated_exponent(&builders::random_projective(3, 8, 4, (1, 256)), 64)
 }
 
+/// `builders::matmul(8, 8, 2)`.
+const NEST: &str = r#"{"indices":[{"name":"i","bound":8},{"name":"j","bound":8},{"name":"k","bound":2}],"arrays":[{"name":"C","support":5},{"name":"A","support":3},{"name":"B","support":6}]}"#;
+
+/// The queries of [`golden_queries`], in order.
+const QUERIES: [&str; 6] = [
+    r#"{"LowerBound":{"cache_size":16}}"#,
+    r#"{"EnumeratedBound":{"cache_size":16}}"#,
+    r#"{"OptimalTiling":{"cache_size":16}}"#,
+    r#"{"Tightness":{"cache_size":16}}"#,
+    r#"{"Slice":{"cache_size":16,"axis":2,"lo_bound":1,"hi_bound":8}}"#,
+    r#"{"Surface":{"cache_size":16,"axes":[0,2],"lo_bounds":[1,1],"hi_bounds":[8,8]}}"#,
+];
+
+/// A cold engine's answers to [`golden_queries`] on [`NEST`], in order.
+const ANSWERS: [&str; 6] = [
+    r#"{"LowerBound":{"exponent":"5/4","witness_subset":4,"s_hat":["0","1","0"],"zeta":["0","0","1"],"tile_size_bound":32.0,"words":64.0}}"#,
+    r#"{"EnumeratedBound":{"exponent":"5/4","best_subset":4,"per_subset":[[0,"3/2"],[1,"7/4"],[2,"7/4"],[3,"7/4"],[4,"5/4"],[5,"7/4"],[6,"5/4"],[7,"7/4"]]}}"#,
+    r#"{"OptimalTiling":{"lambda":["3/4","1/4","1/4"],"value":"5/4","tile_dims":[8,2,2]}}"#,
+    r#"{"Tightness":{"tiling_exponent":"5/4","bound_exponent":"5/4","enumerated_exponent":"5/4","witness_subset":4,"tight":true}}"#,
+    r#"{"Slice":{"breakpoints":[["0","1"],["1/2","3/2"],["3/4","3/2"]]}}"#,
+    r#"{"Surface":{"axes":[0,2],"num_regions":5,"pieces":[{"gradient":["0","0"],"constant":"3/2"},{"gradient":["0","1"],"constant":"1"},{"gradient":["1","0"],"constant":"1"},{"gradient":["1","1"],"constant":"3/4"}],"rendered":["3/2","1 + βk","1 + βi","3/4 + βi + βk"]}}"#,
+];
+
+/// The snapshot of an engine that answered [`golden_queries`] on [`NEST`]
+/// and one `exponent_at_bound` probe.
+const SNAPSHOT: &str = concat!(
+    r#"{"version":1,"entries":[{"#,
+    r#""canonical":{"indices":[{"name":"i","bound":8},{"name":"j","bound":8},{"name":"k","bound":2}],"arrays":[{"name":"A","support":3},{"name":"B","support":6},{"name":"C","support":5}]},"orientations":[{"loops":[0,1,2],"arrays":[2,0,1]}]}]"#,
+    r#","betas":[]"#,
+    r#","results":[{"entry":0,"orientation":0,"m":16,"kind":"tiling","value":{"lambda":["3/4","1/4","1/4"],"value":"5/4","tile_dims":[8,2,2]}},"#,
+    r#"{"entry":0,"orientation":0,"m":16,"kind":"bound","value":{"exponent":"5/4","witness_subset":4,"s_hat":["0","1","0"],"zeta":["0","0","1"],"tile_size_bound":32.0,"words":64.0}},"#,
+    r#"{"entry":0,"orientation":0,"m":16,"kind":"enumerated","value":{"exponent":"5/4","best_subset":4,"per_subset":[[0,"3/2"],[1,"7/4"],[2,"7/4"],[3,"7/4"],[4,"5/4"],[5,"7/4"],[6,"5/4"],[7,"7/4"]]}}]"#,
+    r#","slices":[{"entry":0,"m":16,"axis":2,"kind":"span","lo":1,"hi":8,"value":{"breakpoints":[["0","1"],["1/2","3/2"],["3/4","3/2"]]}},"#,
+    r#"{"entry":0,"m":16,"axis":1,"kind":"probe","hi":16,"value":{"breakpoints":[["0","1"],["1/4","5/4"],["1","5/4"]]}}]"#,
+    r#","surfaces":[{"entry":0,"orientation":0,"m":16,"lo":[1,1],"hi":[8,8],"surface":{"axes":[0,2],"axis_names":["βi","βk"],"nominal":["3/4","1/4"],"surface":{"objective":"Maximize","domain":{"lo":["0","0"],"hi":["3/4","3/4"]},"regions":["#,
+    r#"{"piece":{"gradient":["0","0"],"constant":"3/2"},"halfspaces":[{"normal":["-1","0"],"offset":"-1/2"},{"normal":["0","-1"],"offset":"-1/2"}],"witness":["3/4","3/4"]},"#,
+    r#"{"piece":{"gradient":["0","1"],"constant":"1"},"halfspaces":[{"normal":["-1","0"],"offset":"-1/4"},{"normal":["0","1"],"offset":"1/4"}],"witness":["3/4","0"]},"#,
+    r#"{"piece":{"gradient":["0","1"],"constant":"1"},"halfspaces":[{"normal":["-1","1"],"offset":"0"},{"normal":["0","-1"],"offset":"-1/4"},{"normal":["0","1"],"offset":"1/2"}],"witness":["1/2","1/3"]},"#,
+    r#"{"piece":{"gradient":["1","0"],"constant":"1"},"halfspaces":[{"normal":["0","-1"],"offset":"-1/4"},{"normal":["1","-1"],"offset":"0"},{"normal":["1","1"],"offset":"1"}],"witness":["0","3/4"]},"#,
+    r#"{"piece":{"gradient":["1","1"],"constant":"3/4"},"halfspaces":[{"normal":["0","1"],"offset":"1/4"},{"normal":["1","0"],"offset":"1/4"},{"normal":["1","1"],"offset":"1"}],"witness":["0","0"]}]}}}]}"#,
+);
+
+/// The queries the goldens answer, at `M = 16` on [`NEST`].
+fn golden_queries() -> Vec<Query> {
+    let m = 16;
+    vec![
+        Query::LowerBound { cache_size: m },
+        Query::EnumeratedBound { cache_size: m },
+        Query::OptimalTiling { cache_size: m },
+        Query::Tightness { cache_size: m },
+        Query::Slice {
+            cache_size: m,
+            axis: 2,
+            lo_bound: 1,
+            hi_bound: 8,
+        },
+        Query::Surface {
+            cache_size: m,
+            axes: vec![0, 2],
+            lo_bounds: vec![1, 1],
+            hi_bounds: vec![8, 8],
+        },
+    ]
+}
+
+#[test]
+fn a_nest_and_every_query_kind_write_their_golden_bytes() {
+    let nest = builders::matmul(8, 8, 2);
+    assert_eq!(json::to_string(&nest), NEST);
+    assert_eq!(json::from_str::<LoopNest>(NEST), Ok(nest));
+    for (query, golden) in golden_queries().iter().zip(QUERIES) {
+        assert_eq!(json::to_string(query), golden);
+        assert_eq!(json::from_str::<Query>(golden).as_ref(), Ok(query));
+    }
+}
+
+#[test]
+fn every_answer_kind_writes_its_golden_bytes() {
+    let nest = builders::matmul(8, 8, 2);
+    let engine = Engine::new();
+    for (query, golden) in golden_queries().iter().zip(ANSWERS) {
+        let answer = engine.analyze(&nest, query).expect("valid query");
+        assert_eq!(json::to_string(&answer), golden, "{query:?}");
+        assert_eq!(json::from_str::<AnalysisResult>(golden), Ok(answer));
+    }
+}
+
+#[test]
+fn a_snapshot_of_every_artifact_kind_writes_its_golden_bytes() {
+    // Bound, enumerated and tiling results, a span slice and a surface from
+    // the queries, and a probe slice from `exponent_at_bound`.
+    let nest = builders::matmul(8, 8, 2);
+    let engine = Engine::new();
+    for query in golden_queries() {
+        engine.analyze(&nest, &query).expect("valid query");
+    }
+    let probe = engine.exponent_at_bound(&nest, 16, 1, 4);
+    assert_eq!(probe, Ok(Rational::from_frac(5.into(), 4.into())));
+    assert_eq!(engine.snapshot_json(), SNAPSHOT);
+    let restored = Engine::restore_json(SNAPSHOT).expect("the golden snapshot restores");
+    assert_eq!(restored.snapshot_json(), SNAPSHOT);
+}
+
 /// Decodes `doc` with the hand-written impl and with the derive; both must
 /// agree on the value or on the error text.
 fn decode_like_the_derive(doc: &str) -> Result<EnumeratedBound, String> {
@@ -87,7 +190,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Every answer kind, the nest, its queries and the snapshot built from
-    /// them print the same bytes written directly as through their trees.
+    /// them are written as canonical text, and the snapshot restores to an
+    /// engine that writes it again.
     #[test]
     fn direct_writes_print_the_tree_bytes(
         seed in 0u64..1000,
@@ -117,7 +221,7 @@ proptest! {
             .expect("surface");
         assert_same_bytes(&surface, "surface");
         let snapshot = engine.snapshot_json();
-        prop_assert_eq!(&snapshot, &json::to_string(&engine.snapshot()));
+        assert_same_bytes(&json::parse(&snapshot).expect("a snapshot is JSON"), "snapshot");
         let restored = Engine::restore_json(&snapshot).expect("snapshot restores");
         prop_assert_eq!(restored.snapshot_json(), snapshot);
     }

@@ -27,13 +27,6 @@ use crate::support::IndexSet;
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct NestSignature(LoopNest);
 
-impl NestSignature {
-    /// The canonical nest underlying the signature.
-    pub fn canonical_nest(&self) -> &LoopNest {
-        &self.0
-    }
-}
-
 /// A nest together with its canonical form and the permutations relating the
 /// two orderings. Produced by [`canonicalize`].
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -429,16 +429,6 @@ impl ValueSurface {
         .expect("a surface has at least one region")
     }
 
-    /// A region containing `theta` (the first in canonical order), if any.
-    /// On region boundaries several regions qualify; all of them agree on
-    /// the value.
-    pub fn region_at(&self, theta: &[Rational]) -> Option<&CriticalRegion> {
-        if !self.domain.contains(theta) {
-            return None;
-        }
-        self.regions.iter().find(|r| r.contains(theta))
-    }
-
     /// The exact 1-D restriction obtained by varying parameter `axis` over
     /// its full box range while holding the remaining parameters at `at`
     /// (whose entry at `axis` is ignored): a [`ValueFunction`] over

@@ -25,7 +25,7 @@ use projtile_core::bounds;
 use projtile_core::engine::{AnalysisResult, Engine, Query};
 use projtile_loopnest::{builders, LoopNest};
 use projtile_service::{Client, RetryConfig};
-use serde::{json, Deserialize, Serialize, Value};
+use serde::{json, Deserialize, Serialize};
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -101,24 +101,20 @@ fn read_request_file(path: &str) -> Result<(LoopNest, Vec<Query>), String> {
     Ok((nest, queries))
 }
 
-fn print_results(results: &[Result<projtile_core::engine::AnalysisResult, String>]) {
-    let entries: Vec<Value> = results
-        .iter()
-        .map(|r| {
-            let (tag, payload) = match r {
-                Ok(result) => ("ok", result.serialize()),
-                Err(msg) => ("err", Value::String(msg.clone())),
-            };
-            Value::Object(vec![(tag.to_string(), payload)])
-        })
-        .collect();
-    println!(
-        "{}",
-        json::to_string(&Value::Object(vec![(
-            "results".to_string(),
-            Value::Array(entries)
-        )]))
-    );
+fn print_results(results: &[Result<AnalysisResult, String>]) {
+    let mut out = String::from("{\"results\":[");
+    for (i, r) in results.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let (tag, payload): (&str, &dyn Serialize) = match r {
+            Ok(result) => ("ok", result),
+            Err(msg) => ("err", msg),
+        };
+        json::write_object([(tag, payload)], &mut out);
+    }
+    out.push_str("]}");
+    println!("{out}");
 }
 
 /// Asks the server a mixed batch and checks every answer bitwise against a
@@ -164,8 +160,8 @@ fn verify(client: &Client) -> Result<usize, String> {
                 .analyze(&nest, query)
                 .map_err(|e| format!("local oracle failed on query {i}: {e}"))?,
         };
-        let served_json = json::to_string(&answer.serialize());
-        let expected_json = json::to_string(&expected.serialize());
+        let served_json = json::to_string(answer);
+        let expected_json = json::to_string(&expected);
         if served_json != expected_json {
             return Err(format!(
                 "query {i} diverges from the local oracle:\n  served:   {served_json}\n  expected: {expected_json}"

@@ -203,14 +203,17 @@ fi
 # svcbench is a package of its own outside the workspace, so an API change
 # in core, service or lab can break it while everything above still passes.
 # Build it and smoke-run every workload: svcbench exits nonzero on any
-# oracle mismatch or /metrics reconciliation failure.
-echo "==> svcbench build + smoke (every workload, 2 s each)"
+# oracle mismatch or /metrics reconciliation failure. One more run is
+# traced (`--trace 1`), so the per-layer replay in `svcbench/src/layers.rs`,
+# which builds request and response `Value` trees and decodes them, runs too.
+echo "==> svcbench build + smoke (every workload, 2 s each; large_answers traced)"
 cargo build --release --offline --manifest-path svcbench/Cargo.toml
-for workload in lab_mixed cold_solves large_answers; do
+for run in lab_mixed:0 cold_solves:0 large_answers:0 large_answers:1; do
+    workload="${run%:*}" trace="${run#*:}"
     svcbench_out="$(mktemp)"
     cargo run --release -q --offline --manifest-path svcbench/Cargo.toml -- \
-        --workload "$workload" --seed 1 --seconds 2 --trace 0 >"$svcbench_out" \
-        || { echo "svcbench $workload failed:" >&2; cat "$svcbench_out" >&2; exit 1; }
+        --workload "$workload" --seed 1 --seconds 2 --trace "$trace" >"$svcbench_out" \
+        || { echo "svcbench $workload (--trace $trace) failed:" >&2; cat "$svcbench_out" >&2; exit 1; }
     tail -n 1 "$svcbench_out"
     rm -f "$svcbench_out"
 done

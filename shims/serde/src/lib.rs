@@ -7,12 +7,13 @@
 //!
 //! * a JSON-shaped tree model ([`Value`]) with an exact printer and parser
 //!   ([`json`]);
-//! * [`Serialize`] / [`Deserialize`] traits over that model, implemented for
-//!   the primitive and container types the workspace uses, plus
-//!   [`Serialize::write_json`], which prints a value's JSON straight into a
-//!   buffer without building its tree, and [`Deserialize::read_json`],
-//!   which reads a value from a [`json::Reader`] over the text without
-//!   building its tree;
+//! * [`Serialize`], whose one encoder [`Serialize::write_json`] writes a
+//!   value's JSON straight into a buffer ([`Serialize::serialize`] parses
+//!   that text into a tree for the callers that want one), and
+//!   [`Deserialize`], which decodes a [`Value`] tree or, through
+//!   [`Deserialize::read_json`], reads a value from a [`json::Reader`] over
+//!   the text without building its tree; both are implemented for the
+//!   primitive and container types the workspace uses;
 //! * working derive macros (re-exported from the `serde_derive` shim crate)
 //!   for structs and externally-tagged enums.
 //!
@@ -22,11 +23,12 @@
 //! JSON wire format (field names as keys, externally tagged enums, newtype
 //! transparency) match real serde's defaults, so documents produced here are
 //! what `serde_json` would produce for the same types. The *trait shape* is
-//! simplified: instead of serde's visitor architecture, `Serialize` produces
-//! a [`Value`] tree and `Deserialize` consumes one. Swapping in the real
-//! crates would keep every `#[derive(...)]` line unchanged; only direct
-//! callers of [`json`] / manual trait impls (the `Rational` and engine wire
-//! code) would need the mechanical rewrite to `serde_json` idioms.
+//! simplified: instead of serde's visitor architecture, `Serialize` writes
+//! JSON text and `Deserialize` consumes a [`Value`] tree or the text's
+//! tokens. Swapping in the real crates would keep every `#[derive(...)]`
+//! line unchanged; only direct callers of [`json`] / manual trait impls
+//! (the `Rational` and engine wire code) would need the mechanical rewrite
+//! to `serde_json` idioms.
 //!
 //! # Exactness
 //!
@@ -34,8 +36,8 @@
 //! re-parsed bit-exactly (non-finite values are encoded as tagged strings,
 //! which plain JSON cannot represent); integers are carried as `i128`; exact
 //! rationals serialize as `"p/q"` strings on the `projtile-arith` side. A
-//! serialize → print → parse → deserialize round trip is therefore lossless
-//! for every type in the workspace, which the engine's wire tests pin.
+//! write → parse → deserialize round trip is therefore lossless for every
+//! type in the workspace, which the engine's wire tests pin.
 
 #![forbid(unsafe_code)]
 
@@ -126,18 +128,20 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Conversion into the document tree.
+/// Conversion into JSON text, and through it into the document tree.
 pub trait Serialize {
-    /// Serializes `self` as a [`Value`].
-    fn serialize(&self) -> Value;
+    /// Appends `self` as compact JSON to `out`. This is the type's one
+    /// encoder: [`json::to_string`] and [`Serialize::serialize`] both go
+    /// through it.
+    fn write_json(&self, out: &mut String);
 
-    /// Appends `self` as compact JSON to `out`: the bytes
-    /// [`json::to_string`]`(&self.serialize())` would print, without
-    /// building the tree. The provided method prints the tree; the derives,
-    /// the primitive and container impls below and `Rational` write
-    /// straight into the buffer.
-    fn write_json(&self, out: &mut String) {
-        json::write_value(&self.serialize(), out);
+    /// `self` as a [`Value`] tree: the text [`Serialize::write_json`]
+    /// writes, parsed back.
+    fn serialize(&self) -> Value {
+        let text = json::to_string(self);
+        let tree = json::parse(&text);
+        debug_assert!(tree.is_ok(), "write_json wrote invalid JSON: {text}");
+        tree.unwrap_or(Value::Null)
     }
 }
 
@@ -166,9 +170,6 @@ pub trait Deserialize: Sized {
 macro_rules! int_impls {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn serialize(&self) -> Value {
-                Value::Int(*self as i128)
-            }
             fn write_json(&self, out: &mut String) {
                 use std::fmt::Write;
                 // Writing into a `String` cannot fail.
@@ -195,9 +196,6 @@ macro_rules! int_impls {
 int_impls!(i8, i16, i32, i64, i128, isize, u8, u16, u32, u64, usize);
 
 impl Serialize for bool {
-    fn serialize(&self) -> Value {
-        Value::Bool(*self)
-    }
     fn write_json(&self, out: &mut String) {
         out.push_str(if *self { "true" } else { "false" });
     }
@@ -216,9 +214,6 @@ impl Deserialize for bool {
 }
 
 impl Serialize for f64 {
-    fn serialize(&self) -> Value {
-        Value::Float(*self)
-    }
     fn write_json(&self, out: &mut String) {
         json::write_float(*self, out);
     }
@@ -245,9 +240,6 @@ impl Deserialize for f64 {
 }
 
 impl Serialize for String {
-    fn serialize(&self) -> Value {
-        Value::String(self.clone())
-    }
     fn write_json(&self, out: &mut String) {
         json::write_str(self, out);
     }
@@ -269,36 +261,24 @@ impl Deserialize for String {
 }
 
 impl Serialize for str {
-    fn serialize(&self) -> Value {
-        Value::String(self.to_string())
-    }
     fn write_json(&self, out: &mut String) {
         json::write_str(self, out);
     }
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn serialize(&self) -> Value {
-        (**self).serialize()
-    }
     fn write_json(&self, out: &mut String) {
         (**self).write_json(out);
     }
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn serialize(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::serialize).collect())
-    }
     fn write_json(&self, out: &mut String) {
         json::write_seq(self, out);
     }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn serialize(&self) -> Value {
-        self.as_slice().serialize()
-    }
     fn write_json(&self, out: &mut String) {
         json::write_seq(self, out);
     }
@@ -325,12 +305,6 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn serialize(&self) -> Value {
-        match self {
-            Some(t) => t.serialize(),
-            None => Value::Null,
-        }
-    }
     fn write_json(&self, out: &mut String) {
         match self {
             Some(t) => t.write_json(out),
@@ -357,9 +331,6 @@ impl<T: Deserialize> Deserialize for Option<T> {
 }
 
 impl<A: Serialize, B: Serialize> Serialize for (A, B) {
-    fn serialize(&self) -> Value {
-        Value::Array(vec![self.0.serialize(), self.1.serialize()])
-    }
     fn write_json(&self, out: &mut String) {
         out.push('[');
         self.0.write_json(out);
@@ -390,13 +361,6 @@ impl<A: Deserialize, B: Deserialize> Deserialize for (A, B) {
 }
 
 impl<A: Serialize, B: Serialize, C: Serialize> Serialize for (A, B, C) {
-    fn serialize(&self) -> Value {
-        Value::Array(vec![
-            self.0.serialize(),
-            self.1.serialize(),
-            self.2.serialize(),
-        ])
-    }
     fn write_json(&self, out: &mut String) {
         out.push('[');
         self.0.write_json(out);
@@ -435,9 +399,6 @@ impl<A: Deserialize, B: Deserialize, C: Deserialize> Deserialize for (A, B, C) {
 }
 
 impl<T: Serialize> Serialize for Box<T> {
-    fn serialize(&self) -> Value {
-        (**self).serialize()
-    }
     fn write_json(&self, out: &mut String) {
         (**self).write_json(out);
     }
@@ -453,11 +414,21 @@ impl<T: Deserialize> Deserialize for Box<T> {
 }
 
 impl Serialize for Value {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => b.write_json(out),
+            Value::Int(i) => i.write_json(out),
+            Value::Float(f) => json::write_float(*f, out),
+            Value::String(s) => json::write_str(s, out),
+            Value::Array(items) => json::write_seq(items, out),
+            Value::Object(entries) => {
+                json::write_object(entries.iter().map(|(k, v)| (k.as_str(), v)), out)
+            }
+        }
+    }
     fn serialize(&self) -> Value {
         self.clone()
-    }
-    fn write_json(&self, out: &mut String) {
-        json::write_value(self, out);
     }
 }
 
@@ -485,18 +456,11 @@ pub mod json {
     /// any document this workspace produces.
     pub const MAX_DEPTH: usize = 128;
 
-    /// Serializes `t` and prints it as compact JSON, through
-    /// [`Serialize::write_json`]: no [`Value`] tree is built unless `T`'s
-    /// impl asks for one.
+    /// Serializes `t` as compact JSON, through [`Serialize::write_json`].
     pub fn to_string<T: Serialize + ?Sized>(t: &T) -> String {
         let mut out = String::new();
         t.write_json(&mut out);
         out
-    }
-
-    /// Serializes `t` into a [`Value`] tree.
-    pub fn to_value<T: Serialize + ?Sized>(t: &T) -> Value {
-        t.serialize()
     }
 
     /// Deserializes a `T` from a [`Value`] tree.
@@ -526,35 +490,6 @@ pub mod json {
         Ok(value)
     }
 
-    /// The tree printer behind [`Value`]'s [`Serialize::write_json`] and the
-    /// trait's provided method.
-    pub(crate) fn write_value(v: &Value, out: &mut String) {
-        match v {
-            Value::Null => out.push_str("null"),
-            Value::Bool(true) => out.push_str("true"),
-            Value::Bool(false) => out.push_str("false"),
-            Value::Int(i) => {
-                // Writing into a `String` cannot fail.
-                let _ = write!(out, "{i}");
-            }
-            Value::Float(f) => write_float(*f, out),
-            Value::String(s) => write_str(s, out),
-            Value::Array(items) => write_seq(items, out),
-            Value::Object(entries) => {
-                out.push('{');
-                for (i, (k, v)) in entries.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_str(k, out);
-                    out.push(':');
-                    write_value(v, out);
-                }
-                out.push('}');
-            }
-        }
-    }
-
     /// Appends `items` as a JSON array.
     pub(crate) fn write_seq<T: Serialize>(items: &[T], out: &mut String) {
         out.push('[');
@@ -565,6 +500,24 @@ pub mod json {
             item.write_json(out);
         }
         out.push(']');
+    }
+
+    /// Appends the JSON object of `entries`, in order, each value in its
+    /// own encoding.
+    pub fn write_object<'a, V: Serialize + ?Sized + 'a>(
+        entries: impl IntoIterator<Item = (&'a str, &'a V)>,
+        out: &mut String,
+    ) {
+        out.push('{');
+        for (i, (key, value)) in entries.into_iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_str(key, out);
+            out.push(':');
+            value.write_json(out);
+        }
+        out.push('}');
     }
 
     /// Appends a [`Value::Float`]: Rust's shortest-round-trip decimal

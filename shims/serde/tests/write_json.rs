@@ -1,9 +1,9 @@
-//! `json::to_string` writes through `Serialize::write_json`, which the
-//! derives generate from the same fields as `serialize`. For every derive
-//! shape and every primitive and container impl, the written bytes must be
-//! exactly what printing the `Value` tree gives, and what the reference
-//! printer below (the tree printer before the scalar helpers existed)
-//! gives.
+//! `Serialize::write_json` is each type's only encoder: `json::to_string`
+//! writes through it and `serialize` parses what it writes. So literals pin
+//! its bytes for every derive shape, and for every derive shape and every
+//! primitive and container impl the written text must be canonical (its
+//! parsed tree prints the same bytes, through `Value`'s encoder and
+//! through the reference printer below) and must decode back.
 
 use serde::{json, Deserialize, Serialize, Value};
 
@@ -108,8 +108,9 @@ enum Shape {
     Grouped(Vec<(Named, Unit)>),
 }
 
-/// `x` written directly and `x`'s tree printed give the same bytes, and
-/// the bytes decode back to `x`.
+/// `x`'s written text is canonical (its tree, printed by `Value`'s encoder
+/// and by the reference printer, gives the same bytes) and decodes back to
+/// `x`.
 fn check<T: Serialize + Deserialize + PartialEq + std::fmt::Debug>(x: &T) {
     let direct = json::to_string(x);
     assert_eq!(direct, json::to_string(&x.serialize()), "{x:?}");
@@ -147,6 +148,33 @@ fn every_derive_shape_writes_its_tree_bytes() {
     ] {
         check(&shape);
     }
+    assert_eq!(
+        json::to_string(&named(7, "seven")),
+        r#"{"id":7,"label":"seven","weight":2.3333333333333335,"tags":["seven",""]}"#
+    );
+    assert_eq!(json::to_string(&Newtype(-42)), "-42");
+    assert_eq!(json::to_string(&Pair(3, Some(true))), "[3,true]");
+    assert_eq!(json::to_string(&Pair(0, None)), "[0,null]");
+    assert_eq!(json::to_string(&Unit), "null");
+    assert_eq!(json::to_string(&Shape::Circle(1.5)), r#"{"Circle":1.5}"#);
+    assert_eq!(
+        json::to_string(&Shape::Nested(Box::new(Shape::Rect { w: 1, h: 2 }))),
+        r#"{"Nested":{"Rect":{"w":1,"h":2}}}"#
+    );
+    assert_eq!(
+        json::to_string(&Shape::Grouped(vec![
+            (named(1, "x"), Unit),
+            (named(2, "y"), Unit)
+        ])),
+        concat!(
+            r#"{"Grouped":[[{"id":1,"label":"x","weight":0.3333333333333333,"tags":["x",""]},null],"#,
+            r#"[{"id":2,"label":"y","weight":0.6666666666666666,"tags":["y",""]},null]]}"#
+        )
+    );
+    assert_eq!(
+        json::to_string(&Shape::Grouped(Vec::new())),
+        r#"{"Grouped":[]}"#
+    );
     assert_eq!(json::to_string(&Shape::Empty), r#""Empty""#);
     assert_eq!(
         json::to_string(&Shape::Rect { w: 1, h: 2 }),

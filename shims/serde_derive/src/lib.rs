@@ -1,12 +1,12 @@
 //! Derive macros for the in-workspace `serde` shim.
 //!
 //! Unlike the pre-PR-4 shim (whose derives expanded to nothing), these macros
-//! generate **working** `serde::Serialize` / `serde::Deserialize` impls over
-//! the shim's [`Value`] tree model, so derived types round-trip through
-//! `serde::json`; the derived `Serialize` also implements `write_json`,
-//! which appends the bytes printing `serialize()`'s tree would give,
-//! generated from the same fields, without building the tree, and the
-//! derived `Deserialize` implements `read_json`, which reads the value
+//! generate **working** `serde::Serialize` / `serde::Deserialize` impls, so
+//! derived types round-trip through `serde::json`. The derived `Serialize`
+//! implements only `write_json`, which appends the item's JSON straight into
+//! a buffer (the trait's provided `serialize` parses that text when a caller
+//! wants a `Value` tree). The derived `Deserialize` implements `deserialize`
+//! over the shim's `Value` tree and `read_json`, which reads the value
 //! `deserialize` would give straight from a `json::Reader` (named fields in
 //! any order, the first of a repeated key, unknown keys read and dropped).
 //! The build container has no crates.io access, hence no
@@ -32,7 +32,7 @@
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
-/// Derives `serde::Serialize` (the shim's tree-model flavor).
+/// Derives `serde::Serialize` (the shim's direct JSON writer).
 #[proc_macro_derive(Serialize)]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     expand(input, true)
@@ -274,8 +274,8 @@ fn write_array(prefix: &str, items: &[String], suffix: &str) -> String {
     s
 }
 
-/// The body of the derived `write_json`: the bytes `serialize` would
-/// print, generated from the same fields.
+/// The body of the derived `write_json`, generated from the parsed
+/// fields.
 fn gen_write_json(item: &Item) -> String {
     match item {
         Item::Struct { fields, .. } => match fields {
@@ -322,84 +322,14 @@ fn gen_write_json(item: &Item) -> String {
     }
 }
 
+/// The derived `Serialize`: its one method, `write_json`.
 fn gen_serialize(item: &Item) -> String {
-    let write_json = gen_write_json(item);
-    match item {
-        Item::Struct { name, fields } => {
-            let body = match fields {
-                Fields::Named(names) => {
-                    let mut s = String::from(
-                        "let mut __fields: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = ::std::vec::Vec::new();\n",
-                    );
-                    for f in names {
-                        s.push_str(&format!(
-                            "__fields.push(({f:?}.to_string(), ::serde::Serialize::serialize(&self.{f})));\n"
-                        ));
-                    }
-                    s.push_str("::serde::Value::Object(__fields)");
-                    s
-                }
-                Fields::Tuple(1) => "::serde::Serialize::serialize(&self.0)".to_string(),
-                Fields::Tuple(n) => {
-                    let items: Vec<String> = (0..*n)
-                        .map(|k| format!("::serde::Serialize::serialize(&self.{k})"))
-                        .collect();
-                    format!("::serde::Value::Array(vec![{}])", items.join(", "))
-                }
-                Fields::Unit => "::serde::Value::Null".to_string(),
-            };
-            format!(
-                "#[automatically_derived]\n#[allow(clippy::all)]\nimpl ::serde::Serialize for {name} {{\n\
-                 fn serialize(&self) -> ::serde::Value {{\n{body}\n}}\n\
-                 fn write_json(&self, __out: &mut ::std::string::String) {{\n{write_json}\n}}\n}}\n"
-            )
-        }
-        Item::Enum { name, variants } => {
-            let mut arms = String::new();
-            for v in variants {
-                let vname = &v.name;
-                match &v.fields {
-                    Fields::Unit => arms.push_str(&format!(
-                        "{name}::{vname} => ::serde::Value::String({vname:?}.to_string()),\n"
-                    )),
-                    Fields::Tuple(1) => arms.push_str(&format!(
-                        "{name}::{vname}(__f0) => ::serde::Value::Object(vec![({vname:?}.to_string(), ::serde::Serialize::serialize(__f0))]),\n"
-                    )),
-                    Fields::Tuple(n) => {
-                        let binds: Vec<String> = (0..*n).map(|k| format!("__f{k}")).collect();
-                        let items: Vec<String> = binds
-                            .iter()
-                            .map(|b| format!("::serde::Serialize::serialize({b})"))
-                            .collect();
-                        arms.push_str(&format!(
-                            "{name}::{vname}({}) => ::serde::Value::Object(vec![({vname:?}.to_string(), ::serde::Value::Array(vec![{}]))]),\n",
-                            binds.join(", "),
-                            items.join(", ")
-                        ));
-                    }
-                    Fields::Named(fnames) => {
-                        let binds = fnames.join(", ");
-                        let mut inner = String::from(
-                            "let mut __fields: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = ::std::vec::Vec::new();\n",
-                        );
-                        for f in fnames {
-                            inner.push_str(&format!(
-                                "__fields.push(({f:?}.to_string(), ::serde::Serialize::serialize({f})));\n"
-                            ));
-                        }
-                        arms.push_str(&format!(
-                            "{name}::{vname} {{ {binds} }} => ::serde::Value::Object(vec![({vname:?}.to_string(), {{ {inner} ::serde::Value::Object(__fields) }})]),\n"
-                        ));
-                    }
-                }
-            }
-            format!(
-                "#[automatically_derived]\n#[allow(clippy::all)]\nimpl ::serde::Serialize for {name} {{\n\
-                 fn serialize(&self) -> ::serde::Value {{\nmatch self {{\n{arms}}}\n}}\n\
-                 fn write_json(&self, __out: &mut ::std::string::String) {{\n{write_json}\n}}\n}}\n"
-            )
-        }
-    }
+    let (Item::Struct { name, .. } | Item::Enum { name, .. }) = item;
+    format!(
+        "#[automatically_derived]\n#[allow(clippy::all)]\nimpl ::serde::Serialize for {name} {{\n\
+         fn write_json(&self, __out: &mut ::std::string::String) {{\n{}\n}}\n}}\n",
+        gen_write_json(item)
+    )
 }
 
 /// A block reading an object's named `fields` from `__r` into
